@@ -24,7 +24,7 @@ from .diagram import (
     parse_diagram,
     serialize_diagram,
 )
-from .errors import CrossingMismatchError, ParseError, TransknotError
+from .errors import ParseError, TransknotError
 from .framing import (
     ExistenceKind,
     ManifoldDescriptor,
@@ -164,10 +164,6 @@ def _violation_lines(violations) -> list[str]:
 def _cmd_validate(args) -> CommandOutcome:
     try:
         d = _load(args.file)
-    except CrossingMismatchError as e:
-        lines = [f"VIOLATION CrossingMismatch e{a},e{b}"
-                 for a, b in sorted(e.missing + e.extra)]
-        return CommandOutcome(1, lines)
     except ParseError as e:
         if e.violations:
             return CommandOutcome(1, _violation_lines(e.violations))
@@ -200,9 +196,12 @@ def _cmd_stabilize(args) -> CommandOutcome:
 
 def _cmd_resolve(args) -> CommandOutcome:
     d = _load(args.file)
-    if any(ch not in "+-" for ch in args.assign):
-        raise ValueError(f"--assign must be a string of + and -, got {args.assign!r}")
-    if len(args.assign) != len(args.sites):
+    # argparse drops the value of `--assign=--` as its end-of-options
+    # marker and stores an empty list
+    assign = "--" if args.assign == [] else args.assign
+    if any(ch not in "+-" for ch in assign):
+        raise ValueError(f"--assign must be a string of + and -, got {assign!r}")
+    if len(assign) != len(args.sites):
         raise ValueError("--assign length must match the number of sites")
     if any(i < 1 for i in args.sites):
         raise ValueError("--sites indices are 1-based")
@@ -210,7 +209,7 @@ def _cmd_resolve(args) -> CommandOutcome:
     s = make_singular(d, zero_based)
     choices = {
         idx: Resolution.POS if ch == "+" else Resolution.NEG
-        for idx, ch in zip(zero_based, args.assign)
+        for idx, ch in zip(zero_based, assign)
     }
     out = resolve(s, ResolutionAssignment(choices))
     Path(args.output).write_text(serialize_diagram(out), encoding="utf-8")

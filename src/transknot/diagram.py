@@ -11,9 +11,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional
 
-from .errors import CrossingMismatchError, NongenericCurveError, ParseError
+from .errors import CrossingMismatchError, NongenericCurveError, ParseError, TransknotError
 from .geometry import (
     Point,
     Vec,
@@ -61,7 +62,8 @@ class Violation:
     def location_str(self) -> str:
         if self.edges:
             return ",".join(f"e{i}" for i in self.edges)
-        assert self.point is not None
+        if self.point is None:
+            raise TransknotError(f"{self.kind.name} violation has no location")
         return f"({self.point.x},{self.point.z})"
 
     def sort_key(self):
@@ -117,6 +119,90 @@ class PolyCurve:
     def adjacent_edges(self, i: int, j: int) -> bool:
         """Whether edges i and j share a vertex (cyclically)."""
         return (i - j) % self.n in (0, 1, self.n - 1)
+
+    @cached_property
+    def detected_crossings(self) -> tuple[tuple[int, int, Point], ...]:
+        """(lo, hi, point) for every interior transversal intersection of
+        non-adjacent edges, sorted by (lo, hi).  Computed once, and apart
+        from ``genericity_violations`` so that callers needing only the
+        crossings never pay for the genericity pass.
+        """
+        found = []
+        for i in range(1, self.n + 1):
+            for j in range(i + 1, self.n + 1):
+                if self.adjacent_edges(i, j):
+                    continue
+                a, b = self.edge(i)
+                c, d = self.edge(j)
+                p = segment_intersection(a, b, c, d)
+                if p is not None:
+                    found.append((i, j, p))
+        return tuple(found)
+
+    @cached_property
+    def genericity_violations(self) -> tuple[Violation, ...]:
+        """All positional defects of the curve, in canonical order.
+
+        Empty means: no zero-length edges, no exact reversals, no
+        duplicate vertices, no vertex interior to a non-incident edge,
+        no collinear overlaps, and non-adjacent edges meeting in at most
+        one interior point with all such points distinct.  Computed once.
+        """
+        out: list[Violation] = []
+        n = self.n
+
+        zero = set()
+        for i, a, b in self.edges():
+            if a == b:
+                zero.add(i)
+                out.append(Violation(ViolationKind.ZeroEdge, edges=(i,)))
+
+        for i, d_in, d_out in self.corners():
+            e_in = (i - 2) % n + 1
+            if e_in in zero or i in zero:
+                continue
+            if cross(d_in, d_out) == 0 and dot(d_in, d_out) < 0:
+                out.append(Violation(ViolationKind.ReversalCorner, edges=(e_in, i)))
+
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                if self.vertex(i) == self.vertex(j) and (j - i) % n not in (1, n - 1):
+                    out.append(
+                        Violation(ViolationKind.EndpointContact, point=self.vertex(i))
+                    )
+
+        for i in range(1, n + 1):
+            if i in zero:
+                continue
+            a, b = self.edge(i)
+            di = vec(a, b)
+            for j in range(i + 1, n + 1):
+                if j in zero:
+                    continue
+                c, d = self.edge(j)
+                if cross(di, vec(c, d)) != 0 or cross(di, vec(a, c)) != 0:
+                    continue
+                if _spans_overlap(a, b, c, d):
+                    out.append(Violation(ViolationKind.CollinearOverlap, edges=(i, j)))
+
+        for k in range(1, n + 1):
+            p = self.vertex(k)
+            for i in range(1, n + 1):
+                if (k - i) % n in (0, 1):
+                    continue  # edge i is incident to vertex k
+                a, b = self.edge(i)
+                if point_in_open_segment(p, a, b):
+                    out.append(Violation(ViolationKind.VertexOnEdge, point=p))
+                    break
+
+        points: dict[Point, int] = {}
+        for _, _, p in self.detected_crossings:
+            points[p] = points.get(p, 0) + 1
+        for p, count in points.items():
+            if count > 1:
+                out.append(Violation(ViolationKind.TriplePoint, point=p))
+
+        return tuple(sort_violations(out))
 
 
 @dataclass(frozen=True, order=True)
@@ -176,19 +262,10 @@ def reversed_curve(curve: PolyCurve) -> PolyCurve:
 def detect_crossings(curve: PolyCurve) -> list[tuple[int, int, Point]]:
     """All interior transversal intersections of non-adjacent edge pairs.
 
-    Caller guarantees genericity; output is sorted by (lo, hi).
+    A fresh list of the curve's cached ``detected_crossings``, sorted
+    by (lo, hi).
     """
-    found = []
-    for i in range(1, curve.n + 1):
-        for j in range(i + 1, curve.n + 1):
-            if curve.adjacent_edges(i, j):
-                continue
-            a, b = curve.edge(i)
-            c, d = curve.edge(j)
-            p = segment_intersection(a, b, c, d)
-            if p is not None:
-                found.append((i, j, p))
-    return found
+    return list(curve.detected_crossings)
 
 
 def _spans_overlap(a: Point, b: Point, c: Point, d: Point) -> bool:
@@ -202,66 +279,9 @@ def _spans_overlap(a: Point, b: Point, c: Point, d: Point) -> bool:
 def check_genericity(curve: PolyCurve) -> list[Violation]:
     """All positional defects of the curve, in canonical order.
 
-    Empty output means: no zero-length edges, no exact reversals, no
-    duplicate vertices, no vertex interior to a non-incident edge, no
-    collinear overlaps, and non-adjacent edges meeting in at most one
-    interior point with all such points distinct.
+    A fresh list of the curve's cached ``genericity_violations``.
     """
-    out: list[Violation] = []
-    n = curve.n
-
-    zero = set()
-    for i, a, b in curve.edges():
-        if a == b:
-            zero.add(i)
-            out.append(Violation(ViolationKind.ZeroEdge, edges=(i,)))
-
-    for i, d_in, d_out in curve.corners():
-        e_in = (i - 2) % n + 1
-        if e_in in zero or i in zero:
-            continue
-        if cross(d_in, d_out) == 0 and dot(d_in, d_out) < 0:
-            out.append(Violation(ViolationKind.ReversalCorner, edges=(e_in, i)))
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if curve.vertex(i) == curve.vertex(j) and (j - i) % n not in (1, n - 1):
-                out.append(
-                    Violation(ViolationKind.EndpointContact, point=curve.vertex(i))
-                )
-
-    for i in range(1, n + 1):
-        if i in zero:
-            continue
-        a, b = curve.edge(i)
-        di = vec(a, b)
-        for j in range(i + 1, n + 1):
-            if j in zero:
-                continue
-            c, d = curve.edge(j)
-            if cross(di, vec(c, d)) != 0 or cross(di, vec(a, c)) != 0:
-                continue
-            if _spans_overlap(a, b, c, d):
-                out.append(Violation(ViolationKind.CollinearOverlap, edges=(i, j)))
-
-    for k in range(1, n + 1):
-        p = curve.vertex(k)
-        for i in range(1, n + 1):
-            if (k - i) % n in (0, 1):
-                continue  # edge i is incident to vertex k
-            a, b = curve.edge(i)
-            if point_in_open_segment(p, a, b):
-                out.append(Violation(ViolationKind.VertexOnEdge, point=p))
-                break
-
-    points: dict[Point, int] = {}
-    for _, _, p in detect_crossings(curve):
-        points[p] = points.get(p, 0) + 1
-    for p, count in points.items():
-        if count > 1:
-            out.append(Violation(ViolationKind.TriplePoint, point=p))
-
-    return sort_violations(out)
+    return list(curve.genericity_violations)
 
 
 def min_feature_separation2(d: TransverseDiagram) -> Fraction:
@@ -295,8 +315,23 @@ def min_feature_separation2(d: TransverseDiagram) -> Fraction:
         for t in range(s + 1, len(pts)):
             consider(dist2(pts[s], pts[t]))
 
-    assert best is not None and best > 0
+    if best is None or best <= 0:
+        raise TransknotError("two features of the diagram coincide")
     return best
+
+
+def crossing_mismatch(curve: PolyCurve, declared) -> tuple[list, list]:
+    """Sorted (missing, extra): the detected crossing pairs absent from
+    ``declared``, and the declared pairs the curve does not cross."""
+    detected = {(lo, hi) for lo, hi, _ in curve.detected_crossings}
+    declared = set(declared)
+    return sorted(detected - declared), sorted(declared - detected)
+
+
+def _attach_over(curve: PolyCurve, coor: Coorientation, over: dict) -> TransverseDiagram:
+    """The diagram on the detected crossings, over bits from ``over``."""
+    crossings = (Crossing(lo, hi, p, over[(lo, hi)]) for lo, hi, p in curve.detected_crossings)
+    return TransverseDiagram(curve, coor, tuple(crossings))
 
 
 def build_diagram(
@@ -311,22 +346,16 @@ def build_diagram(
     generic (NongenericCurveError) and the over map must cover exactly
     the detected crossings (ValueError).
     """
-    pts = tuple(Point(Fraction(x), Fraction(z)) for x, z in vertices)
-    curve = PolyCurve(pts)
-    violations = check_genericity(curve)
-    if violations:
-        raise NongenericCurveError(violations)
-    detected = detect_crossings(curve)
-    pairs = {(lo, hi) for lo, hi, _ in detected}
-    if pairs != set(over):
-        missing = sorted(pairs - set(over))
-        extra = sorted(set(over) - pairs)
+    curve = PolyCurve(tuple(Point(Fraction(x), Fraction(z)) for x, z in vertices))
+    if curve.genericity_violations:
+        raise NongenericCurveError(curve.genericity_violations)
+    missing, extra = crossing_mismatch(curve, over)
+    if missing or extra:
         raise ValueError(
             f"over map does not match detected crossings: "
             f"missing {missing}, extra {extra}"
         )
-    crossings = tuple(Crossing(lo, hi, p, over[(lo, hi)]) for lo, hi, p in detected)
-    return TransverseDiagram(curve, coorientation, crossings)
+    return _attach_over(curve, coorientation, over)
 
 
 # --- text format -----------------------------------------------------------
@@ -344,9 +373,9 @@ def _parse_fraction(token: str, lineno: int) -> Fraction:
 def parse_diagram(text: str) -> TransverseDiagram:
     """Parse the text format; raises ParseError on any defect.
 
-    The declared crossing list must match the geometrically detected
-    one exactly (CrossingMismatchError otherwise), and the curve must
-    be generic (violations travel on the ParseError).
+    The curve must be generic, and the declared crossing list must
+    match the geometrically detected one exactly (CrossingMismatchError
+    otherwise); in both cases the violations travel on the ParseError.
     """
     lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -391,7 +420,6 @@ def parse_diagram(text: str) -> TransverseDiagram:
 
     take("over:")
     declared: dict[tuple[int, int], str] = {}
-    order: list[tuple[int, int]] = []
     while pos < len(lines) and lines[pos][1] != "end":
         lineno, line = take()
         parts = line.split()
@@ -409,27 +437,19 @@ def parse_diagram(text: str) -> TransverseDiagram:
         if (lo, hi) in declared:
             raise ParseError(lineno, f"duplicate crossing ({lo},{hi})")
         declared[(lo, hi)] = over
-        order.append((lo, hi))
     take("end")
     if pos < len(lines):
         raise ParseError(lines[pos][0], "content after 'end'")
 
     curve = PolyCurve(tuple(verts))
-    violations = check_genericity(curve)
-    if violations:
-        raise ParseError(0, "curve is not generic", violations=violations)
-
-    detected = detect_crossings(curve)
-    detected_pairs = {(lo, hi) for lo, hi, _ in detected}
-    missing = detected_pairs - set(declared)
-    extra = set(declared) - detected_pairs
+    if curve.genericity_violations:
+        raise ParseError(0, "curve is not generic", violations=curve.genericity_violations)
+    missing, extra = crossing_mismatch(curve, declared)
     if missing or extra:
-        raise CrossingMismatchError(missing, extra)
-
-    crossings = tuple(
-        Crossing(lo, hi, p, declared[(lo, hi)]) for lo, hi, p in detected
-    )
-    return TransverseDiagram(curve, coor, crossings)
+        violations = [Violation(ViolationKind.CrossingMismatch, edges=pair)
+                      for pair in sorted(missing + extra)]
+        raise CrossingMismatchError(missing, extra, violations)
+    return _attach_over(curve, coor, declared)
 
 
 def serialize_diagram(d: TransverseDiagram) -> str:

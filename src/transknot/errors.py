@@ -35,9 +35,12 @@ class ParseError(TransknotError):
 
 
 class CrossingMismatchError(ParseError):
-    """Declared crossing list disagrees with the detected crossings."""
+    """Declared crossing list disagrees with the detected crossings.
 
-    def __init__(self, missing, extra):
+    ``violations`` holds one CrossingMismatch per differing edge pair.
+    """
+
+    def __init__(self, missing, extra, violations):
         self.missing = sorted(missing)
         self.extra = sorted(extra)
         parts = []
@@ -45,7 +48,7 @@ class CrossingMismatchError(ParseError):
             parts.append("missing " + ", ".join(f"({a},{b})" for a, b in self.missing))
         if self.extra:
             parts.append("extra " + ", ".join(f"({a},{b})" for a, b in self.extra))
-        super().__init__(0, "crossing list mismatch: " + "; ".join(parts))
+        super().__init__(0, "crossing list mismatch: " + "; ".join(parts), violations)
 
 
 class InvalidDiagramError(TransknotError):

@@ -21,13 +21,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .diagram import Coorientation, TransverseDiagram
-from .errors import (
-    ComponentMismatchError,
-    InvalidDiagramError,
-    PreconditionFailedError,
-)
+from .errors import ComponentMismatchError, PreconditionFailedError
 from .invariants import self_linking
-from .transversality import validate
+from .transversality import require_valid
 
 
 @dataclass(frozen=True)
@@ -153,9 +149,7 @@ def relative_bennequin(F: RelativeFraming, d: TransverseDiagram) -> int:
     coorientation is checkable from the diagram).  Two framings of the
     same component give values differing by a constant everywhere.
     """
-    report = validate(d)
-    if not report.is_valid:
-        raise InvalidDiagramError(report.violations)
+    require_valid(d)
     if d.coorientation is not F.component.coorientation:
         raise ComponentMismatchError(
             f"diagram is cooriented {d.coorientation.value} but the framing "

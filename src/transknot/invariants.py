@@ -27,7 +27,7 @@ from .diagram import (
     TransverseDiagram,
     min_feature_separation2,
 )
-from .errors import InvalidDiagramError, OracleError
+from .errors import OracleError, TransknotError
 from .geometry import (
     Point,
     Vec,
@@ -41,7 +41,7 @@ from .geometry import (
     sign,
     vec,
 )
-from .transversality import validate, whitney_index
+from .transversality import require_valid, whitney_index
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,10 @@ def crossing_sign(d: TransverseDiagram, c: Crossing) -> int:
     t_over = d.curve.direction(c.over_edge)
     t_under = d.curve.direction(c.under_edge)
     s = sign(cross(t_over, t_under))
-    assert s != 0
+    if s == 0:
+        raise TransknotError(
+            f"crossing of edges {c.lo} and {c.hi} has parallel tangents"
+        )
     return s
 
 
@@ -70,9 +73,7 @@ def self_linking(d: TransverseDiagram) -> int:
     viewing direction, which pairs every diagram crossing with two
     equal-sign knot-to-copy crossings (see pushoff_linking_oracle).
     """
-    report = validate(d)
-    if not report.is_valid:
-        raise InvalidDiagramError(report.violations)
+    require_valid(d)
     return writhe(d)
 
 
@@ -156,9 +157,7 @@ def pushoff_linking_oracle(d: TransverseDiagram) -> int:
     edge directions; its length starts below a quarter of the minimum
     feature separation and is halved on every retry.
     """
-    report = validate(d)
-    if not report.is_valid:
-        raise InvalidDiagramError(report.violations)
+    require_valid(d)
 
     dirs = [d.curve.direction(i) for i in range(1, d.curve.n + 1)]
     k = 0

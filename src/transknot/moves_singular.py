@@ -25,19 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .diagram import (
-    Coorientation,
-    Crossing,
-    PolyCurve,
-    TransverseDiagram,
-    check_genericity,
-    detect_crossings,
-)
+from .diagram import Coorientation, Crossing, PolyCurve, TransverseDiagram
 from .errors import (
     FamilyArityError,
     HostTooShortError,
     InadmissibleDoublePointError,
-    InvalidDiagramError,
+    TransknotError,
 )
 from .fixtures import trefoil_right
 from .geometry import (
@@ -47,16 +40,13 @@ from .geometry import (
     cross,
     dist2,
     dot,
-    in_closed_cone,
-    in_open_cone,
     is_parallel,
     neg,
     point_segment_dist2,
     scale,
-    vec,
 )
 from .invariants import self_linking, v2, writhe
-from .transversality import DOWN, UP, validate
+from .transversality import DOWN, UP, forced_over, require_valid, validate
 
 # --- the canonical detour ---------------------------------------------------
 
@@ -153,7 +143,8 @@ def _insert_detour(d: TransverseDiagram, host: int) -> tuple[TransverseDiagram, 
     """
     curve = d.curve
     direction = d.curve.direction(host)
-    assert direction.x != 0, "vertical hosts are bent before splicing"
+    if direction.x == 0:
+        raise TransknotError(f"edge {host} is vertical; bend it before splicing")
 
     # The detour template is drawn for direction (1,0) under Plus.  The
     # linear map (1,0) -> host direction, (0,1) -> (0, +-1) transports
@@ -198,20 +189,17 @@ def _insert_detour(d: TransverseDiagram, host: int) -> tuple[TransverseDiagram, 
     detour_over = {place(p): transform(u) for p, u in _DETOUR_CROSSINGS}
 
     crossings = []
-    for lo, hi, p in detect_crossings(new_curve):
-        d_lo = new_curve.direction(lo)
-        d_hi = new_curve.direction(hi)
+    for lo, hi, p in new_curve.detected_crossings:
         if p in old_over_dir:
-            over_is_lo = is_parallel(d_lo, old_over_dir[p])
-            assert over_is_lo != is_parallel(d_hi, old_over_dir[p])
+            over_dir, flip = old_over_dir[p], False
         elif p in detour_over:
-            over_is_lo = is_parallel(d_lo, detour_over[p])
-            assert over_is_lo != is_parallel(d_hi, detour_over[p])
-            if flips:
-                over_is_lo = not over_is_lo
+            over_dir, flip = detour_over[p], flips
         else:
-            raise AssertionError(f"detour created an unexpected crossing at {p}")
-        crossings.append(Crossing(lo, hi, p, "lo" if over_is_lo else "hi"))
+            raise TransknotError(f"detour created an unexpected crossing at {p}")
+        over_is_lo = is_parallel(new_curve.direction(lo), over_dir)
+        if over_is_lo == is_parallel(new_curve.direction(hi), over_dir):
+            raise TransknotError(f"over strand at {p} is ambiguous after splicing")
+        crossings.append(Crossing(lo, hi, p, "lo" if over_is_lo != flip else "hi"))
 
     out = TransverseDiagram(new_curve, d.coorientation, tuple(crossings))
     return out, host + len(_DETOUR_PATH)
@@ -226,9 +214,8 @@ def _bend_vertical(d: TransverseDiagram, host: int) -> tuple[TransverseDiagram, 
     genericity predicate satisfied; the offset is halved until the
     result checks out.  Returns the bent diagram and the first half.
     """
-    curve = d.curve
-    direction = curve.direction(host)
-    assert direction.x == 0
+    if d.curve.direction(host).x != 0:
+        raise TransknotError(f"edge {host} is not vertical")
     anchor, _, r2 = _pick_anchor(d, host)
 
     h = Fraction(1)
@@ -256,13 +243,13 @@ def _transfer_after_bend(
     verts = list(d.curve.vertices)
     verts.insert(host, apex)
     new_curve = PolyCurve(tuple(verts))
-    if check_genericity(new_curve):
+    if new_curve.genericity_violations:
         return None
 
     def shift(e: int) -> int:
         return e if e < host else e + 1
 
-    by_pair = {(lo, hi): p for lo, hi, p in detect_crossings(new_curve)}
+    by_pair = {(lo, hi): p for lo, hi, p in new_curve.detected_crossings}
     crossings = []
     seen = set()
     for c in d.crossings:
@@ -300,9 +287,7 @@ def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
     one after another along the remainder of the host edge, shrinking
     as needed; HostTooShortError is raised only if no scale fits.
     """
-    report = validate(d)
-    if not report.is_valid:
-        raise InvalidDiagramError(report.violations)
+    require_valid(d)
     if not 1 <= host <= d.curve.n:
         raise ValueError(f"edge index {host} out of range 1..{d.curve.n}")
     if count < 0:
@@ -365,15 +350,6 @@ class ResolutionAssignment:
     choices: Mapping[int, Resolution]
 
 
-def _double_admissible(curve: PolyCurve, coor: Coorientation, lo: int, hi: int) -> bool:
-    """Both resolutions stay valid iff the coorientation direction is
-    outside the closed tangent cone at the crossing."""
-    t1, t2 = curve.direction(lo), curve.direction(hi)
-    if coor is Coorientation.MINUS:
-        t1, t2 = neg(t1), neg(t2)
-    return not in_closed_cone(UP, t1, t2)
-
-
 def make_singular(d: TransverseDiagram, sites: Iterable[int]) -> SingularDiagram:
     """Erase the over bit at the crossings with the given indices.
 
@@ -383,9 +359,7 @@ def make_singular(d: TransverseDiagram, sites: Iterable[int]) -> SingularDiagram
     because there the over bit is forced and only one resolution is a
     valid diagram.
     """
-    report = validate(d)
-    if not report.is_valid:
-        raise InvalidDiagramError(report.violations)
+    require_valid(d)
     chosen = set(sites)
     for i in chosen:
         if not 0 <= i < len(d.crossings):
@@ -395,7 +369,7 @@ def make_singular(d: TransverseDiagram, sites: Iterable[int]) -> SingularDiagram
         if i not in chosen:
             out.append(Resolved(c))
             continue
-        if not _double_admissible(d.curve, d.coorientation, c.lo, c.hi):
+        if forced_over(d.curve, d.coorientation, c.lo, c.hi) is not None:
             raise InadmissibleDoublePointError(
                 f"crossing {i} between edges {c.lo} and {c.hi} at "
                 f"({c.point.x},{c.point.z}) has a forced over bit"
@@ -578,21 +552,15 @@ def random_valid_diagram(
         for v in dirs[:-1]:
             pts.append(Point(pts[-1].x + v.x, pts[-1].z + v.z))
         curve = PolyCurve(tuple(pts))
-        if check_genericity(curve):
+        if curve.genericity_violations:
             continue
 
         crossings = []
-        for lo, hi, p in detect_crossings(curve):
-            t1, t2 = curve.direction(lo), curve.direction(hi)
-            if coorientation is Coorientation.MINUS:
-                t1, t2 = neg(t1), neg(t2)
-            if in_open_cone(UP, t1, t2):
-                over = "lo" if t1.x < 0 else "hi"
-            else:
-                over = rng.choice(("lo", "hi"))
+        for lo, hi, p in curve.detected_crossings:
+            over = forced_over(curve, coorientation, lo, hi) or rng.choice(("lo", "hi"))
             crossings.append(Crossing(lo, hi, p, over))
         d = TransverseDiagram(curve, coorientation, tuple(crossings))
-        assert validate(d).is_valid
+        require_valid(d)
         return d
     raise RuntimeError(f"random diagram search failed for seed {seed!r}")
 
@@ -622,7 +590,7 @@ def singular_family(seed: object, doubles: int, size: int) -> list[SingularDiagr
         return [
             i
             for i, c in enumerate(d.crossings)
-            if _double_admissible(d.curve, d.coorientation, c.lo, c.hi)
+            if forced_over(d.curve, d.coorientation, c.lo, c.hi) is None
         ]
 
     serial = 0

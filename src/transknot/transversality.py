@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .diagram import (
     Coorientation,
@@ -21,10 +22,10 @@ from .diagram import (
     TransverseDiagram,
     Violation,
     ViolationKind,
-    check_genericity,
-    detect_crossings,
+    crossing_mismatch,
     sort_violations,
 )
+from .errors import InvalidDiagramError
 from .geometry import (
     Vec,
     corner_sweep_contains,
@@ -72,26 +73,32 @@ def check_condition1(curve: PolyCurve, coor: Coorientation) -> list[Violation]:
     return sort_violations(out)
 
 
-def check_condition2(d: TransverseDiagram) -> list[Violation]:
-    """Violations of the upper-right-strand-is-under rule.
+def forced_over(curve: PolyCurve, coor: Coorientation, lo: int, hi: int) -> Optional[str]:
+    """The strand ("lo" or "hi") that must pass over where edges lo and
+    hi cross, or None when the over bit is free.
 
-    A crossing constrains the over bit only when straight up lies in
-    the open cone of the two tangents (Minus: tangents reversed).  In
-    that case one tangent has dx > 0 and one has dx < 0, and the over
-    strand must be the dx < 0 one.
+    The bit is forced when straight up lies in the open cone of the two
+    tangents (Minus: tangents reversed); then one tangent has dx > 0,
+    the other dx < 0, and the over strand must be the dx < 0 one.  Under
+    condition 1 no tangent points along the forbidden vertical, so at a
+    free crossing up is outside the closed cone too and either over bit
+    gives a valid diagram.
     """
+    t_lo, t_hi = curve.direction(lo), curve.direction(hi)
+    if coor is Coorientation.MINUS:
+        t_lo, t_hi = neg(t_lo), neg(t_hi)
+    if not in_open_cone(UP, t_lo, t_hi):
+        return None
+    return "lo" if t_lo.x < 0 else "hi"
+
+
+def check_condition2(d: TransverseDiagram) -> list[Violation]:
+    """Violations of the upper-right-strand-is-under rule: crossings
+    whose over bit differs from the one ``forced_over`` requires."""
     out = []
     for c in d.crossings:
-        t_lo = d.curve.direction(c.lo)
-        t_hi = d.curve.direction(c.hi)
-        if d.coorientation is Coorientation.MINUS:
-            t_lo, t_hi = neg(t_lo), neg(t_hi)
-        if not in_open_cone(UP, t_lo, t_hi):
-            continue
-        # up strictly inside forces opposite horizontal senses
-        assert (t_lo.x > 0) != (t_hi.x > 0) and t_lo.x != 0 and t_hi.x != 0
-        t_over = t_lo if c.over == "lo" else t_hi
-        if t_over.x > 0:
+        forced = forced_over(d.curve, d.coorientation, c.lo, c.hi)
+        if forced is not None and c.over != forced:
             out.append(Violation(ViolationKind.ForbiddenCrossing, point=c.point))
     return sort_violations(out)
 
@@ -99,25 +106,26 @@ def check_condition2(d: TransverseDiagram) -> list[Violation]:
 def validate(d: TransverseDiagram) -> ValidityReport:
     """Full validity check: genericity, then conditions 1 and 2.
 
-    Positional defects short-circuit the report, since crossing data is
-    meaningless on a non-generic curve.  A crossing list that disagrees
-    with the detected intersections is reported as CrossingMismatch.
+    Reads the curve's cached genericity and crossings.  Positional
+    defects short-circuit the report, since crossing data is meaningless
+    on a non-generic curve.  A crossing list that disagrees with the
+    detected intersections is reported as CrossingMismatch.
     """
-    gen = check_genericity(d.curve)
-    if gen:
-        return ValidityReport(tuple(gen))
-    detected = {(lo, hi) for lo, hi, _ in detect_crossings(d.curve)}
-    declared = {(c.lo, c.hi) for c in d.crossings}
-    if detected != declared:
-        diffs = sorted(detected.symmetric_difference(declared))
-        return ValidityReport(
-            tuple(
-                Violation(ViolationKind.CrossingMismatch, edges=pair)
-                for pair in diffs
-            )
-        )
+    if d.curve.genericity_violations:
+        return ValidityReport(d.curve.genericity_violations)
+    missing, extra = crossing_mismatch(d.curve, ((c.lo, c.hi) for c in d.crossings))
+    if missing or extra:
+        return ValidityReport(tuple(Violation(ViolationKind.CrossingMismatch, edges=pair)
+                                    for pair in sorted(missing + extra)))
     out = check_condition1(d.curve, d.coorientation) + check_condition2(d)
     return ValidityReport(tuple(sort_violations(out)))
+
+
+def require_valid(d: TransverseDiagram) -> None:
+    """Raise InvalidDiagramError, carrying the violations, unless d is valid."""
+    report = validate(d)
+    if not report.is_valid:
+        raise InvalidDiagramError(report.violations)
 
 
 def whitney_index(curve: PolyCurve) -> int:

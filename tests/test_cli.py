@@ -4,6 +4,12 @@ from transknot.cli import dispatch, render_svg
 from transknot.diagram import parse_diagram, serialize_diagram
 from transknot.fixtures import trefoil_right, u_minus, u_minus_forbidden
 from transknot.invariants import self_linking, v2, writhe
+from transknot.moves_singular import (
+    Resolution,
+    ResolutionAssignment,
+    make_singular,
+    resolve,
+)
 
 
 @pytest.fixture
@@ -154,6 +160,21 @@ class TestResolve:
              "-o", str(out_path)]
         )
         assert out_path.read_text(encoding="utf-8") == serialize_diagram(trefoil_right())
+
+    @pytest.mark.parametrize("sites, assign", [([1, 2], "--"), ([1, 2], "-+"), ([1], "-")])
+    def test_attached_assign_value(self, trefoil_file, tmp_path, sites, assign):
+        # argparse reads a bare "--" value as its end-of-options marker
+        out_path = tmp_path / "resolved.txt"
+        out = dispatch(
+            ["resolve", trefoil_file, "--sites", ",".join(map(str, sites)),
+             f"--assign={assign}", "-o", str(out_path)]
+        )
+        assert out.exit_code == 0
+        zero_based = [i - 1 for i in sites]
+        s = make_singular(trefoil_right(), zero_based)
+        signs = [Resolution.POS if ch == "+" else Resolution.NEG for ch in assign]
+        want = resolve(s, ResolutionAssignment(dict(zip(zero_based, signs))))
+        assert out_path.read_text(encoding="utf-8") == serialize_diagram(want)
 
     def test_assign_must_match_sites(self, trefoil_file, tmp_path):
         out = dispatch(

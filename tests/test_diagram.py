@@ -27,7 +27,9 @@ from transknot.fixtures import (
     u_minus,
     u_minus_forbidden,
 )
-from transknot.geometry import Point
+from transknot.geometry import Point, segment_intersection
+from transknot.invariants import invariant_values
+from transknot.transversality import validate
 
 
 def P(x, z) -> Point:
@@ -128,6 +130,39 @@ class TestDetectCrossings:
 
     def test_reversal_reindexes_edges(self):
         assert detect_crossings(reversed_curve(u_minus().curve)) == [(5, 10, P(0, 0))]
+
+    def test_returned_list_is_a_copy(self):
+        c = u_minus().curve
+        found = detect_crossings(c)
+        found.append((2, 5, P(1, 1)))
+        found[0] = (3, 7, P(2, 2))
+        assert detect_crossings(c) == [(1, 6, P(0, 0))]
+        bad = curve((0, 0), (2, 0), (1, 0))
+        flagged = check_genericity(bad)
+        expected = list(flagged)
+        flagged.clear()
+        assert check_genericity(bad) == expected != []
+
+
+def test_each_curve_is_scanned_once(monkeypatch):
+    """Parsing, validating twice and computing all invariants share one
+    all-pairs crossing scan of the parsed curve."""
+    text = serialize_diagram(trefoil_right())
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return segment_intersection(*args)
+
+    monkeypatch.setattr("transknot.diagram.segment_intersection", counting)
+    d = parse_diagram(text)
+    assert validate(d).is_valid
+    invariant_values(d)
+    assert validate(d).is_valid
+    n = d.curve.n
+    assert n == 15
+    # one call per non-adjacent edge pair
+    assert len(calls) == n * (n - 1) // 2 - n == 90
 
 
 class TestGenericity:

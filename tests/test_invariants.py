@@ -1,9 +1,10 @@
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from transknot.diagram import Coorientation, TransverseDiagram, build_diagram
-from transknot.errors import InvalidDiagramError
+from transknot.diagram import Coorientation, Crossing, TransverseDiagram, build_diagram
+from transknot.errors import InvalidDiagramError, TransknotError
 from transknot.fixtures import (
     minus_unknot,
     one_crossing_unknots,
@@ -13,6 +14,7 @@ from transknot.fixtures import (
     u_minus,
     u_minus_forbidden,
 )
+from transknot.geometry import Point
 from transknot.invariants import (
     InvariantValue,
     crossing_sign,
@@ -61,6 +63,13 @@ class TestWrithe:
     def test_trefoil(self):
         assert writhe(trefoil_right()) == 1
         assert len(trefoil_right().crossings) == 7
+
+    def test_crossing_on_parallel_edges_is_a_domain_error(self):
+        # edges 1 and 3 of a square are parallel; no sign exists
+        square = build_diagram([(0, 0), (4, 0), (4, 4), (0, 4)], Coorientation.PLUS, {})
+        bogus = Crossing(1, 3, Point(Fraction(2), Fraction(2)), "lo")
+        with pytest.raises(TransknotError):
+            writhe(TransverseDiagram(square.curve, Coorientation.PLUS, (bogus,)))
 
 
 class TestSelfLinking:

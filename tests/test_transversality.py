@@ -12,10 +12,13 @@ from transknot.diagram import (
     reversed_curve,
 )
 from transknot.fixtures import minus_unknot, trefoil_right, u_minus, u_minus_forbidden
-from transknot.geometry import Point
+from transknot.geometry import Point, in_closed_cone, neg
+from transknot.moves_singular import random_valid_diagram, stabilize
 from transknot.transversality import (
+    UP,
     check_condition1,
     check_condition2,
+    forced_over,
     validate,
     whitney_index,
 )
@@ -90,6 +93,25 @@ class TestCondition2:
         flipped = minus_unknot().with_over({(1, 6): "hi"})
         violations = check_condition2(flipped)
         assert [v.kind for v in violations] == [ViolationKind.ForbiddenCrossing]
+
+
+@pytest.mark.parametrize("coor", list(Coorientation))
+@pytest.mark.parametrize("seed", range(4))
+def test_forced_over_agrees_with_the_closed_cone(seed, coor):
+    """On valid diagrams a crossing is free exactly when up lies outside
+    the closed cone of the (Minus: reversed) tangents, and a forced
+    crossing puts the leftward strand on top."""
+    base = random_valid_diagram(seed, coor)
+    for d in (base, stabilize(base, 1, 2)):
+        for c in d.crossings:
+            t_lo, t_hi = d.curve.direction(c.lo), d.curve.direction(c.hi)
+            if coor is Coorientation.MINUS:
+                t_lo, t_hi = neg(t_lo), neg(t_hi)
+            forced = forced_over(d.curve, coor, c.lo, c.hi)
+            assert (forced is None) == (not in_closed_cone(UP, t_lo, t_hi))
+            if forced is not None:
+                assert (t_lo if forced == "lo" else t_hi).x < 0
+                assert (t_hi if forced == "lo" else t_lo).x > 0
 
 
 class TestValidate:
