@@ -345,6 +345,13 @@ def dispatch(argv: list[str]) -> CommandOutcome:
     errors (unreadable or bad files, invalid diagrams, failed checks)
     as exit 1 with a diagnostic line.
     """
+    argv = list(argv)
+    if "--assign" in argv:
+        # argparse takes a separate value starting with "-", such as
+        # "-+" or "--", for an option; attached with "=" it is a value
+        i = argv.index("--assign")
+        if i + 1 < len(argv) and argv[i + 1] and not argv[i + 1].strip("+-"):
+            argv[i:i + 2] = [f"--assign={argv[i + 1]}"]
     buf = io.StringIO()
     try:
         with contextlib.redirect_stderr(buf), contextlib.redirect_stdout(buf):

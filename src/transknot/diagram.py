@@ -9,10 +9,11 @@ drawn on top is the one with the smaller y-coordinate in space, so
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .errors import CrossingMismatchError, NongenericCurveError, ParseError, TransknotError
 from .geometry import (
@@ -22,10 +23,15 @@ from .geometry import (
     dist2,
     dot,
     point_in_open_segment,
-    point_segment_dist2,
-    segment_intersection,
+    segment_crossing,
     vec,
+    x_overlapping_pairs,
+    x_span,
 )
+
+
+if TYPE_CHECKING:
+    from .transversality import ValidityReport
 
 
 class Coorientation(enum.Enum):
@@ -121,23 +127,28 @@ class PolyCurve:
         return (i - j) % self.n in (0, 1, self.n - 1)
 
     @cached_property
+    def scaled(self) -> tuple[int, tuple[Point, ...]]:
+        """(L, the vertices times L), where L is the lcm of all vertex
+        coordinate denominators, so that the scaled vertices are int
+        points.  The all-pairs loops decide their predicates on these
+        ints, which are exact and never normalise a fraction; a value
+        leaves them as a Fraction again.  Computed once.
+        """
+        scale = math.lcm(*(c.denominator for p in self.vertices for c in p))
+        return scale, tuple(
+            Point(p.x.numerator * (scale // p.x.denominator),
+                  p.z.numerator * (scale // p.z.denominator))
+            for p in self.vertices
+        )
+
+    @cached_property
     def detected_crossings(self) -> tuple[tuple[int, int, Point], ...]:
         """(lo, hi, point) for every interior transversal intersection of
         non-adjacent edges, sorted by (lo, hi).  Computed once, and apart
         from ``genericity_violations`` so that callers needing only the
         crossings never pay for the genericity pass.
         """
-        found = []
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                if self.adjacent_edges(i, j):
-                    continue
-                a, b = self.edge(i)
-                c, d = self.edge(j)
-                p = segment_intersection(a, b, c, d)
-                if p is not None:
-                    found.append((i, j, p))
-        return tuple(found)
+        return _crossing_scan(self)
 
     @cached_property
     def genericity_violations(self) -> tuple[Violation, ...]:
@@ -146,54 +157,45 @@ class PolyCurve:
         Empty means: no zero-length edges, no exact reversals, no
         duplicate vertices, no vertex interior to a non-incident edge,
         no collinear overlaps, and non-adjacent edges meeting in at most
-        one interior point with all such points distinct.  Computed once.
+        one interior point with all such points distinct.  Computed once,
+        on the scaled vertices, comparing only features whose x-extents
+        meet.
         """
         out: list[Violation] = []
         n = self.n
+        _, pts = self.scaled
+        ends = edge_ends(pts)
 
-        zero = set()
-        for i, a, b in self.edges():
-            if a == b:
-                zero.add(i)
-                out.append(Violation(ViolationKind.ZeroEdge, edges=(i,)))
+        zero = {i for i, (a, b) in enumerate(ends) if a == b}
+        out += [Violation(ViolationKind.ZeroEdge, edges=(i + 1,)) for i in zero]
 
-        for i, d_in, d_out in self.corners():
-            e_in = (i - 2) % n + 1
+        for i, (a, b) in enumerate(ends):
+            e_in = (i - 1) % n
             if e_in in zero or i in zero:
                 continue
+            d_in, d_out = vec(*ends[e_in]), vec(a, b)
             if cross(d_in, d_out) == 0 and dot(d_in, d_out) < 0:
-                out.append(Violation(ViolationKind.ReversalCorner, edges=(e_in, i)))
+                out.append(Violation(ViolationKind.ReversalCorner, edges=(e_in + 1, i + 1)))
 
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                if self.vertex(i) == self.vertex(j) and (j - i) % n not in (1, n - 1):
-                    out.append(
-                        Violation(ViolationKind.EndpointContact, point=self.vertex(i))
-                    )
-
-        for i in range(1, n + 1):
-            if i in zero:
-                continue
-            a, b = self.edge(i)
-            di = vec(a, b)
-            for j in range(i + 1, n + 1):
-                if j in zero:
-                    continue
-                c, d = self.edge(j)
-                if cross(di, vec(c, d)) != 0 or cross(di, vec(a, c)) != 0:
-                    continue
-                if _spans_overlap(a, b, c, d):
-                    out.append(Violation(ViolationKind.CollinearOverlap, edges=(i, j)))
-
-        for k in range(1, n + 1):
-            p = self.vertex(k)
-            for i in range(1, n + 1):
-                if (k - i) % n in (0, 1):
-                    continue  # edge i is incident to vertex k
-                a, b = self.edge(i)
-                if point_in_open_segment(p, a, b):
-                    out.append(Violation(ViolationKind.VertexOnEdge, point=p))
-                    break
+        # indices below n are vertices, the rest edges (edge i at n + i)
+        spans = [x_span(p, p) for p in pts] + [x_span(a, b) for a, b in ends]
+        on_edge = set()
+        for s, t in x_overlapping_pairs(spans):
+            if t < n:
+                if pts[s] == pts[t] and t - s not in (1, n - 1):
+                    out.append(Violation(ViolationKind.EndpointContact, point=self.vertices[s]))
+            elif s < n:
+                if point_in_open_segment(pts[s], *ends[t - n]):
+                    on_edge.add(s)  # never true of the edge's own endpoints
+            elif s - n not in zero and t - n not in zero:
+                a, b = ends[s - n]
+                c, d = ends[t - n]
+                di = vec(a, b)
+                if cross(di, vec(c, d)) == 0 and cross(di, vec(a, c)) == 0 \
+                        and _spans_overlap(a, b, c, d):
+                    out.append(Violation(ViolationKind.CollinearOverlap,
+                                         edges=(s - n + 1, t - n + 1)))
+        out += [Violation(ViolationKind.VertexOnEdge, point=self.vertices[k]) for k in on_edge]
 
         points: dict[Point, int] = {}
         for _, _, p in self.detected_crossings:
@@ -203,6 +205,33 @@ class PolyCurve:
                 out.append(Violation(ViolationKind.TriplePoint, point=p))
 
         return tuple(sort_violations(out))
+
+
+def edge_ends(pts) -> list[tuple[Point, Point]]:
+    """(start, end) of every edge of the closed polygon ``pts``."""
+    return list(zip(pts, pts[1:] + pts[:1]))
+
+
+def _crossing_scan(curve: PolyCurve) -> tuple[tuple[int, int, Point], ...]:
+    """The crossing pass behind ``PolyCurve.detected_crossings``: the
+    segment test on the scaled vertices of every pair of non-adjacent
+    edges whose x-extents meet, each hit turned back into a Fraction
+    point."""
+    n = curve.n
+    scale, pts = curve.scaled
+    ends = edge_ends(pts)
+    found = []
+    for i, j in x_overlapping_pairs([x_span(a, b) for a, b in ends]):
+        if j - i in (1, n - 1):
+            continue
+        a, b = ends[i]
+        hit = segment_crossing(a, b, *ends[j])
+        if hit is not None:
+            num, den = hit
+            p = Point(Fraction(a.x * den + num * (b.x - a.x), den * scale),
+                      Fraction(a.z * den + num * (b.z - a.z), den * scale))
+            found.append((i + 1, j + 1, p))
+    return tuple(sorted(found))
 
 
 @dataclass(frozen=True, order=True)
@@ -244,6 +273,14 @@ class TransverseDiagram:
             self, "crossings", tuple(sorted(self.crossings))
         )
 
+    @cached_property
+    def validity(self) -> ValidityReport:
+        """This diagram's ``transversality.ValidityReport``, computed once
+        (see ``transversality.check_validity``)."""
+        from .transversality import check_validity  # it imports this module
+
+        return check_validity(self)
+
     def with_over(self, flips: dict[tuple[int, int], str]) -> "TransverseDiagram":
         """Copy with the over bit replaced at the listed (lo, hi) pairs."""
         new = tuple(
@@ -271,7 +308,7 @@ def detect_crossings(curve: PolyCurve) -> list[tuple[int, int, Point]]:
 def _spans_overlap(a: Point, b: Point, c: Point, d: Point) -> bool:
     """Whether collinear segments ab and cd share more than one point."""
     ref = vec(a, b)
-    lo1, hi1 = sorted((Fraction(0), dot(ref, ref)))
+    lo1, hi1 = sorted((0, dot(ref, ref)))
     lo2, hi2 = sorted((dot(vec(a, c), ref), dot(vec(a, d), ref)))
     return min(hi1, hi2) > max(lo1, lo2)
 
@@ -291,33 +328,57 @@ def min_feature_separation2(d: TransverseDiagram) -> Fraction:
     and pairwise crossing point distances; all squared, all exact.
     Used to bound perturbation sizes so a push-off cannot jump across
     a strand or a crossing cannot collide with another feature.
+
+    Runs on the scaled vertices.  No distance exceeding the shortest
+    edge can be the minimum, so only features whose x-extents lie within
+    that edge length of each other need to be compared.
     """
     curve = d.curve
     n = curve.n
-    best: Optional[Fraction] = None
-
-    def consider(v: Fraction):
-        nonlocal best
-        if best is None or v < best:
-            best = v
-
-    for i, a, b in curve.edges():
-        consider(dist2(a, b))
-    for k in range(1, n + 1):
-        p = curve.vertex(k)
-        for i in range(1, n + 1):
-            if (k - i) % n in (0, 1):
-                continue
-            a, b = curve.edge(i)
-            consider(point_segment_dist2(p, a, b))
-    pts = [c.point for c in d.crossings]
-    for s in range(len(pts)):
-        for t in range(s + 1, len(pts)):
-            consider(dist2(pts[s], pts[t]))
-
-    if best is None or best <= 0:
+    scale, pts = curve.scaled
+    ends = edge_ends(pts)
+    shortest = min(dist2(a, b) for a, b in ends)
+    if shortest == 0:
         raise TransknotError("two features of the diagram coincide")
-    return best
+    reach = math.isqrt(shortest - 1) + 1  # the ceiling of the edge length
+
+    # crossing k as (X, Z, D): the point (X/D, Z/D) in scaled units
+    marks = []
+    for c in d.crossings:
+        den = math.lcm(c.point.x.denominator, c.point.z.denominator)
+        marks.append(tuple(v.numerator * (den // v.denominator) * scale for v in c.point)
+                     + (den,))
+    # indices: vertices, then edges from n, then crossings from 2n
+    spans = [x_span(p, p) for p in pts] + [x_span(a, b) for a, b in ends]
+    spans += [(x // den, -(-x // den)) for x, _, den in marks]
+
+    def candidates():
+        """(num, den) of each squared distance that may be the minimum."""
+        for s, t in x_overlapping_pairs(spans, reach):
+            if s < n <= t < 2 * n:  # vertex s, edge t - n
+                i = t - n
+                if s == i or s == (i + 1) % n:
+                    continue
+                p, (a, b) = pts[s], ends[i]
+                e, w = vec(a, b), vec(a, p)
+                along = dot(w, e)
+                if along <= 0:
+                    yield dist2(p, a), 1
+                elif along >= dot(e, e):
+                    yield dist2(p, b), 1
+                else:
+                    yield cross(e, w) ** 2, dot(e, e)
+            elif s >= 2 * n:  # two crossings
+                (x1, z1, d1), (x2, z2, d2) = marks[s - 2 * n], marks[t - 2 * n]
+                yield (x1 * d2 - x2 * d1) ** 2 + (z1 * d2 - z2 * d1) ** 2, (d1 * d2) ** 2
+
+    best, best_den = shortest, 1
+    for num, den in candidates():
+        if num * best_den < best * den:
+            best, best_den = num, den
+    if best <= 0:
+        raise TransknotError("two features of the diagram coincide")
+    return Fraction(best, best_den * scale * scale)
 
 
 def crossing_mismatch(curve: PolyCurve, declared) -> tuple[list, list]:

@@ -1,14 +1,17 @@
 """Exact planar geometry over the rationals.
 
-All predicates are decided with ``fractions.Fraction`` arithmetic, so
-there is no epsilon anywhere: parallel means exactly parallel, interior
-means strictly interior.
+There is no epsilon anywhere: parallel means exactly parallel, interior
+means strictly interior.  The predicates take ``fractions.Fraction``
+points, and the division-free ones (``vec``, ``cross``, ``dot``,
+``segment_crossing``, ``point_in_open_segment``, ``x_span``) take int
+points just as well, which is how the all-pairs loops run them: on
+vertices scaled to ints by the lcm of their denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import DegenerateConeError, ReversalError
 
@@ -66,25 +69,65 @@ def same_direction(u: Vec, v: Vec) -> bool:
     return cross(u, v) == 0 and dot(u, v) > 0
 
 
-def segment_intersection(
-    a: Point, b: Point, c: Point, d: Point
-) -> Optional[Point]:
-    """Intersection point of the open segments ab and cd.
+def segment_crossing(a: Point, b: Point, c: Point, d: Point):
+    """Where the open segments ab and cd cross, as (num, den).
 
-    Returns None for parallel or collinear segments and for contacts at
-    an endpoint: only a transversal meeting of the two interiors counts.
+    den > 0 and the crossing is a + (num/den)(b - a).  Returns None for
+    parallel or collinear segments and for contacts at an endpoint: only
+    a transversal meeting of the two interiors counts.  Division-free.
     """
     d1 = vec(a, b)
     d2 = vec(c, d)
-    denom = cross(d1, d2)
-    if denom == 0:
+    den = cross(d1, d2)
+    if den == 0:
         return None
     w = vec(a, c)
-    t = cross(w, d2) / denom
-    u = cross(w, d1) / denom
-    if 0 < t < 1 and 0 < u < 1:
-        return Point(a.x + t * d1.x, a.z + t * d1.z)
+    num = cross(w, d2)
+    other = cross(w, d1)
+    if den < 0:
+        den, num, other = -den, -num, -other
+    if 0 < num < den and 0 < other < den:
+        return num, den
     return None
+
+
+def segment_intersection(
+    a: Point, b: Point, c: Point, d: Point
+) -> Optional[Point]:
+    """Intersection point of the open segments ab and cd, or None as
+    for ``segment_crossing``."""
+    hit = segment_crossing(a, b, c, d)
+    if hit is None:
+        return None
+    t = Fraction(*hit)
+    return Point(a.x + t * (b.x - a.x), a.z + t * (b.z - a.z))
+
+
+def x_span(a: Point, b: Point) -> tuple:
+    """The closed x-interval (lo, hi) of the segment ab."""
+    return (a.x, b.x) if a.x <= b.x else (b.x, a.x)
+
+
+def x_overlapping_pairs(spans, reach=0) -> Iterator[tuple[int, int]]:
+    """Index pairs (s, t), s < t, of the closed intervals ``spans[s] =
+    (lo, hi)`` whose gap is at most ``reach``; with reach 0, the pairs
+    that meet.
+
+    A sort-by-x sweep (Shamos and Hoey): after sorting by lo, each
+    interval is paired with the ones that follow it until one starts
+    beyond its hi + reach, so the cost is the sort plus the pairs
+    yielded.  Two features whose x-extents are further apart than reach
+    are further apart than reach in the plane, so no pair that a
+    predicate or a distance bound needs is ever skipped.
+    """
+    items = sorted((lo, hi, s) for s, (lo, hi) in enumerate(spans))
+    for pos, (_, hi, s) in enumerate(items):
+        limit = hi + reach
+        for q in range(pos + 1, len(items)):
+            lo, _, t = items[q]
+            if lo > limit:
+                break
+            yield (s, t) if s < t else (t, s)
 
 
 def in_open_cone(u: Vec, t1: Vec, t2: Vec) -> bool:

@@ -19,27 +19,27 @@ is the usual right-handed crossing sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .diagram import (
     Crossing,
     TransverseDiagram,
+    edge_ends,
     min_feature_separation2,
 )
 from .errors import OracleError, TransknotError
 from .geometry import (
     Point,
     Vec,
-    add,
     cross,
     dot,
     is_parallel,
     point_in_open_segment,
-    scale,
-    segment_intersection,
+    segment_crossing,
     sign,
     vec,
+    x_overlapping_pairs,
+    x_span,
 )
 from .transversality import require_valid, whitney_index
 
@@ -77,64 +77,66 @@ def self_linking(d: TransverseDiagram) -> int:
     return writhe(d)
 
 
-def _translated_points(d: TransverseDiagram, delta: Vec) -> list[Point]:
-    return [add(p, delta) for p in d.curve.vertices]
+def _pushoff_once(d: TransverseDiagram, u: Vec, e: int):
+    """One oracle attempt at offset u / 2**e; None signals a too-coarse
+    or unlucky offset.
 
-
-def _pushoff_once(d: TransverseDiagram, delta: Vec):
-    """One oracle attempt; None signals a too-coarse or unlucky offset."""
+    Runs on the curve's scaled vertices refined by 2**e, on which the
+    offset is the int vector L·u, and compares only features whose
+    x-extents meet.
+    """
     curve = d.curve
     n = curve.n
-    orig = list(curve.vertices)
-    copy = _translated_points(d, delta)
-
-    def edge_pts(pts, i):
-        return pts[(i - 1) % n], pts[i % n]
-
-    # degenerate contacts (a vertex of one curve on the other) make the
-    # intersection pattern ambiguous; reject and retry smaller
-    for w in copy:
-        for i in range(1, n + 1):
-            a, b = edge_pts(orig, i)
-            if w == a or w == b or point_in_open_segment(w, a, b):
-                return None
-    for w in orig:
-        for i in range(1, n + 1):
-            a, b = edge_pts(copy, i)
-            if point_in_open_segment(w, a, b):
-                return None
+    scale, pts = curve.scaled
+    orig = [Point(p.x << e, p.z << e) for p in pts]
+    copy = [Point(p.x + scale * u.x, p.z + scale * u.z) for p in orig]
+    orig_ends, copy_ends = edge_ends(orig), edge_ends(copy)
+    # indices: original vertices, copy vertices from n, original edges
+    # from 2n, copy edges from 3n
+    spans = [x_span(p, p) for p in orig + copy]
+    spans += [x_span(a, b) for a, b in orig_ends + copy_ends]
 
     by_pair = {(c.lo, c.hi): c for c in d.crossings}
     hits: dict[tuple[int, int], int] = {}
     total = 0
     corner_total = 0
-    for i in range(1, n + 1):
-        a, b = edge_pts(orig, i)
-        ti = vec(a, b)
-        for j in range(1, n + 1):
-            if i == j:
-                continue  # the copy of an edge is parallel to it
-            c, e = edge_pts(copy, j)
-            p = segment_intersection(a, b, c, e)
-            if p is None:
-                continue
-            tj = vec(c, e)
-            pair = (min(i, j), max(i, j))
-            if pair in by_pair:
-                # near an original crossing: the vertical order of the
-                # two strands is inherited, a small shift cannot swap it
-                orig_over_is_i = by_pair[pair].over_edge == i
-                s = sign(cross(ti, tj)) if orig_over_is_i else sign(cross(tj, ti))
-                total += s
-                hits[pair] = hits.get(pair, 0) + 1
-            elif (j - i) % n in (1, n - 1):
-                # near a shared corner: the copy sits at strictly larger
-                # y (the push-off direction), so the copy strand is under
-                s = sign(cross(ti, tj))
-                total += s
-                corner_total += s
-            else:
-                return None  # distant edges cannot meet; offset too big
+    for s, t in x_overlapping_pairs(spans):
+        # degenerate contacts (a vertex of one curve on the other) make
+        # the intersection pattern ambiguous; reject and retry smaller
+        if s < n and t >= 3 * n:
+            if point_in_open_segment(orig[s], *copy_ends[t - 3 * n]):
+                return None
+            continue
+        if n <= s < 2 * n <= t < 3 * n:
+            w, (a, b) = copy[s - n], orig_ends[t - 2 * n]
+            if w == a or w == b or point_in_open_segment(w, a, b):
+                return None
+            continue
+        if not 2 * n <= s < 3 * n <= t:
+            continue
+        i, j = s - 2 * n + 1, t - 3 * n + 1
+        if i == j:
+            continue  # the copy of an edge is parallel to it
+        (a, b), (c, f) = orig_ends[i - 1], copy_ends[j - 1]
+        if segment_crossing(a, b, c, f) is None:
+            continue
+        ti, tj = vec(a, b), vec(c, f)
+        pair = (min(i, j), max(i, j))
+        if pair in by_pair:
+            # near an original crossing: the vertical order of the
+            # two strands is inherited, a small shift cannot swap it
+            orig_over_is_i = by_pair[pair].over_edge == i
+            sgn = sign(cross(ti, tj)) if orig_over_is_i else sign(cross(tj, ti))
+            total += sgn
+            hits[pair] = hits.get(pair, 0) + 1
+        elif (j - i) % n in (1, n - 1):
+            # near a shared corner: the copy sits at strictly larger
+            # y (the push-off direction), so the copy strand is under
+            sgn = sign(cross(ti, tj))
+            total += sgn
+            corner_total += sgn
+        else:
+            return None  # distant edges cannot meet; offset too big
 
     if set(hits) != set(by_pair) or any(v != 2 for v in hits.values()):
         return None
@@ -159,22 +161,24 @@ def pushoff_linking_oracle(d: TransverseDiagram) -> int:
     """
     require_valid(d)
 
-    dirs = [d.curve.direction(i) for i in range(1, d.curve.n + 1)]
+    _, pts = d.curve.scaled
+    dirs = [vec(a, b) for a, b in edge_ends(pts)]
     k = 0
-    while any(is_parallel(Vec(Fraction(1), Fraction(1 + k)), t) for t in dirs):
+    while any(is_parallel(Vec(1, 1 + k), t) for t in dirs):
         k += 1
-    u = Vec(Fraction(1), Fraction(1 + k))
+    u = Vec(1, 1 + k)
 
+    # the offset is u / 2**e, for the least e with |u / 2**e|^2 <= m2 / 16
     m2 = min_feature_separation2(d)
-    t = Fraction(1)
-    while t * t * dot(u, u) > m2 / 16:
-        t /= 2
+    e = 0
+    while 16 * dot(u, u) > m2 * 4**e:
+        e += 1
 
     for _ in range(48):
-        result = _pushoff_once(d, scale(u, t))
+        result = _pushoff_once(d, u, e)
         if result is not None:
             return result
-        t /= 2
+        e += 1
     raise OracleError("no admissible push-off offset found")
 
 

@@ -106,6 +106,15 @@ def check_condition2(d: TransverseDiagram) -> list[Violation]:
 def validate(d: TransverseDiagram) -> ValidityReport:
     """Full validity check: genericity, then conditions 1 and 2.
 
+    Reads the diagram's cached ``validity``, so the check runs once per
+    diagram however often it is asked for.
+    """
+    return d.validity
+
+
+def check_validity(d: TransverseDiagram) -> ValidityReport:
+    """The check behind ``TransverseDiagram.validity``.
+
     Reads the curve's cached genericity and crossings.  Positional
     defects short-circuit the report, since crossing data is meaningless
     on a non-generic curve.  A crossing list that disagrees with the

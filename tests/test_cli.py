@@ -176,6 +176,16 @@ class TestResolve:
         want = resolve(s, ResolutionAssignment(dict(zip(zero_based, signs))))
         assert out_path.read_text(encoding="utf-8") == serialize_diagram(want)
 
+    @pytest.mark.parametrize("sites, assign", [([1, 2], "--"), ([1, 2], "-+"), ([1], "-")])
+    def test_separate_assign_value(self, trefoil_file, tmp_path, sites, assign):
+        # a value given as its own argument resolves as the attached one
+        attached, separate = tmp_path / "attached.txt", tmp_path / "separate.txt"
+        head = ["resolve", trefoil_file, "--sites", ",".join(map(str, sites))]
+        assert dispatch([*head, f"--assign={assign}", "-o", str(attached)]).exit_code == 0
+        out = dispatch([*head, "--assign", assign, "-o", str(separate)])
+        assert out.exit_code == 0
+        assert separate.read_bytes() == attached.read_bytes()
+
     def test_assign_must_match_sites(self, trefoil_file, tmp_path):
         out = dispatch(
             ["resolve", trefoil_file, "--sites", "1,2", "--assign", "+",

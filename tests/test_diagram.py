@@ -9,6 +9,7 @@ from transknot.diagram import (
     TransverseDiagram,
     Violation,
     ViolationKind,
+    _crossing_scan,
     build_diagram,
     check_genericity,
     detect_crossings,
@@ -27,7 +28,7 @@ from transknot.fixtures import (
     u_minus,
     u_minus_forbidden,
 )
-from transknot.geometry import Point, segment_intersection
+from transknot.geometry import Point
 from transknot.invariants import invariant_values
 from transknot.transversality import validate
 
@@ -146,23 +147,21 @@ class TestDetectCrossings:
 
 def test_each_curve_is_scanned_once(monkeypatch):
     """Parsing, validating twice and computing all invariants share one
-    all-pairs crossing scan of the parsed curve."""
+    crossing scan of the parsed curve."""
     text = serialize_diagram(trefoil_right())
-    calls = []
+    scanned = []
 
-    def counting(*args):
-        calls.append(args)
-        return segment_intersection(*args)
+    def counting(c):
+        scanned.append(c)
+        return _crossing_scan(c)
 
-    monkeypatch.setattr("transknot.diagram.segment_intersection", counting)
+    monkeypatch.setattr("transknot.diagram._crossing_scan", counting)
     d = parse_diagram(text)
     assert validate(d).is_valid
     invariant_values(d)
     assert validate(d).is_valid
-    n = d.curve.n
-    assert n == 15
-    # one call per non-adjacent edge pair
-    assert len(calls) == n * (n - 1) // 2 - n == 90
+    assert len(scanned) == 1
+    assert scanned[0] is d.curve
 
 
 class TestGenericity:

@@ -26,6 +26,8 @@ from transknot.geometry import (
     sign,
     turn_sign,
     vec,
+    x_overlapping_pairs,
+    x_span,
 )
 
 
@@ -92,6 +94,9 @@ def test_segment_intersection_fractional_result():
     p = segment_intersection(P(0, 0), P(3, 1), P(1, 1), P(2, -1))
     assert p is not None
     assert p == Point(Fraction(9, 7), Fraction(3, 7))
+    # int points give the same exact point, never floats
+    q = segment_intersection(Point(0, 0), Point(3, 1), Point(1, 1), Point(2, -1))
+    assert q == p and all(isinstance(c, Fraction) for c in q)
 
 
 def test_in_open_cone():
@@ -222,3 +227,15 @@ def test_open_cone_matches_float_solve():
         assert in_open_cone(u, t1, t2) == (a > 0 and b > 0)
         checked += 1
     assert checked > 5000
+
+
+def test_x_overlapping_pairs_matches_all_pairs():
+    rng = random.Random(11)
+    for _ in range(200):
+        spans = [x_span(P(rng.randint(0, 9), 0), P(rng.randint(0, 9), 0))
+                 for _ in range(rng.randint(0, 8))]
+        reach = rng.choice((0, 0, 1, 3))
+        want = {(s, t) for s in range(len(spans)) for t in range(s + 1, len(spans))
+                if spans[t][0] - spans[s][1] <= reach and spans[s][0] - spans[t][1] <= reach}
+        got = list(x_overlapping_pairs(spans, reach))
+        assert len(got) == len(want) and set(got) == want

@@ -11,6 +11,7 @@ from transknot.diagram import (
     build_diagram,
     reversed_curve,
 )
+from transknot.errors import InvalidDiagramError
 from transknot.fixtures import minus_unknot, trefoil_right, u_minus, u_minus_forbidden
 from transknot.geometry import Point, in_closed_cone, neg
 from transknot.moves_singular import random_valid_diagram, stabilize
@@ -18,7 +19,9 @@ from transknot.transversality import (
     UP,
     check_condition1,
     check_condition2,
+    check_validity,
     forced_over,
+    require_valid,
     validate,
     whitney_index,
 )
@@ -119,6 +122,20 @@ class TestValidate:
         report = validate(u_minus())
         assert report.is_valid
         assert report.violations == ()
+
+    def test_report_is_computed_once_per_diagram(self, monkeypatch):
+        d = u_minus_forbidden()
+        calls = []
+
+        def counting(diagram):
+            calls.append(diagram)
+            return check_validity(diagram)
+
+        monkeypatch.setattr("transknot.transversality.check_validity", counting)
+        assert validate(d) is validate(d)
+        with pytest.raises(InvalidDiagramError):
+            require_valid(d)
+        assert calls == [d]
 
     def test_forbidden_variant_has_single_violation(self):
         report = validate(u_minus_forbidden())
