@@ -49,6 +49,13 @@ from .moves_singular import (
 )
 from .transversality import validate
 
+# Bounds on the work one command may ask for, checked before any of it
+# is done: a stabilization allocates ten vertices per loop in one
+# splice, and an order check evaluates 2**(order + 1) resolutions per
+# sample.
+MAX_COUNT = 1000
+MAX_ORDER = 8
+
 
 @dataclass
 class CommandOutcome:
@@ -188,6 +195,8 @@ def _cmd_oracle_sl(args) -> CommandOutcome:
 
 
 def _cmd_stabilize(args) -> CommandOutcome:
+    if args.count > MAX_COUNT:
+        raise ValueError(f"--count must be at most {MAX_COUNT}")
     d = _load(args.file)
     out = stabilize(d, args.edge, args.count)
     Path(args.output).write_text(serialize_diagram(out), encoding="utf-8")
@@ -225,6 +234,8 @@ _INVARIANT_HANDLES = {
 def _cmd_order_check(args) -> CommandOutcome:
     if args.order < 0:
         raise ValueError("--order must be nonnegative")
+    if args.order > MAX_ORDER:
+        raise ValueError(f"--order must be at most {MAX_ORDER}")
     if args.samples < 1:
         raise ValueError("--samples must be positive")
     handle = _INVARIANT_HANDLES.get(args.invariant)
@@ -277,18 +288,15 @@ def render_svg(d: TransverseDiagram) -> str:
     min_x, max_x = min(xs) - margin, max(xs) + margin
     min_y, max_y = -max(zs) - margin, -min(zs) + margin
 
-    under_at: dict[int, list] = {}
-    for c in d.crossings:
-        under_at.setdefault(c.under_edge, []).append(c.point)
-
     pieces = []
-    for i, a, b in d.curve.edges():
+    for (i, a, b), along in zip(d.curve.edges(), d.crossings_along):
         direction = vec(a, b)
         length = math.sqrt(float(dot(direction, direction)))
-        cuts = sorted(
-            float(dot(vec(a, p), direction) / dot(direction, direction))
-            for p in under_at.get(i, [])
-        )
+        cuts = [
+            float(dot(vec(a, c.point), direction) / dot(direction, direction))
+            for c in along
+            if c.under_edge == i
+        ]
         dt = gap / length
         spans = []
         start = 0.0

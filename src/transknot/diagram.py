@@ -281,6 +281,22 @@ class TransverseDiagram:
 
         return check_validity(self)
 
+    @cached_property
+    def crossings_along(self) -> tuple[tuple[Crossing, ...], ...]:
+        """For edges 1..n in turn, the crossings on the edge in the order
+        the edge meets them, exactly; computed once.  ``v2`` walks the
+        curve by it and ``render`` breaks the under strands by it.
+        """
+        on: dict[int, list[Crossing]] = {}
+        for c in self.crossings:
+            on.setdefault(c.lo, []).append(c)
+            on.setdefault(c.hi, []).append(c)
+        out = []
+        for i, a, b in self.curve.edges():
+            t = vec(a, b)
+            out.append(tuple(sorted(on.get(i, ()), key=lambda c: dot(vec(a, c.point), t))))
+        return tuple(out)
+
     def with_over(self, flips: dict[tuple[int, int], str]) -> "TransverseDiagram":
         """Copy with the over bit replaced at the listed (lo, hi) pairs."""
         new = tuple(

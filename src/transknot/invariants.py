@@ -196,17 +196,11 @@ def _passages(d: TransverseDiagram) -> list[tuple[tuple[int, int], bool]]:
 
 
 def _passages_from(d: TransverseDiagram, base: int) -> list[tuple[tuple[int, int], bool]]:
-    curve = d.curve
-    n = curve.n
+    n = d.curve.n
     out = []
     for step in range(n):
         i = (base - 1 + step) % n + 1
-        a, b = curve.edge(i)
-        ti = vec(a, b)
-        on_edge = [c for c in d.crossings if i in (c.lo, c.hi)]
-        on_edge.sort(key=lambda c: dot(vec(a, c.point), ti))
-        for c in on_edge:
-            out.append(((c.lo, c.hi), c.over_edge == i))
+        out += [((c.lo, c.hi), c.over_edge == i) for c in d.crossings_along[i - 1]]
     return out
 
 

@@ -1,12 +1,13 @@
 """Double-loop stabilization, singular diagrams, and order checking.
 
-Stabilization splices a fixed detour into an edge of a valid diagram.
-The detour leaves the host edge, winds through a double loop that
-crosses itself twice with sign -1 at both crossings, and rejoins the
-edge travelling in the original direction with net tangent turning 0.
-Each splice therefore adds exactly two negative crossings and drops
-the writhe (and self-linking number) by 2 while leaving the Whitney
-index and v2 untouched.
+Stabilization splices copies of a fixed detour into an edge of a valid
+diagram.  Each detour leaves the host edge, winds through a double
+loop that crosses itself twice with sign -1 at both crossings, and
+rejoins the edge travelling in the original direction with net
+tangent turning 0.  The detours are evenly spaced along the host edge
+and share one scale, so ``count`` of them add exactly 2*count negative
+crossings and drop the writhe (and self-linking number) by 2*count
+while leaving the Whitney index and v2 untouched.
 
 A singular diagram is a diagram in which some crossings have their
 over bit erased ("double points").  Erasure is only permitted where
@@ -44,26 +45,25 @@ from .geometry import (
     neg,
     point_segment_dist2,
     scale,
+    vec,
 )
 from .invariants import self_linking, v2, writhe
-from .transversality import DOWN, UP, forced_over, require_valid, validate
+from .transversality import forced_over, require_valid, validate
 
 # --- the canonical detour ---------------------------------------------------
 
 # Drawn for a horizontal host running left to right under the Plus
 # coorientation.  The path enters at (0,0), exits at (24,0), and its
 # tangent directions all avoid straight up, as do all corner sweeps;
-# net turning is zero.  It crosses itself exactly twice:
+# net turning is zero.  Its segments are numbered 0..8 from the entry,
+# and it crosses itself exactly twice:
 #
-#   at (2,2):      first ascent x returning strand; up lies in the open
-#                  tangent cone, so the over bit is forced (the
+#   at (2,2):      first ascent (0) x returning strand (4); up lies in
+#                  the open tangent cone, so the over bit is forced (the
 #                  leftward strand on top), sign -1;
-#   at (5/6,5/6):  first ascent x final descent; up is outside the
-#                  closed cone, the loop is drawn with the ascent on
+#   at (5/6,5/6):  first ascent (0) x final descent (6); up is outside
+#                  the closed cone, the loop is drawn with the ascent on
 #                  top, sign -1.
-#
-# Both over strands are recorded by direction so the bits survive
-# affine images of the detour.
 _F = Fraction
 
 _DETOUR_PATH: tuple[Point, ...] = (
@@ -79,14 +79,10 @@ _DETOUR_PATH: tuple[Point, ...] = (
     Point(_F(24), _F(0)),
 )
 
-# (crossing point, direction of the strand drawn on top)
-_DETOUR_CROSSINGS: tuple[tuple[Point, Vec], ...] = (
-    (Point(_F(2), _F(2)), Vec(_F(-3), _F(3))),
-    (Point(_F(5, 6), _F(5, 6)), Vec(_F(1), _F(1))),
-)
+# ((segment, segment), the segment drawn on top) for each self-crossing
+_DETOUR_CROSSINGS: tuple[tuple[tuple[int, int], int], ...] = (((0, 4), 4), ((0, 6), 0))
 
-_DETOUR_SPAN = _F(24)
-_DETOUR_CENTER = Vec(_F(12), _F(0))
+_DETOUR_CENTER = Point(_F(12), _F(0))
 
 
 def _clearance2(d: TransverseDiagram, host: int, p: Point) -> Fraction:
@@ -110,172 +106,88 @@ def _clearance2(d: TransverseDiagram, host: int, p: Point) -> Fraction:
     return best
 
 
-def _anchor_fractions() -> Iterable[Fraction]:
-    """Dyadic points of the host edge, midpoint first."""
-    for depth in range(1, 7):
-        step = Fraction(1, 2**depth)
-        for k in range(1, 2**depth, 2):
-            yield k * step
+def _anchors(d: TransverseDiagram, host: int, count: int) -> tuple[list[Point], Fraction]:
+    """Evenly spaced points of the host edge, clear of crossings, and the
+    least squared clearance among them.
 
-
-def _pick_anchor(d: TransverseDiagram, host: int) -> tuple[Point, Fraction, Fraction]:
-    """An interior point of the host edge with positive clearance.
-
-    The midpoint works unless a crossing sits exactly there; then the
-    search walks deeper dyadic subdivisions.  Returns (anchor, fraction
-    along the edge, squared clearance).
+    The anchors sit at the fractions (2j-1)/(2*count) + shift of the
+    edge, j = 1..count, where the shift is the first of 0, 1/(4*count),
+    1/(8*count), ... that keeps every anchor off the crossings.  Two
+    shifts differ by less than the anchor spacing, so each crossing on
+    the host rules out at most one of them.  On a generic curve only
+    crossings touch the interior of the host edge, so the clearance is
+    positive.
     """
     a, _ = d.curve.edge(host)
     direction = d.curve.direction(host)
-    for frac in _anchor_fractions():
-        anchor = Point(a.x + frac * direction.x, a.z + frac * direction.z)
-        r2 = _clearance2(d, host, anchor)
-        if r2 > 0:
-            return anchor, frac, r2
-    raise HostTooShortError(f"no clear anchor point found on edge {host}")
-
-
-def _insert_detour(d: TransverseDiagram, host: int) -> tuple[TransverseDiagram, int]:
-    """Splice one detour into the (non-vertical) host edge.
-
-    Returns the new diagram and the index of the part of the host edge
-    after the detour, which is where a subsequent detour goes.
-    """
-    curve = d.curve
-    direction = d.curve.direction(host)
-    if direction.x == 0:
-        raise TransknotError(f"edge {host} is vertical; bend it before splicing")
-
-    # The detour template is drawn for direction (1,0) under Plus.  The
-    # linear map (1,0) -> host direction, (0,1) -> (0, +-1) transports
-    # it to any non-vertical host: verticals stay vertical, so the
-    # no-upward-tangent conditions transport as well.  When the map
-    # reverses orientation the two over bits flip, which restores both
-    # crossing signs to -1.
-    sigma = _F(1) if d.coorientation is Coorientation.PLUS else _F(-1)
-
-    def transform(u: Vec) -> Vec:
-        return Vec(direction.x * u.x, direction.z * u.x + sigma * u.z)
-
-    flips = sigma * direction.x < 0
-
-    anchor, frac, r2 = _pick_anchor(d, host)
-
-    deviations = [transform(Vec(p.x - _DETOUR_CENTER.x, p.z)) for p in _DETOUR_PATH]
-    deviations += [transform(Vec(p.x - _DETOUR_CENTER.x, p.z)) for p, _ in _DETOUR_CROSSINGS]
-    maxdev2 = max(dot(u, u) for u in deviations)
-    span = min(frac, 1 - frac)
-
-    s = Fraction(1)
-    for _ in range(256):
-        if 16 * s * s * maxdev2 <= r2 and _DETOUR_SPAN * s <= span:
+    on_host = {c.point for c in d.crossings if host in (c.lo, c.hi)}
+    for shift in [_F(0)] + [_F(1, 2**m * count) for m in range(2, len(on_host) + 2)]:
+        anchors = [
+            Point(a.x + f * direction.x, a.z + f * direction.z)
+            for f in (_F(2 * j - 1, 2 * count) + shift for j in range(1, count + 1))
+        ]
+        if on_host.isdisjoint(anchors):
             break
-        s /= 2
-    else:
-        raise HostTooShortError(f"no safe detour scale for edge {host}")
+    return anchors, min(_clearance2(d, host, p) for p in anchors)
 
-    def place(p: Point) -> Point:
-        u = transform(Vec(p.x - _DETOUR_CENTER.x, p.z))
-        return Point(anchor.x + s * u.x, anchor.z + s * u.z)
 
-    verts = list(curve.vertices)
-    verts[host:host] = [place(p) for p in _DETOUR_PATH]
-    new_curve = PolyCurve(tuple(verts))
+def _splice(
+    d: TransverseDiagram, host: int, path: Sequence[Point], labels: Sequence, over: dict
+) -> Optional[TransverseDiagram]:
+    """Insert the vertices ``path`` into the host edge.
 
-    # Over bits survive by direction: every pre-existing crossing keeps
-    # its point and its strand directions (host fragments keep the host
-    # direction), and the two detour crossings carry their own.
-    old_over_dir = {c.point: curve.direction(c.over_edge) for c in d.crossings}
-    detour_over = {place(p): transform(u) for p, u in _DETOUR_CROSSINGS}
+    Over bits are carried across by edge origin.  ``labels[i]`` is the
+    origin of new edge host + i: ``host`` for a piece of the host edge,
+    any other non-int key for an inserted edge; every other edge has
+    its old index.  A crossing of two edges of old origin keeps the
+    over edge of the old crossing of those origins, and ``over`` maps
+    each expected crossing of two inserted edges, as the frozenset of
+    their labels, to the label drawn on top.  None is returned unless
+    the new curve crosses exactly where these say, once each.
+    """
+    verts = list(d.curve.vertices)
+    verts[host:host] = path
+    curve = PolyCurve(tuple(verts))
 
+    def origin(e: int):
+        if e < host:
+            return e
+        return labels[e - host] if e - host < len(labels) else e - len(path)
+
+    expected = {frozenset((c.lo, c.hi)): c.over_edge for c in d.crossings}
+    expected.update(over)
     crossings = []
-    for lo, hi, p in new_curve.detected_crossings:
-        if p in old_over_dir:
-            over_dir, flip = old_over_dir[p], False
-        elif p in detour_over:
-            over_dir, flip = detour_over[p], flips
-        else:
-            raise TransknotError(f"detour created an unexpected crossing at {p}")
-        over_is_lo = is_parallel(new_curve.direction(lo), over_dir)
-        if over_is_lo == is_parallel(new_curve.direction(hi), over_dir):
-            raise TransknotError(f"over strand at {p} is ambiguous after splicing")
-        crossings.append(Crossing(lo, hi, p, "lo" if over_is_lo != flip else "hi"))
-
-    out = TransverseDiagram(new_curve, d.coorientation, tuple(crossings))
-    return out, host + len(_DETOUR_PATH)
+    for lo, hi, p in curve.detected_crossings:
+        o_lo, o_hi = origin(lo), origin(hi)
+        top = expected.pop(frozenset((o_lo, o_hi)), None)
+        if top is None:
+            return None
+        crossings.append(Crossing(lo, hi, p, "lo" if top == o_lo else "hi"))
+    if expected:
+        return None
+    return TransverseDiagram(curve, d.coorientation, tuple(crossings))
 
 
-def _bend_vertical(d: TransverseDiagram, host: int) -> tuple[TransverseDiagram, int]:
-    """Split a vertical host edge into two slanted halves.
+def _bend_vertical(d: TransverseDiagram, host: int) -> TransverseDiagram:
+    """Split a vertical host edge into two slanted halves, the first at
+    index host.
 
     A valid diagram only carries verticals pointing along the allowed
     sense (down for Plus, up for Minus), and nudging the split vertex
     sideways by a small enough amount keeps every validity and
     genericity predicate satisfied; the offset is halved until the
-    result checks out.  Returns the bent diagram and the first half.
+    result checks out.
     """
-    if d.curve.direction(host).x != 0:
-        raise TransknotError(f"edge {host} is not vertical")
-    anchor, _, r2 = _pick_anchor(d, host)
-
+    (anchor,), r2 = _anchors(d, host, 1)
     h = Fraction(1)
     while 16 * h * h > r2:
         h /= 2
-
     for _ in range(48):
-        bent = _transfer_after_bend(d, host, Point(anchor.x + h, anchor.z))
+        bent = _splice(d, host, [Point(anchor.x + h, anchor.z)], [host, host], {})
         if bent is not None and validate(bent).is_valid:
-            return bent, host
+            return bent
         h /= 2
     raise HostTooShortError(f"could not bend vertical edge {host}")
-
-
-def _transfer_after_bend(
-    d: TransverseDiagram, host: int, apex: Point
-) -> Optional[TransverseDiagram]:
-    """Rebuild the crossing list after bending the host at apex.
-
-    Crossings away from the host keep their points; crossings on the
-    host move slightly and land on exactly one of the two halves.  None
-    is returned whenever the intersection pattern fails to match that
-    expectation, which tells the caller to shrink the bend.
-    """
-    verts = list(d.curve.vertices)
-    verts.insert(host, apex)
-    new_curve = PolyCurve(tuple(verts))
-    if new_curve.genericity_violations:
-        return None
-
-    def shift(e: int) -> int:
-        return e if e < host else e + 1
-
-    by_pair = {(lo, hi): p for lo, hi, p in new_curve.detected_crossings}
-    crossings = []
-    seen = set()
-    for c in d.crossings:
-        if host not in (c.lo, c.hi):
-            pair = (shift(c.lo), shift(c.hi))
-            if by_pair.get(pair) != c.point:
-                return None
-            over_edge = shift(c.over_edge)
-        else:
-            other = shift(c.hi if c.lo == host else c.lo)
-            candidates = [
-                tuple(sorted((half, other))) for half in (host, host + 1)
-            ]
-            hits = [q for q in candidates if q in by_pair]
-            if len(hits) != 1:
-                return None
-            pair = hits[0]
-            half = host if pair == candidates[0] else host + 1
-            over_edge = half if c.over_edge == host else other
-        crossings.append(
-            Crossing(pair[0], pair[1], by_pair[pair], "lo" if over_edge == pair[0] else "hi")
-        )
-        seen.add(pair)
-    if seen != set(by_pair):
-        return None
-    return TransverseDiagram(new_curve, d.coorientation, tuple(crossings))
 
 
 def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
@@ -283,20 +195,62 @@ def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
 
     The result is valid, has 2*count more crossings, all new crossings
     have sign -1, and the writhe (hence self-linking number) drops by
-    2*count; Whitney index and v2 are unchanged.  Detours are placed
-    one after another along the remainder of the host edge, shrinking
-    as needed; HostTooShortError is raised only if no scale fits.
+    2*count; Whitney index and v2 are unchanged.  The detours are
+    centred at evenly spaced points of the host edge (a vertical host
+    is bent first) and share one power-of-two scale, fixed by the
+    least clearance of those points, and all go in with one splice, so
+    the coordinates grow by O(log count) bits over the host's.
+    HostTooShortError is raised only if no scale fits.
     """
     require_valid(d)
     if not 1 <= host <= d.curve.n:
         raise ValueError(f"edge index {host} out of range 1..{d.curve.n}")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    for _ in range(count):
-        if d.curve.direction(host).x == 0:
-            d, host = _bend_vertical(d, host)
-        d, host = _insert_detour(d, host)
-    return d
+    if count == 0:
+        return d
+    if d.curve.direction(host).x == 0:
+        d = _bend_vertical(d, host)
+
+    # The detour template is drawn for direction (1,0) under Plus.  The
+    # linear map (1,0) -> host direction, (0,1) -> (0, +-1) transports
+    # it to any non-vertical host: verticals stay vertical, so the
+    # no-upward-tangent conditions transport as well.
+    direction = d.curve.direction(host)
+    sigma = 1 if d.coorientation is Coorientation.PLUS else -1
+    deviations = [
+        Vec(direction.x * u.x, direction.z * u.x + sigma * u.z)
+        for u in (vec(_DETOUR_CENTER, p) for p in _DETOUR_PATH)
+    ]
+    maxdev2 = max(dot(u, u) for u in deviations)
+    anchors, r2 = _anchors(d, host, count)
+
+    # One scale s for all detours: each stays within a quarter of the
+    # least clearance r of the anchors.  r counts the ends of the host
+    # edge, which lie at most half an anchor spacing from the first and
+    # last anchors, so this also leaves a piece of the host between
+    # neighbouring detours and at both ends.
+    s = Fraction(1)
+    for _ in range(256):
+        if 16 * s * s * maxdev2 <= r2:
+            break
+        s /= 2
+    else:
+        raise HostTooShortError(f"no safe detour scale for edge {host}")
+
+    # When the map reverses orientation the two over bits flip, which
+    # restores both crossing signs to -1.
+    flips = sigma * direction.x < 0
+    path, labels, over = [], [host], {}
+    for j, anchor in enumerate(anchors):
+        path += [Point(anchor.x + s * u.x, anchor.z + s * u.z) for u in deviations]
+        labels += [(j, t) for t in range(len(_DETOUR_PATH) - 1)] + [host]
+        for (a, b), top in _DETOUR_CROSSINGS:
+            over[frozenset(((j, a), (j, b)))] = (j, a + b - top if flips else top)
+    out = _splice(d, host, path, labels, over)
+    if out is None:
+        raise TransknotError(f"detours on edge {host} crossed unexpectedly")
+    return out
 
 
 # --- singular diagrams ------------------------------------------------------
@@ -505,10 +459,11 @@ FRAMING_PROJECTION = FramedInvariantHandle("sl", lambda d, f: f, 1)
 
 # --- seeded generation ------------------------------------------------------
 
-# Primitive non-vertical directions; a diagram uses a sample of these
-# together with their negatives, so edge vectors always sum to zero.
+# Primitive non-vertical directions, as ints; a diagram uses a sample
+# of these together with their negatives, so edge vectors always sum to
+# zero.
 _DIRECTION_POOL: tuple[Vec, ...] = tuple(
-    Vec(_F(x), _F(z))
+    Vec(x, z)
     for x, z in [
         (1, 0), (2, 1), (1, 1), (1, 2), (1, 3), (3, 1), (3, 2), (2, 3),
         (2, -1), (1, -1), (1, -2), (1, -3), (3, -1), (3, -2), (2, -3), (4, 1),
@@ -528,14 +483,16 @@ def random_valid_diagram(
     the genericity check.  Over bits are forced where the coorientation
     requires it and chosen at random elsewhere, so the result always
     validates.  The same seed always yields the same diagram.
+
+    The rejection loop runs on ints; only the vertices become Fractions.
     """
     rng = random.Random(f"transknot/{seed!r}/{coorientation.value}")
-    ref = UP if coorientation is Coorientation.PLUS else DOWN
+    ref = Vec(0, 1 if coorientation is Coorientation.PLUS else -1)
     for _ in range(2000):
         base = rng.sample(_DIRECTION_POOL, rng.randint(3, 5))
         dirs: list[Vec] = []
         for v in base:
-            stretch = _F(rng.randint(1, 4))
+            stretch = rng.randint(1, 4)
             dirs += [scale(v, stretch), scale(neg(v), stretch)]
         rng.shuffle(dirs)
 
@@ -548,9 +505,11 @@ def random_valid_diagram(
         if not ok:
             continue
 
+        x = z = 0
         pts = [Point(_F(0), _F(0))]
         for v in dirs[:-1]:
-            pts.append(Point(pts[-1].x + v.x, pts[-1].z + v.z))
+            x, z = x + v.x, z + v.z
+            pts.append(Point(_F(x), _F(z)))
         curve = PolyCurve(tuple(pts))
         if curve.genericity_violations:
             continue

@@ -1,6 +1,9 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
-from transknot.cli import dispatch, render_svg
+from transknot.cli import MAX_COUNT, MAX_ORDER, dispatch, render_svg
 from transknot.diagram import parse_diagram, serialize_diagram
 from transknot.fixtures import trefoil_right, u_minus, u_minus_forbidden
 from transknot.invariants import self_linking, v2, writhe
@@ -294,6 +297,43 @@ class TestRender:
         dispatch(["render", trefoil_file, "-o", str(out_path)])
         svg = out_path.read_text(encoding="utf-8")
         assert svg.count("<polyline") == 15 + 7  # 15 edges + 7 under passes
+
+    @pytest.mark.parametrize("name, digest", [
+        ("hosts/trefoil_right.td",
+         "6279016d0162c224e9cd3b37b357cd92e40b24648f5611324a7a89b65782863e"),
+        ("ladder/trefoil_right-e1-k8.td",
+         "6a6324b86e0cbd0f0b7fae427f1b0a359b53019ddfec811d2abf6bc3117f365b"),
+    ])
+    def test_svg_bytes_are_pinned(self, name, digest):
+        # SHA-256 of the pictures as drawn when each edge sorted its own
+        # float cuts; the exact along-edge order must draw the same bytes
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / name
+        svg = render_svg(parse_diagram(path.read_text(encoding="utf-8")))
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+
+def _must_not_run(*args, **kwargs):
+    pytest.fail("the bound was not checked before the work started")
+
+
+class TestWorkBounds:
+    # Only bound + 1 is ever passed: the value is refused before any
+    # work, so no test runs an extreme --count or --order.
+    def test_count_over_bound(self, u_minus_file, tmp_path, monkeypatch):
+        monkeypatch.setattr("transknot.cli.stabilize", _must_not_run)
+        out_path = tmp_path / "out.txt"
+        out = dispatch(["stabilize", u_minus_file, "--edge", "1",
+                        "--count", str(MAX_COUNT + 1), "-o", str(out_path)])
+        assert out.exit_code == 1
+        assert out.stdout_lines == [f"error: --count must be at most {MAX_COUNT}"]
+        assert not out_path.exists()
+
+    def test_order_over_bound(self, monkeypatch):
+        monkeypatch.setattr("transknot.cli.singular_family", _must_not_run)
+        out = dispatch(["order-check", "--invariant", "writhe", "--order",
+                        str(MAX_ORDER + 1), "--seed", "1", "--samples", "1"])
+        assert out.exit_code == 1
+        assert out.stdout_lines == [f"error: --order must be at most {MAX_ORDER}"]
 
 
 class TestUsageErrors:

@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ from transknot.errors import (
     InadmissibleDoublePointError,
     InvalidDiagramError,
 )
-from transknot.fixtures import trefoil_right, u_minus, u_minus_forbidden
+from transknot.fixtures import minus_unknot, trefoil_right, u_minus, u_minus_forbidden
 from transknot.invariants import (
     crossing_sign,
     pushoff_linking_oracle,
@@ -30,6 +32,7 @@ from transknot.moves_singular import (
     ResolutionAssignment,
     assignment_sign,
     is_order_at_most,
+    _splice,
     make_singular,
     pullback_framed_invariant,
     random_valid_diagram,
@@ -61,6 +64,26 @@ def vertical_edge_unknot_minus() -> TransverseDiagram:
 def new_crossings(before: TransverseDiagram, after: TransverseDiagram):
     old_points = {c.point for c in before.crossings}
     return [c for c in after.crossings if c.point not in old_points]
+
+
+def coord_bits(d: TransverseDiagram) -> int:
+    """Largest numerator or denominator bit length among the vertices."""
+    return max(
+        max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+        for p in d.curve.vertices
+        for c in p
+    )
+
+
+def check_stabilized(before: TransverseDiagram, after: TransverseDiagram, k: int):
+    """The invariant facts of a k-fold stabilization."""
+    assert validate(after).is_valid
+    assert len(after.crossings) == len(before.crossings) + 2 * k
+    assert [crossing_sign(after, c) for c in new_crossings(before, after)] == [-1] * (2 * k)
+    assert self_linking(after) == self_linking(before) - 2 * k
+    assert v2(after) == v2(before)
+    assert whitney_index(after.curve) == 0
+    assert pushoff_linking_oracle(after) == self_linking(after)
 
 
 class TestStabilize:
@@ -108,6 +131,38 @@ class TestStabilize:
         out = stabilize(d, 9, 1)
         assert validate(out).is_valid
         assert self_linking(out) == self_linking(d) - 2
+
+    def test_coordinates_stay_bounded(self):
+        # the detours share one scale; spliced one after another, each
+        # into the rest of the host edge, they reached 176 bits here
+        before = trefoil_right()
+        after = stabilize(before, 1, 16)
+        assert coord_bits(after) <= 32
+        check_stabilized(before, after, 16)
+
+    @pytest.mark.parametrize("make", [trefoil_right, minus_unknot])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_host_midpoint_on_crossing(self, make, count):
+        # with an odd count one anchor is the midpoint, so the anchors
+        # must shift off the crossing there
+        before = make()
+        a, b = before.curve.edge(1)
+        mid = ((a.x + b.x) / 2, (a.z + b.z) / 2)
+        assert any(tuple(c.point) == mid for c in before.crossings)
+        check_stabilized(before, stabilize(before, 1, count), count)
+
+    @pytest.mark.parametrize("make", [vertical_edge_unknot, vertical_edge_unknot_minus])
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_vertical_host_several_loops(self, make, count):
+        before = make()
+        check_stabilized(before, stabilize(before, 9, count), count)
+
+    def test_splice_needs_every_expected_crossing(self):
+        d = u_minus()
+        assert _splice(d, 3, [], [3], {}) == d
+        # a crossing the splice expects but the new curve lacks fails it,
+        # as when a bend moves a strand off a crossing of the host
+        assert _splice(d, 3, [], [3], {frozenset(("a", "b")): "a"}) is None
 
     def test_count_zero_is_identity(self):
         d = u_minus()
@@ -280,6 +335,21 @@ class TestGenerators:
         b = serialize_diagram(random_valid_diagram(42))
         assert a == b
         assert a != serialize_diagram(random_valid_diagram(43))
+
+    def test_streams_are_pinned(self):
+        # SHA-256 of seeds 0-49 in both coorientations as the Fraction
+        # version of the generator drew them; the int rejection loop
+        # must draw the same diagrams
+        h = hashlib.sha256()
+        for seed in range(50):
+            for coor in (Coorientation.PLUS, Coorientation.MINUS):
+                h.update(serialize_diagram(random_valid_diagram(seed, coor)).encode())
+        assert h.hexdigest() == "7f3df91cc3f7d54e8468e31447ee2145f97b0c7738f6580669eefbae6b67b851"
+        hosts = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "hosts"
+        for seed, coor, name in [(1, Coorientation.PLUS, "random-plus-1.td"),
+                                 (2, Coorientation.MINUS, "random-minus-2.td")]:
+            text = (hosts / name).read_text(encoding="utf-8")
+            assert serialize_diagram(random_valid_diagram(seed, coor)) == text
 
     def test_coorientation_changes_the_stream(self):
         a = random_valid_diagram(7, Coorientation.PLUS)

@@ -21,3 +21,27 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_float_outside_render_svg():
+    # no float enters a decision; only the SVG picture is drawn in floats
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(node)
+            for top in tree.body
+            if path.name == "cli.py" and isinstance(top, ast.FunctionDef)
+            and top.name == "render_svg"
+            for node in ast.walk(top)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in allowed and (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+                or isinstance(node, ast.Constant) and isinstance(node.value, float)
+            )
+        ]
+    assert found == []
