@@ -351,7 +351,9 @@ def dispatch(argv: list[str]) -> CommandOutcome:
 
     Argument errors surface as exit 2 with the usage text; domain
     errors (unreadable or bad files, invalid diagrams, failed checks)
-    as exit 1 with a diagnostic line.
+    as exit 1 with a diagnostic line.  Any other exception is a fault
+    of the program, and ends in exit 1 with one ``error:`` line naming
+    its type, never a traceback.
     """
     argv = list(argv)
     if "--assign" in argv:
@@ -371,6 +373,8 @@ def dispatch(argv: list[str]) -> CommandOutcome:
         return _HANDLERS[args.command](args)
     except (TransknotError, ValueError, OSError) as e:
         return CommandOutcome(1, [f"error: {e}"])
+    except Exception as e:
+        return CommandOutcome(1, [f"error: {type(e).__name__}: {e}"])
 
 
 def main() -> None:

@@ -142,6 +142,18 @@ class PolyCurve:
         )
 
     @cached_property
+    def int_directions(self) -> tuple[Vec, ...]:
+        """Edge directions as int vectors, edge i at index i - 1: the
+        differences of the ``scaled`` vertices.  Each is L times the true
+        direction with L > 0, so every cross or dot sign and every
+        parallel test on them is the true one.  The direction predicates
+        (conditions 1 and 2, the Whitney index, crossing signs, the
+        along-edge order) decide on these.  Computed once.
+        """
+        _, pts = self.scaled
+        return tuple(vec(a, b) for a, b in edge_ends(pts))
+
+    @cached_property
     def detected_crossings(self) -> tuple[tuple[int, int, Point], ...]:
         """(lo, hi, point) for every interior transversal intersection of
         non-adjacent edges, sorted by (lo, hi).  Computed once, and apart
@@ -165,15 +177,16 @@ class PolyCurve:
         n = self.n
         _, pts = self.scaled
         ends = edge_ends(pts)
+        dirs = self.int_directions
 
-        zero = {i for i, (a, b) in enumerate(ends) if a == b}
+        zero = {i for i, t in enumerate(dirs) if t == (0, 0)}
         out += [Violation(ViolationKind.ZeroEdge, edges=(i + 1,)) for i in zero]
 
-        for i, (a, b) in enumerate(ends):
+        for i, d_out in enumerate(dirs):
             e_in = (i - 1) % n
             if e_in in zero or i in zero:
                 continue
-            d_in, d_out = vec(*ends[e_in]), vec(a, b)
+            d_in = dirs[e_in]
             if cross(d_in, d_out) == 0 and dot(d_in, d_out) < 0:
                 out.append(Violation(ViolationKind.ReversalCorner, edges=(e_in + 1, i + 1)))
 
@@ -286,15 +299,19 @@ class TransverseDiagram:
         """For edges 1..n in turn, the crossings on the edge in the order
         the edge meets them, exactly; computed once.  ``v2`` walks the
         curve by it and ``render`` breaks the under strands by it.
+
+        Points on one edge are ordered by a coordinate in which the edge's
+        int direction is non-zero, ascending or descending with its sign.
         """
         on: dict[int, list[Crossing]] = {}
         for c in self.crossings:
             on.setdefault(c.lo, []).append(c)
             on.setdefault(c.hi, []).append(c)
         out = []
-        for i, a, b in self.curve.edges():
-            t = vec(a, b)
-            out.append(tuple(sorted(on.get(i, ()), key=lambda c: dot(vec(a, c.point), t))))
+        for i, t in enumerate(self.curve.int_directions, start=1):
+            axis = 0 if t.x else 1
+            out.append(tuple(sorted(on.get(i, ()), key=lambda c: c.point[axis],
+                                    reverse=t[axis] < 0)))
         return tuple(out)
 
     def with_over(self, flips: dict[tuple[int, int], str]) -> "TransverseDiagram":
@@ -439,12 +456,38 @@ def build_diagram(
 
 FORMAT_HEADER = "transverse-diagram/1"
 
+# Limits on one rational token of the text format.  The token is at
+# most MAX_TOKEN_CHARS characters long and a decimal exponent in it at
+# most MAX_EXPONENT in absolute value, both checked before the token is
+# converted, where `1e400000` alone would cost seconds.  A decimal token
+# must also denote a rational whose canonical text, as serialize_diagram
+# writes it, fits MAX_TOKEN_CHARS (an integer or a/b token never writes
+# out longer than it reads).  So every parsed diagram serializes, each
+# numerator and denominator well inside the 4300 digits Python turns
+# into text, and the text it serializes to parses back to it.
+MAX_TOKEN_CHARS = 1000
+MAX_EXPONENT = 1000
+
 
 def _parse_fraction(token: str, lineno: int) -> Fraction:
+    if len(token) > MAX_TOKEN_CHARS:
+        raise ParseError(lineno, f"rational token longer than {MAX_TOKEN_CHARS} characters")
+    _, e, exponent = token.lower().partition("e")
+    if e:
+        try:
+            too_large = abs(int(exponent)) > MAX_EXPONENT
+        except ValueError:
+            too_large = False  # no exponent: Fraction rejects the token
+        if too_large:
+            raise ParseError(lineno, f"exponent of {token!r} exceeds {MAX_EXPONENT}")
     try:
-        return Fraction(token)
+        value = Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(lineno, f"bad rational {token!r}") from None
+    if (e or "." in token) and len(str(value)) > MAX_TOKEN_CHARS:
+        raise ParseError(lineno, f"{token!r} written as a fraction is longer than "
+                                 f"{MAX_TOKEN_CHARS} characters")
+    return value
 
 
 def parse_diagram(text: str) -> TransverseDiagram:

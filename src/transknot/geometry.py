@@ -3,9 +3,15 @@
 There is no epsilon anywhere: parallel means exactly parallel, interior
 means strictly interior.  The predicates take ``fractions.Fraction``
 points, and the division-free ones (``vec``, ``cross``, ``dot``,
-``segment_crossing``, ``point_in_open_segment``, ``x_span``) take int
-points just as well, which is how the all-pairs loops run them: on
-vertices scaled to ints by the lcm of their denominators.
+``segment_crossing``, ``point_in_open_segment``, ``x_span``,
+``in_open_cone``, ``in_closed_cone``, ``corner_sweep_contains``,
+``turn_sign``, ``same_direction``, ``is_parallel``) take int points and
+vectors just as well.  The package runs them on ints: the all-pairs
+loops on vertices scaled by the lcm of their denominators, and every
+direction predicate on ``PolyCurve.int_directions``, the differences of
+those ints, which are positive multiples of the true directions and so
+give every sign exactly.  On ints ``/`` is true division and would put
+a float into a decision, so none of these predicates divides.
 """
 
 from __future__ import annotations
@@ -135,24 +141,22 @@ def in_open_cone(u: Vec, t1: Vec, t2: Vec) -> bool:
 
     Writing u = a*t1 + b*t2, membership means a > 0 and b > 0.  The
     decomposition requires t1, t2 to be linearly independent; otherwise
-    DegenerateConeError is raised.
+    DegenerateConeError is raised.  By Cramer's rule a and b are
+    cross(u, t2) and cross(t1, u) over cross(t1, t2), so only signs are
+    compared and nothing is divided.
     """
-    denom = cross(t1, t2)
-    if denom == 0:
+    s = sign(cross(t1, t2))
+    if s == 0:
         raise DegenerateConeError("cone generators are parallel")
-    a = cross(u, t2) / denom
-    b = cross(t1, u) / denom
-    return a > 0 and b > 0
+    return sign(cross(u, t2)) == s and sign(cross(t1, u)) == s
 
 
 def in_closed_cone(u: Vec, t1: Vec, t2: Vec) -> bool:
     """Like in_open_cone but including the boundary rays (a, b >= 0)."""
-    denom = cross(t1, t2)
-    if denom == 0:
+    s = sign(cross(t1, t2))
+    if s == 0:
         raise DegenerateConeError("cone generators are parallel")
-    a = cross(u, t2) / denom
-    b = cross(t1, u) / denom
-    return a >= 0 and b >= 0
+    return sign(cross(u, t2)) in (0, s) and sign(cross(t1, u)) in (0, s)
 
 
 def corner_sweep_contains(d_in: Vec, d_out: Vec, u: Vec) -> bool:

@@ -37,7 +37,6 @@ from .geometry import (
     point_in_open_segment,
     segment_crossing,
     sign,
-    vec,
     x_overlapping_pairs,
     x_span,
 )
@@ -51,10 +50,10 @@ class InvariantValue:
 
 
 def crossing_sign(d: TransverseDiagram, c: Crossing) -> int:
-    """+1 or -1; the sign of cross(t_over, t_under), see module docs."""
-    t_over = d.curve.direction(c.over_edge)
-    t_under = d.curve.direction(c.under_edge)
-    s = sign(cross(t_over, t_under))
+    """+1 or -1; the sign of cross(t_over, t_under), see module docs,
+    taken on the curve's int directions."""
+    dirs = d.curve.int_directions
+    s = sign(cross(dirs[c.over_edge - 1], dirs[c.under_edge - 1]))
     if s == 0:
         raise TransknotError(
             f"crossing of edges {c.lo} and {c.hi} has parallel tangents"
@@ -88,6 +87,7 @@ def _pushoff_once(d: TransverseDiagram, u: Vec, e: int):
     curve = d.curve
     n = curve.n
     scale, pts = curve.scaled
+    dirs = curve.int_directions
     orig = [Point(p.x << e, p.z << e) for p in pts]
     copy = [Point(p.x + scale * u.x, p.z + scale * u.z) for p in orig]
     orig_ends, copy_ends = edge_ends(orig), edge_ends(copy)
@@ -117,10 +117,10 @@ def _pushoff_once(d: TransverseDiagram, u: Vec, e: int):
         i, j = s - 2 * n + 1, t - 3 * n + 1
         if i == j:
             continue  # the copy of an edge is parallel to it
-        (a, b), (c, f) = orig_ends[i - 1], copy_ends[j - 1]
-        if segment_crossing(a, b, c, f) is None:
+        if segment_crossing(*orig_ends[i - 1], *copy_ends[j - 1]) is None:
             continue
-        ti, tj = vec(a, b), vec(c, f)
+        # the refined and shifted edges point along 2**e times these
+        ti, tj = dirs[i - 1], dirs[j - 1]
         pair = (min(i, j), max(i, j))
         if pair in by_pair:
             # near an original crossing: the vertical order of the
@@ -161,10 +161,8 @@ def pushoff_linking_oracle(d: TransverseDiagram) -> int:
     """
     require_valid(d)
 
-    _, pts = d.curve.scaled
-    dirs = [vec(a, b) for a, b in edge_ends(pts)]
     k = 0
-    while any(is_parallel(Vec(1, 1 + k), t) for t in dirs):
+    while any(is_parallel(Vec(1, 1 + k), t) for t in d.curve.int_directions):
         k += 1
     u = Vec(1, 1 + k)
 
@@ -186,13 +184,11 @@ def _passages(d: TransverseDiagram) -> list[tuple[tuple[int, int], bool]]:
     """Crossing passages in curve order from the canonical basepoint.
 
     The basepoint is the lexicographically least vertex (it exists and
-    can never coincide with a crossing).  Each entry is ((lo, hi),
-    passes_over).
+    can never coincide with a crossing), found on the scaled vertices.
+    Each entry is ((lo, hi), passes_over).
     """
-    curve = d.curve
-    n = curve.n
-    base = min(range(1, n + 1), key=lambda i: curve.vertex(i))
-    return _passages_from(d, base)
+    _, pts = d.curve.scaled
+    return _passages_from(d, min(range(len(pts)), key=pts.__getitem__) + 1)
 
 
 def _passages_from(d: TransverseDiagram, base: int) -> list[tuple[tuple[int, int], bool]]:

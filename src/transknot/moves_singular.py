@@ -336,18 +336,19 @@ def resolve(s: SingularDiagram, a: ResolutionAssignment) -> TransverseDiagram:
     """Turn every double point back into a crossing of the chosen sign.
 
     POS selects the over bit making the crossing sign +1, NEG the other
-    one.  The assignment must cover exactly the double sites.
+    one.  The over bit is decided on the curve's int directions.  The
+    assignment must cover exactly the double sites.
     """
     doubles = set(s.double_indices())
     if set(a.choices) != doubles:
         raise ValueError("assignment must cover every double site exactly once")
+    dirs = s.curve.int_directions
     crossings = []
     for i, site in enumerate(s.sites):
         if isinstance(site, Resolved):
             crossings.append(site.crossing)
             continue
-        t_lo = s.curve.direction(site.lo)
-        t_hi = s.curve.direction(site.hi)
+        t_lo, t_hi = dirs[site.lo - 1], dirs[site.hi - 1]
         want_pos = a.choices[i] is Resolution.POS
         over = "lo" if (cross(t_lo, t_hi) > 0) == want_pos else "hi"
         crossings.append(Crossing(site.lo, site.hi, site.point, over))

@@ -13,7 +13,6 @@ curve, which is the same as testing straight down on the original.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .diagram import (
@@ -36,8 +35,8 @@ from .geometry import (
     turn_sign,
 )
 
-UP = Vec(Fraction(0), Fraction(1))
-DOWN = Vec(Fraction(0), Fraction(-1))
+UP = Vec(0, 1)
+DOWN = Vec(0, -1)
 
 
 def _reference(coor: Coorientation) -> Vec:
@@ -59,17 +58,17 @@ def check_condition1(curve: PolyCurve, coor: Coorientation) -> list[Violation]:
     Edges pointing along the forbidden vertical and corners whose sweep
     passes through it are reported.  For Plus the forbidden direction
     is (0,1); for Minus it is (0,-1), which is what reversing the
-    curve's orientation and testing (0,1) would give.
+    curve's orientation and testing (0,1) would give.  Decided on the
+    curve's int directions.
     """
     ref = _reference(coor)
+    dirs = curve.int_directions
     out = []
-    for i, a, b in curve.edges():
-        if same_direction(Vec(b.x - a.x, b.z - a.z), ref):
-            out.append(Violation(ViolationKind.UpwardEdge, edges=(i,)))
-    for i, d_in, d_out in curve.corners():
-        e_in = (i - 2) % curve.n + 1
-        if corner_sweep_contains(d_in, d_out, ref):
-            out.append(Violation(ViolationKind.UpwardCorner, edges=(e_in, i)))
+    for i, d_out in enumerate(dirs):
+        if same_direction(d_out, ref):
+            out.append(Violation(ViolationKind.UpwardEdge, edges=(i + 1,)))
+        if corner_sweep_contains(dirs[i - 1], d_out, ref):
+            out.append(Violation(ViolationKind.UpwardCorner, edges=(i or curve.n, i + 1)))
     return sort_violations(out)
 
 
@@ -82,9 +81,9 @@ def forced_over(curve: PolyCurve, coor: Coorientation, lo: int, hi: int) -> Opti
     the other dx < 0, and the over strand must be the dx < 0 one.  Under
     condition 1 no tangent points along the forbidden vertical, so at a
     free crossing up is outside the closed cone too and either over bit
-    gives a valid diagram.
+    gives a valid diagram.  Decided on the curve's int directions.
     """
-    t_lo, t_hi = curve.direction(lo), curve.direction(hi)
+    t_lo, t_hi = curve.int_directions[lo - 1], curve.int_directions[hi - 1]
     if coor is Coorientation.MINUS:
         t_lo, t_hi = neg(t_lo), neg(t_hi)
     if not in_open_cone(UP, t_lo, t_hi):
@@ -143,16 +142,17 @@ def whitney_index(curve: PolyCurve) -> int:
     Corners whose sweep passes through a reference direction r count
     +1 (counterclockwise turn) or -1 (clockwise).  r defaults to (0,1)
     and is moved to the first of (1,1), (1,2), ... whenever some edge
-    is parallel to it, so r is always a regular value.
+    is parallel to it, so r is always a regular value.  Decided on the
+    curve's int directions.
     """
-    dirs = [curve.direction(i) for i in range(1, curve.n + 1)]
+    dirs = curve.int_directions
     ref = UP
     n_try = 1
     while any(is_parallel(dv, ref) for dv in dirs):
-        ref = Vec(Fraction(1), Fraction(n_try))
+        ref = Vec(1, n_try)
         n_try += 1
     total = 0
-    for _, d_in, d_out in curve.corners():
-        if corner_sweep_contains(d_in, d_out, ref):
-            total += turn_sign(d_in, d_out)
+    for i, d_out in enumerate(dirs):
+        if corner_sweep_contains(dirs[i - 1], d_out, ref):
+            total += turn_sign(dirs[i - 1], d_out)
     return total

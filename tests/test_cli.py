@@ -336,6 +336,40 @@ class TestWorkBounds:
         assert out.stdout_lines == [f"error: --order must be at most {MAX_ORDER}"]
 
 
+class TestUnexpectedErrors:
+    @staticmethod
+    def triangle(tmp_path, coordinate):
+        path = tmp_path / "huge.td"
+        path.write_text("transverse-diagram/1\ncoorientation: +\nvertices:\n"
+                        f"0 0\n{coordinate} 0\n0 {coordinate}\nover:\nend\n",
+                        encoding="utf-8")
+        return str(path)
+
+    def test_render_huge_exponent_is_a_parse_error(self, tmp_path):
+        out = dispatch(["render", self.triangle(tmp_path, "1e5000"),
+                        "-o", str(tmp_path / "out.svg")])
+        assert out.exit_code == 1
+        assert out.stdout_lines == ["error: line 5: exponent of '1e5000' exceeds 1000"]
+
+    def test_render_overflowing_a_float_is_one_error_line(self, tmp_path):
+        # 1e400 parses, but the picture of the triangle does not fit a float
+        out_path = tmp_path / "out.svg"
+        out = dispatch(["render", self.triangle(tmp_path, "1e400"), "-o", str(out_path)])
+        assert out.exit_code == 1
+        assert len(out.stdout_lines) == 1
+        assert out.stdout_lines[0].startswith("error: OverflowError: ")
+        assert not out_path.exists()
+
+    def test_any_exception_is_one_error_line(self, u_minus_file, monkeypatch):
+        def broken(d):
+            raise KeyError("boom")
+
+        monkeypatch.setattr("transknot.cli.invariant_values", broken)
+        out = dispatch(["invariants", u_minus_file])
+        assert out.exit_code == 1
+        assert out.stdout_lines == ["error: KeyError: 'boom'"]
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         out = dispatch(["frobnicate"])

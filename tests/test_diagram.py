@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from transknot.diagram import (
+    MAX_EXPONENT,
+    MAX_TOKEN_CHARS,
     Coorientation,
     Crossing,
     PolyCurve,
@@ -288,6 +290,51 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse_diagram(text)
         assert exc.value.line == 4
+
+
+def triangle_text(x, z):
+    """A generic triangle with the tokens x and z on lines 5 and 6."""
+    return ("transverse-diagram/1\ncoorientation: +\nvertices:\n"
+            f"0 0\n{x} 0\n0 {z}\nover:\nend\n")
+
+
+class TestParseLimits:
+    @pytest.mark.parametrize("token, fragment", [
+        ("1e5000", f"exponent of '1e5000' exceeds {MAX_EXPONENT}"),
+        ("1e400000", "exponent"),
+        ("-2.5E-400000", "exponent"),
+        ("1e+1_000_000", "exponent"),
+        ("1" * (MAX_TOKEN_CHARS + 1), f"longer than {MAX_TOKEN_CHARS} characters"),
+    ])
+    def test_hostile_token_never_reaches_fraction(self, monkeypatch, token, fragment):
+        # refused before conversion, so no test times a slow conversion
+        def guarded(value, *rest):
+            if value == token:
+                pytest.fail(f"{token[:20]!r} reached Fraction")
+            return Fraction(value, *rest)
+
+        monkeypatch.setattr("transknot.diagram.Fraction", guarded)
+        with pytest.raises(ParseError, match=fragment) as exc:
+            parse_diagram(triangle_text(token, 1))
+        assert exc.value.line == 5
+
+    @pytest.mark.parametrize("token", ["1e1000", "1e-998", "0." + "1" * 997])
+    def test_decimal_token_too_long_written_out(self, token):
+        with pytest.raises(ParseError, match="written as a fraction is longer"):
+            parse_diagram(triangle_text(1, token))
+
+    @pytest.mark.parametrize("token", [
+        "1e999",  # a 1000-digit integer
+        "-3e-996",  # -3/10**996
+        "0." + "0" * 990 + "7e1000",  # the largest exponent, 7 * 10**9
+        "9" * MAX_TOKEN_CHARS,
+        "-1/" + "7" * (MAX_TOKEN_CHARS - 3),
+    ])
+    def test_coordinates_at_the_limits_round_trip(self, token):
+        d = parse_diagram(triangle_text(token, token))
+        text = serialize_diagram(d)
+        assert parse_diagram(text) == d
+        assert serialize_diagram(parse_diagram(text)) == text
 
 
 class TestSerialize:

@@ -5,10 +5,18 @@
 scaled to ints and compare only features whose x-extents meet.  Each is
 checked with ``==`` against a plain all-pairs loop over the Fraction
 predicates of ``transknot.geometry``.
+
+Conditions 1 and 2, the Whitney index, crossing signs, the along-edge
+crossing order, the v2 basepoint and ``resolve`` decide on the curve's
+int directions; each is checked with ``==`` against the same decision
+taken on the Fraction directions of ``direction()`` and ``corners()``,
+with the cone tests solved by Fraction division.
 """
 
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,27 +28,53 @@ from transknot.diagram import (
     Violation,
     ViolationKind,
     min_feature_separation2,
+    parse_diagram,
     sort_violations,
 )
-from transknot.errors import OracleError, TransknotError
+from transknot.errors import DegenerateConeError, OracleError, TransknotError
 from transknot.geometry import (
     Point,
     Vec,
     add,
+    corner_sweep_contains,
     cross,
     dist2,
     dot,
+    in_closed_cone,
+    in_open_cone,
     is_parallel,
+    neg,
     point_in_open_segment,
     point_segment_dist2,
+    same_direction,
     scale,
     segment_intersection,
     sign,
+    turn_sign,
     vec,
 )
-from transknot.invariants import _pushoff_once, pushoff_linking_oracle
-from transknot.moves_singular import random_valid_diagram, stabilize
-from transknot.transversality import forced_over, validate
+from transknot.invariants import (
+    _passages,
+    _pushoff_once,
+    crossing_sign,
+    pushoff_linking_oracle,
+    v2,
+)
+from transknot.moves_singular import (
+    Resolution,
+    ResolutionAssignment,
+    make_singular,
+    random_valid_diagram,
+    resolve,
+    stabilize,
+)
+from transknot.transversality import (
+    check_condition1,
+    check_condition2,
+    forced_over,
+    validate,
+    whitney_index,
+)
 
 # --- the reference: all pairs, Fraction arithmetic -------------------------
 
@@ -189,6 +223,140 @@ def assert_kernel_matches(d):
         assert outcome(pushoff_linking_oracle, d) == outcome(ref_oracle, d)
 
 
+# --- the reference direction predicates: Fraction directions -------------
+
+REF_UP = Vec(Fraction(0), Fraction(1))
+
+
+def ref_cone(u, t1, t2):
+    """(a, b) with u = a*t1 + b*t2, solved by Fraction division."""
+    denom = cross(t1, t2)
+    if denom == 0:
+        raise DegenerateConeError("cone generators are parallel")
+    return cross(u, t2) / denom, cross(t1, u) / denom
+
+
+def ref_condition1(curve, coor):
+    ref = REF_UP if coor is Coorientation.PLUS else neg(REF_UP)
+    n = curve.n
+    out = [Violation(ViolationKind.UpwardEdge, edges=(i,))
+           for i in range(1, n + 1) if same_direction(curve.direction(i), ref)]
+    for i, d_in, d_out in curve.corners():
+        if corner_sweep_contains(d_in, d_out, ref):
+            out.append(Violation(ViolationKind.UpwardCorner, edges=((i - 2) % n + 1, i)))
+    return sort_violations(out)
+
+
+def ref_forced_over(curve, coor, lo, hi):
+    t_lo, t_hi = curve.direction(lo), curve.direction(hi)
+    if coor is Coorientation.MINUS:
+        t_lo, t_hi = neg(t_lo), neg(t_hi)
+    a, b = ref_cone(REF_UP, t_lo, t_hi)
+    if not (a > 0 and b > 0):
+        return None
+    return "lo" if t_lo.x < 0 else "hi"
+
+
+def ref_condition2(d):
+    return sort_violations(
+        Violation(ViolationKind.ForbiddenCrossing, point=c.point)
+        for c in d.crossings
+        if ref_forced_over(d.curve, d.coorientation, c.lo, c.hi) not in (None, c.over)
+    )
+
+
+def ref_whitney(curve):
+    dirs = [curve.direction(i) for i in range(1, curve.n + 1)]
+    ref = REF_UP
+    k = 1
+    while any(is_parallel(t, ref) for t in dirs):
+        ref = Vec(Fraction(1), Fraction(k))
+        k += 1
+    return sum(turn_sign(d_in, d_out) for _, d_in, d_out in curve.corners()
+               if corner_sweep_contains(d_in, d_out, ref))
+
+
+def ref_crossing_sign(d, c):
+    return sign(cross(d.curve.direction(c.over_edge), d.curve.direction(c.under_edge)))
+
+
+def ref_crossings_along(d):
+    out = []
+    for i, a, b in d.curve.edges():
+        t = vec(a, b)
+        on = [c for c in d.crossings if i in (c.lo, c.hi)]
+        out.append(tuple(sorted(on, key=lambda c: dot(vec(a, c.point), t))))
+    return tuple(out)
+
+
+def ref_passages(d, base):
+    n = d.curve.n
+    along = ref_crossings_along(d)
+    passages = []
+    for step in range(n):
+        i = (base - 1 + step) % n + 1
+        passages += [((c.lo, c.hi), c.over_edge == i) for c in along[i - 1]]
+    return passages
+
+
+def ref_v2(d, base):
+    where = {}
+    for idx, (cid, over) in enumerate(ref_passages(d, base)):
+        where.setdefault(cid, []).append((idx, over))
+    signs = {(c.lo, c.hi): ref_crossing_sign(d, c) for c in d.crossings}
+    total = 0
+    for one, other in itertools.combinations(where, 2):
+        (a1, ra1), (a2, _) = where[one]
+        (b1, rb1), (b2, _) = where[other]
+        if a1 < b1 < a2 < b2 and ra1 and not rb1 or b1 < a1 < b2 < a2 and rb1 and not ra1:
+            total += signs[one] * signs[other]
+    return total
+
+
+def ref_resolve(s, a):
+    crossings = []
+    for i, site in enumerate(s.sites):
+        if i not in a.choices:
+            crossings.append(site.crossing)
+            continue
+        positive = cross(s.curve.direction(site.lo), s.curve.direction(site.hi)) > 0
+        over = "lo" if positive == (a.choices[i] is Resolution.POS) else "hi"
+        crossings.append(Crossing(site.lo, site.hi, site.point, over))
+    return TransverseDiagram(s.curve, s.coorientation, tuple(crossings))
+
+
+def assert_directions_match(d):
+    curve = d.curve
+    other = Coorientation.MINUS if d.coorientation is Coorientation.PLUS else Coorientation.PLUS
+    for coor in Coorientation:
+        assert check_condition1(curve, coor) == ref_condition1(curve, coor)
+    # the same crossings under the other coorientation, and with every
+    # over bit flipped, violate condition 2 at the forced crossings
+    flipped = d.with_over({(c.lo, c.hi): "hi" if c.over == "lo" else "lo"
+                           for c in d.crossings})
+    for e in (d, flipped, TransverseDiagram(curve, other, d.crossings)):
+        assert check_condition2(e) == ref_condition2(e)
+        for c in e.crossings:
+            assert forced_over(curve, e.coorientation, c.lo, c.hi) == \
+                ref_forced_over(curve, e.coorientation, c.lo, c.hi)
+    assert whitney_index(curve) == ref_whitney(curve)
+    assert [crossing_sign(d, c) for c in d.crossings] == \
+        [ref_crossing_sign(d, c) for c in d.crossings]
+    assert d.crossings_along == ref_crossings_along(d)
+    for base in range(1, curve.n + 1):
+        assert v2(d, base) == ref_v2(d, base)
+    least = min(range(1, curve.n + 1), key=curve.vertex)
+    assert _passages(d) == ref_passages(d, least)
+    assert v2(d) == ref_v2(d, least)
+
+    free = [i for i, c in enumerate(d.crossings)
+            if ref_forced_over(curve, d.coorientation, c.lo, c.hi) is None]
+    s = make_singular(d, free[:3])
+    for bits in itertools.product(Resolution, repeat=len(free[:3])):
+        a = ResolutionAssignment(dict(zip(free[:3], bits)))
+        assert resolve(s, a) == ref_resolve(s, a)
+
+
 # --- inputs ----------------------------------------------------------------
 
 SEEDS = range(4)
@@ -200,6 +368,60 @@ def test_random_diagrams_and_their_stabilizations(seed, coor):
     d = random_valid_diagram(seed, coor)
     assert_kernel_matches(d)
     assert_kernel_matches(stabilize(d, 1 + seed % d.curve.n, 2))
+
+
+@pytest.mark.parametrize("coor", list(Coorientation))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_direction_predicates_on_random_diagrams(seed, coor):
+    d = random_valid_diagram(seed, coor)
+    assert_directions_match(d)
+    assert_directions_match(stabilize(d, 1 + seed % d.curve.n, 2))
+
+
+@pytest.mark.parametrize("k", [0, 2, 4, 8])
+def test_direction_predicates_on_the_ladder(k):
+    path = (Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "ladder"
+            / f"trefoil_right-e1-k{k}.td")
+    assert_directions_match(parse_diagram(path.read_text(encoding="utf-8")))
+
+
+def test_direction_predicates_on_small_grid_curves():
+    # most are not generic: a reversal or a vertical edge must give the
+    # same result or the same error on both sides.  A zero edge is
+    # parallel to every reference direction, so the Whitney index search
+    # never ends; it is taken only on curves without one.
+    for c in grid_curves(400):
+        for coor in Coorientation:
+            assert outcome(lambda x: check_condition1(x, coor), c) == \
+                outcome(lambda x: ref_condition1(x, coor), c)
+        if all(a != b for _, a, b in c.edges()):
+            assert outcome(whitney_index, c) == outcome(ref_whitney, c)
+
+
+SMALL_VECS = [Vec(x, z) for x in range(-2, 3) for z in range(-2, 3)]
+
+
+def test_cone_predicates_on_ints_match_fraction_division():
+    boundary = degenerate = 0
+    for u, t1, t2 in itertools.product(SMALL_VECS, repeat=3):
+        fu, f1, f2 = (Vec(Fraction(v.x), Fraction(v.z)) for v in (u, t1, t2))
+        if cross(t1, t2) == 0:
+            # parallel generators, a zero one among them
+            for args in ((u, t1, t2), (fu, f1, f2)):
+                with pytest.raises(DegenerateConeError):
+                    in_open_cone(*args)
+                with pytest.raises(DegenerateConeError):
+                    in_closed_cone(*args)
+            degenerate += 1
+            continue
+        a, b = ref_cone(fu, f1, f2)
+        opened, closed = a > 0 and b > 0, a >= 0 and b >= 0
+        # the int generators also scaled apart, as by different lcms
+        for args in ((u, t1, t2), (fu, f1, f2), (u, scale(t1, 7), scale(t2, 3))):
+            assert in_open_cone(*args) is opened
+            assert in_closed_cone(*args) is closed
+        boundary += closed and not opened
+    assert boundary > 1000 and degenerate > 1000
 
 
 @pytest.mark.parametrize("seed", SEEDS)
