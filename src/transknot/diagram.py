@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from .errors import CrossingMismatchError, NongenericCurveError, ParseError, TransknotError
@@ -20,11 +21,11 @@ from .geometry import (
     Point,
     Vec,
     cross,
-    dist2,
     dot,
     point_in_open_segment,
     segment_crossing,
     vec,
+    x_meeting_pairs,
     x_overlapping_pairs,
     x_span,
 )
@@ -127,17 +128,17 @@ class PolyCurve:
         return (i - j) % self.n in (0, 1, self.n - 1)
 
     @cached_property
-    def scaled(self) -> tuple[int, tuple[Point, ...]]:
+    def scaled(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         """(L, the vertices times L), where L is the lcm of all vertex
-        coordinate denominators, so that the scaled vertices are int
-        points.  The all-pairs loops decide their predicates on these
-        ints, which are exact and never normalise a fraction; a value
-        leaves them as a Fraction again.  Computed once.
+        coordinate denominators, so that the scaled vertices are plain
+        (x, z) int tuples.  The all-pairs loops decide their predicates
+        on these ints, which are exact and never normalise a fraction; a
+        value leaves them as a Fraction again.  Computed once.
         """
         scale = math.lcm(*(c.denominator for p in self.vertices for c in p))
         return scale, tuple(
-            Point(p.x.numerator * (scale // p.x.denominator),
-                  p.z.numerator * (scale // p.z.denominator))
+            (p.x.numerator * (scale // p.x.denominator),
+             p.z.numerator * (scale // p.z.denominator))
             for p in self.vertices
         )
 
@@ -163,6 +164,13 @@ class PolyCurve:
         return _crossing_scan(self)
 
     @cached_property
+    def edge_pairs(self) -> tuple[tuple[int, int], ...]:
+        """(i, j), i < j, for edges i + 1 and j + 1 whose x-extents meet:
+        the crossing scan and the genericity pass share this one sweep."""
+        _, pts = self.scaled
+        return tuple(x_overlapping_pairs([x_span(a, b) for a, b in edge_ends(pts)]))
+
+    @cached_property
     def genericity_violations(self) -> tuple[Violation, ...]:
         """All positional defects of the curve, in canonical order.
 
@@ -170,8 +178,8 @@ class PolyCurve:
         duplicate vertices, no vertex interior to a non-incident edge,
         no collinear overlaps, and non-adjacent edges meeting in at most
         one interior point with all such points distinct.  Computed once,
-        on the scaled vertices, comparing only features whose x-extents
-        meet.
+        on the scaled vertices: coincident vertices by equal points, the
+        rest comparing only features whose x-extents meet.
         """
         out: list[Violation] = []
         n = self.n
@@ -190,25 +198,27 @@ class PolyCurve:
             if cross(d_in, d_out) == 0 and dot(d_in, d_out) < 0:
                 out.append(Violation(ViolationKind.ReversalCorner, edges=(e_in + 1, i + 1)))
 
-        # indices below n are vertices, the rest edges (edge i at n + i)
-        spans = [x_span(p, p) for p in pts] + [x_span(a, b) for a, b in ends]
-        on_edge = set()
-        for s, t in x_overlapping_pairs(spans):
-            if t < n:
-                if pts[s] == pts[t] and t - s not in (1, n - 1):
-                    out.append(Violation(ViolationKind.EndpointContact, point=self.vertices[s]))
-            elif s < n:
-                if point_in_open_segment(pts[s], *ends[t - n]):
-                    on_edge.add(s)  # never true of the edge's own endpoints
-            elif s - n not in zero and t - n not in zero:
-                a, b = ends[s - n]
-                c, d = ends[t - n]
-                di = vec(a, b)
-                if cross(di, vec(c, d)) == 0 and cross(di, vec(a, c)) == 0 \
-                        and _spans_overlap(a, b, c, d):
-                    out.append(Violation(ViolationKind.CollinearOverlap,
-                                         edges=(s - n + 1, t - n + 1)))
+        at: dict[tuple[int, int], list[int]] = {}
+        for k, p in enumerate(pts):
+            at.setdefault(p, []).append(k)
+        out += [Violation(ViolationKind.EndpointContact, point=self.vertices[s])
+                for group in at.values() for s, t in combinations(group, 2)
+                if t - s not in (1, n - 1)]
+
+        on_edge = {k for k, i in x_meeting_pairs([(x, x) for x, _ in pts],
+                                                 [x_span(a, b) for a, b in ends])
+                   if point_in_open_segment(pts[k], *ends[i])}  # never at its own ends
         out += [Violation(ViolationKind.VertexOnEdge, point=self.vertices[k]) for k in on_edge]
+
+        for i, j in self.edge_pairs:
+            if i in zero or j in zero:
+                continue
+            (a, _), (c, d) = ends[i], ends[j]
+            e = dirs[i]
+            if cross(e, dirs[j]) == 0 and cross(e, vec(a, c)) == 0:
+                lo, hi = sorted((dot(vec(a, c), e), dot(vec(a, d), e)))
+                if min(hi, dot(e, e)) > max(lo, 0):  # more than one common point
+                    out.append(Violation(ViolationKind.CollinearOverlap, edges=(i + 1, j + 1)))
 
         points: dict[Point, int] = {}
         for _, _, p in self.detected_crossings:
@@ -220,7 +230,7 @@ class PolyCurve:
         return tuple(sort_violations(out))
 
 
-def edge_ends(pts) -> list[tuple[Point, Point]]:
+def edge_ends(pts) -> list[tuple[tuple, tuple]]:
     """(start, end) of every edge of the closed polygon ``pts``."""
     return list(zip(pts, pts[1:] + pts[:1]))
 
@@ -228,21 +238,21 @@ def edge_ends(pts) -> list[tuple[Point, Point]]:
 def _crossing_scan(curve: PolyCurve) -> tuple[tuple[int, int, Point], ...]:
     """The crossing pass behind ``PolyCurve.detected_crossings``: the
     segment test on the scaled vertices of every pair of non-adjacent
-    edges whose x-extents meet, each hit turned back into a Fraction
+    edges in ``edge_pairs``, each hit turned back into a Fraction
     point."""
     n = curve.n
     scale, pts = curve.scaled
     ends = edge_ends(pts)
     found = []
-    for i, j in x_overlapping_pairs([x_span(a, b) for a, b in ends]):
+    for i, j in curve.edge_pairs:
         if j - i in (1, n - 1):
             continue
-        a, b = ends[i]
-        hit = segment_crossing(a, b, *ends[j])
+        hit = segment_crossing(*ends[i], *ends[j])
         if hit is not None:
             num, den = hit
-            p = Point(Fraction(a.x * den + num * (b.x - a.x), den * scale),
-                      Fraction(a.z * den + num * (b.z - a.z), den * scale))
+            (ax, az), (bx, bz) = ends[i]
+            p = Point(Fraction(ax * den + num * (bx - ax), den * scale),
+                      Fraction(az * den + num * (bz - az), den * scale))
             found.append((i + 1, j + 1, p))
     return tuple(sorted(found))
 
@@ -338,14 +348,6 @@ def detect_crossings(curve: PolyCurve) -> list[tuple[int, int, Point]]:
     return list(curve.detected_crossings)
 
 
-def _spans_overlap(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Whether collinear segments ab and cd share more than one point."""
-    ref = vec(a, b)
-    lo1, hi1 = sorted((0, dot(ref, ref)))
-    lo2, hi2 = sorted((dot(vec(a, c), ref), dot(vec(a, d), ref)))
-    return min(hi1, hi2) > max(lo1, lo2)
-
-
 def check_genericity(curve: PolyCurve) -> list[Violation]:
     """All positional defects of the curve, in canonical order.
 
@@ -364,13 +366,14 @@ def min_feature_separation2(d: TransverseDiagram) -> Fraction:
 
     Runs on the scaled vertices.  No distance exceeding the shortest
     edge can be the minimum, so only features whose x-extents lie within
-    that edge length of each other need to be compared.
+    that edge length of each other need to be compared: vertices with
+    edges by a two-colour sweep, crossings with crossings by one more.
     """
     curve = d.curve
     n = curve.n
     scale, pts = curve.scaled
     ends = edge_ends(pts)
-    shortest = min(dist2(a, b) for a, b in ends)
+    shortest = min((bx - ax) ** 2 + (bz - az) ** 2 for (ax, az), (bx, bz) in ends)
     if shortest == 0:
         raise TransknotError("two features of the diagram coincide")
     reach = math.isqrt(shortest - 1) + 1  # the ceiling of the edge length
@@ -381,29 +384,26 @@ def min_feature_separation2(d: TransverseDiagram) -> Fraction:
         den = math.lcm(c.point.x.denominator, c.point.z.denominator)
         marks.append(tuple(v.numerator * (den // v.denominator) * scale for v in c.point)
                      + (den,))
-    # indices: vertices, then edges from n, then crossings from 2n
-    spans = [x_span(p, p) for p in pts] + [x_span(a, b) for a, b in ends]
-    spans += [(x // den, -(-x // den)) for x, _, den in marks]
 
     def candidates():
         """(num, den) of each squared distance that may be the minimum."""
+        edges = [x_span(a, b) for a, b in ends]
+        for k, i in x_meeting_pairs([(x, x) for x, _ in pts], edges, reach):
+            if k == i or k == (i + 1) % n:
+                continue
+            (px, pz), ((ax, az), (bx, bz)) = pts[k], ends[i]
+            ex, ez, wx, wz = bx - ax, bz - az, px - ax, pz - az
+            along, length2 = wx * ex + wz * ez, ex * ex + ez * ez
+            if along <= 0:
+                yield wx * wx + wz * wz, 1
+            elif along >= length2:
+                yield (px - bx) ** 2 + (pz - bz) ** 2, 1
+            else:
+                yield (ex * wz - ez * wx) ** 2, length2
+        spans = [(x // den, -(-x // den)) for x, _, den in marks]
         for s, t in x_overlapping_pairs(spans, reach):
-            if s < n <= t < 2 * n:  # vertex s, edge t - n
-                i = t - n
-                if s == i or s == (i + 1) % n:
-                    continue
-                p, (a, b) = pts[s], ends[i]
-                e, w = vec(a, b), vec(a, p)
-                along = dot(w, e)
-                if along <= 0:
-                    yield dist2(p, a), 1
-                elif along >= dot(e, e):
-                    yield dist2(p, b), 1
-                else:
-                    yield cross(e, w) ** 2, dot(e, e)
-            elif s >= 2 * n:  # two crossings
-                (x1, z1, d1), (x2, z2, d2) = marks[s - 2 * n], marks[t - 2 * n]
-                yield (x1 * d2 - x2 * d1) ** 2 + (z1 * d2 - z2 * d1) ** 2, (d1 * d2) ** 2
+            (x1, z1, d1), (x2, z2, d2) = marks[s], marks[t]
+            yield (x1 * d2 - x2 * d1) ** 2 + (z1 * d2 - z2 * d1) ** 2, (d1 * d2) ** 2
 
     best, best_den = shortest, 1
     for num, den in candidates():

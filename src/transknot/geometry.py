@@ -7,15 +7,20 @@ points, and the division-free ones (``vec``, ``cross``, ``dot``,
 ``in_open_cone``, ``in_closed_cone``, ``corner_sweep_contains``,
 ``turn_sign``, ``same_direction``, ``is_parallel``) take int points and
 vectors just as well.  The package runs them on ints: the all-pairs
-loops on vertices scaled by the lcm of their denominators, and every
-direction predicate on ``PolyCurve.int_directions``, the differences of
-those ints, which are positive multiples of the true directions and so
-give every sign exactly.  On ints ``/`` is true division and would put
-a float into a decision, so none of these predicates divides.
+loops on vertices scaled by the lcm of their denominators, passed as
+plain (x, z) tuples to pair predicates that read them by index and
+allocate nothing, and every direction predicate on
+``PolyCurve.int_directions``, the differences of those ints, which are
+positive multiples of the true directions and so give every sign
+exactly.  On ints ``/`` is true division and would put a float into a
+decision, so none of these predicates divides.  The loops pair features
+by x-sweeps: ``x_overlapping_pairs`` within one set, and
+``x_meeting_pairs`` for a red set against a blue one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
@@ -33,8 +38,8 @@ class Vec(NamedTuple):
 
 
 def vec(p: Point, q: Point) -> Vec:
-    """Displacement from p to q."""
-    return Vec(q.x - p.x, q.z - p.z)
+    """Displacement from p to q, read by index from points or tuples."""
+    return Vec(q[0] - p[0], q[1] - p[1])
 
 
 def add(p: Point, d: Vec) -> Point:
@@ -82,14 +87,15 @@ def segment_crossing(a: Point, b: Point, c: Point, d: Point):
     parallel or collinear segments and for contacts at an endpoint: only
     a transversal meeting of the two interiors counts.  Division-free.
     """
-    d1 = vec(a, b)
-    d2 = vec(c, d)
-    den = cross(d1, d2)
+    ax, az = a[0], a[1]
+    ex, ez = b[0] - ax, b[1] - az
+    fx, fz = d[0] - c[0], d[1] - c[1]
+    den = ex * fz - ez * fx
     if den == 0:
         return None
-    w = vec(a, c)
-    num = cross(w, d2)
-    other = cross(w, d1)
+    wx, wz = c[0] - ax, c[1] - az
+    num = wx * fz - wz * fx
+    other = wx * ez - wz * ex
     if den < 0:
         den, num, other = -den, -num, -other
     if 0 < num < den and 0 < other < den:
@@ -111,7 +117,7 @@ def segment_intersection(
 
 def x_span(a: Point, b: Point) -> tuple:
     """The closed x-interval (lo, hi) of the segment ab."""
-    return (a.x, b.x) if a.x <= b.x else (b.x, a.x)
+    return (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
 
 
 def x_overlapping_pairs(spans, reach=0) -> Iterator[tuple[int, int]]:
@@ -134,6 +140,27 @@ def x_overlapping_pairs(spans, reach=0) -> Iterator[tuple[int, int]]:
             if lo > limit:
                 break
             yield (s, t) if s < t else (t, s)
+
+
+def x_meeting_pairs(red, blue, reach=0) -> Iterator[tuple[int, int]]:
+    """Each index pair (r, b), exactly once, of a red interval ``red[r]``
+    and a blue one ``blue[b]``, both (lo, hi), with gap at most reach >= 0.
+
+    The two-colour case of ``x_overlapping_pairs``: with each colour
+    sorted by lo, a red is paired with the blues whose lo lies in
+    [lo_r, hi_r + reach] and a blue with the reds whose lo lies in
+    (lo_b, hi_b + reach], by bisection; no same-colour pair is formed.
+    """
+    red_order = sorted(range(len(red)), key=red.__getitem__)
+    blue_order = sorted(range(len(blue)), key=blue.__getitem__)
+    red_lo = [red[r][0] for r in red_order]
+    blue_lo = [blue[b][0] for b in blue_order]
+    for r, (lo, hi) in enumerate(red):
+        for k in range(bisect_left(blue_lo, lo), bisect_right(blue_lo, hi + reach)):
+            yield r, blue_order[k]
+    for b, (lo, hi) in enumerate(blue):
+        for k in range(bisect_right(red_lo, lo), bisect_right(red_lo, hi + reach)):
+            yield red_order[k], b
 
 
 def in_open_cone(u: Vec, t1: Vec, t2: Vec) -> bool:
@@ -192,12 +219,12 @@ def turn_sign(d_in: Vec, d_out: Vec) -> int:
 
 def point_in_open_segment(p: Point, a: Point, b: Point) -> bool:
     """Whether p lies on segment ab strictly between the endpoints."""
-    d = vec(a, b)
-    w = vec(a, p)
-    if cross(d, w) != 0:
+    ax, az = a[0], a[1]
+    ex, ez = b[0] - ax, b[1] - az
+    wx, wz = p[0] - ax, p[1] - az
+    if ex * wz - ez * wx != 0:
         return False
-    s = dot(w, d)
-    return 0 < s < dot(d, d)
+    return 0 < wx * ex + wz * ez < ex * ex + ez * ez
 
 
 def dist2(p: Point, q: Point) -> Fraction:

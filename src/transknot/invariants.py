@@ -29,7 +29,6 @@ from .diagram import (
 )
 from .errors import OracleError, TransknotError
 from .geometry import (
-    Point,
     Vec,
     cross,
     dot,
@@ -37,7 +36,7 @@ from .geometry import (
     point_in_open_segment,
     segment_crossing,
     sign,
-    x_overlapping_pairs,
+    x_meeting_pairs,
     x_span,
 )
 from .transversality import require_valid, whitney_index
@@ -81,42 +80,38 @@ def _pushoff_once(d: TransverseDiagram, u: Vec, e: int):
     or unlucky offset.
 
     Runs on the curve's scaled vertices refined by 2**e, on which the
-    offset is the int vector L·u, and compares only features whose
-    x-extents meet.
+    offset is the int vector L·u, and compares only original features
+    with copy features whose x-extents meet.
     """
     curve = d.curve
     n = curve.n
     scale, pts = curve.scaled
     dirs = curve.int_directions
-    orig = [Point(p.x << e, p.z << e) for p in pts]
-    copy = [Point(p.x + scale * u.x, p.z + scale * u.z) for p in orig]
+    sx, sz = scale * u.x, scale * u.z
+    orig = [(x << e, z << e) for x, z in pts]
+    copy = [(x + sx, z + sz) for x, z in orig]
     orig_ends, copy_ends = edge_ends(orig), edge_ends(copy)
-    # indices: original vertices, copy vertices from n, original edges
-    # from 2n, copy edges from 3n
-    spans = [x_span(p, p) for p in orig + copy]
-    spans += [x_span(a, b) for a, b in orig_ends + copy_ends]
+    # indices below n are vertices, the rest edges (edge i at n + i)
+    red = [(x, x) for x, _ in orig] + [x_span(a, b) for a, b in orig_ends]
+    blue = [(lo + sx, hi + sx) for lo, hi in red]
 
     by_pair = {(c.lo, c.hi): c for c in d.crossings}
     hits: dict[tuple[int, int], int] = {}
     total = 0
     corner_total = 0
-    for s, t in x_overlapping_pairs(spans):
+    for r, b in x_meeting_pairs(red, blue):
         # degenerate contacts (a vertex of one curve on the other) make
         # the intersection pattern ambiguous; reject and retry smaller
-        if s < n and t >= 3 * n:
-            if point_in_open_segment(orig[s], *copy_ends[t - 3 * n]):
+        if r < n <= b:
+            if point_in_open_segment(orig[r], *copy_ends[b - n]):
                 return None
-            continue
-        if n <= s < 2 * n <= t < 3 * n:
-            w, (a, b) = copy[s - n], orig_ends[t - 2 * n]
-            if w == a or w == b or point_in_open_segment(w, a, b):
+        elif b < n <= r:
+            w, (p, q) = copy[b], orig_ends[r - n]
+            if w == p or w == q or point_in_open_segment(w, p, q):
                 return None
-            continue
-        if not 2 * n <= s < 3 * n <= t:
-            continue
-        i, j = s - 2 * n + 1, t - 3 * n + 1
-        if i == j:
-            continue  # the copy of an edge is parallel to it
+        if r < n or b < n or r == b:
+            continue  # a vertex pair meets at an edge's start; an edge's copy is parallel
+        i, j = r - n + 1, b - n + 1
         if segment_crossing(*orig_ends[i - 1], *copy_ends[j - 1]) is None:
             continue
         # the refined and shifted edges point along 2**e times these

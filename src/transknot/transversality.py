@@ -24,7 +24,7 @@ from .diagram import (
     crossing_mismatch,
     sort_violations,
 )
-from .errors import InvalidDiagramError
+from .errors import InvalidDiagramError, NongenericCurveError
 from .geometry import (
     Vec,
     corner_sweep_contains,
@@ -143,9 +143,12 @@ def whitney_index(curve: PolyCurve) -> int:
     +1 (counterclockwise turn) or -1 (clockwise).  r defaults to (0,1)
     and is moved to the first of (1,1), (1,2), ... whenever some edge
     is parallel to it, so r is always a regular value.  Decided on the
-    curve's int directions.
+    curve's int directions.  Zero edges raise NongenericCurveError.
     """
     dirs = curve.int_directions
+    if (0, 0) in dirs:
+        raise NongenericCurveError(v for v in curve.genericity_violations
+                                   if v.kind is ViolationKind.ZeroEdge)
     ref = UP
     n_try = 1
     while any(is_parallel(dv, ref) for dv in dirs):

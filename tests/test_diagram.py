@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +31,7 @@ from transknot.fixtures import (
     u_minus,
     u_minus_forbidden,
 )
-from transknot.geometry import Point
+from transknot.geometry import Point, x_overlapping_pairs
 from transknot.invariants import invariant_values
 from transknot.transversality import validate
 
@@ -164,6 +165,21 @@ def test_each_curve_is_scanned_once(monkeypatch):
     assert validate(d).is_valid
     assert len(scanned) == 1
     assert scanned[0] is d.curve
+
+
+def test_parse_sweeps_the_edges_once(monkeypatch):
+    """The crossing scan and the genericity pass share one edge sweep."""
+    path = (Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "ladder"
+            / "trefoil_right-e1-k8.td")
+    sweeps = []
+
+    def counting(spans, reach=0):
+        sweeps.append(len(spans))
+        return x_overlapping_pairs(spans, reach)
+
+    monkeypatch.setattr("transknot.diagram.x_overlapping_pairs", counting)
+    d = parse_diagram(path.read_text(encoding="utf-8"))
+    assert sweeps == [d.curve.n]
 
 
 class TestGenericity:

@@ -26,6 +26,7 @@ from transknot.geometry import (
     sign,
     turn_sign,
     vec,
+    x_meeting_pairs,
     x_overlapping_pairs,
     x_span,
 )
@@ -239,3 +240,37 @@ def test_x_overlapping_pairs_matches_all_pairs():
                 if spans[t][0] - spans[s][1] <= reach and spans[s][0] - spans[t][1] <= reach}
         got = list(x_overlapping_pairs(spans, reach))
         assert len(got) == len(want) and set(got) == want
+
+
+def _meeting(s, t, reach):
+    return t[0] - s[1] <= reach and s[0] - t[1] <= reach
+
+
+def _random_spans(rng, count):
+    # small negative and positive ints: point intervals and ties in lo are common
+    spans = []
+    for _ in range(count):
+        lo = rng.randint(-6, 6)
+        spans.append((lo, lo + rng.choice((0, 0, 1, 2, 5))))
+    return spans
+
+
+@pytest.mark.parametrize("reach", [0, 1, 3])
+def test_x_meeting_pairs_matches_all_red_blue_pairs(reach):
+    rng = random.Random(20260 + reach)
+    for _ in range(300):
+        red = _random_spans(rng, rng.randint(0, 8))
+        blue = _random_spans(rng, rng.randint(0, 8))
+        want = {(r, b) for r in range(len(red)) for b in range(len(blue))
+                if _meeting(red[r], blue[b], reach)}
+        got = list(x_meeting_pairs(red, blue, reach))
+        assert len(got) == len(set(got)) and set(got) == want
+
+
+def test_x_meeting_pairs_edge_cases():
+    assert list(x_meeting_pairs([], [(0, 1)])) == []
+    assert list(x_meeting_pairs([(0, 1)], [])) == []
+    # equal lo across the colours, point intervals, negative coordinates
+    red, blue = [(-3, -3), (-3, 2)], [(-3, -3), (2, 2), (-5, -4)]
+    assert sorted(x_meeting_pairs(red, blue)) == [(0, 0), (1, 0), (1, 1)]
+    assert sorted(x_meeting_pairs(red, blue, 1)) == [(0, 0), (0, 2), (1, 0), (1, 1), (1, 2)]

@@ -52,7 +52,7 @@ def test_no_float_outside_render_svg():
 INT_PREDICATES = {
     "vec", "cross", "dot", "segment_crossing", "point_in_open_segment", "x_span",
     "in_open_cone", "in_closed_cone", "corner_sweep_contains", "turn_sign",
-    "same_direction", "is_parallel",
+    "same_direction", "is_parallel", "x_overlapping_pairs", "x_meeting_pairs",
 }
 
 

@@ -11,7 +11,7 @@ from transknot.diagram import (
     build_diagram,
     reversed_curve,
 )
-from transknot.errors import InvalidDiagramError
+from transknot.errors import InvalidDiagramError, NongenericCurveError
 from transknot.fixtures import minus_unknot, trefoil_right, u_minus, u_minus_forbidden
 from transknot.geometry import Point, in_closed_cone, neg
 from transknot.moves_singular import random_valid_diagram, stabilize
@@ -216,3 +216,11 @@ class TestWhitneyIndex:
         # two full counterclockwise turns
         c = curve((0, 0), (4, 0), (4, 4), (-1, 4), (-1, -1), (5, -1), (5, 5), (-2, 5), (-2, -2), (2, -2))
         assert whitney_index(c) == 2
+
+    def test_zero_edge_raises_instead_of_searching_forever(self):
+        # the zero direction is parallel to every reference direction
+        c = curve((0, 0), (4, 0), (4, 0), (4, 4), (0, 4), (0, 4))
+        with pytest.raises(NongenericCurveError) as info:
+            whitney_index(c)
+        assert [(v.kind, v.edges) for v in info.value.violations] == [
+            (ViolationKind.ZeroEdge, (2,)), (ViolationKind.ZeroEdge, (5,))]
