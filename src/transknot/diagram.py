@@ -123,10 +123,6 @@ class PolyCurve:
         for i in range(1, self.n + 1):
             yield i, self.direction(i - 1), self.direction(i)
 
-    def adjacent_edges(self, i: int, j: int) -> bool:
-        """Whether edges i and j share a vertex (cyclically)."""
-        return (i - j) % self.n in (0, 1, self.n - 1)
-
     @cached_property
     def scaled(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         """(L, the vertices times L), where L is the lcm of all vertex
@@ -364,49 +360,64 @@ def min_feature_separation2(d: TransverseDiagram) -> Fraction:
     Used to bound perturbation sizes so a push-off cannot jump across
     a strand or a crossing cannot collide with another feature.
 
-    Runs on the scaled vertices.  No distance exceeding the shortest
-    edge can be the minimum, so only features whose x-extents lie within
-    that edge length of each other need to be compared: vertices with
-    edges by a two-colour sweep, crossings with crossings by one more.
+    Runs on the scaled vertices by ``least_dist2``: no distance
+    exceeding the shortest edge can be the minimum.
     """
-    curve = d.curve
-    n = curve.n
+    n = d.curve.n
+    _, pts = d.curve.scaled
+    shortest = min((bx - ax) ** 2 + (bz - az) ** 2 for (ax, az), (bx, bz) in edge_ends(pts))
+    return least_dist2(d.curve, [(x, z, 1) for x, z in pts],
+                       [(k, (k - 1) % n) for k in range(n)], shortest,
+                       [c.point for c in d.crossings])
+
+
+def least_dist2(curve: PolyCurve, points, skip, bound: int, spots=()) -> Fraction:
+    """The least of ``bound`` and some squared distances in the units of
+    ``curve.scaled``, returned in plane units: from each mark
+    ``points[k]`` to every closed edge but those whose 0-based indices
+    ``skip[k]`` lists, and between any two of the Fraction points
+    ``spots``.
+
+    A mark (X, Z, D), D > 0, is the point (X/D, Z/D).  Each distance is
+    kept as (num, den) and compared by cross-multiplication, so nothing
+    is divided.  Only features whose x-extents lie within the square
+    root of ``bound`` of each other need to be paired when the least
+    distance is at most ``bound``.  A least distance of 0 raises
+    TransknotError.
+    """
     scale, pts = curve.scaled
+    reach = math.isqrt(bound) + 1  # above the square root
+    best, best_den = bound, 1
+
+    def spans(marks):
+        return [(x // den, -(-x // den)) for x, _, den in marks]
+
     ends = edge_ends(pts)
-    shortest = min((bx - ax) ** 2 + (bz - az) ** 2 for (ax, az), (bx, bz) in ends)
-    if shortest == 0:
-        raise TransknotError("two features of the diagram coincide")
-    reach = math.isqrt(shortest - 1) + 1  # the ceiling of the edge length
+    edges = [(ax, az, bx, bz, ex, ez, ex * ex + ez * ez)
+             for ((ax, az), (bx, bz)), (ex, ez) in zip(ends, curve.int_directions)]
+    for k, i in x_meeting_pairs(spans(points), [x_span(a, b) for a, b in ends], reach):
+        if i in skip[k]:
+            continue
+        (px, pz, pd), (ax, az, bx, bz, ex, ez, length2) = points[k], edges[i]
+        wx, wz = px - ax * pd, pz - az * pd
+        along = wx * ex + wz * ez
+        if along <= 0:
+            num, den = wx * wx + wz * wz, pd * pd
+        elif along >= length2 * pd:
+            num, den = (px - bx * pd) ** 2 + (pz - bz * pd) ** 2, pd * pd
+        else:
+            num, den = (ex * wz - ez * wx) ** 2, length2 * pd * pd
+        if num * best_den < best * den:
+            best, best_den = num, den
 
-    # crossing k as (X, Z, D): the point (X/D, Z/D) in scaled units
     marks = []
-    for c in d.crossings:
-        den = math.lcm(c.point.x.denominator, c.point.z.denominator)
-        marks.append(tuple(v.numerator * (den // v.denominator) * scale for v in c.point)
-                     + (den,))
-
-    def candidates():
-        """(num, den) of each squared distance that may be the minimum."""
-        edges = [x_span(a, b) for a, b in ends]
-        for k, i in x_meeting_pairs([(x, x) for x, _ in pts], edges, reach):
-            if k == i or k == (i + 1) % n:
-                continue
-            (px, pz), ((ax, az), (bx, bz)) = pts[k], ends[i]
-            ex, ez, wx, wz = bx - ax, bz - az, px - ax, pz - az
-            along, length2 = wx * ex + wz * ez, ex * ex + ez * ez
-            if along <= 0:
-                yield wx * wx + wz * wz, 1
-            elif along >= length2:
-                yield (px - bx) ** 2 + (pz - bz) ** 2, 1
-            else:
-                yield (ex * wz - ez * wx) ** 2, length2
-        spans = [(x // den, -(-x // den)) for x, _, den in marks]
-        for s, t in x_overlapping_pairs(spans, reach):
-            (x1, z1, d1), (x2, z2, d2) = marks[s], marks[t]
-            yield (x1 * d2 - x2 * d1) ** 2 + (z1 * d2 - z2 * d1) ** 2, (d1 * d2) ** 2
-
-    best, best_den = shortest, 1
-    for num, den in candidates():
+    for x, z in spots:
+        den = math.lcm(x.denominator, z.denominator)
+        marks.append((x.numerator * (den // x.denominator) * scale,
+                      z.numerator * (den // z.denominator) * scale, den))
+    for s, t in x_overlapping_pairs(spans(marks), reach):
+        (x1, z1, d1), (x2, z2, d2) = marks[s], marks[t]
+        num, den = (x1 * d2 - x2 * d1) ** 2 + (z1 * d2 - z2 * d1) ** 2, (d1 * d2) ** 2
         if num * best_den < best * den:
             best, best_den = num, den
     if best <= 0:

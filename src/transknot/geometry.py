@@ -15,7 +15,10 @@ positive multiples of the true directions and so give every sign
 exactly.  On ints ``/`` is true division and would put a float into a
 decision, so none of these predicates divides.  The loops pair features
 by x-sweeps: ``x_overlapping_pairs`` within one set, and
-``x_meeting_pairs`` for a red set against a blue one.
+``x_meeting_pairs`` for a red set against a blue one.  The package
+measures distances on ints too, by ``diagram.least_dist2``; the Fraction
+squared distances ``dist2`` and ``point_segment_dist2`` here are the
+references the tests compare it against.
 """
 
 from __future__ import annotations
@@ -64,11 +67,6 @@ def dot(u: Vec, v: Vec) -> Fraction:
 
 def sign(a) -> int:
     return (a > 0) - (a < 0)
-
-
-def orient(a: Point, b: Point, c: Point) -> int:
-    """+1 if a,b,c is a left turn, -1 if a right turn, 0 if collinear."""
-    return sign(cross(vec(a, b), vec(a, c)))
 
 
 def is_parallel(u: Vec, v: Vec) -> bool:
@@ -225,6 +223,16 @@ def point_in_open_segment(p: Point, a: Point, b: Point) -> bool:
     if ex * wz - ez * wx != 0:
         return False
     return 0 < wx * ex + wz * ez < ex * ex + ez * ez
+
+
+def halvings(size2, room2) -> int:
+    """The least e >= 0 with 16 * size2 <= room2 * 4**e, for room2 > 0:
+    halved e times, a vector of squared length size2 is at most a
+    quarter as long as a distance of squared length room2."""
+    e = 0
+    while 16 * size2 > room2 * 4**e:
+        e += 1
+    return e
 
 
 def dist2(p: Point, q: Point) -> Fraction:

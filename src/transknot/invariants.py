@@ -32,6 +32,7 @@ from .geometry import (
     Vec,
     cross,
     dot,
+    halvings,
     is_parallel,
     point_in_open_segment,
     segment_crossing,
@@ -161,12 +162,7 @@ def pushoff_linking_oracle(d: TransverseDiagram) -> int:
         k += 1
     u = Vec(1, 1 + k)
 
-    # the offset is u / 2**e, for the least e with |u / 2**e|^2 <= m2 / 16
-    m2 = min_feature_separation2(d)
-    e = 0
-    while 16 * dot(u, u) > m2 * 4**e:
-        e += 1
-
+    e = halvings(dot(u, u), min_feature_separation2(d))
     for _ in range(48):
         result = _pushoff_once(d, u, e)
         if result is not None:

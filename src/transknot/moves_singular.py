@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .diagram import Coorientation, Crossing, PolyCurve, TransverseDiagram
+from .diagram import Coorientation, Crossing, PolyCurve, TransverseDiagram, least_dist2
 from .errors import (
     FamilyArityError,
     HostTooShortError,
@@ -39,11 +39,10 @@ from .geometry import (
     Vec,
     corner_sweep_contains,
     cross,
-    dist2,
     dot,
+    halvings,
     is_parallel,
     neg,
-    point_segment_dist2,
     scale,
     vec,
 )
@@ -85,27 +84,6 @@ _DETOUR_CROSSINGS: tuple[tuple[tuple[int, int], int], ...] = (((0, 4), 4), ((0, 
 _DETOUR_CENTER = Point(_F(12), _F(0))
 
 
-def _clearance2(d: TransverseDiagram, host: int, p: Point) -> Fraction:
-    """Squared distance from p to every feature except the host edge.
-
-    Features are vertices, edges other than the host, and crossing
-    points (including those that sit on the host edge itself).  A
-    detour confined to a quarter of this radius around p cannot touch
-    anything it should not.
-    """
-    curve = d.curve
-    best = None
-    for v in curve.vertices:
-        best = dist2(p, v) if best is None else min(best, dist2(p, v))
-    for i, a, b in curve.edges():
-        if i == host:
-            continue
-        best = min(best, point_segment_dist2(p, a, b))
-    for c in d.crossings:
-        best = min(best, dist2(p, c.point))
-    return best
-
-
 def _anchors(d: TransverseDiagram, host: int, count: int) -> tuple[list[Point], Fraction]:
     """Evenly spaced points of the host edge, clear of crossings, and the
     least squared clearance among them.
@@ -117,18 +95,27 @@ def _anchors(d: TransverseDiagram, host: int, count: int) -> tuple[list[Point], 
     the host rules out at most one of them.  On a generic curve only
     crossings touch the interior of the host edge, so the clearance is
     positive.
+
+    The clearance of an anchor is its least squared distance to a
+    feature other than the host edge: a vertex, another edge or a
+    crossing.  A detour confined to a quarter of its square root cannot
+    touch anything it should not.  Every vertex is an end of an edge
+    other than the host and every crossing lies on one, so the edges
+    alone give it, on the scaled ints.  It is at most the squared host
+    length: each anchor lies that close to the host's ends.
     """
     a, _ = d.curve.edge(host)
     direction = d.curve.direction(host)
     on_host = {c.point for c in d.crossings if host in (c.lo, c.hi)}
     for shift in [_F(0)] + [_F(1, 2**m * count) for m in range(2, len(on_host) + 2)]:
-        anchors = [
-            Point(a.x + f * direction.x, a.z + f * direction.z)
-            for f in (_F(2 * j - 1, 2 * count) + shift for j in range(1, count + 1))
-        ]
+        fs = [_F(2 * j - 1, 2 * count) + shift for j in range(1, count + 1)]
+        anchors = [Point(a.x + f * direction.x, a.z + f * direction.z) for f in fs]
         if on_host.isdisjoint(anchors):
             break
-    return anchors, min(_clearance2(d, host, p) for p in anchors)
+    (ax, az), (ex, ez) = d.curve.scaled[1][host - 1], d.curve.int_directions[host - 1]
+    marks = [(ax * f.denominator + f.numerator * ex, az * f.denominator + f.numerator * ez,
+              f.denominator) for f in fs]
+    return anchors, least_dist2(d.curve, marks, [(host - 1,)] * count, ex * ex + ez * ez)
 
 
 def _splice(
@@ -179,9 +166,7 @@ def _bend_vertical(d: TransverseDiagram, host: int) -> TransverseDiagram:
     result checks out.
     """
     (anchor,), r2 = _anchors(d, host, 1)
-    h = Fraction(1)
-    while 16 * h * h > r2:
-        h /= 2
+    h = Fraction(1, 2 ** halvings(1, r2))
     for _ in range(48):
         bent = _splice(d, host, [Point(anchor.x + h, anchor.z)], [host, host], {})
         if bent is not None and validate(bent).is_valid:
@@ -230,13 +215,10 @@ def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
     # edge, which lie at most half an anchor spacing from the first and
     # last anchors, so this also leaves a piece of the host between
     # neighbouring detours and at both ends.
-    s = Fraction(1)
-    for _ in range(256):
-        if 16 * s * s * maxdev2 <= r2:
-            break
-        s /= 2
-    else:
+    e = halvings(maxdev2, r2)
+    if e >= 256:
         raise HostTooShortError(f"no safe detour scale for edge {host}")
+    s = Fraction(1, 2**e)
 
     # When the map reverses orientation the two over bits flip, which
     # restores both crossing signs to -1.

@@ -81,12 +81,6 @@ class TestPolyCurve:
         corners = {i: (din, dout) for i, din, dout in c.corners()}
         assert corners[1] == ((-1, -1), (2, 0))
 
-    def test_adjacent_edges(self):
-        c = SQUARE
-        assert c.adjacent_edges(1, 2)
-        assert c.adjacent_edges(1, 4)  # wraps around
-        assert not c.adjacent_edges(1, 3)
-
 
 class TestCrossing:
     def test_field_validation(self):

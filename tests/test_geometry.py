@@ -17,7 +17,6 @@ from transknot.geometry import (
     in_open_cone,
     is_parallel,
     neg,
-    orient,
     point_in_open_segment,
     point_segment_dist2,
     same_direction,
@@ -51,12 +50,6 @@ def test_vector_basics():
     assert sign(Fraction(-7, 3)) == -1
     assert sign(0) == 0
     assert sign(5) == 1
-
-
-def test_orient():
-    assert orient(P(0, 0), P(1, 0), P(0, 1)) == 1
-    assert orient(P(0, 0), P(1, 0), P(2, 0)) == 0
-    assert orient(P(0, 0), P(0, 1), P(1, 1)) == -1
 
 
 def test_parallel_predicates():

@@ -1,10 +1,11 @@
 """The int kernel against the Fraction reference predicates.
 
 ``detected_crossings``, ``genericity_violations``,
-``min_feature_separation2`` and the push-off oracle run on vertices
-scaled to ints and compare only features whose x-extents meet.  Each is
-checked with ``==`` against a plain all-pairs loop over the Fraction
-predicates of ``transknot.geometry``.
+``min_feature_separation2``, the clearance of the stabilization anchors
+and the push-off oracle run on vertices scaled to ints and compare only
+features whose x-extents meet.  Each is checked with ``==`` against a
+plain all-pairs loop over the Fraction predicates of
+``transknot.geometry``.
 
 Conditions 1 and 2, the Whitney index, crossing signs, the along-edge
 crossing order, the v2 basepoint and ``resolve`` decide on the curve's
@@ -27,11 +28,13 @@ from transknot.diagram import (
     TransverseDiagram,
     Violation,
     ViolationKind,
+    build_diagram,
     min_feature_separation2,
     parse_diagram,
     sort_violations,
 )
 from transknot.errors import DegenerateConeError, OracleError, TransknotError
+from transknot.fixtures import minus_unknot, trefoil_left, trefoil_right, u_minus
 from transknot.geometry import (
     Point,
     Vec,
@@ -63,6 +66,8 @@ from transknot.invariants import (
 from transknot.moves_singular import (
     Resolution,
     ResolutionAssignment,
+    _anchors,
+    _bend_vertical,
     make_singular,
     random_valid_diagram,
     resolve,
@@ -84,7 +89,7 @@ def ref_crossings(curve):
     found = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            if curve.adjacent_edges(i, j):
+            if j - i in (1, n - 1):  # adjacent edges
                 continue
             p = segment_intersection(*curve.edge(i), *curve.edge(j))
             if p is not None:
@@ -143,6 +148,22 @@ def ref_separation(d):
     if min(values) <= 0:
         raise TransknotError("two features of the diagram coincide")
     return min(values)
+
+
+def ref_clearance2(d, host, p):
+    """Squared distance from p to every vertex, every edge except the
+    host and every crossing point."""
+    curve = d.curve
+    best = None
+    for v in curve.vertices:
+        best = dist2(p, v) if best is None else min(best, dist2(p, v))
+    for i, a, b in curve.edges():
+        if i == host:
+            continue
+        best = min(best, point_segment_dist2(p, a, b))
+    for c in d.crossings:
+        best = min(best, dist2(p, c.point))
+    return best
 
 
 def ref_pushoff_once(d, delta):
@@ -368,6 +389,30 @@ def test_random_diagrams_and_their_stabilizations(seed, coor):
     d = random_valid_diagram(seed, coor)
     assert_kernel_matches(d)
     assert_kernel_matches(stabilize(d, 1 + seed % d.curve.n, 2))
+
+
+def assert_clearance_matches(d, host):
+    for count in (1, 2, 3, 5):
+        anchors, r2 = _anchors(d, host, count)
+        assert r2 == min(ref_clearance2(d, host, p) for p in anchors)
+
+
+# u_minus with its edge 9 running straight down, and its mirror under Minus
+VERTICAL_EDGE_UNKNOT = [(-1, -1), (1, 1), (2, 1), (3, 0), (2, -1), (1, -1),
+                        (-1, 1), (-2, 1), (-3, 0), (-3, -1), (-2, -1)]
+
+
+@pytest.mark.parametrize("d", [
+    trefoil_right(), trefoil_left(), u_minus(), minus_unknot(),
+    build_diagram(VERTICAL_EDGE_UNKNOT, Coorientation.PLUS, {(1, 6): "hi"}),
+    build_diagram([(x, -z) for x, z in VERTICAL_EDGE_UNKNOT], Coorientation.MINUS,
+                  {(1, 6): "lo"}),
+] + [random_valid_diagram(s, c) for s in SEEDS for c in Coorientation])
+def test_anchor_clearance_on_every_edge(d):
+    for host in range(1, d.curve.n + 1):
+        assert_clearance_matches(d, host)
+        if d.curve.direction(host).x == 0:
+            assert_clearance_matches(_bend_vertical(d, host), host)
 
 
 @pytest.mark.parametrize("coor", list(Coorientation))

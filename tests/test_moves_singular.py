@@ -15,7 +15,13 @@ from transknot.errors import (
     InadmissibleDoublePointError,
     InvalidDiagramError,
 )
-from transknot.fixtures import minus_unknot, trefoil_right, u_minus, u_minus_forbidden
+from transknot.fixtures import (
+    minus_unknot,
+    trefoil_left,
+    trefoil_right,
+    u_minus,
+    u_minus_forbidden,
+)
 from transknot.invariants import (
     crossing_sign,
     pushoff_linking_oracle,
@@ -163,6 +169,18 @@ class TestStabilize:
         # a crossing the splice expects but the new curve lacks fails it,
         # as when a bend moves a strand off a crossing of the host
         assert _splice(d, 3, [], [3], {frozenset(("a", "b")): "a"}) is None
+
+    def test_outputs_are_pinned(self):
+        # SHA-256 of 960 stabilizations as the Fraction clearance placed
+        # them: the int clearance must choose the same scales
+        diagrams = [trefoil_right(), trefoil_left(), u_minus(), minus_unknot()]
+        diagrams += [random_valid_diagram(s, c) for s in range(12) for c in Coorientation]
+        h = hashlib.sha256()
+        for d in diagrams:
+            for host in range(1, d.curve.n + 1):
+                for count in (1, 2, 3, 5):
+                    h.update(serialize_diagram(stabilize(d, host, count)).encode())
+        assert h.hexdigest() == "ac7223a8dc585b6fa72ba1488e82520f15d957a2b814d4884686959c8bd4d642"
 
     def test_count_zero_is_identity(self):
         d = u_minus()

@@ -47,24 +47,29 @@ def test_no_float_outside_render_svg():
     assert found == []
 
 
-# The geometry predicates that take int points: on ints `/` is true
-# division, which would put a float into a decision.
-INT_PREDICATES = {
-    "vec", "cross", "dot", "segment_crossing", "point_in_open_segment", "x_span",
-    "in_open_cone", "in_closed_cone", "corner_sweep_contains", "turn_sign",
-    "same_direction", "is_parallel", "x_overlapping_pairs", "x_meeting_pairs",
+# The routines that take int points: on ints `/` is true division,
+# which would put a float into a decision.
+INT_ROUTINES = {
+    "geometry.py": {
+        "vec", "cross", "dot", "segment_crossing", "point_in_open_segment", "x_span",
+        "in_open_cone", "in_closed_cone", "corner_sweep_contains", "turn_sign",
+        "same_direction", "is_parallel", "x_overlapping_pairs", "x_meeting_pairs",
+    },
+    "diagram.py": {"least_dist2"},
 }
 
 
 def test_no_division_in_int_predicates():
-    path = Path(transknot.__file__).parent / "geometry.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
-    assert INT_PREDICATES <= set(functions)
-    found = [
-        f"{name}:{node.lineno}"
-        for name in sorted(INT_PREDICATES)
-        for node in ast.walk(functions[name])
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
-    ]
+    found = []
+    for filename, names in sorted(INT_ROUTINES.items()):
+        path = Path(transknot.__file__).parent / filename
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+        assert names <= set(functions)
+        found += [
+            f"{filename}:{name}:{node.lineno}"
+            for name in sorted(names)
+            for node in ast.walk(functions[name])
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        ]
     assert found == []
