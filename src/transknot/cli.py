@@ -15,7 +15,6 @@ import io
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .diagram import (
@@ -52,9 +51,10 @@ from .transversality import validate
 # Bounds on the work one command may ask for, checked before any of it
 # is done: a stabilization allocates ten vertices per loop in one
 # splice, and an order check evaluates 2**(order + 1) resolutions per
-# sample.
+# sample, at most MAX_RESOLUTIONS over all its samples.
 MAX_COUNT = 1000
 MAX_ORDER = 8
+MAX_RESOLUTIONS = 4096
 
 
 @dataclass
@@ -212,8 +212,11 @@ def _cmd_resolve(args) -> CommandOutcome:
         raise ValueError(f"--assign must be a string of + and -, got {assign!r}")
     if len(assign) != len(args.sites):
         raise ValueError("--assign length must match the number of sites")
-    if any(i < 1 for i in args.sites):
-        raise ValueError("--sites indices are 1-based")
+    for k, i in enumerate(args.sites):
+        if not 1 <= i <= len(d.crossings):
+            raise ValueError(f"--sites index {i} is not in 1..{len(d.crossings)}")
+        if i in args.sites[:k]:
+            raise ValueError(f"--sites lists site {i} twice")
     zero_based = [i - 1 for i in args.sites]
     s = make_singular(d, zero_based)
     choices = {
@@ -228,6 +231,7 @@ def _cmd_resolve(args) -> CommandOutcome:
 _INVARIANT_HANDLES = {
     "writhe": WRITHE_INVARIANT,
     "v2": V2_INVARIANT,
+    "sl-pullback": pullback_framed_invariant(FRAMING_PROJECTION),
 }
 
 
@@ -238,9 +242,9 @@ def _cmd_order_check(args) -> CommandOutcome:
         raise ValueError(f"--order must be at most {MAX_ORDER}")
     if args.samples < 1:
         raise ValueError("--samples must be positive")
-    handle = _INVARIANT_HANDLES.get(args.invariant)
-    if handle is None:
-        handle = pullback_framed_invariant(FRAMING_PROJECTION)
+    if args.samples * 2 ** (args.order + 1) > MAX_RESOLUTIONS:
+        raise ValueError(f"--samples times 2**(order + 1) must be at most {MAX_RESOLUTIONS}")
+    handle = _INVARIANT_HANDLES[args.invariant]
     family = singular_family(args.seed, args.order + 1, args.samples)
     lines = []
     all_zero = True

@@ -175,7 +175,7 @@ class PolyCurve:
         no collinear overlaps, and non-adjacent edges meeting in at most
         one interior point with all such points distinct.  Computed once,
         on the scaled vertices: coincident vertices by equal points, the
-        rest comparing only features whose x-extents meet.
+        rest on the edge pairs of ``edge_pairs``, whose x-extents meet.
         """
         out: list[Violation] = []
         n = self.n
@@ -201,20 +201,22 @@ class PolyCurve:
                 for group in at.values() for s, t in combinations(group, 2)
                 if t - s not in (1, n - 1)]
 
-        on_edge = {k for k, i in x_meeting_pairs([(x, x) for x, _ in pts],
-                                                 [x_span(a, b) for a, b in ends])
-                   if point_in_open_segment(pts[k], *ends[i])}  # never at its own ends
-        out += [Violation(ViolationKind.VertexOnEdge, point=self.vertices[k]) for k in on_edge]
-
+        # a vertex inside an edge meets it in x, as does the edge it starts
+        on_edge = set()
         for i, j in self.edge_pairs:
+            (a, b), (c, d) = ends[i], ends[j]
+            if point_in_open_segment(c, a, b):  # never at its own ends
+                on_edge.add(j)
+            if point_in_open_segment(a, c, d):
+                on_edge.add(i)
             if i in zero or j in zero:
                 continue
-            (a, _), (c, d) = ends[i], ends[j]
             e = dirs[i]
             if cross(e, dirs[j]) == 0 and cross(e, vec(a, c)) == 0:
                 lo, hi = sorted((dot(vec(a, c), e), dot(vec(a, d), e)))
                 if min(hi, dot(e, e)) > max(lo, 0):  # more than one common point
                     out.append(Violation(ViolationKind.CollinearOverlap, edges=(i + 1, j + 1)))
+        out += [Violation(ViolationKind.VertexOnEdge, point=self.vertices[k]) for k in on_edge]
 
         points: dict[Point, int] = {}
         for _, _, p in self.detected_crossings:
@@ -365,7 +367,7 @@ def min_feature_separation2(d: TransverseDiagram) -> Fraction:
     """
     n = d.curve.n
     _, pts = d.curve.scaled
-    shortest = min((bx - ax) ** 2 + (bz - az) ** 2 for (ax, az), (bx, bz) in edge_ends(pts))
+    shortest = min(ex * ex + ez * ez for ex, ez in d.curve.int_directions)
     return least_dist2(d.curve, [(x, z, 1) for x, z in pts],
                        [(k, (k - 1) % n) for k in range(n)], shortest,
                        [c.point for c in d.crossings])
@@ -425,12 +427,15 @@ def least_dist2(curve: PolyCurve, points, skip, bound: int, spots=()) -> Fractio
     return Fraction(best, best_den * scale * scale)
 
 
-def crossing_mismatch(curve: PolyCurve, declared) -> tuple[list, list]:
-    """Sorted (missing, extra): the detected crossing pairs absent from
-    ``declared``, and the declared pairs the curve does not cross."""
+def crossing_mismatch(curve: PolyCurve, declared) -> tuple[list, list, tuple[Violation, ...]]:
+    """Sorted (missing, extra, violations): the detected crossing pairs
+    absent from ``declared``, the declared pairs the curve does not
+    cross, and one CrossingMismatch per pair of either list."""
     detected = {(lo, hi) for lo, hi, _ in curve.detected_crossings}
     declared = set(declared)
-    return sorted(detected - declared), sorted(declared - detected)
+    missing, extra = sorted(detected - declared), sorted(declared - detected)
+    return missing, extra, tuple(Violation(ViolationKind.CrossingMismatch, edges=pair)
+                                 for pair in sorted(missing + extra))
 
 
 def _attach_over(curve: PolyCurve, coor: Coorientation, over: dict) -> TransverseDiagram:
@@ -454,8 +459,8 @@ def build_diagram(
     curve = PolyCurve(tuple(Point(Fraction(x), Fraction(z)) for x, z in vertices))
     if curve.genericity_violations:
         raise NongenericCurveError(curve.genericity_violations)
-    missing, extra = crossing_mismatch(curve, over)
-    if missing or extra:
+    missing, extra, mismatch = crossing_mismatch(curve, over)
+    if mismatch:
         raise ValueError(
             f"over map does not match detected crossings: "
             f"missing {missing}, extra {extra}"
@@ -575,11 +580,9 @@ def parse_diagram(text: str) -> TransverseDiagram:
     curve = PolyCurve(tuple(verts))
     if curve.genericity_violations:
         raise ParseError(0, "curve is not generic", violations=curve.genericity_violations)
-    missing, extra = crossing_mismatch(curve, declared)
-    if missing or extra:
-        violations = [Violation(ViolationKind.CrossingMismatch, edges=pair)
-                      for pair in sorted(missing + extra)]
-        raise CrossingMismatchError(missing, extra, violations)
+    missing, extra, mismatch = crossing_mismatch(curve, declared)
+    if mismatch:
+        raise CrossingMismatchError(missing, extra, mismatch)
     return _attach_over(curve, coor, declared)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .diagram import Coorientation, TransverseDiagram
 from .errors import ComponentMismatchError, PreconditionFailedError

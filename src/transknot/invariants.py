@@ -33,14 +33,13 @@ from .geometry import (
     cross,
     dot,
     halvings,
-    is_parallel,
     point_in_open_segment,
     segment_crossing,
     sign,
     x_meeting_pairs,
     x_span,
 )
-from .transversality import require_valid, whitney_index
+from .transversality import regular_direction, require_valid, whitney_index
 
 
 @dataclass(frozen=True)
@@ -77,8 +76,8 @@ def self_linking(d: TransverseDiagram) -> int:
 
 
 def _pushoff_once(d: TransverseDiagram, u: Vec, e: int):
-    """One oracle attempt at offset u / 2**e; None signals a too-coarse
-    or unlucky offset.
+    """The oracle at offset u / 2**e; None signals a degenerate contact
+    or an intersection pattern other than the one the offset must give.
 
     Runs on the curve's scaled vertices refined by 2**e, on which the
     offset is the int vector L·u, and compares only original features
@@ -98,11 +97,10 @@ def _pushoff_once(d: TransverseDiagram, u: Vec, e: int):
 
     by_pair = {(c.lo, c.hi): c for c in d.crossings}
     hits: dict[tuple[int, int], int] = {}
-    total = 0
-    corner_total = 0
+    total = corner_total = 0
     for r, b in x_meeting_pairs(red, blue):
         # degenerate contacts (a vertex of one curve on the other) make
-        # the intersection pattern ambiguous; reject and retry smaller
+        # the intersection pattern ambiguous
         if r < n <= b:
             if point_in_open_segment(orig[r], *copy_ends[b - n]):
                 return None
@@ -132,7 +130,7 @@ def _pushoff_once(d: TransverseDiagram, u: Vec, e: int):
             total += sgn
             corner_total += sgn
         else:
-            return None  # distant edges cannot meet; offset too big
+            return None  # distant edges cannot meet at a small offset
 
     if set(hits) != set(by_pair) or any(v != 2 for v in hits.values()):
         return None
@@ -145,45 +143,44 @@ def pushoff_linking_oracle(d: TransverseDiagram) -> int:
     """Linking number of d with a translated copy of itself.
 
     Structural check for self_linking: the copy stands in for the
-    push-off along the viewing direction, whose projection offset is a
-    small generic translation.  Every original crossing yields exactly
-    two knot-to-copy intersections with the inherited vertical order;
-    intersections near corners pair the original strand over the copy
-    and cancel exactly.  Half the signed total is returned.
+    push-off along the viewing direction, whose projection offset is
+    δ = u / 2**e, with u the ``regular_direction`` of the edges and e
+    the least with |δ| at most a quarter of the minimum feature
+    separation.  Half the signed count of knot-to-copy intersections is
+    returned.  One attempt always succeeds on a valid diagram:
 
-    The offset direction is (1, 1+k) for the least k >= 0 avoiding all
-    edge directions; its length starts below a quarter of the minimum
-    feature separation and is halved on every retry.
+    - No vertex of either curve lies on the other: it would lie within
+      |δ| of a non-incident edge, or δ would be parallel to an incident
+      one.  Edges that neither cross nor share a vertex do not meet, as
+      two disjoint segments come closest at an endpoint of one.
+    - Each crossing pair (i, j) is hit exactly twice, edge i by the copy
+      of edge j and j by the copy of i, with the inherited vertical
+      order: a hit off either segment would put the endpoint nearest
+      the moved crossing within |δ| of the other edge.
+    - Corner hits occur where u or -u lies in a corner's sweep, signed
+      against the corner's turn for u and with it for -u, so they sum
+      to the Whitney index at -u less that at u; each is 0 on a valid
+      diagram, whose tangent never points along the coorientation.
+
+    So a failed attempt means a broken invariant: it raises OracleError.
     """
     require_valid(d)
-
-    k = 0
-    while any(is_parallel(Vec(1, 1 + k), t) for t in d.curve.int_directions):
-        k += 1
-    u = Vec(1, 1 + k)
-
-    e = halvings(dot(u, u), min_feature_separation2(d))
-    for _ in range(48):
-        result = _pushoff_once(d, u, e)
-        if result is not None:
-            return result
-        e += 1
-    raise OracleError("no admissible push-off offset found")
+    u = regular_direction(d.curve.int_directions)
+    result = _pushoff_once(d, u, halvings(dot(u, u), min_feature_separation2(d)))
+    if result is None:
+        raise OracleError("no admissible push-off offset found")
+    return result
 
 
-def _passages(d: TransverseDiagram) -> list[tuple[tuple[int, int], bool]]:
-    """Crossing passages in curve order from the canonical basepoint.
-
-    The basepoint is the lexicographically least vertex (it exists and
-    can never coincide with a crossing), found on the scaled vertices.
-    Each entry is ((lo, hi), passes_over).
-    """
-    _, pts = d.curve.scaled
-    return _passages_from(d, min(range(len(pts)), key=pts.__getitem__) + 1)
-
-
-def _passages_from(d: TransverseDiagram, base: int) -> list[tuple[tuple[int, int], bool]]:
+def _passages(d: TransverseDiagram, base: int | None = None) -> list[tuple[tuple[int, int], bool]]:
+    """Crossing passages in curve order from vertex ``base``, by default
+    the lexicographically least vertex (it exists and can never coincide
+    with a crossing), found on the scaled vertices.  Each entry is
+    ((lo, hi), passes_over)."""
     n = d.curve.n
+    if base is None:
+        _, pts = d.curve.scaled
+        base = min(range(n), key=pts.__getitem__) + 1
     out = []
     for step in range(n):
         i = (base - 1 + step) % n + 1
@@ -204,12 +201,8 @@ def v2(d: TransverseDiagram, basepoint: int | None = None) -> int:
     vertex index may be forced instead (the count does not depend on
     the choice).
     """
-    if basepoint is None:
-        passages = _passages(d)
-    else:
-        passages = _passages_from(d, basepoint)
     where: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-    for idx, (cid, over) in enumerate(passages):
+    for idx, (cid, over) in enumerate(_passages(d, basepoint)):
         where.setdefault(cid, []).append((idx, over))
     signs = {(c.lo, c.hi): crossing_sign(d, c) for c in d.crossings}
 

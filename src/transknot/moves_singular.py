@@ -47,7 +47,7 @@ from .geometry import (
     vec,
 )
 from .invariants import self_linking, v2, writhe
-from .transversality import forced_over, require_valid, validate
+from .transversality import forced_over, reference, require_valid, validate
 
 # --- the canonical detour ---------------------------------------------------
 
@@ -202,7 +202,7 @@ def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
     # it to any non-vertical host: verticals stay vertical, so the
     # no-upward-tangent conditions transport as well.
     direction = d.curve.direction(host)
-    sigma = 1 if d.coorientation is Coorientation.PLUS else -1
+    sigma = reference(d.coorientation).z
     deviations = [
         Vec(direction.x * u.x, direction.z * u.x + sigma * u.z)
         for u in (vec(_DETOUR_CENTER, p) for p in _DETOUR_PATH)
@@ -470,7 +470,7 @@ def random_valid_diagram(
     The rejection loop runs on ints; only the vertices become Fractions.
     """
     rng = random.Random(f"transknot/{seed!r}/{coorientation.value}")
-    ref = Vec(0, 1 if coorientation is Coorientation.PLUS else -1)
+    ref = reference(coorientation)
     for _ in range(2000):
         base = rng.sample(_DIRECTION_POOL, rng.randint(3, 5))
         dirs: list[Vec] = []

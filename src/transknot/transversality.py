@@ -29,8 +29,6 @@ from .geometry import (
     Vec,
     corner_sweep_contains,
     in_open_cone,
-    is_parallel,
-    neg,
     same_direction,
     turn_sign,
 )
@@ -39,8 +37,19 @@ UP = Vec(0, 1)
 DOWN = Vec(0, -1)
 
 
-def _reference(coor: Coorientation) -> Vec:
+def reference(coor: Coorientation) -> Vec:
+    """The forbidden vertical: UP for Plus, DOWN (UP on the reversed curve) for Minus."""
     return UP if coor is Coorientation.PLUS else DOWN
+
+
+def regular_direction(dirs) -> Vec:
+    """The first of (1, 1), (1, 2), ... parallel to no non-zero int
+    vector t in ``dirs``, that is with t.z != m * t.x."""
+    taken = {t.z // t.x for t in dirs if t.x and t.z % t.x == 0}
+    m = 1
+    while m in taken:
+        m += 1
+    return Vec(1, m)
 
 
 @dataclass(frozen=True)
@@ -55,13 +64,11 @@ class ValidityReport:
 def check_condition1(curve: PolyCurve, coor: Coorientation) -> list[Violation]:
     """Violations of the no-upward-tangent condition.
 
-    Edges pointing along the forbidden vertical and corners whose sweep
-    passes through it are reported.  For Plus the forbidden direction
-    is (0,1); for Minus it is (0,-1), which is what reversing the
-    curve's orientation and testing (0,1) would give.  Decided on the
+    Edges pointing along the forbidden vertical ``reference(coor)`` and
+    corners whose sweep passes through it are reported.  Decided on the
     curve's int directions.
     """
-    ref = _reference(coor)
+    ref = reference(coor)
     dirs = curve.int_directions
     out = []
     for i, d_out in enumerate(dirs):
@@ -76,19 +83,18 @@ def forced_over(curve: PolyCurve, coor: Coorientation, lo: int, hi: int) -> Opti
     """The strand ("lo" or "hi") that must pass over where edges lo and
     hi cross, or None when the over bit is free.
 
-    The bit is forced when straight up lies in the open cone of the two
-    tangents (Minus: tangents reversed); then one tangent has dx > 0,
-    the other dx < 0, and the over strand must be the dx < 0 one.  Under
+    The bit is forced when ``reference(coor)`` lies in the open cone of
+    the two tangents (DOWN in cone(t) exactly when UP is in cone(-t));
+    then one tangent has dx > 0, the other dx < 0, and the over strand
+    is the dx < 0 one for Plus, the dx > 0 one for Minus.  Under
     condition 1 no tangent points along the forbidden vertical, so at a
-    free crossing up is outside the closed cone too and either over bit
+    free crossing it is outside the closed cone too and either over bit
     gives a valid diagram.  Decided on the curve's int directions.
     """
     t_lo, t_hi = curve.int_directions[lo - 1], curve.int_directions[hi - 1]
-    if coor is Coorientation.MINUS:
-        t_lo, t_hi = neg(t_lo), neg(t_hi)
-    if not in_open_cone(UP, t_lo, t_hi):
+    if not in_open_cone(reference(coor), t_lo, t_hi):
         return None
-    return "lo" if t_lo.x < 0 else "hi"
+    return "lo" if (t_lo.x < 0) is (coor is Coorientation.PLUS) else "hi"
 
 
 def check_condition2(d: TransverseDiagram) -> list[Violation]:
@@ -121,10 +127,9 @@ def check_validity(d: TransverseDiagram) -> ValidityReport:
     """
     if d.curve.genericity_violations:
         return ValidityReport(d.curve.genericity_violations)
-    missing, extra = crossing_mismatch(d.curve, ((c.lo, c.hi) for c in d.crossings))
-    if missing or extra:
-        return ValidityReport(tuple(Violation(ViolationKind.CrossingMismatch, edges=pair)
-                                    for pair in sorted(missing + extra)))
+    _, _, mismatch = crossing_mismatch(d.curve, ((c.lo, c.hi) for c in d.crossings))
+    if mismatch:
+        return ValidityReport(mismatch)
     out = check_condition1(d.curve, d.coorientation) + check_condition2(d)
     return ValidityReport(tuple(sort_violations(out)))
 
@@ -140,22 +145,15 @@ def whitney_index(curve: PolyCurve) -> int:
     """Rotation number of the tangent direction, by sweep counting.
 
     Corners whose sweep passes through a reference direction r count
-    +1 (counterclockwise turn) or -1 (clockwise).  r defaults to (0,1)
-    and is moved to the first of (1,1), (1,2), ... whenever some edge
-    is parallel to it, so r is always a regular value.  Decided on the
-    curve's int directions.  Zero edges raise NongenericCurveError.
+    +1 (counterclockwise turn) or -1 (clockwise).  r is the edges'
+    ``regular_direction``; the count is the same for every direction
+    parallel to no edge.  Decided on the curve's int directions.  Zero
+    edges raise NongenericCurveError.
     """
     dirs = curve.int_directions
     if (0, 0) in dirs:
         raise NongenericCurveError(v for v in curve.genericity_violations
                                    if v.kind is ViolationKind.ZeroEdge)
-    ref = UP
-    n_try = 1
-    while any(is_parallel(dv, ref) for dv in dirs):
-        ref = Vec(1, n_try)
-        n_try += 1
-    total = 0
-    for i, d_out in enumerate(dirs):
-        if corner_sweep_contains(dirs[i - 1], d_out, ref):
-            total += turn_sign(dirs[i - 1], d_out)
-    return total
+    ref = regular_direction(dirs)
+    return sum(turn_sign(dirs[i - 1], d_out) for i, d_out in enumerate(dirs)
+               if corner_sweep_contains(dirs[i - 1], d_out, ref))

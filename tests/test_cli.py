@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from transknot.cli import MAX_COUNT, MAX_ORDER, dispatch, render_svg
+from transknot.cli import MAX_COUNT, MAX_ORDER, MAX_RESOLUTIONS, dispatch, render_svg
 from transknot.diagram import parse_diagram, serialize_diagram
 from transknot.fixtures import trefoil_right, u_minus, u_minus_forbidden
 from transknot.invariants import self_linking, v2, writhe
@@ -197,6 +197,23 @@ class TestResolve:
         assert out.exit_code == 1
         assert "length" in out.stdout_lines[0]
 
+    @pytest.mark.parametrize("site", [0, 8, 9])
+    def test_site_out_of_range_names_the_1_based_range(self, trefoil_file, tmp_path, site):
+        out_path = tmp_path / "resolved.txt"
+        out = dispatch(["resolve", trefoil_file, "--sites", str(site), "--assign", "+",
+                        "-o", str(out_path)])
+        assert out.exit_code == 1
+        assert out.stdout_lines == [f"error: --sites index {site} is not in 1..7"]
+        assert not out_path.exists()
+
+    def test_repeated_site_is_refused(self, trefoil_file, tmp_path):
+        out_path = tmp_path / "resolved.txt"
+        out = dispatch(["resolve", trefoil_file, "--sites", "1,1", "--assign", "+-",
+                        "-o", str(out_path)])
+        assert out.exit_code == 1
+        assert out.stdout_lines == ["error: --sites lists site 1 twice"]
+        assert not out_path.exists()
+
     def test_forced_site_is_a_domain_error(self, u_minus_file, tmp_path):
         out = dispatch(
             ["resolve", u_minus_file, "--sites", "1", "--assign", "+",
@@ -334,6 +351,24 @@ class TestWorkBounds:
                         str(MAX_ORDER + 1), "--seed", "1", "--samples", "1"])
         assert out.exit_code == 1
         assert out.stdout_lines == [f"error: --order must be at most {MAX_ORDER}"]
+
+    @pytest.mark.parametrize("order", [0, 2, MAX_ORDER])
+    def test_samples_over_bound(self, monkeypatch, order):
+        monkeypatch.setattr("transknot.cli.singular_family", _must_not_run)
+        samples = MAX_RESOLUTIONS // 2 ** (order + 1) + 1
+        out = dispatch(["order-check", "--invariant", "writhe", "--order", str(order),
+                        "--seed", "1", "--samples", str(samples)])
+        assert out.exit_code == 1
+        assert out.stdout_lines == [
+            f"error: --samples times 2**(order + 1) must be at most {MAX_RESOLUTIONS}"]
+
+    def test_samples_at_bound_reach_the_family(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr("transknot.cli.singular_family",
+                            lambda seed, doubles, size: asked.append(size) or [])
+        out = dispatch(["order-check", "--invariant", "writhe", "--order", "2",
+                        "--seed", "1", "--samples", str(MAX_RESOLUTIONS // 8)])
+        assert (out.exit_code, out.stdout_lines, asked) == (0, [], [MAX_RESOLUTIONS // 8])
 
 
 class TestUnexpectedErrors:

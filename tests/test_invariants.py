@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from transknot.diagram import Coorientation, Crossing, TransverseDiagram, build_diagram
-from transknot.errors import InvalidDiagramError, TransknotError
+from transknot.errors import InvalidDiagramError, OracleError, TransknotError
 from transknot.fixtures import (
     minus_unknot,
     one_crossing_unknots,
@@ -140,3 +140,14 @@ def test_invariant_values_record():
     assert vals[0] == InvariantValue("writhe", 1)
     assert [iv.name for iv in vals] == ["writhe", "sl", "whitney", "crossings", "v2"]
     assert [iv.value for iv in vals] == [1, 1, 0, 7, 1]
+
+
+def test_oracle_makes_one_attempt(monkeypatch):
+    # one offset always suffices on a valid diagram, so a failed attempt
+    # is a broken invariant and is not retried at a smaller offset
+    calls = []
+    monkeypatch.setattr("transknot.invariants._pushoff_once",
+                        lambda d, u, e: calls.append((u, e)))
+    with pytest.raises(OracleError):
+        pushoff_linking_oracle(trefoil_right())
+    assert len(calls) == 1

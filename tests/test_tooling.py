@@ -73,3 +73,23 @@ def test_no_division_in_int_predicates():
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
         ]
     assert found == []
+
+
+def test_no_unused_imports():
+    # every name a module-level import binds is read in its module
+    found = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue  # binds the exported API
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for top in tree.body:
+            for node in [top, *(top.body if isinstance(top, ast.If) else ())]:
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found += [f"{path.name}:{node.lineno}:{alias.asname or alias.name}"
+                              for alias in node.names
+                              if (alias.asname or alias.name).split(".")[0] not in read]
+    assert found == []
