@@ -14,8 +14,8 @@ import contextlib
 import io
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .diagram import (
     TransverseDiagram,
@@ -24,29 +24,12 @@ from .diagram import (
     serialize_diagram,
 )
 from .errors import ParseError, TransknotError
-from .framing import (
-    ExistenceKind,
-    ManifoldDescriptor,
-    compute_m_T,
-    distinguish_by_relative_framing,
-    relative_framing_exists,
-)
 from .geometry import dot, vec
 from .invariants import invariant_values, pushoff_linking_oracle
-from .moves_singular import (
-    FRAMING_PROJECTION,
-    Resolution,
-    ResolutionAssignment,
-    V2_INVARIANT,
-    WRITHE_INVARIANT,
-    make_singular,
-    pullback_framed_invariant,
-    resolve,
-    singular_family,
-    stabilize,
-    vassiliev_defect,
-)
 from .transversality import validate
+
+# The handlers that need `framing` or `moves_singular` import it
+# themselves, so that a command loads only the modules it runs.
 
 # Bounds on the work one command may ask for, checked before any of it
 # is done: a stabilization allocates ten vertices per loop in one
@@ -57,8 +40,7 @@ MAX_ORDER = 8
 MAX_RESOLUTIONS = 4096
 
 
-@dataclass
-class CommandOutcome:
+class CommandOutcome(NamedTuple):
     exit_code: int
     stdout_lines: list[str]
 
@@ -91,7 +73,9 @@ def _descriptor_flags(p: argparse.ArgumentParser) -> None:
                    help="declare the pairing family exhaustive")
 
 
-def _descriptor(args: argparse.Namespace, sphere: bool = False) -> ManifoldDescriptor:
+def _descriptor(args: argparse.Namespace, sphere: bool = False):
+    from .framing import ManifoldDescriptor
+
     return ManifoldDescriptor(
         euler_finite_order=args.euler_finite,
         closed_irreducible_atoroidal=args.atoroidal,
@@ -195,6 +179,8 @@ def _cmd_oracle_sl(args) -> CommandOutcome:
 
 
 def _cmd_stabilize(args) -> CommandOutcome:
+    from .moves_singular import stabilize
+
     if args.count > MAX_COUNT:
         raise ValueError(f"--count must be at most {MAX_COUNT}")
     d = _load(args.file)
@@ -204,6 +190,8 @@ def _cmd_stabilize(args) -> CommandOutcome:
 
 
 def _cmd_resolve(args) -> CommandOutcome:
+    from .moves_singular import Resolution, ResolutionAssignment, make_singular, resolve
+
     d = _load(args.file)
     # argparse drops the value of `--assign=--` as its end-of-options
     # marker and stores an empty list
@@ -228,14 +216,16 @@ def _cmd_resolve(args) -> CommandOutcome:
     return CommandOutcome(0, [])
 
 
-_INVARIANT_HANDLES = {
-    "writhe": WRITHE_INVARIANT,
-    "v2": V2_INVARIANT,
-    "sl-pullback": pullback_framed_invariant(FRAMING_PROJECTION),
-}
-
-
 def _cmd_order_check(args) -> CommandOutcome:
+    from .moves_singular import (
+        FRAMING_PROJECTION,
+        V2_INVARIANT,
+        WRITHE_INVARIANT,
+        pullback_framed_invariant,
+        singular_family,
+        vassiliev_defect,
+    )
+
     if args.order < 0:
         raise ValueError("--order must be nonnegative")
     if args.order > MAX_ORDER:
@@ -244,7 +234,11 @@ def _cmd_order_check(args) -> CommandOutcome:
         raise ValueError("--samples must be positive")
     if args.samples * 2 ** (args.order + 1) > MAX_RESOLUTIONS:
         raise ValueError(f"--samples times 2**(order + 1) must be at most {MAX_RESOLUTIONS}")
-    handle = _INVARIANT_HANDLES[args.invariant]
+    handle = {
+        "writhe": WRITHE_INVARIANT,
+        "v2": V2_INVARIANT,
+        "sl-pullback": pullback_framed_invariant(FRAMING_PROJECTION),
+    }[args.invariant]
     family = singular_family(args.seed, args.order + 1, args.samples)
     lines = []
     all_zero = True
@@ -256,10 +250,14 @@ def _cmd_order_check(args) -> CommandOutcome:
 
 
 def _cmd_mtor(args) -> CommandOutcome:
+    from .framing import compute_m_T
+
     return CommandOutcome(0, [f"m={compute_m_T(args.pairings)}"])
 
 
 def _cmd_exists(args) -> CommandOutcome:
+    from .framing import ExistenceKind, relative_framing_exists
+
     r = relative_framing_exists(_descriptor(args))
     if r.kind is ExistenceKind.EXISTS:
         return CommandOutcome(0, [f"EXISTS {r.reason}"])
@@ -269,6 +267,8 @@ def _cmd_exists(args) -> CommandOutcome:
 
 
 def _cmd_distinguish(args) -> CommandOutcome:
+    from .framing import distinguish_by_relative_framing
+
     desc = _descriptor(args, sphere=args.sphere)
     r = distinguish_by_relative_framing(desc, args.zero_homologous, args.stabilizations)
     verdict = "DISTINGUISHED" if r.distinguished else "INCONCLUSIVE"

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .errors import CrossingMismatchError, NongenericCurveError, ParseError, TransknotError
 from .geometry import (
@@ -58,8 +57,40 @@ class ViolationKind(enum.Enum):
     CrossingMismatch = enum.auto()
 
 
-@dataclass(frozen=True)
-class Violation:
+class Frozen:
+    """Equality, hash and repr over the fields named in ``_fields``, and
+    no assignment: what a frozen dataclass gives, without the import
+    cost of ``dataclasses``.  Instances are equal when their classes and
+    field tuples are, and hash as the field tuple.  Each ``__init__``
+    sets its fields with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Violation(NamedTuple):
     """A single defect, located either at edges or at a point."""
 
     kind: ViolationKind
@@ -85,19 +116,20 @@ def sort_violations(violations) -> list[Violation]:
     return sorted(violations, key=Violation.sort_key)
 
 
-@dataclass(frozen=True)
-class PolyCurve:
+class PolyCurve(Frozen):
     """Closed oriented polygonal curve; edge i runs vertex i -> i+1.
 
     Vertices and edges are indexed 1-based and cyclically, so edge n
     closes the loop back to vertex 1.
     """
 
+    _fields = ("vertices",)
     vertices: tuple[Point, ...]
 
-    def __post_init__(self):
-        if len(self.vertices) < 3:
+    def __init__(self, vertices: tuple[Point, ...]):
+        if len(vertices) < 3:
             raise ValueError("a closed curve needs at least 3 vertices")
+        object.__setattr__(self, "vertices", vertices)
 
     @property
     def n(self) -> int:
@@ -255,24 +287,36 @@ def _crossing_scan(curve: PolyCurve) -> tuple[tuple[int, int, Point], ...]:
     return tuple(sorted(found))
 
 
-@dataclass(frozen=True, order=True)
-class Crossing:
+@total_ordering
+class Crossing(Frozen):
     """A transversal double point of the projection.
 
     ``lo < hi`` index the two edges; ``over`` names the strand drawn on
-    top (the one with the smaller y-coordinate in space).
+    top (the one with the smaller y-coordinate in space).  Crossings
+    sort by (lo, hi, point, over).
     """
 
+    __slots__ = _fields = ("lo", "hi", "point", "over")
     lo: int
     hi: int
     point: Point
     over: str  # "lo" or "hi"
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
+    def __init__(self, lo: int, hi: int, point: Point, over: str):
+        if not lo < hi:
             raise ValueError("crossing edges must satisfy lo < hi")
-        if self.over not in ("lo", "hi"):
+        if over not in ("lo", "hi"):
             raise ValueError("over must be 'lo' or 'hi'")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "over", over)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi, self.point, self.over) < (other.lo, other.hi, other.point,
+                                                            other.over)
 
     @property
     def over_edge(self) -> int:
@@ -283,16 +327,18 @@ class Crossing:
         return self.hi if self.over == "lo" else self.lo
 
 
-@dataclass(frozen=True)
-class TransverseDiagram:
+class TransverseDiagram(Frozen):
+    """A curve, its coorientation, and its crossings, kept sorted."""
+
+    _fields = ("curve", "coorientation", "crossings")
     curve: PolyCurve
     coorientation: Coorientation
     crossings: tuple[Crossing, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "crossings", tuple(sorted(self.crossings))
-        )
+    def __init__(self, curve: PolyCurve, coorientation: Coorientation, crossings):
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "coorientation", coorientation)
+        object.__setattr__(self, "crossings", tuple(sorted(crossings)))
 
     @cached_property
     def validity(self) -> ValidityReport:

@@ -17,17 +17,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .diagram import Coorientation, TransverseDiagram
+from .diagram import Coorientation, Frozen, TransverseDiagram
 from .errors import ComponentMismatchError, PreconditionFailedError
 from .invariants import self_linking
 from .transversality import require_valid
 
 
-@dataclass(frozen=True)
-class ManifoldDescriptor:
+class ManifoldDescriptor(NamedTuple):
     """Trusted declarations about the ambient manifold.
 
     ``torus_pairings`` lists the integer evaluations of the relevant
@@ -51,15 +49,16 @@ def compute_m_T(pairings: Iterable[int]) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class FramingTorsor:
+class FramingTorsor(Frozen):
     """Integer framings up to the declared modulus (0 = full integers)."""
 
+    __slots__ = _fields = ("modulus",)
     modulus: int
 
-    def __post_init__(self):
-        if self.modulus < 0:
+    def __init__(self, modulus: int):
+        if modulus < 0:
             raise ValueError("modulus must be nonnegative")
+        object.__setattr__(self, "modulus", modulus)
 
 
 def act(t: FramingTorsor, k: int, x: int) -> int:
@@ -82,8 +81,7 @@ class ExistenceKind(enum.Enum):
     UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
-class ExistenceResult:
+class ExistenceResult(NamedTuple):
     kind: ExistenceKind
     reason: Optional[str] = None
     modulus: Optional[int] = None
@@ -116,8 +114,7 @@ def relative_framing_exists(desc: ManifoldDescriptor) -> ExistenceResult:
     return ExistenceResult(ExistenceKind.UNKNOWN)
 
 
-@dataclass(frozen=True)
-class ComponentLabel:
+class ComponentLabel(NamedTuple):
     """A component of the space of transverse curves in a free homotopy
     class: the class name plus which side the coorientation points."""
 
@@ -133,8 +130,7 @@ def transverse_components(curve_class: str) -> tuple[ComponentLabel, ComponentLa
     )
 
 
-@dataclass(frozen=True)
-class RelativeFraming:
+class RelativeFraming(NamedTuple):
     """A relative framing of one component, pinned by its value on a
     chosen basepoint knot."""
 
@@ -187,8 +183,7 @@ def framed_classes_equal(
     return Equality.UNEQUAL
 
 
-@dataclass(frozen=True)
-class DistinguishResult:
+class DistinguishResult(NamedTuple):
     distinguished: bool
     torsor_line: str
 

@@ -18,8 +18,8 @@ is the usual right-handed crossing sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .diagram import (
     Crossing,
@@ -42,8 +42,7 @@ from .geometry import (
 from .transversality import regular_direction, require_valid, whitney_index
 
 
-@dataclass(frozen=True)
-class InvariantValue:
+class InvariantValue(NamedTuple):
     name: str
     value: int
 

@@ -24,7 +24,7 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .diagram import Coorientation, Crossing, PolyCurve, TransverseDiagram, least_dist2
 from .errors import (
@@ -219,13 +219,14 @@ def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
     if e >= 256:
         raise HostTooShortError(f"no safe detour scale for edge {host}")
     s = Fraction(1, 2**e)
+    offsets = [(s * u.x, s * u.z) for u in deviations]
 
     # When the map reverses orientation the two over bits flip, which
     # restores both crossing signs to -1.
     flips = sigma * direction.x < 0
     path, labels, over = [], [host], {}
     for j, anchor in enumerate(anchors):
-        path += [Point(anchor.x + s * u.x, anchor.z + s * u.z) for u in deviations]
+        path += [Point(anchor.x + dx, anchor.z + dz) for dx, dz in offsets]
         labels += [(j, t) for t in range(len(_DETOUR_PATH) - 1)] + [host]
         for (a, b), top in _DETOUR_CROSSINGS:
             over[frozenset(((j, a), (j, b)))] = (j, a + b - top if flips else top)
@@ -238,15 +239,13 @@ def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
 # --- singular diagrams ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Resolved:
+class Resolved(NamedTuple):
     """A site that keeps its crossing data."""
 
     crossing: Crossing
 
 
-@dataclass(frozen=True)
-class Double:
+class Double(NamedTuple):
     """A crossing whose over bit has been erased."""
 
     lo: int
@@ -257,8 +256,7 @@ class Double:
 Site = Union[Resolved, Double]
 
 
-@dataclass(frozen=True)
-class SingularDiagram:
+class SingularDiagram(NamedTuple):
     """A diagram whose crossings may be unresolved double points.
 
     Geometry is that of a TransverseDiagram; sites appear in the order
@@ -279,8 +277,7 @@ class Resolution(enum.Enum):
     NEG = "-"
 
 
-@dataclass(frozen=True)
-class ResolutionAssignment:
+class ResolutionAssignment(NamedTuple):
     """A choice of sign for every double point, keyed by site index."""
 
     choices: Mapping[int, Resolution]
@@ -364,16 +361,14 @@ class FramedInvariantHandle:
     claimed_order: int
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(NamedTuple):
     invariant_name: str
     order_tested: int
     defect: int
     resolutions_evaluated: int
 
 
-@dataclass(frozen=True)
-class OrderCheckResult:
+class OrderCheckResult(NamedTuple):
     holds: bool
     reports: tuple[DefectReport, ...]
 

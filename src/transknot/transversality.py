@@ -12,8 +12,7 @@ curve, which is the same as testing straight down on the original.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diagram import (
     Coorientation,
@@ -52,8 +51,7 @@ def regular_direction(dirs) -> Vec:
     return Vec(1, m)
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property

@@ -337,7 +337,7 @@ class TestWorkBounds:
     # Only bound + 1 is ever passed: the value is refused before any
     # work, so no test runs an extreme --count or --order.
     def test_count_over_bound(self, u_minus_file, tmp_path, monkeypatch):
-        monkeypatch.setattr("transknot.cli.stabilize", _must_not_run)
+        monkeypatch.setattr("transknot.moves_singular.stabilize", _must_not_run)
         out_path = tmp_path / "out.txt"
         out = dispatch(["stabilize", u_minus_file, "--edge", "1",
                         "--count", str(MAX_COUNT + 1), "-o", str(out_path)])
@@ -346,7 +346,7 @@ class TestWorkBounds:
         assert not out_path.exists()
 
     def test_order_over_bound(self, monkeypatch):
-        monkeypatch.setattr("transknot.cli.singular_family", _must_not_run)
+        monkeypatch.setattr("transknot.moves_singular.singular_family", _must_not_run)
         out = dispatch(["order-check", "--invariant", "writhe", "--order",
                         str(MAX_ORDER + 1), "--seed", "1", "--samples", "1"])
         assert out.exit_code == 1
@@ -354,7 +354,7 @@ class TestWorkBounds:
 
     @pytest.mark.parametrize("order", [0, 2, MAX_ORDER])
     def test_samples_over_bound(self, monkeypatch, order):
-        monkeypatch.setattr("transknot.cli.singular_family", _must_not_run)
+        monkeypatch.setattr("transknot.moves_singular.singular_family", _must_not_run)
         samples = MAX_RESOLUTIONS // 2 ** (order + 1) + 1
         out = dispatch(["order-check", "--invariant", "writhe", "--order", str(order),
                         "--seed", "1", "--samples", str(samples)])
@@ -364,7 +364,7 @@ class TestWorkBounds:
 
     def test_samples_at_bound_reach_the_family(self, monkeypatch):
         asked = []
-        monkeypatch.setattr("transknot.cli.singular_family",
+        monkeypatch.setattr("transknot.moves_singular.singular_family",
                             lambda seed, doubles, size: asked.append(size) or [])
         out = dispatch(["order-check", "--invariant", "writhe", "--order", "2",
                         "--seed", "1", "--samples", str(MAX_RESOLUTIONS // 8)])

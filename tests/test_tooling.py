@@ -75,21 +75,54 @@ def test_no_division_in_int_predicates():
     assert found == []
 
 
+def imported_names(node) -> list[str]:
+    """The names an import statement binds, or [] for any other node."""
+    if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+        return []
+    return [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+
+
+def read_names(tree) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
 def test_no_unused_imports():
-    # every name a module-level import binds is read in its module
+    # every name a module-level import binds is read in its module, and
+    # every name an import inside a function binds is read in that
+    # function
     found = []
     for path in SOURCES:
         if path.name == "__init__.py":
             continue  # binds the exported API
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        read = {node.id for node in ast.walk(tree)
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read = read_names(tree)
         for top in tree.body:
             for node in [top, *(top.body if isinstance(top, ast.If) else ())]:
-                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                    continue
-                if isinstance(node, (ast.Import, ast.ImportFrom)):
-                    found += [f"{path.name}:{node.lineno}:{alias.asname or alias.name}"
-                              for alias in node.names
-                              if (alias.asname or alias.name).split(".")[0] not in read]
+                found += [f"{path.name}:{node.lineno}:{name}"
+                          for name in imported_names(node) if name not in read]
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                read = read_names(fn)
+                found += [f"{path.name}:{node.lineno}:{name}"
+                          for node in ast.walk(fn)
+                          for name in imported_names(node) if name not in read]
     assert found == []
+
+
+def test_dataclasses_only_in_moves_singular():
+    # `import dataclasses` costs every command that loads it several
+    # milliseconds (it pulls in `inspect`), so value types are
+    # NamedTuples or small hand-written classes
+    found = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    }
+    assert found <= {"moves_singular.py"}, (
+        f"dataclasses imported in {sorted(found)}: only moves_singular.py keeps it, for "
+        "InvariantHandle and FramedInvariantHandle, which perfbench/tracer.py rebuilds "
+        "around its wrappers with dataclasses.replace")
