@@ -19,14 +19,14 @@ from .errors import CrossingMismatchError, NongenericCurveError, ParseError, Tra
 from .geometry import (
     Point,
     Vec,
+    box,
+    box_meeting_pairs,
+    box_overlapping_pairs,
     cross,
     dot,
     point_in_open_segment,
     segment_crossing,
     vec,
-    x_meeting_pairs,
-    x_overlapping_pairs,
-    x_span,
 )
 
 
@@ -192,11 +192,20 @@ class PolyCurve(Frozen):
         return _crossing_scan(self)
 
     @cached_property
-    def edge_pairs(self) -> tuple[tuple[int, int], ...]:
-        """(i, j), i < j, for edges i + 1 and j + 1 whose x-extents meet:
-        the crossing scan and the genericity pass share this one sweep."""
+    def edge_boxes(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The closed box (xlo, xhi, zlo, zhi) of every ``scaled`` edge,
+        edge i at index i - 1: what every sweep over the edges pairs
+        them by.  Computed once."""
         _, pts = self.scaled
-        return tuple(x_overlapping_pairs([x_span(a, b) for a, b in edge_ends(pts)]))
+        return tuple(box(a, b) for a, b in edge_ends(pts))
+
+    @cached_property
+    def edge_pairs(self) -> tuple[tuple[int, int], ...]:
+        """(i, j), i < j, for edges i + 1 and j + 1 whose closed boxes
+        meet: the crossing scan and the genericity pass share this one
+        sweep.  Edges that cross, overlap or touch meet in their boxes,
+        so no pair either pass needs is skipped."""
+        return tuple(box_overlapping_pairs(self.edge_boxes))
 
     @cached_property
     def genericity_violations(self) -> tuple[Violation, ...]:
@@ -207,7 +216,7 @@ class PolyCurve(Frozen):
         no collinear overlaps, and non-adjacent edges meeting in at most
         one interior point with all such points distinct.  Computed once,
         on the scaled vertices: coincident vertices by equal points, the
-        rest on the edge pairs of ``edge_pairs``, whose x-extents meet.
+        rest on the edge pairs of ``edge_pairs``, whose boxes meet.
         """
         out: list[Violation] = []
         n = self.n
@@ -233,7 +242,7 @@ class PolyCurve(Frozen):
                 for group in at.values() for s, t in combinations(group, 2)
                 if t - s not in (1, n - 1)]
 
-        # a vertex inside an edge meets it in x, as does the edge it starts
+        # a vertex inside an edge lies in its box, as in that of the edge it starts
         on_edge = set()
         for i, j in self.edge_pairs:
             (a, b), (c, d) = ends[i], ends[j]
@@ -426,24 +435,25 @@ def least_dist2(curve: PolyCurve, points, skip, bound: int, spots=()) -> Fractio
     ``skip[k]`` lists, and between any two of the Fraction points
     ``spots``.
 
-    A mark (X, Z, D), D > 0, is the point (X/D, Z/D).  Each distance is
-    kept as (num, den) and compared by cross-multiplication, so nothing
-    is divided.  Only features whose x-extents lie within the square
-    root of ``bound`` of each other need to be paired when the least
-    distance is at most ``bound``.  A least distance of 0 raises
-    TransknotError.
+    A mark (X, Z, D), D > 0, is the point (X/D, Z/D), boxed by the floor
+    and ceiling of each coordinate.  Each distance is kept as (num, den)
+    and compared by cross-multiplication, so nothing is divided.  A
+    distance is at least the larger of the x-gap and the z-gap of the
+    two features' boxes, so only features whose boxes lie within the
+    square root of ``bound`` of each other in both axes need to be
+    paired when the least distance is at most ``bound``.  A least
+    distance of 0 raises TransknotError.
     """
     scale, pts = curve.scaled
     reach = math.isqrt(bound) + 1  # above the square root
     best, best_den = bound, 1
 
-    def spans(marks):
-        return [(x // den, -(-x // den)) for x, _, den in marks]
+    def boxes(marks):
+        return [(x // den, -(-x // den), z // den, -(-z // den)) for x, z, den in marks]
 
-    ends = edge_ends(pts)
     edges = [(ax, az, bx, bz, ex, ez, ex * ex + ez * ez)
-             for ((ax, az), (bx, bz)), (ex, ez) in zip(ends, curve.int_directions)]
-    for k, i in x_meeting_pairs(spans(points), [x_span(a, b) for a, b in ends], reach):
+             for ((ax, az), (bx, bz)), (ex, ez) in zip(edge_ends(pts), curve.int_directions)]
+    for k, i in box_meeting_pairs(boxes(points), curve.edge_boxes, reach):
         if i in skip[k]:
             continue
         (px, pz, pd), (ax, az, bx, bz, ex, ez, length2) = points[k], edges[i]
@@ -463,7 +473,7 @@ def least_dist2(curve: PolyCurve, points, skip, bound: int, spots=()) -> Fractio
         den = math.lcm(x.denominator, z.denominator)
         marks.append((x.numerator * (den // x.denominator) * scale,
                       z.numerator * (den // z.denominator) * scale, den))
-    for s, t in x_overlapping_pairs(spans(marks), reach):
+    for s, t in box_overlapping_pairs(boxes(marks), reach):
         (x1, z1, d1), (x2, z2, d2) = marks[s], marks[t]
         num, den = (x1 * d2 - x2 * d1) ** 2 + (z1 * d2 - z2 * d1) ** 2, (d1 * d2) ** 2
         if num * best_den < best * den:

@@ -3,7 +3,7 @@
 There is no epsilon anywhere: parallel means exactly parallel, interior
 means strictly interior.  The predicates take ``fractions.Fraction``
 points, and the division-free ones (``vec``, ``cross``, ``dot``,
-``segment_crossing``, ``point_in_open_segment``, ``x_span``,
+``segment_crossing``, ``point_in_open_segment``, ``box``,
 ``in_open_cone``, ``in_closed_cone``, ``corner_sweep_contains``,
 ``turn_sign``, ``same_direction``, ``is_parallel``) take int points and
 vectors just as well.  The package runs them on ints: the all-pairs
@@ -14,11 +14,15 @@ allocate nothing, and every direction predicate on
 positive multiples of the true directions and so give every sign
 exactly.  On ints ``/`` is true division and would put a float into a
 decision, so none of these predicates divides.  The loops pair features
-by x-sweeps: ``x_overlapping_pairs`` within one set, and
-``x_meeting_pairs`` for a red set against a blue one.  The package
-measures distances on ints too, by ``diagram.least_dist2``; the Fraction
-squared distances ``dist2`` and ``point_segment_dist2`` here are the
-references the tests compare it against.
+by the closed boxes (xlo, xhi, zlo, zhi) of ``box``, in box sweeps:
+``box_overlapping_pairs`` within one set, and ``box_meeting_pairs`` for
+a red set against a blue one.  Skipping the pairs whose boxes are apart
+is exact: a point on a segment lies in its box, two segments that cross
+or overlap have meeting boxes, and a distance is at least the larger of
+the x-gap and the z-gap of the two boxes.  The package measures
+distances on ints too, by ``diagram.least_dist2``; the Fraction squared
+distances ``dist2`` and ``point_segment_dist2`` here are the references
+the tests compare it against.
 """
 
 from __future__ import annotations
@@ -113,52 +117,62 @@ def segment_intersection(
     return Point(a.x + t * (b.x - a.x), a.z + t * (b.z - a.z))
 
 
-def x_span(a: Point, b: Point) -> tuple:
-    """The closed x-interval (lo, hi) of the segment ab."""
-    return (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
+def box(a: Point, b: Point) -> tuple:
+    """The closed box (xlo, xhi, zlo, zhi) of the segment ab."""
+    ax, az, bx, bz = a[0], a[1], b[0], b[1]
+    xlo, xhi = (ax, bx) if ax <= bx else (bx, ax)
+    zlo, zhi = (az, bz) if az <= bz else (bz, az)
+    return xlo, xhi, zlo, zhi
 
 
-def x_overlapping_pairs(spans, reach=0) -> Iterator[tuple[int, int]]:
-    """Index pairs (s, t), s < t, of the closed intervals ``spans[s] =
-    (lo, hi)`` whose gap is at most ``reach``; with reach 0, the pairs
-    that meet.
+def box_overlapping_pairs(boxes, reach=0) -> Iterator[tuple[int, int]]:
+    """Index pairs (s, t), s < t, of the closed boxes ``boxes[s] =
+    (xlo, xhi, zlo, zhi)`` whose gaps in x and in z are both at most
+    ``reach``; with reach 0, the pairs of boxes that meet.
 
-    A sort-by-x sweep (Shamos and Hoey): after sorting by lo, each
-    interval is paired with the ones that follow it until one starts
-    beyond its hi + reach, so the cost is the sort plus the pairs
-    yielded.  Two features whose x-extents are further apart than reach
-    are further apart than reach in the plane, so no pair that a
-    predicate or a distance bound needs is ever skipped.
+    A sort-by-x sweep (Shamos and Hoey) with the filter step of
+    rectangle-intersection reporting (Six and Wood): after sorting by
+    xlo, each box is paired with the ones whose xlo lies in
+    [its xlo, its xhi + reach], found by bisection, and a candidate is
+    dropped on its z-gap before it is yielded.  Two features whose boxes
+    are further apart than reach in either axis are further apart than
+    reach in the plane, so no pair that a predicate or a distance bound
+    needs is ever skipped.
     """
-    items = sorted((lo, hi, s) for s, (lo, hi) in enumerate(spans))
-    for pos, (_, hi, s) in enumerate(items):
-        limit = hi + reach
-        for q in range(pos + 1, len(items)):
-            lo, _, t = items[q]
-            if lo > limit:
-                break
-            yield (s, t) if s < t else (t, s)
+    items = sorted((b[0], b[2], b[3], b[1], s) for s, b in enumerate(boxes))
+    xlos = [item[0] for item in items]
+    for pos, (_, zlo, zhi, xhi, s) in enumerate(items):
+        below, above = zlo - reach, zhi + reach
+        for _, lo, hi, _, t in items[pos + 1:bisect_right(xlos, xhi + reach, pos + 1)]:
+            if lo <= above and hi >= below:
+                yield (s, t) if s < t else (t, s)
 
 
-def x_meeting_pairs(red, blue, reach=0) -> Iterator[tuple[int, int]]:
-    """Each index pair (r, b), exactly once, of a red interval ``red[r]``
-    and a blue one ``blue[b]``, both (lo, hi), with gap at most reach >= 0.
+def box_meeting_pairs(red, blue, reach=0) -> Iterator[tuple[int, int]]:
+    """Each index pair (r, b), exactly once, of a red box ``red[r]`` and
+    a blue one ``blue[b]``, both (xlo, xhi, zlo, zhi), whose gaps in x
+    and in z are both at most reach >= 0.
 
-    The two-colour case of ``x_overlapping_pairs``: with each colour
-    sorted by lo, a red is paired with the blues whose lo lies in
-    [lo_r, hi_r + reach] and a blue with the reds whose lo lies in
-    (lo_b, hi_b + reach], by bisection; no same-colour pair is formed.
+    The two-colour case of ``box_overlapping_pairs``: with each colour
+    sorted by xlo, a red is paired with the blues whose xlo lies in
+    [xlo_r, xhi_r + reach] and a blue with the reds whose xlo lies in
+    (xlo_b, xhi_b + reach], by bisection, and a candidate is dropped on
+    its z-gap; no same-colour pair is formed.
     """
-    red_order = sorted(range(len(red)), key=red.__getitem__)
-    blue_order = sorted(range(len(blue)), key=blue.__getitem__)
-    red_lo = [red[r][0] for r in red_order]
-    blue_lo = [blue[b][0] for b in blue_order]
-    for r, (lo, hi) in enumerate(red):
-        for k in range(bisect_left(blue_lo, lo), bisect_right(blue_lo, hi + reach)):
-            yield r, blue_order[k]
-    for b, (lo, hi) in enumerate(blue):
-        for k in range(bisect_right(red_lo, lo), bisect_right(red_lo, hi + reach)):
-            yield red_order[k], b
+    reds = sorted((b[0], b[2], b[3], r) for r, b in enumerate(red))
+    blues = sorted((b[0], b[2], b[3], k) for k, b in enumerate(blue))
+    red_lo = [item[0] for item in reds]
+    blue_lo = [item[0] for item in blues]
+    for r, (xlo, xhi, zlo, zhi) in enumerate(red):
+        below, above = zlo - reach, zhi + reach
+        for _, lo, hi, b in blues[bisect_left(blue_lo, xlo):bisect_right(blue_lo, xhi + reach)]:
+            if lo <= above and hi >= below:
+                yield r, b
+    for b, (xlo, xhi, zlo, zhi) in enumerate(blue):
+        below, above = zlo - reach, zhi + reach
+        for _, lo, hi, r in reds[bisect_right(red_lo, xlo):bisect_right(red_lo, xhi + reach)]:
+            if lo <= above and hi >= below:
+                yield r, b
 
 
 def in_open_cone(u: Vec, t1: Vec, t2: Vec) -> bool:

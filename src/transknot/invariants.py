@@ -30,14 +30,13 @@ from .diagram import (
 from .errors import OracleError, TransknotError
 from .geometry import (
     Vec,
+    box_meeting_pairs,
     cross,
     dot,
     halvings,
     point_in_open_segment,
     segment_crossing,
     sign,
-    x_meeting_pairs,
-    x_span,
 )
 from .transversality import regular_direction, require_valid, whitney_index
 
@@ -80,7 +79,9 @@ def _pushoff_once(d: TransverseDiagram, u: Vec, e: int):
 
     Runs on the curve's scaled vertices refined by 2**e, on which the
     offset is the int vector L·u, and compares only original features
-    with copy features whose x-extents meet.
+    with copy features whose closed boxes meet: a vertex on an edge or
+    at one of its ends lies in the edge's box, and crossing edges meet
+    in their boxes, so every pair skipped is one no test below accepts.
     """
     curve = d.curve
     n = curve.n
@@ -91,13 +92,14 @@ def _pushoff_once(d: TransverseDiagram, u: Vec, e: int):
     copy = [(x + sx, z + sz) for x, z in orig]
     orig_ends, copy_ends = edge_ends(orig), edge_ends(copy)
     # indices below n are vertices, the rest edges (edge i at n + i)
-    red = [(x, x) for x, _ in orig] + [x_span(a, b) for a, b in orig_ends]
-    blue = [(lo + sx, hi + sx) for lo, hi in red]
+    red = [(x, x, z, z) for x, z in orig] + [
+        (xlo << e, xhi << e, zlo << e, zhi << e) for xlo, xhi, zlo, zhi in curve.edge_boxes]
+    blue = [(xlo + sx, xhi + sx, zlo + sz, zhi + sz) for xlo, xhi, zlo, zhi in red]
 
     by_pair = {(c.lo, c.hi): c for c in d.crossings}
     hits: dict[tuple[int, int], int] = {}
     total = corner_total = 0
-    for r, b in x_meeting_pairs(red, blue):
+    for r, b in box_meeting_pairs(red, blue):
         # degenerate contacts (a vertex of one curve on the other) make
         # the intersection pattern ambiguous
         if r < n <= b:

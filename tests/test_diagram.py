@@ -31,7 +31,7 @@ from transknot.fixtures import (
     u_minus,
     u_minus_forbidden,
 )
-from transknot.geometry import Point, x_overlapping_pairs
+from transknot.geometry import Point, box_overlapping_pairs
 from transknot.invariants import invariant_values
 from transknot.transversality import validate
 
@@ -167,11 +167,11 @@ def test_parse_sweeps_the_edges_once(monkeypatch):
             / "trefoil_right-e1-k8.td")
     sweeps = []
 
-    def counting(spans, reach=0):
-        sweeps.append(len(spans))
-        return x_overlapping_pairs(spans, reach)
+    def counting(boxes, reach=0):
+        sweeps.append(len(boxes))
+        return box_overlapping_pairs(boxes, reach)
 
-    monkeypatch.setattr("transknot.diagram.x_overlapping_pairs", counting)
+    monkeypatch.setattr("transknot.diagram.box_overlapping_pairs", counting)
     d = parse_diagram(path.read_text(encoding="utf-8"))
     assert sweeps == [d.curve.n]
 

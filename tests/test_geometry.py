@@ -1,14 +1,20 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transknot.errors import DegenerateConeError, ReversalError
 from transknot.geometry import (
     Point,
     Vec,
     add,
+    box,
+    box_meeting_pairs,
+    box_overlapping_pairs,
     corner_sweep_contains,
     cross,
     dist2,
@@ -25,9 +31,6 @@ from transknot.geometry import (
     sign,
     turn_sign,
     vec,
-    x_meeting_pairs,
-    x_overlapping_pairs,
-    x_span,
 )
 
 
@@ -223,47 +226,84 @@ def test_open_cone_matches_float_solve():
     assert checked > 5000
 
 
-def test_x_overlapping_pairs_matches_all_pairs():
-    rng = random.Random(11)
-    for _ in range(200):
-        spans = [x_span(P(rng.randint(0, 9), 0), P(rng.randint(0, 9), 0))
-                 for _ in range(rng.randint(0, 8))]
-        reach = rng.choice((0, 0, 1, 3))
-        want = {(s, t) for s in range(len(spans)) for t in range(s + 1, len(spans))
-                if spans[t][0] - spans[s][1] <= reach and spans[s][0] - spans[t][1] <= reach}
-        got = list(x_overlapping_pairs(spans, reach))
-        assert len(got) == len(want) and set(got) == want
+def _within(s, t, reach):
+    """The closed-box gap test: both gaps, in x and in z, at most reach."""
+    return (t[0] - s[1] <= reach and s[0] - t[1] <= reach
+            and t[2] - s[3] <= reach and s[2] - t[3] <= reach)
 
 
-def _meeting(s, t, reach):
-    return t[0] - s[1] <= reach and s[0] - t[1] <= reach
-
-
-def _random_spans(rng, count):
-    # small negative and positive ints: point intervals and ties in lo are common
-    spans = []
+def _random_boxes(rng, count):
+    # small negative and positive ints: point boxes, ties in xlo and boxes
+    # that meet in x but lie apart in z are common
+    boxes = []
     for _ in range(count):
-        lo = rng.randint(-6, 6)
-        spans.append((lo, lo + rng.choice((0, 0, 1, 2, 5))))
-    return spans
+        xlo, zlo = rng.randint(-6, 6), rng.randint(-6, 6)
+        boxes.append((xlo, xlo + rng.choice((0, 0, 1, 2, 5)),
+                      zlo, zlo + rng.choice((0, 0, 1, 2, 5))))
+    return boxes
+
+
+def _apart_only_in_z(s, t, reach):
+    return _within(s[:2] + t[2:], t, reach) and not _within(s, t, reach)
 
 
 @pytest.mark.parametrize("reach", [0, 1, 3])
-def test_x_meeting_pairs_matches_all_red_blue_pairs(reach):
-    rng = random.Random(20260 + reach)
+def test_box_overlapping_pairs_matches_all_pairs(reach):
+    rng = random.Random(11 + reach)
+    apart_in_z = 0
     for _ in range(300):
-        red = _random_spans(rng, rng.randint(0, 8))
-        blue = _random_spans(rng, rng.randint(0, 8))
-        want = {(r, b) for r in range(len(red)) for b in range(len(blue))
-                if _meeting(red[r], blue[b], reach)}
-        got = list(x_meeting_pairs(red, blue, reach))
+        boxes = _random_boxes(rng, rng.randint(0, 8))
+        pairs = list(itertools.combinations(range(len(boxes)), 2))
+        want = {(s, t) for s, t in pairs if _within(boxes[s], boxes[t], reach)}
+        got = list(box_overlapping_pairs(boxes, reach))
+        assert len(got) == len(want) and set(got) == want
+        apart_in_z += sum(_apart_only_in_z(boxes[s], boxes[t], reach) for s, t in pairs)
+    assert apart_in_z > 100
+
+
+@pytest.mark.parametrize("reach", [0, 1, 3])
+def test_box_meeting_pairs_matches_all_red_blue_pairs(reach):
+    rng = random.Random(20260 + reach)
+    apart_in_z = same_xlo = 0
+    for _ in range(300):
+        red = _random_boxes(rng, rng.randint(0, 8))
+        blue = _random_boxes(rng, rng.randint(0, 8))
+        pairs = list(itertools.product(range(len(red)), range(len(blue))))
+        want = {(r, b) for r, b in pairs if _within(red[r], blue[b], reach)}
+        got = list(box_meeting_pairs(red, blue, reach))
         assert len(got) == len(set(got)) and set(got) == want
+        apart_in_z += sum(_apart_only_in_z(red[r], blue[b], reach) for r, b in pairs)
+        same_xlo += sum(red[r][0] == blue[b][0] for r, b in want)
+    assert apart_in_z > 100 and same_xlo > 50
 
 
-def test_x_meeting_pairs_edge_cases():
-    assert list(x_meeting_pairs([], [(0, 1)])) == []
-    assert list(x_meeting_pairs([(0, 1)], [])) == []
-    # equal lo across the colours, point intervals, negative coordinates
-    red, blue = [(-3, -3), (-3, 2)], [(-3, -3), (2, 2), (-5, -4)]
-    assert sorted(x_meeting_pairs(red, blue)) == [(0, 0), (1, 0), (1, 1)]
-    assert sorted(x_meeting_pairs(red, blue, 1)) == [(0, 0), (0, 2), (1, 0), (1, 1), (1, 2)]
+def test_box_meeting_pairs_edge_cases():
+    assert list(box_meeting_pairs([], [(0, 1, 0, 1)])) == []
+    assert list(box_meeting_pairs([(0, 1, 0, 1)], [])) == []
+    assert list(box_overlapping_pairs([])) == []
+    # equal xlo across the colours, point boxes, negative coordinates;
+    # blue 3 meets red 1 in x but lies 2 above it in z
+    red = [(-3, -3, 0, 0), (-3, 2, -1, 1)]
+    blue = [(-3, -3, 0, 0), (2, 2, 1, 1), (-5, -4, 0, 0), (0, 1, 3, 4)]
+    assert sorted(box_meeting_pairs(red, blue)) == [(0, 0), (1, 0), (1, 1)]
+    assert sorted(box_meeting_pairs(red, blue, 1)) == [(0, 0), (0, 2), (1, 0), (1, 1), (1, 2)]
+    assert sorted(box_meeting_pairs(red, blue, 2)) == [
+        (0, 0), (0, 2), (1, 0), (1, 1), (1, 2), (1, 3)]
+    assert box(P(2, -1), P(-3, 4)) == box(P(-3, 4), P(2, -1)) == (-3, 2, -1, 4)
+
+
+BOXES = st.lists(st.builds(lambda x, w, z, h: (x, x + w, z, z + h), st.integers(-8, 8),
+                           st.integers(0, 4), st.integers(-8, 8), st.integers(0, 4)),
+                 max_size=8)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(BOXES, BOXES, st.integers(0, 3))
+def test_box_sweeps_yield_exactly_the_pairs_within_reach(red, blue, reach):
+    assert sorted(box_meeting_pairs(red, blue, reach)) == [
+        (r, b) for r, b in itertools.product(range(len(red)), range(len(blue)))
+        if _within(red[r], blue[b], reach)]
+    both = red + blue
+    assert sorted(box_overlapping_pairs(both, reach)) == [
+        (s, t) for s, t in itertools.combinations(range(len(both)), 2)
+        if _within(both[s], both[t], reach)]

@@ -3,7 +3,7 @@
 ``detected_crossings``, ``genericity_violations``,
 ``min_feature_separation2``, the clearance of the stabilization anchors
 and the push-off oracle run on vertices scaled to ints and compare only
-features whose x-extents meet.  Each is checked with ``==`` against a
+features whose closed boxes meet.  Each is checked with ``==`` against a
 plain all-pairs loop over the Fraction predicates of
 ``transknot.geometry``.
 
@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from transknot import invariants
 from transknot.diagram import (
     Coorientation,
     Crossing,
@@ -423,11 +424,65 @@ def test_direction_predicates_on_random_diagrams(seed, coor):
     assert_directions_match(stabilize(d, 1 + seed % d.curve.n, 2))
 
 
-@pytest.mark.parametrize("k", [0, 2, 4, 8])
-def test_direction_predicates_on_the_ladder(k):
+def ladder(k):
+    """The right trefoil with edge 1 stabilized k times, as benchmarked."""
     path = (Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "ladder"
             / f"trefoil_right-e1-k{k}.td")
-    assert_directions_match(parse_diagram(path.read_text(encoding="utf-8")))
+    return parse_diagram(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("k", [0, 2, 4, 8])
+def test_direction_predicates_on_the_ladder(k):
+    assert_directions_match(ladder(k))
+
+
+@pytest.mark.parametrize("k", [0, 2, 4, 8])
+def test_all_pairs_loops_on_the_ladder(k):
+    # the detours stack along one host edge, so most edges that meet in
+    # x lie apart in z: the box sweeps skip the most pairs here
+    assert_kernel_matches(ladder(k))
+
+
+def ref_box(a, b):
+    return min(a.x, b.x), max(a.x, b.x), min(a.z, b.z), max(a.z, b.z)
+
+
+def ref_boxes_meet(s, t):
+    return t[0] <= s[1] and s[0] <= t[1] and t[2] <= s[3] and s[2] <= t[3]
+
+
+def test_pushoff_tests_only_the_pairs_whose_boxes_meet(monkeypatch):
+    d = ladder(8)
+    attempts, calls = [], []
+    once = invariants._pushoff_once
+
+    def recording(d, u, e):
+        attempts.append((u, e))
+        return once(d, u, e)
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(invariants, "_pushoff_once", recording)
+    monkeypatch.setattr(invariants, "segment_crossing", counting(invariants.segment_crossing))
+    monkeypatch.setattr(invariants, "point_in_open_segment",
+                        counting(invariants.point_in_open_segment))
+    assert pushoff_linking_oracle(d) == -15
+    [(u, e)] = attempts
+    delta = Vec(Fraction(u.x, 2**e), Fraction(u.z, 2**e))
+    orig = [ref_box(a, b) for _, a, b in d.curve.edges()]
+    copy = [ref_box(add(a, delta), add(b, delta)) for _, a, b in d.curve.edges()]
+    # a vertex of either curve against an edge of the other, and an edge
+    # against the copy of any other edge
+    vertex_edge = sum(ref_boxes_meet(ref_box(p, p), c) for p in d.curve.vertices for c in copy)
+    vertex_edge += sum(ref_boxes_meet(ref_box(q, q), o)
+                       for q in (add(p, delta) for p in d.curve.vertices) for o in orig)
+    edge_edge = sum(ref_boxes_meet(orig[i], copy[j])
+                    for i, j in itertools.permutations(range(d.curve.n), 2))
+    assert len(calls) == vertex_edge + edge_edge
 
 
 def test_direction_predicates_on_small_grid_curves():

@@ -51,9 +51,9 @@ def test_no_float_outside_render_svg():
 # which would put a float into a decision.
 INT_ROUTINES = {
     "geometry.py": {
-        "vec", "cross", "dot", "segment_crossing", "point_in_open_segment", "x_span",
+        "vec", "cross", "dot", "segment_crossing", "point_in_open_segment", "box",
         "in_open_cone", "in_closed_cone", "corner_sweep_contains", "turn_sign",
-        "same_direction", "is_parallel", "x_overlapping_pairs", "x_meeting_pairs",
+        "same_direction", "is_parallel", "box_overlapping_pairs", "box_meeting_pairs",
     },
     "diagram.py": {"least_dist2"},
 }
