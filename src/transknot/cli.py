@@ -149,7 +149,7 @@ def _load(path: str) -> TransverseDiagram:
 
 
 def _violation_lines(violations) -> list[str]:
-    return [f"VIOLATION {v.kind.name} {v.location_str()}" for v in violations]
+    return [f"VIOLATION {v}" for v in violations]
 
 
 def _cmd_validate(args) -> CommandOutcome:
@@ -221,9 +221,9 @@ def _cmd_order_check(args) -> CommandOutcome:
         FRAMING_PROJECTION,
         V2_INVARIANT,
         WRITHE_INVARIANT,
+        is_order_at_most,
         pullback_framed_invariant,
         singular_family,
-        vassiliev_defect,
     )
 
     if args.order < 0:
@@ -240,13 +240,9 @@ def _cmd_order_check(args) -> CommandOutcome:
         "sl-pullback": pullback_framed_invariant(FRAMING_PROJECTION),
     }[args.invariant]
     family = singular_family(args.seed, args.order + 1, args.samples)
-    lines = []
-    all_zero = True
-    for s in family:
-        r = vassiliev_defect(handle, s)
-        lines.append(f"defect={r.defect}")
-        all_zero = all_zero and r.defect == 0
-    return CommandOutcome(0 if all_zero else 1, lines)
+    result = is_order_at_most(handle, args.order, family)
+    lines = [f"defect={r.defect}" for r in result.reports]
+    return CommandOutcome(0 if result.holds else 1, lines)
 
 
 def _cmd_mtor(args) -> CommandOutcome:

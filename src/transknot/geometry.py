@@ -20,9 +20,11 @@ a red set against a blue one.  Skipping the pairs whose boxes are apart
 is exact: a point on a segment lies in its box, two segments that cross
 or overlap have meeting boxes, and a distance is at least the larger of
 the x-gap and the z-gap of the two boxes.  The package measures
-distances on ints too, by ``diagram.least_dist2``; the Fraction squared
-distances ``dist2`` and ``point_segment_dist2`` here are the references
-the tests compare it against.
+distances on ints too, by ``diagram.least_dist2``, except where it bends
+a vertical host edge: ``moves_singular._bend_vertical`` measures the
+distance from that one edge to the vertices and crossings with the
+Fraction ``point_segment_dist2``.  The tests compare ``least_dist2``
+against it and ``dist2``.
 """
 
 from __future__ import annotations

@@ -43,6 +43,7 @@ from .geometry import (
     halvings,
     is_parallel,
     neg,
+    point_segment_dist2,
     scale,
     vec,
 )
@@ -156,23 +157,43 @@ def _splice(
 
 
 def _bend_vertical(d: TransverseDiagram, host: int) -> TransverseDiagram:
-    """Split a vertical host edge into two slanted halves, the first at
-    index host.
+    """Split a vertical host edge a -> b into a -> m' -> b, the first
+    slanted half at index host, in one attempt.
 
-    A valid diagram only carries verticals pointing along the allowed
-    sense (down for Plus, up for Minus), and nudging the split vertex
-    sideways by a small enough amount keeps every validity and
-    genericity predicate satisfied; the offset is halved until the
-    result checks out.
+    m is the anchor of ``_anchors(d, host, 1)``, r**2 its clearance, and
+    m' = m + (h, 0) with h = 2**-e for the least e with 4h <= room, where
+    room**2 is the least of r**2 and the squared distances from the host
+    to every vertex and every crossing point not on it.  On a valid
+    diagram that attempt succeeds:
+
+    - Every point of the triangle a m' b lies within h < room of the
+      host, so no vertex and no crossing point lies in it.
+    - An edge that crosses the host enters the triangle there and has
+      no end inside it, so it leaves exactly once, through a -> m' or
+      m' -> b; not at m', since every edge but the host is at least r
+      from m.
+    - Any other edge that met the triangle would cut off m' and so pass
+      within h of m, so the edges at a and b stay outside it.  Hence
+      the corner sweeps at a and b stay clear of the forbidden vertical,
+      and the sweep at m' turns through the allowed one.
+    - A crossing with a vertical host is always free, and it stays free:
+      a tangent within the bend angle of the vertical would keep its
+      edge inside the triangle down to the height of m, within h of m.
+
+    So ``_splice`` finds exactly the old crossings with the old over
+    bits.  The splice and the validity of its result are still checked;
+    HostTooShortError is raised if either fails.
     """
     (anchor,), r2 = _anchors(d, host, 1)
-    h = Fraction(1, 2 ** halvings(1, r2))
-    for _ in range(48):
-        bent = _splice(d, host, [Point(anchor.x + h, anchor.z)], [host, host], {})
-        if bent is not None and validate(bent).is_valid:
-            return bent
-        h /= 2
-    raise HostTooShortError(f"could not bend vertical edge {host}")
+    a, b = d.curve.edge(host)
+    others = [p for p in d.curve.vertices if p not in (a, b)]
+    others += [c.point for c in d.crossings if host not in (c.lo, c.hi)]
+    room2 = min([r2] + [point_segment_dist2(p, a, b) for p in others])
+    h = Fraction(1, 2 ** halvings(1, room2))
+    bent = _splice(d, host, [Point(anchor.x + h, anchor.z)], [host, host], {})
+    if bent is None or not validate(bent).is_valid:
+        raise HostTooShortError(f"could not bend vertical edge {host}")
+    return bent
 
 
 def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
@@ -185,7 +206,10 @@ def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
     is bent first) and share one power-of-two scale, fixed by the
     least clearance of those points, and all go in with one splice, so
     the coordinates grow by O(log count) bits over the host's.
-    HostTooShortError is raised only if no scale fits.
+    HostTooShortError is raised only if no scale fits (the anchors'
+    clearance would need 256 or more halvings of the detour), or if the
+    checks of a vertical host's bend fail, which ``_bend_vertical``
+    proves cannot happen on a valid diagram.
     """
     require_valid(d)
     if not 1 <= host <= d.curve.n:
@@ -509,7 +533,15 @@ def singular_family(seed: object, doubles: int, size: int) -> list[SingularDiagr
     crossings erased.  Those sites carry genuine order-n structure
     (erasing two of them already changes v2), so order checks against
     these families fail exactly when they should.  Remaining members
-    come from random_valid_diagram with an admissible crossing subset.
+    come from random_valid_diagram with an admissible crossing subset,
+    one draw per member.
+
+    A draw with fewer than ``doubles`` admissible sites is topped up by
+    stabilizing edge 1 once per missing site, and that always suffices:
+    each detour adds one forced and one free crossing (see the detour
+    template), and the pieces of the host keep the host's direction, so
+    every old site stays admissible or forced as before.  A top-up that
+    still falls short raises TransknotError.
     """
     if doubles < 1:
         raise ValueError("doubles must be >= 1")
@@ -523,6 +555,7 @@ def singular_family(seed: object, doubles: int, size: int) -> list[SingularDiagr
             if (c.lo, c.hi) in {(1, 9), (2, 10), (3, 11)}
         ]
         members.append(make_singular(t, braid[:doubles]))
+
     def admissible_sites(d: TransverseDiagram) -> list[int]:
         return [
             i
@@ -530,19 +563,14 @@ def singular_family(seed: object, doubles: int, size: int) -> list[SingularDiagr
             if forced_over(d.curve, d.coorientation, c.lo, c.hi) is None
         ]
 
-    serial = 0
-    while len(members) < size:
+    for serial in range(size - len(members)):
         d = random_valid_diagram(f"{seed!r}-member-{serial}")
-        serial += 1
-        if serial > 400 * size:
-            raise RuntimeError("singular family generation stalled")
         sites = admissible_sites(d)
         if len(sites) < doubles:
-            # each detour carries one admissible crossing, so a short
-            # stabilization tops up any shortfall
             d = stabilize(d, 1, doubles - len(sites))
             sites = admissible_sites(d)
-        if len(sites) < doubles:
-            continue
+            if len(sites) < doubles:
+                raise TransknotError(f"stabilizing member {serial} left {len(sites)} "
+                                     f"admissible sites, short of {doubles}")
         members.append(make_singular(d, rng.sample(sites, doubles)))
     return members[:size]

@@ -8,6 +8,8 @@ from transknot.diagram import parse_diagram, serialize_diagram
 from transknot.fixtures import trefoil_right, u_minus, u_minus_forbidden
 from transknot.invariants import self_linking, v2, writhe
 from transknot.moves_singular import (
+    DefectReport,
+    OrderCheckResult,
     Resolution,
     ResolutionAssignment,
     make_singular,
@@ -254,6 +256,16 @@ class TestOrderCheck:
              "--seed", "11", "--samples", "2"]
         )
         assert out.exit_code == 0
+
+    @pytest.mark.parametrize("holds, code", [(True, 0), (False, 1)])
+    def test_prints_the_library_verdict(self, monkeypatch, holds, code):
+        # one defect= line per report, and the exit code is is_order_at_most's
+        reports = (DefectReport("writhe", 1, 0, 4), DefectReport("writhe", 1, 3, 4))
+        monkeypatch.setattr("transknot.moves_singular.is_order_at_most",
+                            lambda inv, n, family: OrderCheckResult(holds, reports))
+        out = dispatch(["order-check", "--invariant", "writhe", "--order", "1",
+                        "--seed", "11", "--samples", "2"])
+        assert (out.exit_code, out.stdout_lines) == (code, ["defect=0", "defect=3"])
 
 
 def test_mtor():

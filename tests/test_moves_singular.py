@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import transknot.moves_singular as ms
 from transknot.diagram import (
     Coorientation,
     TransverseDiagram,
@@ -14,6 +15,7 @@ from transknot.errors import (
     FamilyArityError,
     InadmissibleDoublePointError,
     InvalidDiagramError,
+    TransknotError,
 )
 from transknot.fixtures import (
     minus_unknot,
@@ -22,6 +24,7 @@ from transknot.fixtures import (
     u_minus,
     u_minus_forbidden,
 )
+from transknot.geometry import Point, halvings, point_in_open_segment, point_segment_dist2
 from transknot.invariants import (
     crossing_sign,
     pushoff_linking_oracle,
@@ -36,9 +39,11 @@ from transknot.moves_singular import (
     Double,
     Resolution,
     ResolutionAssignment,
+    _anchors,
+    _bend_vertical,
+    _splice,
     assignment_sign,
     is_order_at_most,
-    _splice,
     make_singular,
     pullback_framed_invariant,
     random_valid_diagram,
@@ -47,7 +52,7 @@ from transknot.moves_singular import (
     stabilize,
     vassiliev_defect,
 )
-from transknot.transversality import validate, whitney_index
+from transknot.transversality import reference, validate, whitney_index
 
 
 def vertical_edge_unknot() -> TransverseDiagram:
@@ -65,6 +70,62 @@ def vertical_edge_unknot_minus() -> TransverseDiagram:
         (-1, -1), (-2, -1), (-3, 0), (-3, 1), (-2, 1),
     ]
     return build_diagram(verts, Coorientation.MINUS, {(1, 6): "lo"})
+
+
+def spiked_vertical_unknot(tip_z: Fraction) -> TransverseDiagram:
+    """vertical_edge_unknot with a spike, edges 9 and 10, whose tip lies
+    1/1000 right of the vertical edge 13, at height tip_z."""
+    verts = [
+        (-1, -1), (1, 1), (2, 1), (3, 0), (2, -1), (1, -1), (-1, 1), (-2, 1),
+        (-2, Fraction(1, 5)), (Fraction(-2999, 1000), tip_z),
+        (-2, Fraction(-3, 10)), (Fraction(-5, 2), Fraction(-1, 2)),
+        (-3, 0), (-3, -1), (-2, -1),
+    ]
+    return build_diagram(verts, Coorientation.PLUS, {(1, 6): "hi", (9, 12): "hi", (10, 12): "hi"})
+
+
+def looped_vertical_unknot() -> TransverseDiagram:
+    """vertical_edge_unknot with a loop whose edges 9 and 11 both cross the
+    vertical edge 14, and cross each other at (-191/64, -1/8), 1/64 right
+    of it.  Every vertex lies at least 1/4 from edge 14."""
+    verts = [
+        (-1, -1), (1, 1), (2, 1), (3, 0), (2, -1), (1, -1), (-1, 1), (-2, 1),
+        (Fraction(-5, 2), Fraction(-33, 512)), (Fraction(-7, 2), Fraction(-97, 512)),
+        (Fraction(-15, 4), Fraction(-65, 128)), (Fraction(-5, 2), Fraction(15, 128)),
+        (Fraction(-9, 4), Fraction(-1, 2)), (-3, 0), (-3, -1), (-2, -1),
+    ]
+    over = {(1, 6): "hi", (8, 12): "hi", (9, 11): "lo", (9, 13): "hi", (9, 14): "hi",
+            (11, 13): "hi", (11, 14): "hi"}
+    return build_diagram(verts, Coorientation.PLUS, over)
+
+
+def vertical_hosts(seeds):
+    """(diagram, host) for every edge of random_valid_diagram(seed, coor)
+    that points along the allowed vertical sense (down under Plus, up
+    under Minus), split halfway down its height into a vertical piece and
+    the rest, where the split diagram is valid."""
+    for seed in seeds:
+        for coor in Coorientation:
+            d = random_valid_diagram(seed, coor)
+            for host in range(1, d.curve.n + 1):
+                a, b = d.curve.edge(host)
+                if (b.z - a.z) * reference(coor).z < 0:
+                    v = Point(a.x, (a.z + b.z) / 2)
+                    split = _splice(d, host, [v], [host, host], {})
+                    if split is not None and validate(split).is_valid:
+                        yield split, host
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Patch transknot.moves_singular.<name> to record each call's arguments."""
+    calls, original = [], getattr(ms, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ms, name, counted)
+    return calls
 
 
 def new_crossings(before: TransverseDiagram, after: TransverseDiagram):
@@ -90,6 +151,20 @@ def check_stabilized(before: TransverseDiagram, after: TransverseDiagram, k: int
     assert v2(after) == v2(before)
     assert whitney_index(after.curve) == 0
     assert pushoff_linking_oracle(after) == self_linking(after)
+
+
+def check_bent_stabilized(before: TransverseDiagram, bent: TransverseDiagram, host: int,
+                          k: int):
+    """check_stabilized across the bend of the vertical host, which moves
+    the crossings on the host but keeps their over bits and signs; the
+    detours then go into the bent host."""
+    assert validate(bent).is_valid
+    signs = sorted(crossing_sign(before, c) for c in before.crossings)
+    assert sorted(crossing_sign(bent, c) for c in bent.crossings) == signs
+    assert (self_linking(bent), v2(bent)) == (self_linking(before), v2(before))
+    after = stabilize(before, host, k)
+    assert after == stabilize(bent, host, k)
+    check_stabilized(bent, after, k)
 
 
 class TestStabilize:
@@ -162,6 +237,49 @@ class TestStabilize:
     def test_vertical_host_several_loops(self, make, count):
         before = make()
         check_stabilized(before, stabilize(before, 9, count), count)
+
+    # The anchor clearance alone gives the offset 1/16 with the tip 1/20
+    # below the top of edge 13 and 1/32 with it 3/10 below, and both put
+    # the tip inside the bend.  At 1/20 the spike also crosses edge 12
+    # within 1/25 of the host; at 3/10 only the distance to the tip sizes
+    # the one attempt.
+    @pytest.mark.parametrize("tip_z", [Fraction(-1, 20), Fraction(-3, 10)])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_vertical_host_is_bent_in_one_attempt(self, monkeypatch, tip_z, k):
+        d = spiked_vertical_unknot(tip_z)
+        assert d.curve.direction(13).x == 0
+        splices = count_calls(monkeypatch, "_splice")
+        _bend_vertical(d, 13)
+        assert len(splices) == 1
+        check_stabilized(d, stabilize(d, 13, k), k)
+
+    def test_bend_clears_crossings_near_the_host(self, monkeypatch):
+        d = looped_vertical_unknot()
+        (anchor,), r2 = _anchors(d, 14, 1)
+        a, b = d.curve.edge(14)
+        h = Fraction(1, 2 ** halvings(1, r2))
+        assert h == Fraction(1, 16)
+        assert all(point_segment_dist2(p, a, b) >= 16 * h * h
+                   for p in d.curve.vertices if p not in (a, b))
+        # the clearance and the vertices alone give h, and edges 9 and 11
+        # cross on the first slanted half that h would make
+        x = next(c.point for c in d.crossings if (c.lo, c.hi) == (9, 11))
+        assert point_in_open_segment(x, a, Point(anchor.x + h, anchor.z))
+        splices = count_calls(monkeypatch, "_splice")
+        bent = _bend_vertical(d, 14)
+        assert len(splices) == 1
+        check_bent_stabilized(d, bent, 14, 1)
+
+    def test_generated_vertical_hosts_bend_once(self, monkeypatch):
+        hosts = list(vertical_hosts(range(20)))
+        assert len(hosts) >= 100
+        assert {d.coorientation for d, _ in hosts} == set(Coorientation)
+        splices = count_calls(monkeypatch, "_splice")
+        for d, host in hosts:
+            del splices[:]
+            bent = _bend_vertical(d, host)
+            assert len(splices) == 1
+            check_bent_stabilized(d, bent, host, 2)
 
     def test_splice_needs_every_expected_crossing(self):
         d = u_minus()
@@ -389,6 +507,22 @@ class TestGenerators:
         again = singular_family(2, 2, 3)
         assert [m.curve for m in again] == [m.curve for m in family]
         assert family[0].curve == trefoil_right().curve
+
+    @pytest.mark.parametrize("doubles", range(1, 10))
+    def test_family_draws_once_per_member(self, monkeypatch, doubles):
+        draws = count_calls(monkeypatch, "random_valid_diagram")
+        for seed in range(10):
+            del draws[:]
+            family = singular_family(seed, doubles, 3)
+            assert [len(s.double_indices()) for s in family] == [doubles] * 3
+            assert len(draws) == 3 - (1 if doubles <= 3 else 0)
+
+    def test_family_short_top_up_raises(self, monkeypatch):
+        stabilize_all = ms.stabilize
+        monkeypatch.setattr(ms, "stabilize",
+                            lambda d, host, count: stabilize_all(d, host, count - 1))
+        with pytest.raises(TransknotError, match="admissible sites, short of 9"):
+            singular_family(0, 9, 1)
 
     def test_family_rejects_zero_doubles(self):
         with pytest.raises(ValueError):

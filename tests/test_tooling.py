@@ -126,3 +126,22 @@ def test_dataclasses_only_in_moves_singular():
         f"dataclasses imported in {sorted(found)}: only moves_singular.py keeps it, for "
         "InvariantHandle and FramedInvariantHandle, which perfbench/tracer.py rebuilds "
         "around its wrappers with dataclasses.replace")
+
+
+def test_only_the_random_diagram_search_retries():
+    # every move makes one attempt that its docstring proves safe; the
+    # rejection sampling in random_valid_diagram is the one loop that
+    # retries, spelled `for _ in range(...)`
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                found += [
+                    f"{path.name}:{fn.name}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+                    and node.target.id == "_" and isinstance(node.iter, ast.Call)
+                    and isinstance(node.iter.func, ast.Name) and node.iter.func.id == "range"
+                ]
+    assert found == ["moves_singular.py:random_valid_diagram"]
