@@ -197,8 +197,12 @@ def distinguish_by_relative_framing(
     otherwise).  k stabilizations shift the framing class by -2k, so
     the knots are distinguished whenever k is nonzero and the framing
     shift is faithful: either the knot is zero-homologous or the
-    manifold has no nonseparating sphere.
+    manifold has no nonseparating sphere.  Only negative stabilizations
+    are transverse, so a count below 0 names no knot and raises
+    ValueError.
     """
+    if stabilization_count < 0:
+        raise ValueError("stabilization count must be nonnegative")
     existence = relative_framing_exists(desc)
     if existence.kind is not ExistenceKind.EXISTS:
         raise PreconditionFailedError(

@@ -20,11 +20,11 @@ a red set against a blue one.  Skipping the pairs whose boxes are apart
 is exact: a point on a segment lies in its box, two segments that cross
 or overlap have meeting boxes, and a distance is at least the larger of
 the x-gap and the z-gap of the two boxes.  The package measures
-distances on ints too, by ``diagram.least_dist2``, except where it bends
-a vertical host edge: ``moves_singular._bend_vertical`` measures the
-distance from that one edge to the vertices and crossings with the
-Fraction ``point_segment_dist2``.  The tests compare ``least_dist2``
-against it and ``dist2``.
+distances on ints too: ``diagram.least_dist2`` is its only distance
+routine.  The Fraction routines ``segment_intersection``, ``dist2``,
+``point_segment_dist2`` and ``in_closed_cone`` have no caller in the
+package outside this module; the tests check the int kernel against
+them.
 """
 
 from __future__ import annotations

@@ -43,7 +43,6 @@ from .geometry import (
     halvings,
     is_parallel,
     neg,
-    point_segment_dist2,
     scale,
     vec,
 )
@@ -56,14 +55,18 @@ from .transversality import forced_over, reference, require_valid, validate
 # coorientation.  The path enters at (0,0), exits at (24,0), and its
 # tangent directions all avoid straight up, as do all corner sweeps;
 # net turning is zero.  Its segments are numbered 0..8 from the entry,
-# and it crosses itself exactly twice:
+# and it crosses itself exactly twice, at _DETOUR_CROSSINGS:
 #
 #   at (2,2):      first ascent (0) x returning strand (4); up lies in
-#                  the open tangent cone, so the over bit is forced (the
-#                  leftward strand on top), sign -1;
+#                  the open tangent cone, so the over bit is forced;
 #   at (5/6,5/6):  first ascent (0) x final descent (6); up is outside
-#                  the closed cone, the loop is drawn with the ascent on
-#                  top, sign -1.
+#                  the closed cone, so the over bit is free.
+#
+# The map that places the template (see stabilize) keeps the first one
+# forced and the second free, and a forced bit has sign -1: under Plus,
+# up = a*t_over + b*t_under with a, b > 0 and t_over.x < 0 < t_under.x
+# gives cross(t_over, t_under) < 0, and Minus is the mirror image.  So
+# both take the over bit of sign -1, whatever the map.
 _F = Fraction
 
 _DETOUR_PATH: tuple[Point, ...] = (
@@ -79,10 +82,10 @@ _DETOUR_PATH: tuple[Point, ...] = (
     Point(_F(24), _F(0)),
 )
 
-# ((segment, segment), the segment drawn on top) for each self-crossing
-_DETOUR_CROSSINGS: tuple[tuple[tuple[int, int], int], ...] = (((0, 4), 4), ((0, 6), 0))
+_DETOUR_CROSSINGS: tuple[Point, ...] = (Point(_F(2), _F(2)), Point(_F(5, 6), _F(5, 6)))
 
-_DETOUR_CENTER = Point(_F(12), _F(0))
+# the path and then the crossings, as displacements from the centre (12, 0)
+_DETOUR_SPOKES = tuple(vec(Point(_F(12), _F(0)), p) for p in _DETOUR_PATH + _DETOUR_CROSSINGS)
 
 
 def _anchors(d: TransverseDiagram, host: int, count: int) -> tuple[list[Point], Fraction]:
@@ -119,78 +122,76 @@ def _anchors(d: TransverseDiagram, host: int, count: int) -> tuple[list[Point], 
     return anchors, least_dist2(d.curve, marks, [(host - 1,)] * count, ex * ex + ez * ez)
 
 
+def _over_for_sign(dirs: Sequence[Vec], lo: int, hi: int, positive: bool) -> str:
+    """The over bit that gives the crossing of edges lo and hi sign +1
+    when ``positive``, else -1, on the int directions ``dirs``: the sign
+    is that of cross(t_over, t_under)."""
+    return "lo" if (cross(dirs[lo - 1], dirs[hi - 1]) > 0) == positive else "hi"
+
+
+def _exact(p: Point) -> tuple[int, int, int, int]:
+    """The point as ints, which hash much faster than its Fractions."""
+    return p.x.numerator, p.x.denominator, p.z.numerator, p.z.denominator
+
+
 def _splice(
-    d: TransverseDiagram, host: int, path: Sequence[Point], labels: Sequence, over: dict
+    d: TransverseDiagram, host: int, path: Sequence[Point], new: Sequence[Point]
 ) -> Optional[TransverseDiagram]:
     """Insert the vertices ``path`` into the host edge.
 
-    Over bits are carried across by edge origin.  ``labels[i]`` is the
-    origin of new edge host + i: ``host`` for a piece of the host edge,
-    any other non-int key for an inserted edge; every other edge has
-    its old index.  A crossing of two edges of old origin keeps the
-    over edge of the old crossing of those origins, and ``over`` maps
-    each expected crossing of two inserted edges, as the frozenset of
-    their labels, to the label drawn on top.  None is returned unless
-    the new curve crosses exactly where these say, once each.
+    Every crossing of ``d`` keeps its point and its over bit, and the
+    only other crossings are at the points ``new``, once each, with the
+    over bit of sign -1.  None is returned unless the new curve crosses
+    exactly there.  Keeping the over bit is exact because a splice keeps
+    the order of the edges: those before the host keep their index, the
+    host's pieces come next and later edges shift by ``len(path)``, so
+    "lo" and "hi" still name the same strands.
     """
     verts = list(d.curve.vertices)
     verts[host:host] = path
     curve = PolyCurve(tuple(verts))
-
-    def origin(e: int):
-        if e < host:
-            return e
-        return labels[e - host] if e - host < len(labels) else e - len(path)
-
-    expected = {frozenset((c.lo, c.hi)): c.over_edge for c in d.crossings}
-    expected.update(over)
+    expected = {_exact(c.point): c.over for c in d.crossings}
+    expected.update((_exact(p), None) for p in new)
     crossings = []
     for lo, hi, p in curve.detected_crossings:
-        o_lo, o_hi = origin(lo), origin(hi)
-        top = expected.pop(frozenset((o_lo, o_hi)), None)
-        if top is None:
+        if _exact(p) not in expected:
             return None
-        crossings.append(Crossing(lo, hi, p, "lo" if top == o_lo else "hi"))
-    if expected:
+        over = expected.pop(_exact(p)) or _over_for_sign(curve.int_directions, lo, hi, False)
+        crossings.append(Crossing(lo, hi, p, over))
+    if expected or len(crossings) != len(d.crossings) + len(new):
         return None
     return TransverseDiagram(curve, d.coorientation, tuple(crossings))
 
 
 def _bend_vertical(d: TransverseDiagram, host: int) -> TransverseDiagram:
-    """Split a vertical host edge a -> b into a -> m' -> b, the first
-    slanted half at index host, in one attempt.
+    """Bend a vertical host edge a -> b inside its anchor's clearance,
+    into a -> m1 -> m' -> m2 -> b, in one attempt; the first slanted
+    piece m1 -> m' is edge host + 1.
 
-    m is the anchor of ``_anchors(d, host, 1)``, r**2 its clearance, and
-    m' = m + (h, 0) with h = 2**-e for the least e with 4h <= room, where
-    room**2 is the least of r**2 and the squared distances from the host
-    to every vertex and every crossing point not on it.  On a valid
-    diagram that attempt succeeds:
+    m is the anchor of ``_anchors(d, host, 1)`` and r**2 its clearance;
+    s is the sign of the host's z-direction and h = 2**-e for the least
+    e with 4h <= r.  Then m1 = m - (0, s*h), m' = m + (h, 0) and
+    m2 = m + (0, s*h).  On a valid diagram the splice keeps every
+    crossing's point and over bit and the result is valid:
 
-    - Every point of the triangle a m' b lies within h < room of the
-      host, so no vertex and no crossing point lies in it.
-    - An edge that crosses the host enters the triangle there and has
-      no end inside it, so it leaves exactly once, through a -> m' or
-      m' -> b; not at m', since every edge but the host is at least r
-      from m.
-    - Any other edge that met the triangle would cut off m' and so pass
-      within h of m, so the edges at a and b stay outside it.  Hence
-      the corner sweeps at a and b stay clear of the forbidden vertical,
-      and the sweep at m' turns through the allowed one.
-    - A crossing with a vertical host is always free, and it stays free:
-      a tangent within the bend angle of the vertical would keep its
-      edge inside the triangle down to the height of m, within h of m.
+    - Every edge but the host lies at least r from m.  That includes
+      the edges at a and b, so m1 and m2 lie inside the host.
+    - The triangle m1 m' m2 lies within h < r of m, so it meets no
+      other edge, vertex or crossing: no crossing moves.
+    - The new directions (h, s*h) and (-h, s*h) are not vertical.  The
+      sweeps at m1, m' and m2 stay on the host's side of the vertical,
+      and the turn at m' passes through the host's own, allowed,
+      vertical.
+    - The corners at a and b keep their directions.
 
-    So ``_splice`` finds exactly the old crossings with the old over
-    bits.  The splice and the validity of its result are still checked;
+    The splice and the validity of its result are still checked;
     HostTooShortError is raised if either fails.
     """
-    (anchor,), r2 = _anchors(d, host, 1)
-    a, b = d.curve.edge(host)
-    others = [p for p in d.curve.vertices if p not in (a, b)]
-    others += [c.point for c in d.crossings if host not in (c.lo, c.hi)]
-    room2 = min([r2] + [point_segment_dist2(p, a, b) for p in others])
-    h = Fraction(1, 2 ** halvings(1, room2))
-    bent = _splice(d, host, [Point(anchor.x + h, anchor.z)], [host, host], {})
+    (m,), r2 = _anchors(d, host, 1)
+    h = Fraction(1, 2 ** halvings(1, r2))
+    sh = h if d.curve.direction(host).z > 0 else -h
+    bend = [Point(m.x, m.z - sh), Point(m.x + h, m.z), Point(m.x, m.z + sh)]
+    bent = _splice(d, host, bend, ())
     if bent is None or not validate(bent).is_valid:
         raise HostTooShortError(f"could not bend vertical edge {host}")
     return bent
@@ -199,13 +200,17 @@ def _bend_vertical(d: TransverseDiagram, host: int) -> TransverseDiagram:
 def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
     """Splice ``count`` disjoint detours into the host edge.
 
-    The result is valid, has 2*count more crossings, all new crossings
-    have sign -1, and the writhe (hence self-linking number) drops by
-    2*count; Whitney index and v2 are unchanged.  The detours are
-    centred at evenly spaced points of the host edge (a vertical host
-    is bent first) and share one power-of-two scale, fixed by the
-    least clearance of those points, and all go in with one splice, so
-    the coordinates grow by O(log count) bits over the host's.
+    The result is valid, has 2*count more crossings, and the writhe
+    (hence self-linking number) drops by 2*count; Whitney index and v2
+    are unchanged.  The splice checks this at the exact points: every
+    old crossing keeps its point and over bit, and each loop adds the
+    two template crossings, both of sign -1.  A vertical host is first
+    bent inside its anchor's clearance (``_bend_vertical``), which
+    moves no crossing, and the detours go into its first slanted piece,
+    edge host + 1.  The detours are centred at evenly spaced points of
+    the host edge and share one power-of-two scale, fixed by the least
+    clearance of those points, and all go in with one splice, so the
+    coordinates grow by O(log count) bits over the host's.
     HostTooShortError is raised only if no scale fits (the anchors'
     clearance would need 256 or more halvings of the detour), or if the
     checks of a vertical host's bend fail, which ``_bend_vertical``
@@ -220,17 +225,16 @@ def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
         return d
     if d.curve.direction(host).x == 0:
         d = _bend_vertical(d, host)
+        host += 1
 
     # The detour template is drawn for direction (1,0) under Plus.  The
     # linear map (1,0) -> host direction, (0,1) -> (0, +-1) transports
     # it to any non-vertical host: verticals stay vertical, so the
-    # no-upward-tangent conditions transport as well.
+    # no-upward-tangent conditions transport as well.  The crossings lie
+    # on the path, so they do not raise the largest deviation.
     direction = d.curve.direction(host)
     sigma = reference(d.coorientation).z
-    deviations = [
-        Vec(direction.x * u.x, direction.z * u.x + sigma * u.z)
-        for u in (vec(_DETOUR_CENTER, p) for p in _DETOUR_PATH)
-    ]
+    deviations = [Vec(direction.x * u.x, direction.z * u.x + sigma * u.z) for u in _DETOUR_SPOKES]
     maxdev2 = max(dot(u, u) for u in deviations)
     anchors, r2 = _anchors(d, host, count)
 
@@ -244,17 +248,10 @@ def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
         raise HostTooShortError(f"no safe detour scale for edge {host}")
     s = Fraction(1, 2**e)
     offsets = [(s * u.x, s * u.z) for u in deviations]
-
-    # When the map reverses orientation the two over bits flip, which
-    # restores both crossing signs to -1.
-    flips = sigma * direction.x < 0
-    path, labels, over = [], [host], {}
-    for j, anchor in enumerate(anchors):
-        path += [Point(anchor.x + dx, anchor.z + dz) for dx, dz in offsets]
-        labels += [(j, t) for t in range(len(_DETOUR_PATH) - 1)] + [host]
-        for (a, b), top in _DETOUR_CROSSINGS:
-            over[frozenset(((j, a), (j, b)))] = (j, a + b - top if flips else top)
-    out = _splice(d, host, path, labels, over)
+    ends = len(_DETOUR_PATH)
+    placed = [[Point(m.x + dx, m.z + dz) for dx, dz in offsets] for m in anchors]
+    path = [p for loop in placed for p in loop[:ends]]
+    out = _splice(d, host, path, [p for loop in placed for p in loop[ends:]])
     if out is None:
         raise TransknotError(f"detours on edge {host} crossed unexpectedly")
     return out
@@ -351,9 +348,7 @@ def resolve(s: SingularDiagram, a: ResolutionAssignment) -> TransverseDiagram:
         if isinstance(site, Resolved):
             crossings.append(site.crossing)
             continue
-        t_lo, t_hi = dirs[site.lo - 1], dirs[site.hi - 1]
-        want_pos = a.choices[i] is Resolution.POS
-        over = "lo" if (cross(t_lo, t_hi) > 0) == want_pos else "hi"
+        over = _over_for_sign(dirs, site.lo, site.hi, a.choices[i] is Resolution.POS)
         crossings.append(Crossing(site.lo, site.hi, site.point, over))
     return TransverseDiagram(s.curve, s.coorientation, tuple(crossings))
 

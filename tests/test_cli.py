@@ -310,6 +310,11 @@ class TestDistinguish:
         assert out.exit_code == 1
         assert out.stdout_lines[0].startswith("error:")
 
+    def test_negative_count_is_an_error(self):
+        out = dispatch(["distinguish", "--tight", "1", "--stabilizations", "-3"])
+        assert out.exit_code == 1
+        assert out.stdout_lines == ["error: stabilization count must be nonnegative"]
+
 
 class TestRender:
     def test_u_minus_svg(self, u_minus_file, tmp_path):

@@ -247,3 +247,10 @@ class TestDistinguish:
     def test_shift_scales_with_count(self):
         r = distinguish_by_relative_framing(self.TIGHT, False, 3)
         assert r.torsor_line == "F(K1) = (-6)·F(K0)"
+
+    def test_negative_count_is_refused(self):
+        # only negative stabilizations are transverse; a negative count of
+        # them names no knot, even where existence is not established
+        for desc in (self.TIGHT, ManifoldDescriptor(torus_pairings=(4, 6))):
+            with pytest.raises(ValueError, match="stabilization count must be nonnegative"):
+                distinguish_by_relative_framing(desc, True, -3)

@@ -1,12 +1,17 @@
 import hashlib
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import transknot.moves_singular as ms
 from transknot.diagram import (
     Coorientation,
+    Crossing,
+    PolyCurve,
     TransverseDiagram,
     build_diagram,
     serialize_diagram,
@@ -24,7 +29,7 @@ from transknot.fixtures import (
     u_minus,
     u_minus_forbidden,
 )
-from transknot.geometry import Point, halvings, point_in_open_segment, point_segment_dist2
+from transknot.geometry import Point, dist2
 from transknot.invariants import (
     crossing_sign,
     pushoff_linking_oracle,
@@ -52,7 +57,7 @@ from transknot.moves_singular import (
     stabilize,
     vassiliev_defect,
 )
-from transknot.transversality import reference, validate, whitney_index
+from transknot.transversality import forced_over, reference, validate, whitney_index
 
 
 def vertical_edge_unknot() -> TransverseDiagram:
@@ -102,18 +107,34 @@ def looped_vertical_unknot() -> TransverseDiagram:
 def vertical_hosts(seeds):
     """(diagram, host) for every edge of random_valid_diagram(seed, coor)
     that points along the allowed vertical sense (down under Plus, up
-    under Minus), split halfway down its height into a vertical piece and
-    the rest, where the split diagram is valid."""
+    under Minus), split halfway down its height into a vertical piece,
+    edge host, and the rest, where the split diagram is valid.  The
+    split moves crossings, so its crossings are the detected ones, drawn
+    with the forced over bit or else "lo"."""
     for seed in seeds:
         for coor in Coorientation:
             d = random_valid_diagram(seed, coor)
             for host in range(1, d.curve.n + 1):
                 a, b = d.curve.edge(host)
                 if (b.z - a.z) * reference(coor).z < 0:
-                    v = Point(a.x, (a.z + b.z) / 2)
-                    split = _splice(d, host, [v], [host, host], {})
-                    if split is not None and validate(split).is_valid:
+                    verts = list(d.curve.vertices)
+                    verts.insert(host, Point(a.x, (a.z + b.z) / 2))
+                    curve = PolyCurve(tuple(verts))
+                    crossings = [Crossing(lo, hi, p, forced_over(curve, coor, lo, hi) or "lo")
+                                 for lo, hi, p in curve.detected_crossings]
+                    split = TransverseDiagram(curve, coor, tuple(crossings))
+                    if validate(split).is_valid:
                         yield split, host
+
+
+@cache
+def small_vertical_hosts() -> tuple:
+    return tuple(vertical_hosts(range(6)))
+
+
+DYADIC = st.builds(lambda n, e: Fraction(n, 2**e), st.integers(-8, 8), st.integers(0, 4))
+POSITIVE_DYADIC = st.builds(lambda n, e: Fraction(n, 2**e), st.integers(1, 8),
+                            st.integers(0, 4))
 
 
 def count_calls(monkeypatch, name: str) -> list:
@@ -153,18 +174,8 @@ def check_stabilized(before: TransverseDiagram, after: TransverseDiagram, k: int
     assert pushoff_linking_oracle(after) == self_linking(after)
 
 
-def check_bent_stabilized(before: TransverseDiagram, bent: TransverseDiagram, host: int,
-                          k: int):
-    """check_stabilized across the bend of the vertical host, which moves
-    the crossings on the host but keeps their over bits and signs; the
-    detours then go into the bent host."""
-    assert validate(bent).is_valid
-    signs = sorted(crossing_sign(before, c) for c in before.crossings)
-    assert sorted(crossing_sign(bent, c) for c in bent.crossings) == signs
-    assert (self_linking(bent), v2(bent)) == (self_linking(before), v2(before))
-    after = stabilize(before, host, k)
-    assert after == stabilize(bent, host, k)
-    check_stabilized(bent, after, k)
+def crossing_data(d: TransverseDiagram) -> list:
+    return sorted((c.point, c.over) for c in d.crossings)
 
 
 class TestStabilize:
@@ -238,11 +249,11 @@ class TestStabilize:
         before = make()
         check_stabilized(before, stabilize(before, 9, count), count)
 
-    # The anchor clearance alone gives the offset 1/16 with the tip 1/20
-    # below the top of edge 13 and 1/32 with it 3/10 below, and both put
-    # the tip inside the bend.  At 1/20 the spike also crosses edge 12
-    # within 1/25 of the host; at 3/10 only the distance to the tip sizes
-    # the one attempt.
+    # The spike's tip lies 1/1000 right of edge 13, 1/20 or 3/10 below
+    # its top, and at 1/20 the spike also crosses edge 12 within 1/25 of
+    # the host.  A bend across the whole host, a -> m' -> b, would take
+    # the tip inside it; the bend stays within 1/16 (tip at 1/20) or
+    # 1/32 (tip at 3/10) of the anchor, inside its clearance.
     @pytest.mark.parametrize("tip_z", [Fraction(-1, 20), Fraction(-3, 10)])
     @pytest.mark.parametrize("k", [1, 2])
     def test_vertical_host_is_bent_in_one_attempt(self, monkeypatch, tip_z, k):
@@ -254,39 +265,79 @@ class TestStabilize:
         check_stabilized(d, stabilize(d, 13, k), k)
 
     def test_bend_clears_crossings_near_the_host(self, monkeypatch):
+        # edges 9 and 11 both cross the host and cross each other 1/64
+        # right of it; the bend keeps to its anchor's clearance, so every
+        # crossing stays where it was
         d = looped_vertical_unknot()
         (anchor,), r2 = _anchors(d, 14, 1)
-        a, b = d.curve.edge(14)
-        h = Fraction(1, 2 ** halvings(1, r2))
-        assert h == Fraction(1, 16)
-        assert all(point_segment_dist2(p, a, b) >= 16 * h * h
-                   for p in d.curve.vertices if p not in (a, b))
-        # the clearance and the vertices alone give h, and edges 9 and 11
-        # cross on the first slanted half that h would make
-        x = next(c.point for c in d.crossings if (c.lo, c.hi) == (9, 11))
-        assert point_in_open_segment(x, a, Point(anchor.x + h, anchor.z))
         splices = count_calls(monkeypatch, "_splice")
         bent = _bend_vertical(d, 14)
         assert len(splices) == 1
-        check_bent_stabilized(d, bent, 14, 1)
+        assert crossing_data(bent) == crossing_data(d)
+        verts = bent.curve.vertices
+        assert verts[:14] + verts[17:] == d.curve.vertices
+        (h2,) = {dist2(p, anchor) for p in verts[14:17]}
+        assert 16 * h2 <= r2
+        after = stabilize(d, 14, 1)
+        check_stabilized(d, after, 1)
+        assert after == stabilize(bent, 15, 1)
 
     def test_generated_vertical_hosts_bend_once(self, monkeypatch):
         hosts = list(vertical_hosts(range(20)))
-        assert len(hosts) >= 100
+        assert len(hosts) == 134
         assert {d.coorientation for d, _ in hosts} == set(Coorientation)
+        # the split puts some crossings on the vertical piece itself
+        assert sum(any(host in (c.lo, c.hi) for c in d.crossings) for d, host in hosts) == 5
         splices = count_calls(monkeypatch, "_splice")
         for d, host in hosts:
             del splices[:]
             bent = _bend_vertical(d, host)
             assert len(splices) == 1
-            check_bent_stabilized(d, bent, host, 2)
+            assert crossing_data(bent) == crossing_data(d)
+            after = stabilize(d, host, 2)
+            check_stabilized(d, after, 2)
+            assert after == stabilize(bent, host + 1, 2)
+
+    # (x, z) -> (a*x + c, b*x + d*z + e) with a, d > 0 keeps verticals
+    # vertical with their sense, keeps cones, the sign of every tangent's
+    # x and of every cross product, so the image of a valid diagram, with
+    # the images of its crossings, is valid
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data(), a=POSITIVE_DYADIC, b=DYADIC, c=DYADIC, d=POSITIVE_DYADIC,
+           e=DYADIC)
+    def test_sheared_vertical_hosts_stabilize(self, data, a, b, c, d, e):
+        before, host = data.draw(st.sampled_from(small_vertical_hosts()))
+
+        def image(p):
+            return Point(a * p.x + c, b * p.x + d * p.z + e)
+
+        curve = PolyCurve(tuple(image(p) for p in before.curve.vertices))
+        crossings = [Crossing(x.lo, x.hi, image(x.point), x.over) for x in before.crossings]
+        sheared = TransverseDiagram(curve, before.coorientation, tuple(crossings))
+        for k in (1, 2, 3):
+            check_stabilized(sheared, stabilize(sheared, host, k), k)
 
     def test_splice_needs_every_expected_crossing(self):
         d = u_minus()
-        assert _splice(d, 3, [], [3], {}) == d
-        # a crossing the splice expects but the new curve lacks fails it,
-        # as when a bend moves a strand off a crossing of the host
-        assert _splice(d, 3, [], [3], {frozenset(("a", "b")): "a"}) is None
+        assert _splice(d, 3, [], []) == d
+        # a crossing the splice expects but the new curve lacks fails it
+        assert _splice(d, 3, [], [Point(Fraction(9), Fraction(9))]) is None
+        # and so does a new point at an old crossing, which stays one crossing
+        (c,) = d.crossings
+        assert _splice(d, 3, [], [c.point]) is None
+        # a vertex that moves the crossing of edges 1 and 6 from (0, 0) to
+        # (-1/5, 1/5) fails it, even with the new point expected
+        bend = [Point(Fraction(0), Fraction(1, 2))]
+        assert _splice(d, 1, bend, [Point(Fraction(-1, 5), Fraction(1, 5))]) is None
+        # a spike from edge 2 crosses edge 5 twice, which fails it unless
+        # both points are expected; those two then take sign -1
+        spike = [Point(Fraction(3, 2), Fraction(-2))]
+        new = [Point(Fraction(4, 3), Fraction(-1)), Point(Fraction(5, 3), Fraction(-1))]
+        assert _splice(d, 2, spike, []) is None
+        assert _splice(d, 2, spike, new[:1]) is None
+        out = _splice(d, 2, spike, new)
+        assert set(crossing_data(d)) < set(crossing_data(out))
+        assert [crossing_sign(out, c) for c in new_crossings(d, out)] == [-1, -1]
 
     def test_outputs_are_pinned(self):
         # SHA-256 of 960 stabilizations as the Fraction clearance placed

@@ -145,3 +145,32 @@ def test_only_the_random_diagram_search_retries():
                     and isinstance(node.iter.func, ast.Name) and node.iter.func.id == "range"
                 ]
     assert found == ["moves_singular.py:random_valid_diagram"]
+
+
+# Fraction reference routines: the tests check the int kernel against
+# them and perfbench/tracer.py counts their calls, so they stay in the
+# package, but only they call one another
+REFERENCE_ROUTINES = {"segment_intersection", "dist2", "point_segment_dist2", "in_closed_cone"}
+
+
+def test_reference_routines_have_no_package_caller():
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(node)
+            for top in tree.body
+            if path.name == "geometry.py" and isinstance(top, ast.FunctionDef)
+            and top.name in REFERENCE_ROUTINES
+            for node in ast.walk(top)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in allowed and (
+                isinstance(node, ast.Name) and node.id in REFERENCE_ROUTINES
+                or isinstance(node, ast.Attribute) and node.attr in REFERENCE_ROUTINES
+                or isinstance(node, ast.alias) and node.name in REFERENCE_ROUTINES
+            )
+        ]
+    assert found == []
