@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from itertools import combinations
+from itertools import combinations, islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .errors import CrossingMismatchError, NongenericCurveError, ParseError, TransknotError
@@ -206,6 +207,17 @@ class PolyCurve(Frozen):
         sweep.  Edges that cross, overlap or touch meet in their boxes,
         so no pair either pass needs is skipped."""
         return tuple(box_overlapping_pairs(self.edge_boxes))
+
+    def edge_pairs_at_most(self, limit: int) -> bool:
+        """Whether ``edge_pairs`` has at most ``limit`` pairs, found by its
+        sweep stopped at the pair after the limit; when it has, the sweep
+        is kept as ``edge_pairs``, so the parser bounds its work by this
+        and runs no second sweep."""
+        pairs = tuple(islice(box_overlapping_pairs(self.edge_boxes), limit + 1))
+        if len(pairs) > limit:
+            return False
+        vars(self)["edge_pairs"] = pairs  # the cache of the property above
+        return True
 
     @cached_property
     def genericity_violations(self) -> tuple[Violation, ...]:
@@ -484,14 +496,26 @@ def least_dist2(curve: PolyCurve, points, skip, bound: int, spots=()) -> Fractio
 
 
 def crossing_mismatch(curve: PolyCurve, declared) -> tuple[list, list, tuple[Violation, ...]]:
-    """Sorted (missing, extra, violations): the detected crossing pairs
-    absent from ``declared``, the declared pairs the curve does not
-    cross, and one CrossingMismatch per pair of either list."""
-    detected = {(lo, hi) for lo, hi, _ in curve.detected_crossings}
-    declared = set(declared)
-    missing, extra = sorted(detected - declared), sorted(declared - detected)
+    """Sorted (missing, extra, violations) for ``declared``, (lo, hi)
+    pairs or (lo, hi, point) triples, counted against the detected
+    crossings cut to the same length: the pairs of the detected entries
+    that ``declared`` lacks, the pairs of its entries beyond the detected
+    ones, and one CrossingMismatch per pair in either list.  A pair named
+    twice, or at a point where the curve does not cross, is in one of
+    them at least.
+
+    Both lists are sorted first, so when they agree a single comparison
+    decides it, which hashes no Fraction point."""
+    named = sorted(declared)
+    width = len(named[0]) if named else 2
+    detected = [entry[:width] for entry in curve.detected_crossings]
+    if named == detected:
+        return [], [], ()
+    named, detected = Counter(named), Counter(detected)
+    missing = sorted(entry[:2] for entry in detected - named)
+    extra = sorted(entry[:2] for entry in named - detected)
     return missing, extra, tuple(Violation(ViolationKind.CrossingMismatch, edges=pair)
-                                 for pair in sorted(missing + extra))
+                                 for pair in sorted(set(missing + extra)))
 
 
 def _attach_over(curve: PolyCurve, coor: Coorientation, over: dict) -> TransverseDiagram:
@@ -540,6 +564,20 @@ FORMAT_HEADER = "transverse-diagram/1"
 MAX_TOKEN_CHARS = 1000
 MAX_EXPONENT = 1000
 
+# Limits on the work of one parse, past which a file is refused with
+# one ParseError: the vertex count; the total bit length of the distinct
+# coordinate denominators, which bounds the lcm behind
+# ``PolyCurve.scaled`` and so the ints every pair test multiplies; and
+# the pairs of edges whose boxes meet, which the crossing scan and the
+# genericity pass test one by one and whose sweep stops at the pair
+# after the limit.  Each is two to three times the most that the
+# command line's largest stabilization, 1000 loops on any edge of the
+# benchmark's inputs, gives: 10,095 vertices, 3,139 denominator bits
+# and 45,242 edge pairs.
+MAX_VERTICES = 20_000
+MAX_DENOMINATOR_BITS = 8_192
+MAX_EDGE_PAIRS = 100_000
+
 
 def _parse_fraction(token: str, lineno: int) -> Fraction:
     if len(token) > MAX_TOKEN_CHARS:
@@ -568,6 +606,8 @@ def parse_diagram(text: str) -> TransverseDiagram:
     The curve must be generic, and the declared crossing list must
     match the geometrically detected one exactly (CrossingMismatchError
     otherwise); in both cases the violations travel on the ParseError.
+    A file past MAX_VERTICES, MAX_DENOMINATOR_BITS or MAX_EDGE_PAIRS is
+    refused before the work they bound is done.
     """
     lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -600,6 +640,8 @@ def parse_diagram(text: str) -> TransverseDiagram:
     verts: list[Point] = []
     while pos < len(lines) and lines[pos][1] != "over:":
         lineno, line = take()
+        if len(verts) == MAX_VERTICES:
+            raise ParseError(lineno, f"more than {MAX_VERTICES} vertices")
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(lineno, f"expected two rationals, got {line!r}")
@@ -609,6 +651,9 @@ def parse_diagram(text: str) -> TransverseDiagram:
     if len(verts) < 3:
         raise ParseError(lines[pos][0] if pos < len(lines) else 0,
                          "need at least 3 vertices")
+    denominators = {c.denominator for p in verts for c in p}
+    if sum(den.bit_length() for den in denominators) > MAX_DENOMINATOR_BITS:
+        raise ParseError(0, f"denominators of more than {MAX_DENOMINATOR_BITS} bits in all")
 
     take("over:")
     declared: dict[tuple[int, int], str] = {}
@@ -634,6 +679,8 @@ def parse_diagram(text: str) -> TransverseDiagram:
         raise ParseError(lines[pos][0], "content after 'end'")
 
     curve = PolyCurve(tuple(verts))
+    if not curve.edge_pairs_at_most(MAX_EDGE_PAIRS):
+        raise ParseError(0, f"more than {MAX_EDGE_PAIRS} pairs of edges with meeting boxes")
     if curve.genericity_violations:
         raise ParseError(0, "curve is not generic", violations=curve.genericity_violations)
     missing, extra, mismatch = crossing_mismatch(curve, declared)

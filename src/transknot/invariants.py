@@ -114,20 +114,18 @@ def _pushoff_once(d: TransverseDiagram, u: Vec, e: int):
         i, j = r - n + 1, b - n + 1
         if segment_crossing(*orig_ends[i - 1], *copy_ends[j - 1]) is None:
             continue
-        # the refined and shifted edges point along 2**e times these
-        ti, tj = dirs[i - 1], dirs[j - 1]
         pair = (min(i, j), max(i, j))
         if pair in by_pair:
-            # near an original crossing: the vertical order of the
-            # two strands is inherited, a small shift cannot swap it
-            orig_over_is_i = by_pair[pair].over_edge == i
-            sgn = sign(cross(ti, tj)) if orig_over_is_i else sign(cross(tj, ti))
-            total += sgn
+            # near an original crossing: the vertical order of the two
+            # strands is inherited, a small shift cannot swap it, and
+            # the refined and shifted edges point along 2**e times the
+            # original directions, so the hit has the crossing's sign
+            total += crossing_sign(d, by_pair[pair])
             hits[pair] = hits.get(pair, 0) + 1
         elif (j - i) % n in (1, n - 1):
             # near a shared corner: the copy sits at strictly larger
             # y (the push-off direction), so the copy strand is under
-            sgn = sign(cross(ti, tj))
+            sgn = sign(cross(dirs[i - 1], dirs[j - 1]))
             total += sgn
             corner_total += sgn
         else:
@@ -198,10 +196,17 @@ def v2(d: TransverseDiagram, basepoint: int | None = None) -> int:
     product of the crossing signs.  Normalized so the unknot gives 0
     and either trefoil gives 1.
 
+    The chords are read in walk order: ``combinations`` yields the pairs
+    in the order of the dict's keys, the order of first passage, so A is
+    always the chord met first and one interleaving test, a1 < b1 < a2
+    < b2, finds every interleaved pair.
+
     The basepoint defaults to the lexicographically least vertex; any
-    vertex index may be forced instead (the count does not depend on
-    the choice).
+    vertex index 1..n may be forced instead (the count does not depend
+    on the choice), and another value raises ValueError.
     """
+    if basepoint is not None and not 1 <= basepoint <= d.curve.n:
+        raise ValueError(f"basepoint {basepoint} out of range 1..{d.curve.n}")
     where: dict[tuple[int, int], list[tuple[int, bool]]] = {}
     for idx, (cid, over) in enumerate(_passages(d, basepoint)):
         where.setdefault(cid, []).append((idx, over))
@@ -209,15 +214,9 @@ def v2(d: TransverseDiagram, basepoint: int | None = None) -> int:
 
     total = 0
     for one, other in combinations(where, 2):
-        (a1, ra1), (a2, _) = where[one]
-        (b1, rb1), (b2, _) = where[other]
-        if a1 < b1 < a2 < b2:
-            first_over, second_under = ra1, not rb1
-        elif b1 < a1 < b2 < a2:
-            first_over, second_under = rb1, not ra1
-        else:
-            continue  # unlinked chords
-        if first_over and second_under:
+        (a1, a_over), (a2, _) = where[one]
+        (b1, b_over), (b2, _) = where[other]
+        if a1 < b1 < a2 < b2 and a_over and not b_over:
             total += signs[one] * signs[other]
     return total
 

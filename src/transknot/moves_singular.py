@@ -38,7 +38,6 @@ from .geometry import (
     Point,
     Vec,
     corner_sweep_contains,
-    cross,
     dot,
     halvings,
     is_parallel,
@@ -47,7 +46,7 @@ from .geometry import (
     vec,
 )
 from .invariants import self_linking, v2, writhe
-from .transversality import forced_over, reference, require_valid, validate
+from .transversality import forced_over, over_for_sign, reference, require_valid, validate
 
 # --- the canonical detour ---------------------------------------------------
 
@@ -63,10 +62,9 @@ from .transversality import forced_over, reference, require_valid, validate
 #                  the closed cone, so the over bit is free.
 #
 # The map that places the template (see stabilize) keeps the first one
-# forced and the second free, and a forced bit has sign -1: under Plus,
-# up = a*t_over + b*t_under with a, b > 0 and t_over.x < 0 < t_under.x
-# gives cross(t_over, t_under) < 0, and Minus is the mirror image.  So
-# both take the over bit of sign -1, whatever the map.
+# forced and the second free, and a forced bit is the bit of sign -1
+# (see forced_over).  So both take the over bit of sign -1, whatever
+# the map.
 _F = Fraction
 
 _DETOUR_PATH: tuple[Point, ...] = (
@@ -122,13 +120,6 @@ def _anchors(d: TransverseDiagram, host: int, count: int) -> tuple[list[Point], 
     return anchors, least_dist2(d.curve, marks, [(host - 1,)] * count, ex * ex + ez * ez)
 
 
-def _over_for_sign(dirs: Sequence[Vec], lo: int, hi: int, positive: bool) -> str:
-    """The over bit that gives the crossing of edges lo and hi sign +1
-    when ``positive``, else -1, on the int directions ``dirs``: the sign
-    is that of cross(t_over, t_under)."""
-    return "lo" if (cross(dirs[lo - 1], dirs[hi - 1]) > 0) == positive else "hi"
-
-
 def _exact(p: Point) -> tuple[int, int, int, int]:
     """The point as ints, which hash much faster than its Fractions."""
     return p.x.numerator, p.x.denominator, p.z.numerator, p.z.denominator
@@ -156,7 +147,7 @@ def _splice(
     for lo, hi, p in curve.detected_crossings:
         if _exact(p) not in expected:
             return None
-        over = expected.pop(_exact(p)) or _over_for_sign(curve.int_directions, lo, hi, False)
+        over = expected.pop(_exact(p)) or over_for_sign(curve, lo, hi, -1)
         crossings.append(Crossing(lo, hi, p, over))
     if expected or len(crossings) != len(d.crossings) + len(new):
         return None
@@ -335,20 +326,20 @@ def make_singular(d: TransverseDiagram, sites: Iterable[int]) -> SingularDiagram
 def resolve(s: SingularDiagram, a: ResolutionAssignment) -> TransverseDiagram:
     """Turn every double point back into a crossing of the chosen sign.
 
-    POS selects the over bit making the crossing sign +1, NEG the other
-    one.  The over bit is decided on the curve's int directions.  The
-    assignment must cover exactly the double sites.
+    POS selects the over bit of sign +1 and NEG that of sign -1, by
+    ``over_for_sign``.  The assignment must cover exactly the double
+    sites.
     """
     doubles = set(s.double_indices())
     if set(a.choices) != doubles:
         raise ValueError("assignment must cover every double site exactly once")
-    dirs = s.curve.int_directions
     crossings = []
     for i, site in enumerate(s.sites):
         if isinstance(site, Resolved):
             crossings.append(site.crossing)
             continue
-        over = _over_for_sign(dirs, site.lo, site.hi, a.choices[i] is Resolution.POS)
+        sign = 1 if a.choices[i] is Resolution.POS else -1
+        over = over_for_sign(s.curve, site.lo, site.hi, sign)
         crossings.append(Crossing(site.lo, site.hi, site.point, over))
     return TransverseDiagram(s.curve, s.coorientation, tuple(crossings))
 

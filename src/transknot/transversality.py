@@ -3,11 +3,14 @@
 A diagram drawn in the (x, z) plane is a valid transverse front when
 
 1. no tangent direction points straight up, and
-2. at every crossing where straight up lies in the open cone spanned by
-   the two tangents, the strand heading up-and-right passes under.
+2. every crossing where straight up lies in the open cone spanned by
+   the two tangents has sign -1 (see ``invariants``).
 
 For the Minus coorientation both checks run on the orientation-reversed
-curve, which is the same as testing straight down on the original.
+curve, which is the same as testing straight down on the original.  The
+sign rule is written once in each direction: ``invariants.crossing_sign``
+reads a crossing's sign from its over bit, and ``over_for_sign`` picks
+the over bit of a given sign.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .errors import InvalidDiagramError, NongenericCurveError
 from .geometry import (
     Vec,
     corner_sweep_contains,
+    cross,
     in_open_cone,
     same_direction,
     turn_sign,
@@ -77,27 +81,48 @@ def check_condition1(curve: PolyCurve, coor: Coorientation) -> list[Violation]:
     return sort_violations(out)
 
 
+def over_for_sign(curve: PolyCurve, lo: int, hi: int, s: int) -> str:
+    """The over bit ("lo" or "hi") that gives the crossing of edges lo
+    and hi the sign s, +1 or -1: the sign of cross(t_over, t_under) on
+    the curve's int directions, as ``invariants.crossing_sign`` reads it.
+    """
+    dirs = curve.int_directions
+    return "lo" if cross(dirs[lo - 1], dirs[hi - 1]) * s > 0 else "hi"
+
+
 def forced_over(curve: PolyCurve, coor: Coorientation, lo: int, hi: int) -> Optional[str]:
     """The strand ("lo" or "hi") that must pass over where edges lo and
     hi cross, or None when the over bit is free.
 
-    The bit is forced when ``reference(coor)`` lies in the open cone of
-    the two tangents (DOWN in cone(t) exactly when UP is in cone(-t));
-    then one tangent has dx > 0, the other dx < 0, and the over strand
-    is the dx < 0 one for Plus, the dx > 0 one for Minus.  Under
-    condition 1 no tangent points along the forbidden vertical, so at a
-    free crossing it is outside the closed cone too and either over bit
-    gives a valid diagram.  Decided on the curve's int directions.
+    The bit is forced when the forbidden vertical r = ``reference(coor)``
+    lies in the open cone of the two tangents (DOWN in cone(t) exactly
+    when UP is in cone(-t)), and then it is the bit of sign -1.  That is
+    the bit of the over strand with dx < 0 under Plus and dx > 0 under
+    Minus, because that crossing has sign -1:
+
+    - Inside the open cone both tangents have a non-zero dx, of
+      opposite signs, and r = a*t_over + b*t_under with a, b > 0, so
+      cross(t_over, r) = b*cross(t_over, t_under).
+    - Under Plus, r = UP and the forced over strand has dx < 0, so
+      cross(t_over, UP) = t_over.x < 0.
+    - Under Minus, r = DOWN and the forced over strand has dx > 0, so
+      cross(t_over, DOWN) = -t_over.x < 0.
+
+    Under condition 1 no tangent points along the forbidden vertical,
+    so at a free crossing it is outside the closed cone too and either
+    over bit gives a valid diagram.  Decided on the curve's int
+    directions.
     """
     t_lo, t_hi = curve.int_directions[lo - 1], curve.int_directions[hi - 1]
     if not in_open_cone(reference(coor), t_lo, t_hi):
         return None
-    return "lo" if (t_lo.x < 0) is (coor is Coorientation.PLUS) else "hi"
+    return over_for_sign(curve, lo, hi, -1)
 
 
 def check_condition2(d: TransverseDiagram) -> list[Violation]:
-    """Violations of the upper-right-strand-is-under rule: crossings
-    whose over bit differs from the one ``forced_over`` requires."""
+    """Violations of the sign rule: crossings whose tangent cone holds
+    the forbidden vertical, the ones ``forced_over`` names, and whose
+    sign is not -1."""
     out = []
     for c in d.crossings:
         forced = forced_over(d.curve, d.coorientation, c.lo, c.hi)
@@ -121,11 +146,12 @@ def check_validity(d: TransverseDiagram) -> ValidityReport:
     Reads the curve's cached genericity and crossings.  Positional
     defects short-circuit the report, since crossing data is meaningless
     on a non-generic curve.  A crossing list that disagrees with the
-    detected intersections is reported as CrossingMismatch.
+    detected intersections, pair by pair and point by point, is reported
+    as CrossingMismatch.
     """
     if d.curve.genericity_violations:
         return ValidityReport(d.curve.genericity_violations)
-    _, _, mismatch = crossing_mismatch(d.curve, ((c.lo, c.hi) for c in d.crossings))
+    _, _, mismatch = crossing_mismatch(d.curve, ((c.lo, c.hi, c.point) for c in d.crossings))
     if mismatch:
         return ValidityReport(mismatch)
     out = check_condition1(d.curve, d.coorientation) + check_condition2(d)

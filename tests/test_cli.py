@@ -216,6 +216,18 @@ class TestResolve:
         assert out.stdout_lines == ["error: --sites lists site 1 twice"]
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("sites, assign, message", [
+        ("1", "x", "error: --assign must be a string of + and -, got 'x'"),
+        ("", "+", "error: --assign length must match the number of sites"),
+    ])
+    def test_bad_assign_is_one_error_line(self, trefoil_file, tmp_path, sites, assign,
+                                          message):
+        out_path = tmp_path / "resolved.txt"
+        out = dispatch(["resolve", trefoil_file, "--sites", sites, "--assign", assign,
+                        "-o", str(out_path)])
+        assert (out.exit_code, out.stdout_lines) == (1, [message])
+        assert not out_path.exists()
+
     def test_forced_site_is_a_domain_error(self, u_minus_file, tmp_path):
         out = dispatch(
             ["resolve", u_minus_file, "--sites", "1", "--assign", "+",
@@ -379,6 +391,27 @@ class TestWorkBounds:
         assert out.stdout_lines == [
             f"error: --samples times 2**(order + 1) must be at most {MAX_RESOLUTIONS}"]
 
+    @pytest.mark.parametrize("order, samples, message", [
+        ("-1", "1", "error: --order must be nonnegative"),
+        ("1", "0", "error: --samples must be positive"),
+    ])
+    def test_order_and_samples_below_range(self, monkeypatch, order, samples, message):
+        monkeypatch.setattr("transknot.moves_singular.singular_family", _must_not_run)
+        out = dispatch(["order-check", "--invariant", "writhe", "--order", order,
+                        "--seed", "1", "--samples", samples])
+        assert (out.exit_code, out.stdout_lines) == (1, [message])
+
+    @pytest.mark.parametrize("limit, value, message", [
+        ("MAX_VERTICES", 9, "error: line 13: more than 9 vertices"),
+        ("MAX_EDGE_PAIRS", 5, "error: more than 5 pairs of edges with meeting boxes"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "invariants", "oracle-sl"])
+    def test_file_past_a_parse_limit(self, u_minus_file, monkeypatch, limit, value, message,
+                                     command):
+        monkeypatch.setattr(f"transknot.diagram.{limit}", value)
+        out = dispatch([command, u_minus_file])
+        assert (out.exit_code, out.stdout_lines) == (1, [message])
+
     def test_samples_at_bound_reach_the_family(self, monkeypatch):
         asked = []
         monkeypatch.setattr("transknot.moves_singular.singular_family",
@@ -438,6 +471,15 @@ class TestUsageErrors:
 
     def test_no_command(self):
         assert dispatch([]).exit_code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["resolve", "x.td", "--sites", "1,x", "--assign", "++", "-o", "y.td"],
+        ["exists", "--pairings", "4,a"],
+    ])
+    def test_bad_integer_list(self, argv):
+        out = dispatch(argv)
+        assert out.exit_code == 2
+        assert any("expected comma-separated integers" in line for line in out.stdout_lines)
 
 
 def test_repeated_dispatch_is_byte_identical(u_minus_file):

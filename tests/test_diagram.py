@@ -3,9 +3,13 @@ from pathlib import Path
 
 import pytest
 
+from transknot.cli import MAX_COUNT
 from transknot.diagram import (
+    MAX_DENOMINATOR_BITS,
+    MAX_EDGE_PAIRS,
     MAX_EXPONENT,
     MAX_TOKEN_CHARS,
+    MAX_VERTICES,
     Coorientation,
     Crossing,
     PolyCurve,
@@ -33,6 +37,7 @@ from transknot.fixtures import (
 )
 from transknot.geometry import Point, box_overlapping_pairs
 from transknot.invariants import invariant_values
+from transknot.moves_singular import stabilize
 from transknot.transversality import validate
 
 
@@ -345,6 +350,61 @@ class TestParseLimits:
         text = serialize_diagram(d)
         assert parse_diagram(text) == d
         assert serialize_diagram(parse_diagram(text)) == text
+
+
+class TestParseWorkLimits:
+    # Each limit is patched low, so no test parses an extreme file.
+    def test_vertex_count(self, monkeypatch):
+        monkeypatch.setattr("transknot.diagram.MAX_VERTICES", 9)
+        with pytest.raises(ParseError, match="more than 9 vertices") as exc:
+            parse_diagram(U_MINUS_TEXT)
+        assert exc.value.line == 13  # the tenth vertex
+        monkeypatch.setattr("transknot.diagram.MAX_VERTICES", 10)
+        assert parse_diagram(U_MINUS_TEXT) == u_minus()
+
+    def test_distinct_denominator_bits(self, monkeypatch):
+        # denominators 1, 3 and 4 take 1 + 2 + 3 bits; a repeated one counts once
+        monkeypatch.setattr("transknot.diagram.MAX_DENOMINATOR_BITS", 5)
+        with pytest.raises(ParseError, match="denominators of more than 5 bits in all"):
+            parse_diagram(triangle_text("1/3", "1/4"))
+        parse_diagram(triangle_text("1/3", "2/3"))
+        monkeypatch.setattr("transknot.diagram.MAX_DENOMINATOR_BITS", 6)
+        parse_diagram(triangle_text("1/3", "1/4"))
+
+    @staticmethod
+    def count_sweep(monkeypatch):
+        yielded = []
+
+        def counted(boxes, reach=0):
+            for pair in box_overlapping_pairs(boxes, reach):
+                yielded.append(pair)
+                yield pair
+
+        monkeypatch.setattr("transknot.diagram.box_overlapping_pairs", counted)
+        return yielded
+
+    def test_edge_pairs_stop_the_sweep(self, monkeypatch):
+        yielded = self.count_sweep(monkeypatch)
+        monkeypatch.setattr("transknot.diagram.MAX_EDGE_PAIRS", 5)
+        with pytest.raises(ParseError, match="more than 5 pairs of edges") as exc:
+            parse_diagram(U_MINUS_TEXT)
+        assert exc.value.violations == []
+        assert len(yielded) == 6
+
+    def test_edge_pairs_at_the_limit_are_swept_once(self, monkeypatch):
+        pairs = u_minus().curve.edge_pairs
+        yielded = self.count_sweep(monkeypatch)
+        monkeypatch.setattr("transknot.diagram.MAX_EDGE_PAIRS", len(pairs))
+        d = parse_diagram(U_MINUS_TEXT)
+        assert validate(d).is_valid
+        assert tuple(yielded) == d.curve.edge_pairs == pairs
+
+    def test_largest_command_line_stabilization_parses(self):
+        d = parse_diagram(serialize_diagram(stabilize(trefoil_right(), 1, MAX_COUNT)))
+        denominators = {c.denominator for p in d.curve.vertices for c in p}
+        assert d.curve.n == 10_015 < MAX_VERTICES
+        assert sum(den.bit_length() for den in denominators) == 474 < MAX_DENOMINATOR_BITS
+        assert len(d.curve.edge_pairs) == 29_034 < MAX_EDGE_PAIRS
 
 
 class TestSerialize:

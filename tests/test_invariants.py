@@ -134,6 +134,12 @@ class TestV2:
             values = {v2(d, basepoint=k) for k in range(1, d.curve.n + 1)}
             assert values == {v2(d)}
 
+    @pytest.mark.parametrize("basepoint", [0, -3, 16, 100])
+    def test_basepoint_out_of_range_is_refused(self, basepoint):
+        # trefoil_right has 15 vertices; a wrapped index would give 1
+        with pytest.raises(ValueError, match=rf"basepoint {basepoint} out of range 1\.\.15"):
+            v2(trefoil_right(), basepoint=basepoint)
+
 
 def test_invariant_values_record():
     vals = invariant_values(trefoil_right())

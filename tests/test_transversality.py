@@ -14,6 +14,7 @@ from transknot.diagram import (
 from transknot.errors import InvalidDiagramError, NongenericCurveError
 from transknot.fixtures import minus_unknot, trefoil_right, u_minus, u_minus_forbidden
 from transknot.geometry import Point, in_closed_cone, neg
+from transknot.invariants import self_linking
 from transknot.moves_singular import random_valid_diagram, stabilize
 from transknot.transversality import (
     UP,
@@ -172,6 +173,28 @@ class TestValidate:
         )
         pairs = {v.edges for v in validate(extra).violations}
         assert pairs == {(2, 5)}
+
+    def test_crossing_listed_twice_is_a_mismatch(self):
+        t = trefoil_right()
+        twice = TransverseDiagram(t.curve, t.coorientation, t.crossings + t.crossings[:1])
+        assert [(v.kind, v.edges) for v in validate(twice).violations] == [
+            (ViolationKind.CrossingMismatch, (1, 9))
+        ]
+        with pytest.raises(InvalidDiagramError):
+            self_linking(twice)  # counted the crossing twice: 2, not 1
+
+    def test_crossing_at_another_point_is_a_mismatch(self):
+        t = trefoil_right()
+        moved = TransverseDiagram(t.curve, t.coorientation, [
+            Crossing(c.lo, c.hi, P(100, 100), c.over) if (c.lo, c.hi) == (1, 9) else c
+            for c in t.crossings
+        ])
+        assert [(v.kind, v.edges) for v in validate(moved).violations] == [
+            (ViolationKind.CrossingMismatch, (1, 9))
+        ]
+        for host in (1, 9):  # an anchor would land on the real crossing at (1, 1)
+            with pytest.raises(InvalidDiagramError):
+                stabilize(moved, host, 1)
 
     def test_minus_validity_equals_reversed_plus_validity(self):
         # coorientation flip is orientation reversal in disguise
