@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from itertools import combinations, islice
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .errors import CrossingMismatchError, NongenericCurveError, ParseError, TransknotError
@@ -227,8 +227,17 @@ class PolyCurve(Frozen):
         duplicate vertices, no vertex interior to a non-incident edge,
         no collinear overlaps, and non-adjacent edges meeting in at most
         one interior point with all such points distinct.  Computed once,
-        on the scaled vertices: coincident vertices by equal points, the
-        rest on the edge pairs of ``edge_pairs``, whose boxes meet.
+        on the scaled vertices, with every vertex fact found at the pairs
+        of ``edge_pairs``, whose boxes meet:
+
+        - A vertex lies in the closed box of the edge it starts, and a
+          vertex inside an edge lies in that edge's box, so the two boxes
+          meet.
+        - Coincident vertices s < t start edges s and t, whose boxes meet
+          at the common point, so ``edge_pairs`` holds (s, t) exactly
+          once: each EndpointContact is reported once, at the lower
+          vertex, for every pair of coincident vertices that are not
+          consecutive.
         """
         out: list[Violation] = []
         n = self.n
@@ -247,17 +256,11 @@ class PolyCurve(Frozen):
             if cross(d_in, d_out) == 0 and dot(d_in, d_out) < 0:
                 out.append(Violation(ViolationKind.ReversalCorner, edges=(e_in + 1, i + 1)))
 
-        at: dict[tuple[int, int], list[int]] = {}
-        for k, p in enumerate(pts):
-            at.setdefault(p, []).append(k)
-        out += [Violation(ViolationKind.EndpointContact, point=self.vertices[s])
-                for group in at.values() for s, t in combinations(group, 2)
-                if t - s not in (1, n - 1)]
-
-        # a vertex inside an edge lies in its box, as in that of the edge it starts
         on_edge = set()
         for i, j in self.edge_pairs:
             (a, b), (c, d) = ends[i], ends[j]
+            if a == c and j - i not in (1, n - 1):
+                out.append(Violation(ViolationKind.EndpointContact, point=self.vertices[i]))
             if point_in_open_segment(c, a, b):  # never at its own ends
                 on_edge.add(j)
             if point_in_open_segment(a, c, d):
@@ -565,15 +568,17 @@ MAX_TOKEN_CHARS = 1000
 MAX_EXPONENT = 1000
 
 # Limits on the work of one parse, past which a file is refused with
-# one ParseError: the vertex count; the total bit length of the distinct
-# coordinate denominators, which bounds the lcm behind
-# ``PolyCurve.scaled`` and so the ints every pair test multiplies; and
-# the pairs of edges whose boxes meet, which the crossing scan and the
-# genericity pass test one by one and whose sweep stops at the pair
-# after the limit.  Each is two to three times the most that the
-# command line's largest stabilization, 1000 loops on any edge of the
-# benchmark's inputs, gives: 10,095 vertices, 3,139 denominator bits
-# and 45,242 edge pairs.
+# one ParseError: the vertex count; the bit length of the lcm of the
+# coordinate denominators, the scale of ``PolyCurve.scaled`` and so of
+# the ints every pair test multiplies, computed one distinct denominator
+# at a time and refused as soon as it passes the limit; and the pairs
+# of edges whose boxes meet, which the crossing scan and the genericity
+# pass test one by one and whose sweep stops at the pair after the
+# limit.  The command line's largest stabilization, 1000 loops on any
+# edge of the benchmark's inputs, gives at most 10,095 vertices, an lcm
+# of 101 bits and 45,242 edge pairs.  Chained stabilizations keep
+# adding denominators, which share most of their factors, so the lcm
+# grows far more slowly than their bit lengths add up.
 MAX_VERTICES = 20_000
 MAX_DENOMINATOR_BITS = 8_192
 MAX_EDGE_PAIRS = 100_000
@@ -651,9 +656,11 @@ def parse_diagram(text: str) -> TransverseDiagram:
     if len(verts) < 3:
         raise ParseError(lines[pos][0] if pos < len(lines) else 0,
                          "need at least 3 vertices")
-    denominators = {c.denominator for p in verts for c in p}
-    if sum(den.bit_length() for den in denominators) > MAX_DENOMINATOR_BITS:
-        raise ParseError(0, f"denominators of more than {MAX_DENOMINATOR_BITS} bits in all")
+    lcm = 1
+    for den in {c.denominator for p in verts for c in p}:
+        lcm = math.lcm(lcm, den)
+        if lcm.bit_length() > MAX_DENOMINATOR_BITS:
+            raise ParseError(0, f"lcm of the denominators exceeds {MAX_DENOMINATOR_BITS} bits")
 
     take("over:")
     declared: dict[tuple[int, int], str] = {}

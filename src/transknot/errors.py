@@ -37,17 +37,21 @@ class ParseError(TransknotError):
 class CrossingMismatchError(ParseError):
     """Declared crossing list disagrees with the detected crossings.
 
-    ``violations`` holds one CrossingMismatch per differing edge pair.
+    ``missing`` and ``extra`` hold every differing pair, and
+    ``violations`` one CrossingMismatch per differing edge pair; the
+    message names the first 10 pairs of each list and counts the rest,
+    so its length does not grow with the crossing count.
     """
 
     def __init__(self, missing, extra, violations):
         self.missing = sorted(missing)
         self.extra = sorted(extra)
         parts = []
-        if self.missing:
-            parts.append("missing " + ", ".join(f"({a},{b})" for a, b in self.missing))
-        if self.extra:
-            parts.append("extra " + ", ".join(f"({a},{b})" for a, b in self.extra))
+        for label, pairs in (("missing", self.missing), ("extra", self.extra)):
+            if pairs:
+                named = ", ".join(f"({a},{b})" for a, b in pairs[:10])
+                more = f" and {len(pairs) - 10} more" if len(pairs) > 10 else ""
+                parts.append(f"{label} {named}{more}")
         super().__init__(0, "crossing list mismatch: " + "; ".join(parts), violations)
 
 

@@ -19,7 +19,11 @@ by the closed boxes (xlo, xhi, zlo, zhi) of ``box``, in box sweeps:
 a red set against a blue one.  Skipping the pairs whose boxes are apart
 is exact: a point on a segment lies in its box, two segments that cross
 or overlap have meeting boxes, and a distance is at least the larger of
-the x-gap and the z-gap of the two boxes.  The package measures
+the x-gap and the z-gap of the two boxes.  The crossing scan, the
+genericity pass and the push-off oracle sweep edges only: a vertex lies
+in the closed box of the edge it starts, so every vertex fact is found
+at a pair of edges.  Only ``diagram.least_dist2`` sweeps points, which
+need not be vertices, against edges.  The package measures
 distances on ints too: ``diagram.least_dist2`` is its only distance
 routine.  The Fraction routines ``segment_intersection``, ``dist2``,
 ``point_segment_dist2`` and ``in_closed_cone`` have no caller in the

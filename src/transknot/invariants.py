@@ -78,10 +78,21 @@ def _pushoff_once(d: TransverseDiagram, u: Vec, e: int):
     or an intersection pattern other than the one the offset must give.
 
     Runs on the curve's scaled vertices refined by 2**e, on which the
-    offset is the int vector L·u, and compares only original features
-    with copy features whose closed boxes meet: a vertex on an edge or
-    at one of its ends lies in the edge's box, and crossing edges meet
-    in their boxes, so every pair skipped is one no test below accepts.
+    offset is the int vector L·u, and sweeps the original edges against
+    the copy edges, pairing only those whose closed boxes meet.  At each
+    pair (original edge r, copy edge b) it tests the start of r on the
+    open edge b, the start of b at an end of r or inside it, and the
+    crossing of the two edges.  No test is lost by pairing edges only:
+
+    - A vertex lies in the closed box of the edge it starts, and a
+      vertex on a segment lies in that segment's box, so the two boxes
+      meet and every vertex-against-edge contact is tested at a pair
+      the sweep yields.  Crossing edges meet in their boxes too.
+    - An edge and its own copy are parallel, so ``segment_crossing``
+      gives None for them and they need no case of their own.
+    - The result is None exactly when some contact test or hit check
+      fails, and the signed total is a sum over the same edge-copy
+      hits, so the order of the pairs does not matter.
     """
     curve = d.curve
     n = curve.n
@@ -91,9 +102,7 @@ def _pushoff_once(d: TransverseDiagram, u: Vec, e: int):
     orig = [(x << e, z << e) for x, z in pts]
     copy = [(x + sx, z + sz) for x, z in orig]
     orig_ends, copy_ends = edge_ends(orig), edge_ends(copy)
-    # indices below n are vertices, the rest edges (edge i at n + i)
-    red = [(x, x, z, z) for x, z in orig] + [
-        (xlo << e, xhi << e, zlo << e, zhi << e) for xlo, xhi, zlo, zhi in curve.edge_boxes]
+    red = [(xlo << e, xhi << e, zlo << e, zhi << e) for xlo, xhi, zlo, zhi in curve.edge_boxes]
     blue = [(xlo + sx, xhi + sx, zlo + sz, zhi + sz) for xlo, xhi, zlo, zhi in red]
 
     by_pair = {(c.lo, c.hi): c for c in d.crossings}
@@ -102,18 +111,12 @@ def _pushoff_once(d: TransverseDiagram, u: Vec, e: int):
     for r, b in box_meeting_pairs(red, blue):
         # degenerate contacts (a vertex of one curve on the other) make
         # the intersection pattern ambiguous
-        if r < n <= b:
-            if point_in_open_segment(orig[r], *copy_ends[b - n]):
-                return None
-        elif b < n <= r:
-            w, (p, q) = copy[b], orig_ends[r - n]
-            if w == p or w == q or point_in_open_segment(w, p, q):
-                return None
-        if r < n or b < n or r == b:
-            continue  # a vertex pair meets at an edge's start; an edge's copy is parallel
-        i, j = r - n + 1, b - n + 1
-        if segment_crossing(*orig_ends[i - 1], *copy_ends[j - 1]) is None:
+        (p, q), (w, t) = orig_ends[r], copy_ends[b]
+        if w == p or w == q or point_in_open_segment(w, p, q) or point_in_open_segment(p, w, t):
+            return None
+        if segment_crossing(p, q, w, t) is None:
             continue
+        i, j = r + 1, b + 1
         pair = (min(i, j), max(i, j))
         if pair in by_pair:
             # near an original crossing: the vertical order of the two

@@ -259,6 +259,24 @@ class TestParse:
         assert exc.value.missing == [(1, 6)]
         assert exc.value.extra == [(2, 5)]
 
+    def test_crossing_mismatch_names_ten_pairs_of_each_list(self):
+        # a star polygon on 61 points of a parabola: its 1,769 pairs of
+        # non-adjacent edges all cross; none is declared, and 12 pairs of
+        # adjacent edges are
+        pts = [(i * 30 % 61, (i * 30 % 61) ** 2) for i in range(61)]
+        text = ("transverse-diagram/1\ncoorientation: +\nvertices:\n"
+                + "".join(f"{x} {z}\n" for x, z in pts) + "over:\n"
+                + "".join(f"cross {i} {i + 1} over=lo\n" for i in range(1, 13)) + "end\n")
+        with pytest.raises(CrossingMismatchError) as exc:
+            parse_diagram(text)
+        missing = exc.value.missing
+        assert len(missing) == len(exc.value.violations) - 12 == 1769
+        assert exc.value.extra == [(i, i + 1) for i in range(1, 13)]
+        assert str(exc.value) == (
+            "crossing list mismatch: missing "
+            + ", ".join(f"({a},{b})" for a, b in missing[:10]) + " and 1759 more; extra "
+            + ", ".join(f"({i},{i + 1})" for i in range(1, 11)) + " and 2 more")
+
     def test_nongeneric_curve_carries_violations(self):
         text = (
             "transverse-diagram/1\ncoorientation: +\nvertices:\n"
@@ -314,6 +332,12 @@ def triangle_text(x, z):
 
 
 class TestParseLimits:
+    @pytest.mark.parametrize("token", ["1e", "2e+", "-3E-"])
+    def test_exponent_mark_without_an_exponent_is_a_bad_rational(self, token):
+        with pytest.raises(ParseError, match="bad rational") as exc:
+            parse_diagram(triangle_text(token, 1))
+        assert exc.value.line == 5
+
     @pytest.mark.parametrize("token, fragment", [
         ("1e5000", f"exponent of '1e5000' exceeds {MAX_EXPONENT}"),
         ("1e400000", "exponent"),
@@ -363,13 +387,27 @@ class TestParseWorkLimits:
         assert parse_diagram(U_MINUS_TEXT) == u_minus()
 
     def test_distinct_denominator_bits(self, monkeypatch):
-        # denominators 1, 3 and 4 take 1 + 2 + 3 bits; a repeated one counts once
-        monkeypatch.setattr("transknot.diagram.MAX_DENOMINATOR_BITS", 5)
-        with pytest.raises(ParseError, match="denominators of more than 5 bits in all"):
+        # denominators 3 and 4 have the 4-bit lcm 12, and 3 alone the lcm 3
+        monkeypatch.setattr("transknot.diagram.MAX_DENOMINATOR_BITS", 3)
+        with pytest.raises(ParseError, match="lcm of the denominators exceeds 3 bits"):
             parse_diagram(triangle_text("1/3", "1/4"))
         parse_diagram(triangle_text("1/3", "2/3"))
-        monkeypatch.setattr("transknot.diagram.MAX_DENOMINATOR_BITS", 6)
+        monkeypatch.setattr("transknot.diagram.MAX_DENOMINATOR_BITS", 4)
         parse_diagram(triangle_text("1/3", "1/4"))
+        # 1, 2, 4 and 8 take 1 + 2 + 3 + 4 bits in all, but their lcm 8 only 4
+        text = ("transverse-diagram/1\ncoorientation: +\nvertices:\n"
+                "1/2 0\n1/4 1/8\n0 1\nover:\nend\n")
+        assert parse_diagram(text).curve.scaled[0] == 8
+
+    def test_chained_stabilizations_parse_back(self, monkeypatch):
+        # the distinct denominators of the third step sum to 3,066 bits,
+        # while their lcm has 92
+        monkeypatch.setattr("transknot.diagram.MAX_DENOMINATOR_BITS", 1000)
+        d = trefoil_right()
+        for edge in (4, 607, 1115):
+            d = parse_diagram(serialize_diagram(stabilize(d, edge, 100)))
+        assert d.curve.n == 3015
+        assert d.curve.scaled[0].bit_length() == 92
 
     @staticmethod
     def count_sweep(monkeypatch):
@@ -401,9 +439,8 @@ class TestParseWorkLimits:
 
     def test_largest_command_line_stabilization_parses(self):
         d = parse_diagram(serialize_diagram(stabilize(trefoil_right(), 1, MAX_COUNT)))
-        denominators = {c.denominator for p in d.curve.vertices for c in p}
         assert d.curve.n == 10_015 < MAX_VERTICES
-        assert sum(den.bit_length() for den in denominators) == 474 < MAX_DENOMINATOR_BITS
+        assert d.curve.scaled[0].bit_length() == 25 < MAX_DENOMINATOR_BITS
         assert len(d.curve.edge_pairs) == 29_034 < MAX_EDGE_PAIRS
 
 

@@ -145,6 +145,8 @@ def test_turn_sign():
     assert turn_sign(V(1, 0), V(0, 1)) == 1
     assert turn_sign(V(1, 0), V(0, -1)) == -1
     assert turn_sign(V(1, 0), V(2, 0)) == 0
+    with pytest.raises(ReversalError):
+        turn_sign(V(1, 2), V(-2, -4))
 
 
 def test_point_in_open_segment():

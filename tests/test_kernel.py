@@ -462,7 +462,7 @@ def test_pushoff_tests_only_the_pairs_whose_boxes_meet(monkeypatch):
 
     def counting(fn):
         def wrapper(*args):
-            calls.append(fn.__name__)
+            calls.append((fn.__name__, args))
             return fn(*args)
         return wrapper
 
@@ -473,16 +473,27 @@ def test_pushoff_tests_only_the_pairs_whose_boxes_meet(monkeypatch):
     assert pushoff_linking_oracle(d) == -15
     [(u, e)] = attempts
     delta = Vec(Fraction(u.x, 2**e), Fraction(u.z, 2**e))
-    orig = [ref_box(a, b) for _, a, b in d.curve.edges()]
-    copy = [ref_box(add(a, delta), add(b, delta)) for _, a, b in d.curve.edges()]
-    # a vertex of either curve against an edge of the other, and an edge
-    # against the copy of any other edge
-    vertex_edge = sum(ref_boxes_meet(ref_box(p, p), c) for p in d.curve.vertices for c in copy)
-    vertex_edge += sum(ref_boxes_meet(ref_box(q, q), o)
-                       for q in (add(p, delta) for p in d.curve.vertices) for o in orig)
-    edge_edge = sum(ref_boxes_meet(orig[i], copy[j])
-                    for i, j in itertools.permutations(range(d.curve.n), 2))
-    assert len(calls) == vertex_edge + edge_edge
+    unit = d.curve.scaled[0] * 2**e
+
+    def on_grid(p):
+        x, z = p.x * unit, p.z * unit
+        assert x.denominator == z.denominator == 1
+        return x.numerator, z.numerator
+
+    orig = [(a, b) for _, a, b in d.curve.edges()]
+    copy = [(add(a, delta), add(b, delta)) for a, b in orig]
+    # every ordered pair (original edge i, copy edge j), an edge and its
+    # own copy included, whose boxes meet gets both contact tests and
+    # the crossing test, and no other pair is tested
+    meeting = [(i, j) for i, j in itertools.product(range(d.curve.n), repeat=2)
+               if ref_boxes_meet(ref_box(*orig[i]), ref_box(*copy[j]))]
+    assert len(meeting) < d.curve.n ** 2
+    expected = []
+    for i, j in meeting:
+        (a, b), (c, f) = map(on_grid, orig[i]), map(on_grid, copy[j])
+        expected += [("point_in_open_segment", (c, a, b)), ("point_in_open_segment", (a, c, f)),
+                     ("segment_crossing", (a, b, c, f))]
+    assert sorted(calls) == sorted(expected)
 
 
 def test_direction_predicates_on_small_grid_curves():

@@ -103,6 +103,11 @@ def test_submodules_are_attributes():
     loaded = loaded_after("import transknot\n"
                           "assert transknot.moves_singular.stabilize is transknot.stabilize")
     assert "transknot.moves_singular" in loaded
+    # `fixtures` is no export's module, so only the package's own list of
+    # submodules makes it an attribute
+    loaded = loaded_after("import transknot\n"
+                          "assert transknot.fixtures.u_minus().curve.n == 10")
+    assert "transknot.fixtures" in loaded
 
 
 def test_unknown_name_is_an_attribute_error():

@@ -1,9 +1,10 @@
 """The value types keep the contract of the frozen dataclasses they were.
 
 Equal values are equal and hash as their field tuple, so set and dict
-orders do not move; crossings sort by (lo, hi, point, over), and a
-diagram sorts the crossings it is given; constructors refuse bad input
-with ValueError; fields cannot be assigned.
+orders do not move; crossings sort by (lo, hi, point, over), do not
+order against other types, and a diagram sorts the crossings it is
+given; constructors refuse bad input with ValueError; fields cannot be
+assigned or deleted.
 """
 
 import pytest
@@ -66,6 +67,8 @@ def test_hash_and_equality_are_those_of_the_field_tuple(x):
     assert x == copy and not x != copy
     with pytest.raises(AttributeError):
         setattr(x, FIELDS[type(x)][0], None)
+    with pytest.raises(AttributeError):
+        delattr(x, FIELDS[type(x)][0])
 
 
 def test_hand_written_types_differ_from_their_field_tuples():
@@ -92,6 +95,9 @@ def test_crossings_sort_by_lo_hi_point_over(d):
     if len(d.crossings) > 1:
         a, b = d.crossings[:2]
         assert a < b and a <= b and b > a and b >= a and not b < a
+    for c in d.crossings:
+        with pytest.raises(TypeError):
+            c < (c.lo, c.hi, c.point, c.over)
 
 
 def test_constructors_refuse_bad_input():
