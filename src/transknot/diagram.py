@@ -184,6 +184,15 @@ class PolyCurve(Frozen):
         return tuple(vec(a, b) for a, b in edge_ends(pts))
 
     @cached_property
+    def int_edges(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """(x, z, ex, ez, ex**2 + ez**2) for every edge, edge i at index
+        i - 1: its ``scaled`` start, its int direction and that
+        direction's squared length, from which ``least_dist2`` builds its
+        points and measures them against the edges.  Computed once."""
+        return tuple((x, z, ex, ez, ex * ex + ez * ez)
+                     for (x, z), (ex, ez) in zip(self.scaled[1], self.int_directions))
+
+    @cached_property
     def detected_crossings(self) -> tuple[tuple[int, int, Point], ...]:
         """(lo, hi, point) for every interior transversal intersection of
         non-adjacent edges, sorted by (lo, hi).  Computed once, and apart
@@ -432,52 +441,68 @@ def min_feature_separation2(d: TransverseDiagram) -> Fraction:
     Used to bound perturbation sizes so a push-off cannot jump across
     a strand or a crossing cannot collide with another feature.
 
-    Runs on the scaled vertices by ``least_dist2``: no distance
-    exceeding the shortest edge can be the minimum.
+    Runs by ``least_dist2`` on the vertices, as the points (k, 0) of the
+    curve, and the crossings as its spots.  The edge lengths come in as
+    its bound: every edge starts at a vertex, so the shortest edge that
+    a vertex starts is the shortest edge of all.
     """
-    n = d.curve.n
-    _, pts = d.curve.scaled
-    shortest = min(ex * ex + ez * ez for ex, ez in d.curve.int_directions)
-    return least_dist2(d.curve, [(x, z, 1) for x, z in pts],
-                       [(k, (k - 1) % n) for k in range(n)], shortest,
+    return least_dist2(d.curve, [(k, 0) for k in range(1, d.curve.n + 1)],
                        [c.point for c in d.crossings])
 
 
-def least_dist2(curve: PolyCurve, points, skip, bound: int, spots=()) -> Fraction:
-    """The least of ``bound`` and some squared distances in the units of
-    ``curve.scaled``, returned in plane units: from each mark
-    ``points[k]`` to every closed edge but those whose 0-based indices
-    ``skip[k]`` lists, and between any two of the Fraction points
-    ``spots``.
+def least_dist2(curve: PolyCurve, points, spots=()) -> Fraction:
+    """The least squared distance from each of the points on the curve
+    ``points``, a sequence, to every closed edge it does not lie on, and
+    between any two of the Fraction points ``spots``; exact, in plane
+    units.
 
-    A mark (X, Z, D), D > 0, is the point (X/D, Z/D), boxed by the floor
-    and ceiling of each coordinate.  Each distance is kept as (num, den)
-    and compared by cross-multiplication, so nothing is divided.  A
-    distance is at least the larger of the x-gap and the z-gap of the
-    two features' boxes, so only features whose boxes lie within the
-    square root of ``bound`` of each other in both axes need to be
-    paired when the least distance is at most ``bound``.  A least
-    distance of 0 raises TransknotError.
+    A point on the curve is a pair (i, f) with 0 <= f < 1: the point
+    a + f*e of edge i, which runs a -> a + e.  With f = 0 it is vertex
+    i, which starts edge i and ends edge i - 1; any other point lies on
+    edge i alone.  On a generic curve that holds for every point of an
+    edge but its crossings, and callers keep their points off those.
+
+    The bound is the squared length of the shortest edge i of the points
+    (i, f), and no answer exceeds it: a point (i, f) lies within |e_i|
+    of the end of edge i, which starts edge i + 1, and for n >= 3 the
+    point does not lie on edge i + 1.  A distance is at least the larger
+    of the x-gap and the z-gap of the two features' boxes, so no pair
+    of features whose boxes lie farther apart than the square root of
+    the bound in either axis needs forming.  A least distance of 0
+    raises TransknotError.
+
+    Each point becomes a mark (X, Z, D) in the units of
+    ``curve.scaled``, the point (X/D, Z/D) boxed by the floor and ceiling
+    of each coordinate: (i, p/q) is (x*q + p*ex, z*q + p*ez, q) for the
+    scaled start (x, z) and int direction (ex, ez) of edge i, read from
+    ``curve.int_edges``, and vertex i is its scaled point over 1.  With
+    w the mark less D times an edge's start a, the distance to the
+    edge's far end is that of w - D*e, because the end is a + e exactly.
+    Each distance is kept as (num, den) and compared by
+    cross-multiplication, so nothing is divided.
     """
-    scale, pts = curve.scaled
-    reach = math.isqrt(bound) + 1  # above the square root
-    best, best_den = bound, 1
+    scale, edges = curve.scaled[0], curve.int_edges
+    best, best_den = min(edges[i - 1][4] for i, _ in points), 1
+    reach = math.isqrt(best) + 1  # above the square root
+    marks, on = [], []
+    for i, f in points:
+        (x, z, ex, ez, _), (p, q) = edges[i - 1], f.as_integer_ratio()
+        marks.append((x * q + p * ex, z * q + p * ez, q) if p else (x, z, 1))
+        on.append((i - 1,) if p else (i - 1, (i - 2) % curve.n))
 
     def boxes(marks):
         return [(x // den, -(-x // den), z // den, -(-z // den)) for x, z, den in marks]
 
-    edges = [(ax, az, bx, bz, ex, ez, ex * ex + ez * ez)
-             for ((ax, az), (bx, bz)), (ex, ez) in zip(edge_ends(pts), curve.int_directions)]
-    for k, i in box_meeting_pairs(boxes(points), curve.edge_boxes, reach):
-        if i in skip[k]:
+    for k, i in box_meeting_pairs(boxes(marks), curve.edge_boxes, reach):
+        if i in on[k]:
             continue
-        (px, pz, pd), (ax, az, bx, bz, ex, ez, length2) = points[k], edges[i]
+        (px, pz, pd), (ax, az, ex, ez, length2) = marks[k], edges[i]
         wx, wz = px - ax * pd, pz - az * pd
         along = wx * ex + wz * ez
         if along <= 0:
             num, den = wx * wx + wz * wz, pd * pd
         elif along >= length2 * pd:
-            num, den = (px - bx * pd) ** 2 + (pz - bz * pd) ** 2, pd * pd
+            num, den = (wx - ex * pd) ** 2 + (wz - ez * pd) ** 2, pd * pd
         else:
             num, den = (ex * wz - ez * wx) ** 2, length2 * pd * pd
         if num * best_den < best * den:

@@ -68,7 +68,8 @@ class OracleError(TransknotError):
 
 
 class HostTooShortError(TransknotError):
-    """No safe scale was found for splicing a detour into the host edge."""
+    """No safe scale was found for splicing a detour into the host edge,
+    or a vertical host edge could not be bent before the detours go in."""
 
 
 class InadmissibleDoublePointError(TransknotError):

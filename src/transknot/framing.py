@@ -43,10 +43,7 @@ class ManifoldDescriptor(NamedTuple):
 
 def compute_m_T(pairings: Iterable[int]) -> int:
     """GCD of the absolute pairing values; 0 for the empty sequence."""
-    m = 0
-    for p in pairings:
-        m = math.gcd(m, abs(p))
-    return m
+    return math.gcd(*pairings)
 
 
 class FramingTorsor(Frozen):

@@ -103,21 +103,19 @@ def _anchors(d: TransverseDiagram, host: int, count: int) -> tuple[list[Point], 
     crossing.  A detour confined to a quarter of its square root cannot
     touch anything it should not.  Every vertex is an end of an edge
     other than the host and every crossing lies on one, so the edges
-    alone give it, on the scaled ints.  It is at most the squared host
-    length: each anchor lies that close to the host's ends.
+    alone give it: ``least_dist2`` measures each anchor, as the point
+    (host, f) of the curve, against every edge but the host.  It is at
+    most the squared host length: each anchor lies that close to the
+    host's ends.
     """
-    a, _ = d.curve.edge(host)
-    direction = d.curve.direction(host)
+    a, direction = d.curve.vertex(host), d.curve.direction(host)
     on_host = {c.point for c in d.crossings if host in (c.lo, c.hi)}
     for shift in [_F(0)] + [_F(1, 2**m * count) for m in range(2, len(on_host) + 2)]:
         fs = [_F(2 * j - 1, 2 * count) + shift for j in range(1, count + 1)]
         anchors = [Point(a.x + f * direction.x, a.z + f * direction.z) for f in fs]
         if on_host.isdisjoint(anchors):
             break
-    (ax, az), (ex, ez) = d.curve.scaled[1][host - 1], d.curve.int_directions[host - 1]
-    marks = [(ax * f.denominator + f.numerator * ex, az * f.denominator + f.numerator * ez,
-              f.denominator) for f in fs]
-    return anchors, least_dist2(d.curve, marks, [(host - 1,)] * count, ex * ex + ez * ez)
+    return anchors, least_dist2(d.curve, [(host, f) for f in fs])
 
 
 def _exact(p: Point) -> tuple[int, int, int, int]:
@@ -473,6 +471,7 @@ def random_valid_diagram(
     validates.  The same seed always yields the same diagram.
 
     The rejection loop runs on ints; only the vertices become Fractions.
+    A search that finds no diagram in 2000 draws raises TransknotError.
     """
     rng = random.Random(f"transknot/{seed!r}/{coorientation.value}")
     ref = reference(coorientation)
@@ -509,7 +508,7 @@ def random_valid_diagram(
         d = TransverseDiagram(curve, coorientation, tuple(crossings))
         require_valid(d)
         return d
-    raise RuntimeError(f"random diagram search failed for seed {seed!r}")
+    raise TransknotError(f"random diagram search failed for seed {seed!r}")
 
 
 def singular_family(seed: object, doubles: int, size: int) -> list[SingularDiagram]:

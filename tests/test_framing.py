@@ -39,6 +39,8 @@ class TestComputeMT:
     def test_sign_insensitive(self):
         assert compute_m_T([-4, 6]) == 2
         assert compute_m_T([-3]) == 3
+        assert compute_m_T([-4, 6, 0]) == 2
+        assert compute_m_T(p for p in (-6, 0, 9)) == 3
 
 
 class TestTorsor:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import transknot.moves_singular as ms
+from transknot.cli import dispatch
 from transknot.diagram import (
     Coorientation,
     Crossing,
@@ -18,6 +19,7 @@ from transknot.diagram import (
 )
 from transknot.errors import (
     FamilyArityError,
+    HostTooShortError,
     InadmissibleDoublePointError,
     InvalidDiagramError,
     TransknotError,
@@ -372,6 +374,37 @@ class TestStabilize:
             stabilize(u_minus(), 1, -1)
 
 
+# The guards of stabilize that no valid diagram reaches, each forced by
+# patching the step it guards: (diagram, host, patched name, stand-in,
+# error type, message)
+STABILIZE_GUARDS = [
+    (lambda: spiked_vertical_unknot(Fraction(-1, 20)), 13, "_splice", lambda *a: None,
+     HostTooShortError, "could not bend vertical edge 13"),
+    (trefoil_right, 1, "halvings", lambda *a: 256,
+     HostTooShortError, "no safe detour scale for edge 1"),
+    (trefoil_right, 1, "_splice", lambda *a: None,
+     TransknotError, "detours on edge 1 crossed unexpectedly"),
+]
+
+
+@pytest.mark.parametrize("make, host, name, stand_in, error, message", STABILIZE_GUARDS)
+def test_stabilize_guards_raise_typed_errors(monkeypatch, tmp_path, make, host, name, stand_in,
+                                             error, message):
+    d = make()
+    src, out = tmp_path / "in.td", tmp_path / "out.td"
+    src.write_text(serialize_diagram(d), encoding="utf-8")
+    monkeypatch.setattr(ms, name, stand_in)
+    with pytest.raises(TransknotError) as raised:
+        stabilize(d, host, 1)
+    assert (raised.type, str(raised.value)) == (error, message)
+    if d.curve.direction(host).x == 0:
+        with pytest.raises(HostTooShortError, match=f"^{message}$"):
+            _bend_vertical(d, host)
+    argv = ["stabilize", str(src), "--edge", str(host), "--count", "1", "-o", str(out)]
+    assert tuple(dispatch(argv)) == (1, [f"error: {message}"])
+    assert not out.exists()
+
+
 class TestMakeSingular:
     def test_braid_crossings_become_doubles(self):
         s = make_singular(trefoil_right(), [0, 1])
@@ -574,6 +607,18 @@ class TestGenerators:
                             lambda d, host, count: stabilize_all(d, host, count - 1))
         with pytest.raises(TransknotError, match="admissible sites, short of 9"):
             singular_family(0, 9, 1)
+
+    def test_search_failure_is_a_domain_error(self, monkeypatch):
+        # a corner test that rejects every draw exhausts the search
+        monkeypatch.setattr(ms, "corner_sweep_contains", lambda *a: True)
+        with pytest.raises(TransknotError) as raised:
+            random_valid_diagram("3-member-0")
+        assert (raised.type, str(raised.value)) == (
+            TransknotError, "random diagram search failed for seed '3-member-0'")
+        argv = ["order-check", "--invariant", "writhe", "--order", "1", "--seed", "3",
+                "--samples", "2"]
+        assert tuple(dispatch(argv)) == (
+            1, ["error: random diagram search failed for seed '3-member-0'"])
 
     def test_family_rejects_zero_doubles(self):
         with pytest.raises(ValueError):

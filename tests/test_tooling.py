@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import transknot
+from transknot import errors
 
 SOURCES = sorted(Path(transknot.__file__).parent.glob("*.py"))
 
@@ -173,4 +174,37 @@ def test_reference_routines_have_no_package_caller():
                 or isinstance(node, ast.alias) and node.name in REFERENCE_ROUTINES
             )
         ]
+    assert found == []
+
+
+# a raise names a domain error, a ValueError for a bad argument, an
+# AttributeError of the Frozen and module __getattr__ protocols, or an
+# argparse.ArgumentTypeError, which argparse turns into a usage error
+RAISABLE = {"ValueError", "AttributeError", "argparse.ArgumentTypeError"} | {
+    name for name, obj in vars(errors).items()
+    if isinstance(obj, type) and issubclass(obj, errors.TransknotError)
+}
+
+
+def test_every_raise_is_typed():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if ast.unparse(exc) not in RAISABLE:
+                    found.append(f"{path.name}:{node.lineno}:{ast.unparse(exc)}")
+    assert found == []
+
+
+def test_moves_read_no_int_kernel_units():
+    # the scaled ints and their marks stay inside diagram.py: a move
+    # hands least_dist2 points on the curve, never scaled coordinates
+    path = Path(transknot.__file__).parent / "moves_singular.py"
+    found = [
+        f"{node.attr}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("scaled", "int_directions", "int_edges")
+    ]
     assert found == []
