@@ -356,12 +356,15 @@ def dispatch(argv: list[str]) -> CommandOutcome:
     its type, never a traceback.
     """
     argv = list(argv)
-    if "--assign" in argv:
-        # argparse takes a separate value starting with "-", such as
-        # "-+" or "--", for an option; attached with "=" it is a value
-        i = argv.index("--assign")
-        if i + 1 < len(argv) and argv[i + 1] and not argv[i + 1].strip("+-"):
-            argv[i:i + 2] = [f"--assign={argv[i + 1]}"]
+    # argparse takes a separate value starting with "-", such as "-+" or
+    # "--" after --assign and "-4,6" after --pairings, for an option;
+    # attached with "=" it is a value
+    for option, is_value in (("--assign", lambda v: v and not v.strip("+-")),
+                             ("--pairings", lambda v: v[:1] == "-" and v[1:2].isdigit())):
+        if option in argv:
+            i = argv.index(option)
+            if i + 1 < len(argv) and is_value(argv[i + 1]):
+                argv[i:i + 2] = [f"{option}={argv[i + 1]}"]
     buf = io.StringIO()
     try:
         with contextlib.redirect_stderr(buf), contextlib.redirect_stdout(buf):

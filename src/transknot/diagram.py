@@ -122,19 +122,56 @@ class PolyCurve(Frozen):
 
     Vertices and edges are indexed 1-based and cyclically, so edge n
     closes the loop back to vertex 1.
+
+    The curve is its ints: ``scaled`` is (L, the vertices times L), with
+    L the lcm of the reduced denominators of the vertex coordinates, so
+    that the scaled vertices are plain (x, z) int tuples.  The pair is
+    canonical, so equality compares it.  The all-pairs loops decide their
+    predicates on these ints, which are exact and never normalise a
+    fraction; a value leaves them as a Fraction again.  ``vertices``, the
+    Fraction points, is a view built on first read; as the field tuple it
+    is what the hash and the repr read.  The constructor takes the points,
+    converts them once and keeps them as that view; the parser hands its
+    ints to ``_from_scaled`` and builds no vertex Fraction.
     """
 
     _fields = ("vertices",)
-    vertices: tuple[Point, ...]
+    scaled: tuple[int, tuple[tuple[int, int], ...]]
 
     def __init__(self, vertices: tuple[Point, ...]):
+        vertices = tuple(vertices)
         if len(vertices) < 3:
             raise ValueError("a closed curve needs at least 3 vertices")
-        object.__setattr__(self, "vertices", vertices)
+        scale = math.lcm(*{c.denominator for p in vertices for c in p})
+        object.__setattr__(self, "scaled", (scale, tuple(
+            (x.numerator * (scale // x.denominator), z.numerator * (scale // z.denominator))
+            for x, z in vertices)))
+        vars(self)["vertices"] = vertices  # the cache of the view below
+
+    @classmethod
+    def _from_scaled(cls, scale: int, pts: tuple[tuple[int, int], ...]) -> PolyCurve:
+        """The curve whose ``scaled`` is (scale, pts): at least 3 points,
+        and scale the lcm of the reduced denominators of pts / scale."""
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "scaled", (scale, pts))
+        return curve
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.scaled == other.scaled
+
+    __hash__ = Frozen.__hash__
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        """The vertices as Fraction points, built from ``scaled`` once."""
+        scale, pts = self.scaled
+        return tuple(Point(Fraction(x, scale), Fraction(z, scale)) for x, z in pts)
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.scaled[1])
 
     def vertex(self, i: int) -> Point:
         return self.vertices[(i - 1) % self.n]
@@ -150,26 +187,6 @@ class PolyCurve(Frozen):
         for i in range(1, self.n + 1):
             a, b = self.edge(i)
             yield i, a, b
-
-    def corners(self) -> Iterator[tuple[int, Vec, Vec]]:
-        """Yield (i, d_in, d_out) for the corner at vertex i."""
-        for i in range(1, self.n + 1):
-            yield i, self.direction(i - 1), self.direction(i)
-
-    @cached_property
-    def scaled(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """(L, the vertices times L), where L is the lcm of all vertex
-        coordinate denominators, so that the scaled vertices are plain
-        (x, z) int tuples.  The all-pairs loops decide their predicates
-        on these ints, which are exact and never normalise a fraction; a
-        value leaves them as a Fraction again.  Computed once.
-        """
-        scale = math.lcm(*(c.denominator for p in self.vertices for c in p))
-        return scale, tuple(
-            (p.x.numerator * (scale // p.x.denominator),
-             p.z.numerator * (scale // p.z.denominator))
-            for p in self.vertices
-        )
 
     @cached_property
     def int_directions(self) -> tuple[Vec, ...]:
@@ -283,12 +300,11 @@ class PolyCurve(Frozen):
                     out.append(Violation(ViolationKind.CollinearOverlap, edges=(i + 1, j + 1)))
         out += [Violation(ViolationKind.VertexOnEdge, point=self.vertices[k]) for k in on_edge]
 
-        points: dict[Point, int] = {}
-        for _, _, p in self.detected_crossings:
-            points[p] = points.get(p, 0) + 1
-        for p, count in points.items():
-            if count > 1:
-                out.append(Violation(ViolationKind.TriplePoint, point=p))
+        points = Counter((x.numerator, x.denominator, z.numerator, z.denominator)
+                         for _, _, (x, z) in self.detected_crossings)
+        out += [Violation(ViolationKind.TriplePoint,
+                          point=Point(Fraction(xn, xd), Fraction(zn, zd)))
+                for (xn, xd, zn, zd), count in points.items() if count > 1]
 
         return tuple(sort_violations(out))
 
@@ -412,8 +428,8 @@ class TransverseDiagram(Frozen):
 
 def reversed_curve(curve: PolyCurve) -> PolyCurve:
     """Orientation reversal keeping the first vertex first."""
-    v = curve.vertices
-    return PolyCurve((v[0],) + tuple(reversed(v[1:])))
+    scale, pts = curve.scaled
+    return PolyCurve._from_scaled(scale, pts[:1] + pts[:0:-1])
 
 
 def detect_crossings(curve: PolyCurve) -> list[tuple[int, int, Point]]:
@@ -609,25 +625,61 @@ MAX_DENOMINATOR_BITS = 8_192
 MAX_EDGE_PAIRS = 100_000
 
 
-def _parse_fraction(token: str, lineno: int) -> Fraction:
+def _parse_rational(token: str, lineno: int) -> tuple[int, int]:
+    """The value of ``Fraction(token)`` as a reduced pair (numerator,
+    denominator > 0), read with ints alone; a token that Fraction refuses,
+    or one past the limits above, raises ParseError.
+
+    An integer or an a/b token, all that serialize_diagram writes, is
+    read by int() on either side of the slash, with no sign on the
+    denominator and the denominator not 0.  Any other token must be a
+    decimal: a sign, digits before a point, after it or both, and an
+    exponent.  A token holds no whitespace, so int() reads a part of it
+    exactly when the part is a sign and digits with single underscores
+    between them, as Fraction reads each part; a part that starts with a
+    digit has no sign.
+    """
     if len(token) > MAX_TOKEN_CHARS:
         raise ParseError(lineno, f"rational token longer than {MAX_TOKEN_CHARS} characters")
-    _, e, exponent = token.lower().partition("e")
+    num, slash, den = token.partition("/")
+    try:
+        p, q = int(num), int(den) if slash else 1
+    except ValueError:
+        q = 0
+    if q > 0 and den[:1] != "+":
+        g = math.gcd(p, q)
+        return p // g, q // g
+    mantissa, e, exponent = token.lower().partition("e")
     if e:
         try:
             too_large = abs(int(exponent)) > MAX_EXPONENT
         except ValueError:
-            too_large = False  # no exponent: Fraction rejects the token
+            too_large = False  # no exponent: the token is refused below
         if too_large:
             raise ParseError(lineno, f"exponent of {token!r} exceeds {MAX_EXPONENT}")
+    whole, _, fraction = mantissa[mantissa[:1] in "+-":].partition(".")
     try:
-        value = Fraction(token)
-    except (ValueError, ZeroDivisionError):
+        if not (whole or fraction) or not all(s[:1].isdecimal() for s in (whole, fraction) if s):
+            raise ValueError(token)
+        q = 10 ** len(fraction.replace("_", ""))
+        p = int(whole or "0") * q + int(fraction or "0")
+        shift = int(exponent) if e else 0
+    except ValueError:
         raise ParseError(lineno, f"bad rational {token!r}") from None
-    if (e or "." in token) and len(str(value)) > MAX_TOKEN_CHARS:
+    sign = -1 if mantissa[:1] == "-" else 1
+    p, q = sign * p * 10 ** max(shift, 0), q * 10 ** max(-shift, 0)
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    if len(_rational_text(p, q)) > MAX_TOKEN_CHARS:
         raise ParseError(lineno, f"{token!r} written as a fraction is longer than "
                                  f"{MAX_TOKEN_CHARS} characters")
-    return value
+    return p, q
+
+
+def _rational_text(p: int, q: int) -> str:
+    """p / q, q > 0, as ``str(Fraction(p, q))`` writes it."""
+    g = math.gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
 def parse_diagram(text: str) -> TransverseDiagram:
@@ -667,24 +719,23 @@ def parse_diagram(text: str) -> TransverseDiagram:
         raise ParseError(lineno, f"expected coorientation line, got {line!r}")
 
     take("vertices:")
-    verts: list[Point] = []
+    coords: list[tuple[int, int]] = []  # x then z of every vertex
     while pos < len(lines) and lines[pos][1] != "over:":
         lineno, line = take()
-        if len(verts) == MAX_VERTICES:
+        if len(coords) == 2 * MAX_VERTICES:
             raise ParseError(lineno, f"more than {MAX_VERTICES} vertices")
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(lineno, f"expected two rationals, got {line!r}")
-        verts.append(
-            Point(_parse_fraction(parts[0], lineno), _parse_fraction(parts[1], lineno))
-        )
-    if len(verts) < 3:
+        coords += (_parse_rational(parts[0], lineno), _parse_rational(parts[1], lineno))
+    n = len(coords) // 2
+    if n < 3:
         raise ParseError(lines[pos][0] if pos < len(lines) else 0,
                          "need at least 3 vertices")
-    lcm = 1
-    for den in {c.denominator for p in verts for c in p}:
-        lcm = math.lcm(lcm, den)
-        if lcm.bit_length() > MAX_DENOMINATOR_BITS:
+    scale = 1
+    for den in {q for _, q in coords}:
+        scale = math.lcm(scale, den)
+        if scale.bit_length() > MAX_DENOMINATOR_BITS:
             raise ParseError(0, f"lcm of the denominators exceeds {MAX_DENOMINATOR_BITS} bits")
 
     take("over:")
@@ -701,7 +752,7 @@ def parse_diagram(text: str) -> TransverseDiagram:
         over = parts[3][len("over="):]
         if over not in ("lo", "hi"):
             raise ParseError(lineno, f"over must be 'lo' or 'hi', got {over!r}")
-        if not (1 <= lo < hi <= len(verts)):
+        if not (1 <= lo < hi <= n):
             raise ParseError(lineno, f"edge pair ({lo},{hi}) out of range or unordered")
         if (lo, hi) in declared:
             raise ParseError(lineno, f"duplicate crossing ({lo},{hi})")
@@ -710,7 +761,8 @@ def parse_diagram(text: str) -> TransverseDiagram:
     if pos < len(lines):
         raise ParseError(lines[pos][0], "content after 'end'")
 
-    curve = PolyCurve(tuple(verts))
+    ints = [p * (scale // q) for p, q in coords]
+    curve = PolyCurve._from_scaled(scale, tuple(zip(ints[::2], ints[1::2])))
     if not curve.edge_pairs_at_most(MAX_EDGE_PAIRS):
         raise ParseError(0, f"more than {MAX_EDGE_PAIRS} pairs of edges with meeting boxes")
     if curve.genericity_violations:
@@ -724,8 +776,9 @@ def parse_diagram(text: str) -> TransverseDiagram:
 def serialize_diagram(d: TransverseDiagram) -> str:
     """Canonical text; round-trips byte-for-byte through parse_diagram."""
     out = [FORMAT_HEADER, f"coorientation: {d.coorientation.value}", "vertices:"]
-    for p in d.curve.vertices:
-        out.append(f"{p.x} {p.z}")
+    scale, pts = d.curve.scaled
+    for x, z in pts:
+        out.append(f"{_rational_text(x, scale)} {_rational_text(z, scale)}")
     out.append("over:")
     for c in d.crossings:
         out.append(f"cross {c.lo} {c.hi} over={c.over}")

@@ -7,25 +7,27 @@ points, and the division-free ones (``vec``, ``cross``, ``dot``,
 ``in_open_cone``, ``in_closed_cone``, ``corner_sweep_contains``,
 ``turn_sign``, ``same_direction``, ``is_parallel``) take int points and
 vectors just as well.  The package runs them on ints: the all-pairs
-loops on vertices scaled by the lcm of their denominators, passed as
-plain (x, z) tuples to pair predicates that read them by index and
-allocate nothing, and every direction predicate on
-``PolyCurve.int_directions``, the differences of those ints, which are
-positive multiples of the true directions and so give every sign
-exactly.  On ints ``/`` is true division and would put a float into a
-decision, so none of these predicates divides.  The loops pair features
-by the closed boxes (xlo, xhi, zlo, zhi) of ``box``, in box sweeps:
-``box_overlapping_pairs`` within one set, and ``box_meeting_pairs`` for
-a red set against a blue one.  Skipping the pairs whose boxes are apart
-is exact: a point on a segment lies in its box, two segments that cross
-or overlap have meeting boxes, and a distance is at least the larger of
-the x-gap and the z-gap of the two boxes.  The crossing scan, the
-genericity pass and the push-off oracle sweep edges only: a vertex lies
-in the closed box of the edge it starts, so every vertex fact is found
-at a pair of edges.  Only ``diagram.least_dist2`` sweeps points, which
-need not be vertices, against edges.  The package measures
-distances on ints too: ``diagram.least_dist2`` is its only distance
-routine.  The Fraction routines ``segment_intersection``, ``dist2``,
+loops on a curve's own data, ``PolyCurve.scaled``, its vertices times
+the lcm of their denominators, passed as plain (x, z) tuples to pair
+predicates that read them by index and allocate nothing, and every
+direction predicate on ``PolyCurve.int_directions``, the differences of
+those ints, which are positive multiples of the true directions and so
+give every sign exactly.  On ints ``/`` is true division and would put a
+float into a decision, so none of these predicates divides.  The loops
+pair features by the closed boxes (xlo, xhi, zlo, zhi) of ``box``, in
+box sweeps: ``box_overlapping_pairs`` within one set, and
+``box_meeting_pairs`` for a red set against a blue one.  Skipping the
+pairs whose boxes are apart is exact: a point on a segment lies in its
+box, two segments that cross or overlap have meeting boxes, and a
+distance is at least the larger of the x-gap and the z-gap of the two
+boxes.  The crossing scan, the genericity pass and the push-off oracle
+sweep edges only: a vertex lies in the closed box of the edge it starts,
+so every vertex fact is found at a pair of edges.  Only
+``diagram.least_dist2`` sweeps points, which need not be vertices,
+against edges.  The package measures distances on ints too:
+``diagram.least_dist2`` is its only distance routine, and ``halvings``
+compares ints, split once from its int or Fraction arguments.  The
+Fraction routines ``segment_intersection``, ``dist2``,
 ``point_segment_dist2`` and ``in_closed_cone`` have no caller in the
 package outside this module; the tests check the int kernel against
 them.
@@ -53,10 +55,6 @@ class Vec(NamedTuple):
 def vec(p: Point, q: Point) -> Vec:
     """Displacement from p to q, read by index from points or tuples."""
     return Vec(q[0] - p[0], q[1] - p[1])
-
-
-def add(p: Point, d: Vec) -> Point:
-    return Point(p.x + d.x, p.z + d.z)
 
 
 def scale(d: Vec, s: Fraction) -> Vec:
@@ -248,9 +246,14 @@ def point_in_open_segment(p: Point, a: Point, b: Point) -> bool:
 def halvings(size2, room2) -> int:
     """The least e >= 0 with 16 * size2 <= room2 * 4**e, for room2 > 0:
     halved e times, a vector of squared length size2 is at most a
-    quarter as long as a distance of squared length room2."""
-    e = 0
-    while 16 * size2 > room2 * 4**e:
+    quarter as long as a distance of squared length room2.  Each is an
+    int or a Fraction, split once into ints: with size2 = a/b and room2 =
+    p/q, the test is 16*a*q <= (p*b) << 2e."""
+    a, b = size2.as_integer_ratio()
+    p, q = room2.as_integer_ratio()
+    need, room, e = 16 * a * q, p * b, 0
+    while need > room:
+        room <<= 2
         e += 1
     return e
 

@@ -285,6 +285,33 @@ def test_mtor():
     assert dispatch(["mtor"]).stdout_lines == ["m=0"]
 
 
+def test_mtor_takes_a_separate_pairing_list_that_starts_negative():
+    out = dispatch(["mtor", "--pairings", "-4,6,0"])
+    assert (out.exit_code, out.stdout_lines) == (0, ["m=2"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["exists", "--pairings", "-4,6", "--exhaustive"],
+    ["exists", "--exhaustive", "--pairings", "-4,6"],
+    ["distinguish", "--tight", "1", "--pairings", "-4,6", "--stabilizations", "1"],
+    ["distinguish", "--pairings", "-4,6", "--stabilizations", "1"],
+])
+def test_descriptor_takes_a_separate_pairing_list_that_starts_negative(argv):
+    i = argv.index("--pairings")
+    attached = argv[:i] + [f"--pairings={argv[i + 1]}"] + argv[i + 2:]
+    out = dispatch(argv)
+    assert out.exit_code != 2
+    assert out == dispatch(attached)
+
+
+def test_pairings_still_refuse_a_missing_or_bad_list():
+    assert dispatch(["mtor", "--pairings"]).exit_code == 2
+    assert dispatch(["mtor", "--pairings", "--"]).exit_code == 2
+    out = dispatch(["mtor", "--pairings", "-4,a"])
+    assert out.exit_code == 2
+    assert "expected comma-separated integers, got '-4,a'" in out.stdout_lines[-1]
+
+
 class TestExists:
     def test_flag_verdict(self):
         out = dispatch(["exists", "--tight", "1"])

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from transknot.diagram import (
     Violation,
     ViolationKind,
     _crossing_scan,
+    _parse_rational,
     build_diagram,
     check_genericity,
     detect_crossings,
@@ -39,6 +42,8 @@ from transknot.geometry import Point, box_overlapping_pairs
 from transknot.invariants import invariant_values
 from transknot.moves_singular import stabilize
 from transknot.transversality import validate
+
+from fraction_routines import corners, fraction_token
 
 
 def P(x, z) -> Point:
@@ -83,8 +88,8 @@ class TestPolyCurve:
         assert c.edge(3) == (P(1, 1), P(0, 0))
         assert c.direction(3) == (-1, -1)
         assert len(list(c.edges())) == 3
-        corners = {i: (din, dout) for i, din, dout in c.corners()}
-        assert corners[1] == ((-1, -1), (2, 0))
+        turns = {i: (din, dout) for i, din, dout in corners(c)}
+        assert turns[1] == ((-1, -1), (2, 0))
 
 
 class TestCrossing:
@@ -374,6 +379,107 @@ class TestParseLimits:
         text = serialize_diagram(d)
         assert parse_diagram(text) == d
         assert serialize_diagram(parse_diagram(text)) == text
+
+
+# Tokens for the int reader against the Fraction reader: signs, slashes,
+# underscores, decimals, exponents, a Unicode digit, and each limit on
+# either side of its edge
+TOKENS = [
+    "0", "-0", "+0", "7", "+3/4", "-3/4", "6/8", "-0/5", "0007/0014", "3/-4", "3/+4", "3/0",
+    "0/0", "/4", "3/", "3/4/5", "1_000", "1__000", "_1", "1_", "1/2_0", "1/_2",
+    ".5", "5.", ".", "-.", "+.5", "-.5", "1.5/2", "1/2.5", "1.d", "1._5", "5.5.5", "1.2_5",
+    "1e3", "1E-3", "-.5e2", "+1.25E+2", "5.e1", "1e", "2e+", "-3E-", "e3", "-e3", "1e3e3",
+    "1e1_0", "1e_1", "1/3e5000", "3e5000/1",
+    "\u0663", "-\u0663/\u0664", "\u0663e\u0662", "0x10", "inf", "nan", "--1", "+-1", "1-",
+    "9" * MAX_TOKEN_CHARS, "9" * (MAX_TOKEN_CHARS + 1), "-1/" + "7" * (MAX_TOKEN_CHARS - 3),
+    f"1e{MAX_EXPONENT - 1}", f"1e{MAX_EXPONENT}", f"1e{MAX_EXPONENT + 1}",
+    f"1e-{MAX_EXPONENT - 2}", f"1e-{MAX_EXPONENT}", f"-2.5E-{MAX_EXPONENT + 1}",
+    f"0.{'0' * 990}7e{MAX_EXPONENT}", "1." + "0" * (MAX_TOKEN_CHARS - 2),
+    "0." + "1" * (MAX_TOKEN_CHARS - 2),  # 1,000 characters, written out longer
+    "0." + "1" * (MAX_TOKEN_CHARS - 1),  # a 1,001-character decimal
+]
+
+
+def read(reader, token):
+    """The pair a token reader returns, or its ParseError's line and text."""
+    try:
+        return reader(token, 5)
+    except ParseError as e:
+        return e.line, str(e)
+
+
+class TestTokens:
+    @pytest.mark.parametrize("token", TOKENS,
+                             ids=lambda t: t if len(t) < 16 else f"{t[:6]}...{len(t)}")
+    def test_token_reads_as_fraction_read_it(self, token):
+        assert read(_parse_rational, token) == read(fraction_token, token)
+
+    def test_every_short_token_reads_as_fraction_read_it(self):
+        outcomes = []
+        for size in range(1, 5):
+            for chars in itertools.product("05_./eE+-\u0663", repeat=size):
+                token = "".join(chars)
+                outcomes.append(read(fraction_token, token))
+                assert read(_parse_rational, token) == outcomes[-1], token
+        values = [x for x in outcomes if isinstance(x[1], int)]  # not (line, message)
+        assert len(values) > 500 and len(outcomes) - len(values) > 5000
+
+
+LADDER_K8 = (Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "ladder"
+             / "trefoil_right-e1-k8.td")
+INPUTS = sorted(path for path in (LADDER_K8.parents[1]).glob("*/*.td")
+                if path.name != "nongeneric.td")  # which does not parse
+
+
+def vertex_tokens(text):
+    lines = text.split("\n")
+    return [line.split() for line in lines[lines.index("vertices:") + 1:lines.index("over:")]]
+
+
+class TestIntRepresentation:
+    def test_parse_builds_no_vertex_fraction(self, monkeypatch):
+        text = LADDER_K8.read_text(encoding="utf-8")
+        built, original = [], Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        d = parse_diagram(text)
+        # two coordinates of each crossing point, and no vertex
+        assert d.curve.n == 95 and len(d.crossings) == 23
+        assert len(built) == 2 * len(d.crossings)
+        assert serialize_diagram(d) == text
+        assert len(built) == 2 * len(d.crossings)  # serializing builds none
+
+    def test_parse_computes_the_lcm_once(self, monkeypatch):
+        text = LADDER_K8.read_text(encoding="utf-8")
+        denominators = {Fraction(t).denominator for pair in vertex_tokens(text) for t in pair}
+        calls, original = [], math.lcm
+        monkeypatch.setattr(math, "lcm", lambda *args: calls.append(args) or original(*args))
+        d = parse_diagram(text)
+        # one step per distinct denominator, and no second lcm later
+        assert len(calls) == len(denominators) > 1
+        assert d.curve.scaled[0] == original(*denominators)
+        assert validate(d).is_valid and invariant_values(d)
+        assert serialize_diagram(d) == text
+        assert len(calls) == len(denominators)
+
+    @pytest.mark.parametrize("path", INPUTS, ids=lambda p: p.name)
+    def test_points_and_text_give_one_curve(self, path):
+        text = path.read_text(encoding="utf-8")
+        points = tuple(Point(Fraction(x), Fraction(z)) for x, z in vertex_tokens(text))
+        built, parsed = PolyCurve(points), parse_diagram(text).curve
+        assert built == parsed and hash(built) == hash(parsed)
+        assert built.vertices == parsed.vertices == points
+        assert all(type(c) is Fraction for p in parsed.vertices for c in p)
+        assert built.scaled == parsed.scaled
+        assert built.n == parsed.n == len(points)
+        turned = PolyCurve(points[1:] + points[:1])  # the same L and other ints
+        assert turned.scaled[0] == parsed.scaled[0] and turned != parsed
+        assert reversed_curve(parsed) == reversed_curve(built) == PolyCurve(
+            points[:1] + points[:0:-1])
 
 
 class TestParseWorkLimits:

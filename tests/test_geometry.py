@@ -11,7 +11,6 @@ from transknot.errors import DegenerateConeError, ReversalError
 from transknot.geometry import (
     Point,
     Vec,
-    add,
     box,
     box_meeting_pairs,
     box_overlapping_pairs,
@@ -19,6 +18,7 @@ from transknot.geometry import (
     cross,
     dist2,
     dot,
+    halvings,
     in_closed_cone,
     in_open_cone,
     is_parallel,
@@ -32,6 +32,8 @@ from transknot.geometry import (
     turn_sign,
     vec,
 )
+
+from fraction_routines import add, fraction_halvings
 
 
 def P(x, z) -> Point:
@@ -309,3 +311,23 @@ def test_box_sweeps_yield_exactly_the_pairs_within_reach(red, blue, reach):
     assert sorted(box_overlapping_pairs(both, reach)) == [
         (s, t) for s, t in itertools.combinations(range(len(both)), 2)
         if _within(both[s], both[t], reach)]
+
+
+def test_halvings_on_ints_matches_the_fraction_loop():
+    rng = random.Random("halvings")
+
+    def value(low):
+        num = rng.randint(low, 10 ** rng.randint(0, 30))
+        if rng.random() < 0.3:
+            return num
+        return Fraction(num, rng.randint(1, 2 ** rng.randint(0, 200)))
+
+    for _ in range(3000):
+        size2, room2 = value(0), value(1)
+        assert halvings(size2, room2) == fraction_halvings(size2, room2)
+    # at the boundary: 16 * size2 == room2 * 4**e exactly
+    for e in range(6):
+        room2 = Fraction(rng.randint(1, 999), rng.randint(1, 999))
+        size2 = room2 * 4**e / 16
+        assert halvings(size2, room2) == fraction_halvings(size2, room2) == e
+        assert halvings(size2 + Fraction(1, 10**9), room2) == e + 1

@@ -10,8 +10,9 @@ plain all-pairs loop over the Fraction predicates of
 Conditions 1 and 2, the Whitney index, crossing signs, the along-edge
 crossing order, the v2 basepoint and ``resolve`` decide on the curve's
 int directions; each is checked with ``==`` against the same decision
-taken on the Fraction directions of ``direction()`` and ``corners()``,
-with the cone tests solved by Fraction division.
+taken on the Fraction directions of ``direction()`` and of
+``fraction_routines.corners``, with the cone tests solved by Fraction
+division.
 """
 
 import itertools
@@ -39,7 +40,6 @@ from transknot.fixtures import minus_unknot, trefoil_left, trefoil_right, u_minu
 from transknot.geometry import (
     Point,
     Vec,
-    add,
     corner_sweep_contains,
     cross,
     dist2,
@@ -82,6 +82,8 @@ from transknot.transversality import (
     whitney_index,
 )
 
+from fraction_routines import add, corners
+
 # --- the reference: all pairs, Fraction arithmetic -------------------------
 
 
@@ -103,7 +105,7 @@ def ref_genericity(curve):
     out = []
     zero = {i for i, a, b in curve.edges() if a == b}
     out += [Violation(ViolationKind.ZeroEdge, edges=(i,)) for i in zero]
-    for i, d_in, d_out in curve.corners():
+    for i, d_in, d_out in corners(curve):
         e_in = (i - 2) % n + 1
         if e_in not in zero and i not in zero and cross(d_in, d_out) == 0 \
                 and dot(d_in, d_out) < 0:
@@ -263,7 +265,7 @@ def ref_condition1(curve, coor):
     n = curve.n
     out = [Violation(ViolationKind.UpwardEdge, edges=(i,))
            for i in range(1, n + 1) if same_direction(curve.direction(i), ref)]
-    for i, d_in, d_out in curve.corners():
+    for i, d_in, d_out in corners(curve):
         if corner_sweep_contains(d_in, d_out, ref):
             out.append(Violation(ViolationKind.UpwardCorner, edges=((i - 2) % n + 1, i)))
     return sort_violations(out)
@@ -294,7 +296,7 @@ def ref_whitney(curve):
     while any(is_parallel(t, ref) for t in dirs):
         ref = Vec(Fraction(1), Fraction(k))
         k += 1
-    return sum(turn_sign(d_in, d_out) for _, d_in, d_out in curve.corners()
+    return sum(turn_sign(d_in, d_out) for _, d_in, d_out in corners(curve)
                if corner_sweep_contains(d_in, d_out, ref))
 
 

@@ -31,7 +31,7 @@ from transknot.fixtures import (
     u_minus,
     u_minus_forbidden,
 )
-from transknot.geometry import Point, dist2
+from transknot.geometry import Point, dist2, halvings
 from transknot.invariants import (
     crossing_sign,
     pushoff_linking_oracle,
@@ -60,6 +60,8 @@ from transknot.moves_singular import (
     vassiliev_defect,
 )
 from transknot.transversality import forced_over, reference, validate, whitney_index
+
+from fraction_routines import fraction_halvings
 
 
 def vertical_edge_unknot() -> TransverseDiagram:
@@ -149,6 +151,20 @@ def count_calls(monkeypatch, name: str) -> list:
 
     monkeypatch.setattr(ms, name, counted)
     return calls
+
+
+def test_halvings_on_ints_gives_what_the_fraction_loop_gave(monkeypatch):
+    # the oracle, stabilize and the bend of a vertical host pass it ints
+    # and Fractions
+    calls = count_calls(monkeypatch, "halvings")
+    monkeypatch.setattr("transknot.invariants.halvings", lambda *a: calls.append(a) or halvings(*a))
+    for d in [trefoil_right(), trefoil_left(), u_minus(), minus_unknot()]:
+        pushoff_linking_oracle(d)
+        for host in range(1, d.curve.n + 1):
+            stabilize(d, host, 3)
+    _bend_vertical(spiked_vertical_unknot(Fraction(-1, 20)), 13)
+    assert {type(a) for args in calls for a in args} == {int, Fraction}
+    assert [halvings(*args) for args in calls] == [fraction_halvings(*args) for args in calls]
 
 
 def new_crossings(before: TransverseDiagram, after: TransverseDiagram):

@@ -48,15 +48,17 @@ def test_no_float_outside_render_svg():
     assert found == []
 
 
-# The routines that take int points: on ints `/` is true division,
-# which would put a float into a decision.
+# The routines that take int points, or read and write the curve's ints:
+# on ints `/` is true division, which would put a float into a decision
+# or a coordinate.
 INT_ROUTINES = {
     "geometry.py": {
         "vec", "cross", "dot", "segment_crossing", "point_in_open_segment", "box",
         "in_open_cone", "in_closed_cone", "corner_sweep_contains", "turn_sign",
         "same_direction", "is_parallel", "box_overlapping_pairs", "box_meeting_pairs",
+        "halvings",
     },
-    "diagram.py": {"least_dist2"},
+    "diagram.py": {"least_dist2", "_parse_rational", "_rational_text", "serialize_diagram"},
 }
 
 
