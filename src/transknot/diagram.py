@@ -23,10 +23,7 @@ from .geometry import (
     box,
     box_meeting_pairs,
     box_overlapping_pairs,
-    cross,
-    dot,
-    point_in_open_segment,
-    segment_crossing,
+    pair_determinants,
     vec,
 )
 
@@ -210,13 +207,29 @@ class PolyCurve(Frozen):
                      for (x, z), (ex, ez) in zip(self.scaled[1], self.int_directions))
 
     @cached_property
+    def pair_facts(self) -> tuple[tuple, tuple[Violation, ...]]:
+        """(``detected_crossings``, ``genericity_violations``): what the
+        curve's one pair pass, ``_crossing_scan``, finds.  Computed once,
+        whichever of the two is read first."""
+        return _crossing_scan(self)
+
+    @property
     def detected_crossings(self) -> tuple[tuple[int, int, Point], ...]:
         """(lo, hi, point) for every interior transversal intersection of
-        non-adjacent edges, sorted by (lo, hi).  Computed once, and apart
-        from ``genericity_violations`` so that callers needing only the
-        crossings never pay for the genericity pass.
+        non-adjacent edges, sorted by (lo, hi); see ``pair_facts``."""
+        return self.pair_facts[0]
+
+    @property
+    def genericity_violations(self) -> tuple[Violation, ...]:
+        """All positional defects of the curve, in canonical order.
+
+        Empty means: no zero-length edges, no exact reversals, no
+        duplicate vertices, no vertex interior to a non-incident edge,
+        no collinear overlaps, and non-adjacent edges meeting in at most
+        one interior point with all such points distinct; see
+        ``pair_facts``.
         """
-        return _crossing_scan(self)
+        return self.pair_facts[1]
 
     @cached_property
     def edge_boxes(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -229,9 +242,9 @@ class PolyCurve(Frozen):
     @cached_property
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         """(i, j), i < j, for edges i + 1 and j + 1 whose closed boxes
-        meet: the crossing scan and the genericity pass share this one
-        sweep.  Edges that cross, overlap or touch meet in their boxes,
-        so no pair either pass needs is skipped."""
+        meet: the pairs the curve's pair pass, ``_crossing_scan``, walks.
+        Edges that cross, overlap or touch meet in their boxes, so no
+        pair the pass needs is skipped."""
         return tuple(box_overlapping_pairs(self.edge_boxes))
 
     def edge_pairs_at_most(self, limit: int) -> bool:
@@ -245,95 +258,87 @@ class PolyCurve(Frozen):
         vars(self)["edge_pairs"] = pairs  # the cache of the property above
         return True
 
-    @cached_property
-    def genericity_violations(self) -> tuple[Violation, ...]:
-        """All positional defects of the curve, in canonical order.
-
-        Empty means: no zero-length edges, no exact reversals, no
-        duplicate vertices, no vertex interior to a non-incident edge,
-        no collinear overlaps, and non-adjacent edges meeting in at most
-        one interior point with all such points distinct.  Computed once,
-        on the scaled vertices, with every vertex fact found at the pairs
-        of ``edge_pairs``, whose boxes meet:
-
-        - A vertex lies in the closed box of the edge it starts, and a
-          vertex inside an edge lies in that edge's box, so the two boxes
-          meet.
-        - Coincident vertices s < t start edges s and t, whose boxes meet
-          at the common point, so ``edge_pairs`` holds (s, t) exactly
-          once: each EndpointContact is reported once, at the lower
-          vertex, for every pair of coincident vertices that are not
-          consecutive.
-        """
-        out: list[Violation] = []
-        n = self.n
-        _, pts = self.scaled
-        ends = edge_ends(pts)
-        dirs = self.int_directions
-
-        zero = {i for i, t in enumerate(dirs) if t == (0, 0)}
-        out += [Violation(ViolationKind.ZeroEdge, edges=(i + 1,)) for i in zero]
-
-        for i, d_out in enumerate(dirs):
-            e_in = (i - 1) % n
-            if e_in in zero or i in zero:
-                continue
-            d_in = dirs[e_in]
-            if cross(d_in, d_out) == 0 and dot(d_in, d_out) < 0:
-                out.append(Violation(ViolationKind.ReversalCorner, edges=(e_in + 1, i + 1)))
-
-        on_edge = set()
-        for i, j in self.edge_pairs:
-            (a, b), (c, d) = ends[i], ends[j]
-            if a == c and j - i not in (1, n - 1):
-                out.append(Violation(ViolationKind.EndpointContact, point=self.vertices[i]))
-            if point_in_open_segment(c, a, b):  # never at its own ends
-                on_edge.add(j)
-            if point_in_open_segment(a, c, d):
-                on_edge.add(i)
-            if i in zero or j in zero:
-                continue
-            e = dirs[i]
-            if cross(e, dirs[j]) == 0 and cross(e, vec(a, c)) == 0:
-                lo, hi = sorted((dot(vec(a, c), e), dot(vec(a, d), e)))
-                if min(hi, dot(e, e)) > max(lo, 0):  # more than one common point
-                    out.append(Violation(ViolationKind.CollinearOverlap, edges=(i + 1, j + 1)))
-        out += [Violation(ViolationKind.VertexOnEdge, point=self.vertices[k]) for k in on_edge]
-
-        points = Counter((x.numerator, x.denominator, z.numerator, z.denominator)
-                         for _, _, (x, z) in self.detected_crossings)
-        out += [Violation(ViolationKind.TriplePoint,
-                          point=Point(Fraction(xn, xd), Fraction(zn, zd)))
-                for (xn, xd, zn, zd), count in points.items() if count > 1]
-
-        return tuple(sort_violations(out))
-
 
 def edge_ends(pts) -> list[tuple[tuple, tuple]]:
     """(start, end) of every edge of the closed polygon ``pts``."""
     return list(zip(pts, pts[1:] + pts[:1]))
 
 
-def _crossing_scan(curve: PolyCurve) -> tuple[tuple[int, int, Point], ...]:
-    """The crossing pass behind ``PolyCurve.detected_crossings``: the
-    segment test on the scaled vertices of every pair of non-adjacent
-    edges in ``edge_pairs``, each hit turned back into a Fraction
-    point."""
+def _crossing_scan(curve: PolyCurve) -> tuple[tuple, tuple[Violation, ...]]:
+    """The curve's one pair pass, behind ``PolyCurve.pair_facts``: its
+    crossings, each turned back into a Fraction point, and its
+    genericity violations, found on the scaled vertices.
+
+    Zero edges are read off the int directions.  Every other fact is
+    decided at the pairs (i, j) of ``edge_pairs``, whose boxes meet, by
+    one ``pair_determinants`` call, with edge i running a -> a + e and
+    edge j c -> c + f:
+
+    - A vertex lies in the closed box of the edge it starts, and a
+      vertex inside an edge lies in that edge's box, so every vertex
+      fact is found at a pair of edges the sweep yields.
+    - Coincident vertices s < t start edges s and t, whose boxes meet
+      at the common point, so ``edge_pairs`` holds (s, t) exactly once:
+      each EndpointContact is reported once, at the lower vertex, for
+      every pair of coincident vertices that are not consecutive.
+    - Adjacent edges always meet in their boxes, so each corner is found
+      once, at its pair, where a ReversalCorner is e×f = 0 with e·f < 0.
+      Their shared vertex puts s or t at 0, and the other is ±e×f; so an
+      adjacent pair that turns, e×f ≠ 0, fails every test, the crossing,
+      both contacts, the overlap and the reversal, and is skipped before
+      the kernel call.  VertexOnEdge and CollinearOverlap are tested on
+      every pair that is left, adjacent ones included.
+    - A zero edge overlaps nothing: with e or f zero the overlap test
+      never holds.  With s and t both non-zero there is no contact and no
+      shared line, and the crossing test is all that is left.
+    """
     n = curve.n
     scale, pts = curve.scaled
-    ends = edge_ends(pts)
+    dirs = curve.int_directions
+    out: list[Violation] = []
     found = []
+
+    out += [Violation(ViolationKind.ZeroEdge, edges=(i + 1,))
+            for i, t in enumerate(dirs) if t == (0, 0)]
+    on_edge = set()
     for i, j in curve.edge_pairs:
-        if j - i in (1, n - 1):
+        a, e, f = pts[i], dirs[i], dirs[j]
+        adjacent = j - i in (1, n - 1)
+        if adjacent and e[0] * f[1] != e[1] * f[0]:
+            continue  # a turn: the shared vertex is all the two edges have in common
+        den, s, t, wx, wz = pair_determinants(a, e, pts[j], f)
+        if s and t:
+            if den < 0:
+                den, s, t = -den, -s, -t
+            if 0 < s < den and 0 < t < den:
+                (ax, az), (ex, ez) = a, e
+                found.append((i + 1, j + 1, Point(Fraction(ax * den + s * ex, den * scale),
+                                                  Fraction(az * den + s * ez, den * scale))))
             continue
-        hit = segment_crossing(*ends[i], *ends[j])
-        if hit is not None:
-            num, den = hit
-            (ax, az), (bx, bz) = ends[i]
-            p = Point(Fraction(ax * den + num * (bx - ax), den * scale),
-                      Fraction(az * den + num * (bz - az), den * scale))
-            found.append((i + 1, j + 1, p))
-    return tuple(sorted(found))
+        (ex, ez), (fx, fz) = e, f
+        if adjacent:
+            if ex * fx + ez * fz < 0:  # den = 0 here; never with a zero edge
+                corner = (i + 1, j + 1) if j - i == 1 else (j + 1, i + 1)
+                out.append(Violation(ViolationKind.ReversalCorner, edges=corner))
+        elif not (wx or wz):
+            out.append(Violation(ViolationKind.EndpointContact, point=curve.vertices[i]))
+        along, length2 = wx * ex + wz * ez, ex * ex + ez * ez
+        if not t and 0 < along < length2:  # never at its own ends
+            on_edge.add(j)
+        if not s and 0 < -(wx * fx + wz * fz) < fx * fx + fz * fz:
+            on_edge.add(i)
+        if not den and not t:
+            lo, hi = sorted((along, along + fx * ex + fz * ez))
+            if min(hi, length2) > max(lo, 0):  # more than one common point
+                out.append(Violation(ViolationKind.CollinearOverlap, edges=(i + 1, j + 1)))
+    out += [Violation(ViolationKind.VertexOnEdge, point=curve.vertices[k]) for k in on_edge]
+
+    points = Counter((x.numerator, x.denominator, z.numerator, z.denominator)
+                     for _, _, (x, z) in found)
+    out += [Violation(ViolationKind.TriplePoint,
+                      point=Point(Fraction(xn, xd), Fraction(zn, zd)))
+            for (xn, xd, zn, zd), count in points.items() if count > 1]
+    return tuple(sorted(found)), tuple(sort_violations(out))
 
 
 @total_ordering
@@ -396,6 +401,15 @@ class TransverseDiagram(Frozen):
         from .transversality import check_validity  # it imports this module
 
         return check_validity(self)
+
+    @cached_property
+    def signs(self) -> tuple[int, ...]:
+        """The ``invariants.crossing_sign`` of each of ``crossings``, in
+        their order, computed once; the writhe, v2 and the push-off
+        oracle read them here."""
+        from .invariants import crossing_sign  # it imports this module
+
+        return tuple(crossing_sign(self, c) for c in self.crossings)
 
     @cached_property
     def crossings_along(self) -> tuple[tuple[Crossing, ...], ...]:

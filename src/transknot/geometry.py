@@ -3,8 +3,8 @@
 There is no epsilon anywhere: parallel means exactly parallel, interior
 means strictly interior.  The predicates take ``fractions.Fraction``
 points, and the division-free ones (``vec``, ``cross``, ``dot``,
-``segment_crossing``, ``point_in_open_segment``, ``box``,
-``in_open_cone``, ``in_closed_cone``, ``corner_sweep_contains``,
+``pair_determinants``, ``segment_crossing``, ``point_in_open_segment``,
+``box``, ``in_open_cone``, ``in_closed_cone``, ``corner_sweep_contains``,
 ``turn_sign``, ``same_direction``, ``is_parallel``) take int points and
 vectors just as well.  The package runs them on ints: the all-pairs
 loops on a curve's own data, ``PolyCurve.scaled``, its vertices times
@@ -13,24 +13,34 @@ predicates that read them by index and allocate nothing, and every
 direction predicate on ``PolyCurve.int_directions``, the differences of
 those ints, which are positive multiples of the true directions and so
 give every sign exactly.  On ints ``/`` is true division and would put a
-float into a decision, so none of these predicates divides.  The loops
-pair features by the closed boxes (xlo, xhi, zlo, zhi) of ``box``, in
-box sweeps: ``box_overlapping_pairs`` within one set, and
+float into a decision, so none of these predicates divides.
+
+Every test on a pair of edges is decided by one kernel,
+``pair_determinants``: for edges a -> a + e and c -> c + f it gives the
+three orientation determinants e×f, (c - a)×f and (c - a)×e, and the
+crossing, both vertex-on-open-edge contacts and a collinear overlap are
+sign and range tests on them.  The curve's pair pass
+(``diagram._crossing_scan``) and the push-off oracle
+(``invariants._pushoff_once``) call it once per pair;
+``segment_crossing`` and ``point_in_open_segment`` are the references
+the tests check those derivations against.
+
+The loops pair features by the closed boxes (xlo, xhi, zlo, zhi) of
+``box``, in box sweeps: ``box_overlapping_pairs`` within one set, and
 ``box_meeting_pairs`` for a red set against a blue one.  Skipping the
 pairs whose boxes are apart is exact: a point on a segment lies in its
 box, two segments that cross or overlap have meeting boxes, and a
 distance is at least the larger of the x-gap and the z-gap of the two
-boxes.  The crossing scan, the genericity pass and the push-off oracle
-sweep edges only: a vertex lies in the closed box of the edge it starts,
-so every vertex fact is found at a pair of edges.  Only
-``diagram.least_dist2`` sweeps points, which need not be vertices,
-against edges.  The package measures distances on ints too:
-``diagram.least_dist2`` is its only distance routine, and ``halvings``
-compares ints, split once from its int or Fraction arguments.  The
-Fraction routines ``segment_intersection``, ``dist2``,
-``point_segment_dist2`` and ``in_closed_cone`` have no caller in the
-package outside this module; the tests check the int kernel against
-them.
+boxes.  The pair pass and the push-off oracle sweep edges only: a
+vertex lies in the closed box of the edge it starts, so every vertex
+fact is found at a pair of edges.  Only ``diagram.least_dist2`` sweeps
+points, which need not be vertices, against edges.  The package
+measures distances on ints too: ``diagram.least_dist2`` is its only
+distance routine, and ``halvings`` compares ints, split once from its
+int or Fraction arguments.  The Fraction routines
+``segment_intersection``, ``dist2``, ``point_segment_dist2`` and
+``in_closed_cone`` have no caller in the package outside this module;
+the tests check the int kernel against them.
 """
 
 from __future__ import annotations
@@ -84,6 +94,24 @@ def is_parallel(u: Vec, v: Vec) -> bool:
 def same_direction(u: Vec, v: Vec) -> bool:
     """True when u and v are positive multiples of one another."""
     return cross(u, v) == 0 and dot(u, v) > 0
+
+
+def pair_determinants(a: Point, e: Vec, c: Point, f: Vec) -> tuple:
+    """(den, s, t, wx, wz) for the segments a -> a + e and c -> c + f,
+    with w = (wx, wz) = c - a: the orientation determinants den = e×f,
+    s = w×f and t = w×e, read by index from points or tuples.
+
+    Every pair test decides on these (Cramer's rule): the segments cross
+    at a + (s/den)e exactly when 0 < s/den < 1 and 0 < t/den < 1, which
+    is ``segment_crossing``; c lies inside a -> a + e exactly when t = 0
+    and 0 < w·e < e·e, and a inside c -> c + f exactly when s = 0 and
+    0 < -w·f < f·f, which is ``point_in_open_segment``; for e non-zero,
+    the two lie on one line exactly when den = t = 0.  Division-free.
+    """
+    wx, wz = c[0] - a[0], c[1] - a[1]
+    ex, ez = e[0], e[1]
+    fx, fz = f[0], f[1]
+    return ex * fz - ez * fx, wx * fz - wz * fx, wx * ez - wz * ex, wx, wz
 
 
 def segment_crossing(a: Point, b: Point, c: Point, d: Point):

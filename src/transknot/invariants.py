@@ -24,7 +24,6 @@ from typing import NamedTuple
 from .diagram import (
     Crossing,
     TransverseDiagram,
-    edge_ends,
     min_feature_separation2,
 )
 from .errors import OracleError, TransknotError
@@ -34,8 +33,7 @@ from .geometry import (
     cross,
     dot,
     halvings,
-    point_in_open_segment,
-    segment_crossing,
+    pair_determinants,
     sign,
 )
 from .transversality import regular_direction, require_valid, whitney_index
@@ -59,7 +57,7 @@ def crossing_sign(d: TransverseDiagram, c: Crossing) -> int:
 
 
 def writhe(d: TransverseDiagram) -> int:
-    return sum(crossing_sign(d, c) for c in d.crossings)
+    return sum(d.signs)
 
 
 def self_linking(d: TransverseDiagram) -> int:
@@ -78,18 +76,25 @@ def _pushoff_once(d: TransverseDiagram, u: Vec, e: int):
     or an intersection pattern other than the one the offset must give.
 
     Runs on the curve's scaled vertices refined by 2**e, on which the
-    offset is the int vector L·u, and sweeps the original edges against
-    the copy edges, pairing only those whose closed boxes meet.  At each
-    pair (original edge r, copy edge b) it tests the start of r on the
-    open edge b, the start of b at an end of r or inside it, and the
-    crossing of the two edges.  No test is lost by pairing edges only:
+    offset is the int vector L·u and the edge directions are the
+    ``int_directions`` refined by 2**e too, and sweeps the original
+    edges against the copy edges, pairing only those whose closed boxes
+    meet.  One ``pair_determinants`` call on each pair (original edge r,
+    copy edge b), r running a -> a + e and b running c -> c + f, with
+    w = c - a, decides all three of its tests: the start of b on the
+    closed edge r (t = 0 and 0 <= w·e <= e·e), the start of r on the
+    open edge b (s = 0 and 0 < -w·f < f·f), and the crossing of the two
+    edges.  No test is lost by pairing edges only:
 
     - A vertex lies in the closed box of the edge it starts, and a
       vertex on a segment lies in that segment's box, so the two boxes
       meet and every vertex-against-edge contact is tested at a pair
       the sweep yields.  Crossing edges meet in their boxes too.
-    - An edge and its own copy are parallel, so ``segment_crossing``
-      gives None for them and they need no case of their own.
+    - An edge and its own copy are parallel, den = 0, so they never
+      cross and need no case of their own.
+    - With s and t both non-zero neither start lies on the other edge,
+      and with either 0 the edges do not cross, so a pair is tested for
+      contacts or for a crossing, never both.
     - The result is None exactly when some contact test or hit check
       fails, and the signed total is a sum over the same edge-copy
       hits, so the order of the pairs does not matter.
@@ -97,44 +102,50 @@ def _pushoff_once(d: TransverseDiagram, u: Vec, e: int):
     curve = d.curve
     n = curve.n
     scale, pts = curve.scaled
-    dirs = curve.int_directions
     sx, sz = scale * u.x, scale * u.z
     orig = [(x << e, z << e) for x, z in pts]
     copy = [(x + sx, z + sz) for x, z in orig]
-    orig_ends, copy_ends = edge_ends(orig), edge_ends(copy)
+    dirs = [(x << e, z << e) for x, z in curve.int_directions]
     red = [(xlo << e, xhi << e, zlo << e, zhi << e) for xlo, xhi, zlo, zhi in curve.edge_boxes]
     blue = [(xlo + sx, xhi + sx, zlo + sz, zhi + sz) for xlo, xhi, zlo, zhi in red]
 
-    by_pair = {(c.lo, c.hi): c for c in d.crossings}
+    signs = {(c.lo, c.hi): s for c, s in zip(d.crossings, d.signs)}
     hits: dict[tuple[int, int], int] = {}
     total = corner_total = 0
     for r, b in box_meeting_pairs(red, blue):
-        # degenerate contacts (a vertex of one curve on the other) make
-        # the intersection pattern ambiguous
-        (p, q), (w, t) = orig_ends[r], copy_ends[b]
-        if w == p or w == q or point_in_open_segment(w, p, q) or point_in_open_segment(p, w, t):
-            return None
-        if segment_crossing(p, q, w, t) is None:
+        den, s, t, wx, wz = pair_determinants(orig[r], dirs[r], copy[b], dirs[b])
+        if not (s and t):
+            # degenerate contacts (a vertex of one curve on the other)
+            # make the intersection pattern ambiguous
+            (ex, ez), (fx, fz) = dirs[r], dirs[b]
+            if not t and 0 <= wx * ex + wz * ez <= ex * ex + ez * ez:
+                return None
+            if not s and 0 < -(wx * fx + wz * fz) < fx * fx + fz * fz:
+                return None
+            continue
+        sgn = 1 if den > 0 else -1  # that of cross(e_r, e_b)
+        if sgn < 0:
+            den, s, t = -den, -s, -t
+        if not (0 < s < den and 0 < t < den):
             continue
         i, j = r + 1, b + 1
         pair = (min(i, j), max(i, j))
-        if pair in by_pair:
+        if pair in signs:
             # near an original crossing: the vertical order of the two
             # strands is inherited, a small shift cannot swap it, and
             # the refined and shifted edges point along 2**e times the
             # original directions, so the hit has the crossing's sign
-            total += crossing_sign(d, by_pair[pair])
+            total += signs[pair]
             hits[pair] = hits.get(pair, 0) + 1
         elif (j - i) % n in (1, n - 1):
             # near a shared corner: the copy sits at strictly larger
             # y (the push-off direction), so the copy strand is under
-            sgn = sign(cross(dirs[i - 1], dirs[j - 1]))
             total += sgn
             corner_total += sgn
         else:
             return None  # distant edges cannot meet at a small offset
 
-    if set(hits) != set(by_pair) or any(v != 2 for v in hits.values()):
+    if set(hits) != set(signs) or any(v != 2 for v in hits.values()):
         return None
     if corner_total != 0 or total % 2 != 0:
         return None
@@ -213,7 +224,7 @@ def v2(d: TransverseDiagram, basepoint: int | None = None) -> int:
     where: dict[tuple[int, int], list[tuple[int, bool]]] = {}
     for idx, (cid, over) in enumerate(_passages(d, basepoint)):
         where.setdefault(cid, []).append((idx, over))
-    signs = {(c.lo, c.hi): crossing_sign(d, c) for c in d.crossings}
+    signs = {(c.lo, c.hi): s for c, s in zip(d.crossings, d.signs)}
 
     total = 0
     for one, other in combinations(where, 2):

@@ -23,10 +23,12 @@ from transknot.geometry import (
     in_open_cone,
     is_parallel,
     neg,
+    pair_determinants,
     point_in_open_segment,
     point_segment_dist2,
     same_direction,
     scale,
+    segment_crossing,
     segment_intersection,
     sign,
     turn_sign,
@@ -157,6 +159,48 @@ def test_point_in_open_segment():
     assert not point_in_open_segment(P(2, 2), P(0, 0), P(2, 2))
     assert not point_in_open_segment(P(3, 3), P(0, 0), P(2, 2))
     assert not point_in_open_segment(P(1, 0), P(0, 0), P(2, 2))
+
+
+def ref_overlap(a, b, c, d) -> bool:
+    """Whether ab and cd share more than one point on one line, by the
+    formula of the genericity pass before it took ``pair_determinants``."""
+    e = vec(a, b)
+    if e == (0, 0) or vec(c, d) == (0, 0):
+        return False
+    if cross(e, vec(c, d)) != 0 or cross(e, vec(a, c)) != 0:
+        return False
+    lo, hi = sorted((dot(vec(a, c), e), dot(vec(a, d), e)))
+    return min(hi, dot(e, e)) > max(lo, 0)
+
+
+def test_pair_determinants_decide_every_pair_test():
+    # every ordered pair of segments with ends on the grid {0,1,2}², the
+    # zero-length ones included
+    grid = list(itertools.product(range(3), repeat=2))
+    segments = list(itertools.product(grid, repeat=2))
+    found = {"crossing": 0, "contact": 0, "overlap": 0}
+    for (a, b), (c, d) in itertools.product(segments, repeat=2):
+        e, f = vec(a, b), vec(c, d)
+        den, s, t, wx, wz = pair_determinants(a, e, c, f)
+        assert (wx, wz) == vec(a, c)
+        if den < 0:
+            den, s, t = -den, -s, -t
+        crossing = (s, den) if 0 < s < den and 0 < t < den else None
+        assert crossing == segment_crossing(a, b, c, d)
+        ee, ff = dot(e, e), dot(f, f)
+        assert (t == 0 and 0 < wx * e.x + wz * e.z < ee) == point_in_open_segment(c, a, b)
+        assert (s == 0 and 0 < -(wx * f.x + wz * f.z) < ff) == point_in_open_segment(a, c, d)
+        if ee:  # the push-off oracle's test of c on the closed segment ab
+            assert (t == 0 and 0 <= wx * e.x + wz * e.z <= ee) == \
+                (c in (a, b) or point_in_open_segment(c, a, b))
+        along = wx * e.x + wz * e.z
+        lo, hi = sorted((along, along + dot(f, e)))
+        overlap = den == 0 and t == 0 and min(hi, ee) > max(lo, 0)
+        assert overlap == ref_overlap(a, b, c, d)
+        found["crossing"] += crossing is not None
+        found["contact"] += point_in_open_segment(c, a, b)
+        found["overlap"] += overlap
+    assert all(found.values())  # the grid holds pairs of every kind
 
 
 def test_distances():

@@ -148,6 +148,23 @@ def test_invariant_values_record():
     assert [iv.value for iv in vals] == [1, 1, 0, 7, 1]
 
 
+def test_each_crossing_is_signed_once(monkeypatch):
+    # the writhe, v2 and the push-off oracle read the signs cached on the
+    # diagram
+    d = stabilize(trefoil_right(), 1, 3)
+    signed = []
+
+    def counting(d, c):
+        signed.append(c)
+        return crossing_sign(d, c)
+
+    monkeypatch.setattr("transknot.invariants.crossing_sign", counting)
+    invariant_values(d)
+    assert pushoff_linking_oracle(d) == writhe(d) == -5
+    assert sorted(signed) == list(d.crossings)
+    assert d.signs == tuple(crossing_sign(d, c) for c in d.crossings)
+
+
 def test_oracle_makes_one_attempt(monkeypatch):
     # one offset always suffices on a valid diagram, so a failed attempt
     # is a broken invariant and is not retried at a smaller offset

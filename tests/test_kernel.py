@@ -457,21 +457,18 @@ def test_pushoff_tests_only_the_pairs_whose_boxes_meet(monkeypatch):
     d = ladder(8)
     attempts, calls = [], []
     once = invariants._pushoff_once
+    kernel = invariants.pair_determinants
 
     def recording(d, u, e):
         attempts.append((u, e))
         return once(d, u, e)
 
-    def counting(fn):
-        def wrapper(*args):
-            calls.append((fn.__name__, args))
-            return fn(*args)
-        return wrapper
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
 
     monkeypatch.setattr(invariants, "_pushoff_once", recording)
-    monkeypatch.setattr(invariants, "segment_crossing", counting(invariants.segment_crossing))
-    monkeypatch.setattr(invariants, "point_in_open_segment",
-                        counting(invariants.point_in_open_segment))
+    monkeypatch.setattr(invariants, "pair_determinants", counting)
     assert pushoff_linking_oracle(d) == -15
     [(u, e)] = attempts
     delta = Vec(Fraction(u.x, 2**e), Fraction(u.z, 2**e))
@@ -482,19 +479,21 @@ def test_pushoff_tests_only_the_pairs_whose_boxes_meet(monkeypatch):
         assert x.denominator == z.denominator == 1
         return x.numerator, z.numerator
 
+    def start_and_direction(a, b):
+        (ax, az), (bx, bz) = on_grid(a), on_grid(b)
+        return (ax, az), (bx - ax, bz - az)
+
     orig = [(a, b) for _, a, b in d.curve.edges()]
     copy = [(add(a, delta), add(b, delta)) for a, b in orig]
     # every ordered pair (original edge i, copy edge j), an edge and its
-    # own copy included, whose boxes meet gets both contact tests and
-    # the crossing test, and no other pair is tested
+    # own copy included, whose boxes meet gets one kernel call on the
+    # refined starts and directions, and no other pair is tested
     meeting = [(i, j) for i, j in itertools.product(range(d.curve.n), repeat=2)
                if ref_boxes_meet(ref_box(*orig[i]), ref_box(*copy[j]))]
     assert len(meeting) < d.curve.n ** 2
-    expected = []
-    for i, j in meeting:
-        (a, b), (c, f) = map(on_grid, orig[i]), map(on_grid, copy[j])
-        expected += [("point_in_open_segment", (c, a, b)), ("point_in_open_segment", (a, c, f)),
-                     ("segment_crossing", (a, b, c, f))]
+    assert any(i == j for i, j in meeting)
+    expected = [(*start_and_direction(*orig[i]), *start_and_direction(*copy[j]))
+                for i, j in meeting]
     assert sorted(calls) == sorted(expected)
 
 

@@ -53,12 +53,16 @@ def test_no_float_outside_render_svg():
 # or a coordinate.
 INT_ROUTINES = {
     "geometry.py": {
-        "vec", "cross", "dot", "segment_crossing", "point_in_open_segment", "box",
-        "in_open_cone", "in_closed_cone", "corner_sweep_contains", "turn_sign",
-        "same_direction", "is_parallel", "box_overlapping_pairs", "box_meeting_pairs",
-        "halvings",
+        "vec", "cross", "dot", "pair_determinants", "segment_crossing",
+        "point_in_open_segment", "box", "in_open_cone", "in_closed_cone",
+        "corner_sweep_contains", "turn_sign", "same_direction", "is_parallel",
+        "box_overlapping_pairs", "box_meeting_pairs", "halvings",
     },
-    "diagram.py": {"least_dist2", "_parse_rational", "_rational_text", "serialize_diagram"},
+    "diagram.py": {
+        "_crossing_scan", "least_dist2", "_parse_rational", "_rational_text",
+        "serialize_diagram",
+    },
+    "invariants.py": {"_pushoff_once"},
 }
 
 
