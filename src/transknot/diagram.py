@@ -127,9 +127,11 @@ class PolyCurve(Frozen):
     predicates on these ints, which are exact and never normalise a
     fraction; a value leaves them as a Fraction again.  ``vertices``, the
     Fraction points, is a view built on first read; as the field tuple it
-    is what the hash and the repr read.  The constructor takes the points,
-    converts them once and keeps them as that view; the parser hands its
-    ints to ``_from_scaled`` and builds no vertex Fraction.
+    is what the hash and the repr read.  ``vertex`` reads one vertex from
+    its ints and builds no view.  The constructor takes the points,
+    converts them once and keeps them as that view.  The parser and the
+    moves hand their ints to ``_from_scaled``, the moves through
+    ``splice_curve``, and build no vertex Fraction.
     """
 
     _fields = ("vertices",)
@@ -171,7 +173,9 @@ class PolyCurve(Frozen):
         return len(self.scaled[1])
 
     def vertex(self, i: int) -> Point:
-        return self.vertices[(i - 1) % self.n]
+        """Vertex i as a Fraction point, read from its two ints."""
+        x, z = self.scaled[1][(i - 1) % self.n]
+        return Point(Fraction(x, self.scaled[0]), Fraction(z, self.scaled[0]))
 
     def edge(self, i: int) -> tuple[Point, Point]:
         return self.vertex(i), self.vertex(i + 1)
@@ -181,9 +185,10 @@ class PolyCurve(Frozen):
         return vec(a, b)
 
     def edges(self) -> Iterator[tuple[int, Point, Point]]:
+        """(i, start, end) for every edge, from the ``vertices`` view."""
+        vs = self.vertices
         for i in range(1, self.n + 1):
-            a, b = self.edge(i)
-            yield i, a, b
+            yield i, vs[i - 1], vs[i % self.n]
 
     @cached_property
     def int_directions(self) -> tuple[Vec, ...]:
@@ -321,7 +326,7 @@ def _crossing_scan(curve: PolyCurve) -> tuple[tuple, tuple[Violation, ...]]:
                 corner = (i + 1, j + 1) if j - i == 1 else (j + 1, i + 1)
                 out.append(Violation(ViolationKind.ReversalCorner, edges=corner))
         elif not (wx or wz):
-            out.append(Violation(ViolationKind.EndpointContact, point=curve.vertices[i]))
+            out.append(Violation(ViolationKind.EndpointContact, point=curve.vertex(i + 1)))
         along, length2 = wx * ex + wz * ez, ex * ex + ez * ez
         if not t and 0 < along < length2:  # never at its own ends
             on_edge.add(j)
@@ -331,7 +336,7 @@ def _crossing_scan(curve: PolyCurve) -> tuple[tuple, tuple[Violation, ...]]:
             lo, hi = sorted((along, along + fx * ex + fz * ez))
             if min(hi, length2) > max(lo, 0):  # more than one common point
                 out.append(Violation(ViolationKind.CollinearOverlap, edges=(i + 1, j + 1)))
-    out += [Violation(ViolationKind.VertexOnEdge, point=curve.vertices[k]) for k in on_edge]
+    out += [Violation(ViolationKind.VertexOnEdge, point=curve.vertex(k + 1)) for k in on_edge]
 
     points = Counter((x.numerator, x.denominator, z.numerator, z.denominator)
                      for _, _, (x, z) in found)
@@ -444,6 +449,35 @@ def reversed_curve(curve: PolyCurve) -> PolyCurve:
     """Orientation reversal keeping the first vertex first."""
     scale, pts = curve.scaled
     return PolyCurve._from_scaled(scale, pts[:1] + pts[:0:-1])
+
+
+def splice_curve(curve: PolyCurve, host: int, den: int, path, spots) -> tuple:
+    """(the curve with the points ``path`` inserted after vertex ``host``,
+    the points ``spots`` as Fraction points).
+
+    Each point is an int triple (t, ox, oz) over ``den`` > 0: the point
+    a + (t/den)*e + (ox, oz)/den, where edge ``host`` runs a -> a + e.
+    Over L*den, with L the curve's scale, it is den*a + t*e + L*(ox, oz)
+    in the scaled units of a and e, and each old vertex is den times its
+    scaled point.  A canonical scale shares no factor with all of its
+    scaled points, so the old ones share exactly den with L*den, and the
+    gcd g of den and the new numerators is what all of them share: the
+    new curve's canonical scale is L*den/g, its old points are only
+    multiplied by den/g, and no Fraction is built for its vertices.
+    """
+    scale, pts = curve.scaled
+    (ax, az), (ex, ez) = pts[host - 1], curve.int_directions[host - 1]
+
+    def place(t, ox, oz):
+        return ax * den + t * ex + ox * scale, az * den + t * ez + oz * scale
+
+    new = [place(*p) for p in path]
+    g = math.gcd(den, *(c for p in new for c in p))
+    pts = [(x * (den // g), z * (den // g)) for x, z in pts]
+    pts[host:host] = [(x // g, z // g) for x, z in new]
+    spots = [Point(Fraction(x, scale * den), Fraction(z, scale * den))
+             for x, z in (place(*p) for p in spots)]
+    return PolyCurve._from_scaled(scale * den // g, tuple(pts)), spots
 
 
 def detect_crossings(curve: PolyCurve) -> list[tuple[int, int, Point]]:

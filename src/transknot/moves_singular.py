@@ -7,7 +7,11 @@ rejoins the edge travelling in the original direction with net
 tangent turning 0.  The detours are evenly spaced along the host edge
 and share one scale, so ``count`` of them add exactly 2*count negative
 crossings and drop the writhe (and self-linking number) by 2*count
-while leaving the Whitney index and v2 untouched.
+while leaving the Whitney index and v2 untouched.  The template is
+stored as ints, and each detour point goes to the splice as ints too, a
+fraction of the host edge plus an offset over one common denominator;
+``diagram.splice_curve`` builds the new curve's ints from them, so a
+move builds no vertex Fraction.
 
 A singular diagram is a diagram in which some crossings have their
 over bit erased ("double points").  Erasure is only permitted where
@@ -21,12 +25,14 @@ parity sign of the resolution yields the defect whose vanishing on
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .diagram import Coorientation, Crossing, PolyCurve, TransverseDiagram, least_dist2
+from .diagram import (Coorientation, Crossing, PolyCurve, TransverseDiagram, least_dist2,
+                      splice_curve)
 from .errors import (
     FamilyArityError,
     HostTooShortError,
@@ -38,12 +44,10 @@ from .geometry import (
     Point,
     Vec,
     corner_sweep_contains,
-    dot,
     halvings,
     is_parallel,
     neg,
     scale,
-    vec,
 )
 from .invariants import self_linking, v2, writhe
 from .transversality import forced_over, over_for_sign, reference, require_valid, validate
@@ -51,101 +55,87 @@ from .transversality import forced_over, over_for_sign, reference, require_valid
 # --- the canonical detour ---------------------------------------------------
 
 # Drawn for a horizontal host running left to right under the Plus
-# coorientation.  The path enters at (0,0), exits at (24,0), and its
-# tangent directions all avoid straight up, as do all corner sweeps;
-# net turning is zero.  Its segments are numbered 0..8 from the entry,
-# and it crosses itself exactly twice, at _DETOUR_CROSSINGS:
+# coorientation, in units of 1/30, which make every point an int.  The
+# path enters at (0,0), exits at (720,0), and its tangent directions all
+# avoid straight up, as do all corner sweeps; net turning is zero.  Its
+# segments are numbered 0..8 from the entry, and it crosses itself
+# exactly twice, at _DETOUR_CROSSINGS:
 #
-#   at (2,2):      first ascent (0) x returning strand (4); up lies in
-#                  the open tangent cone, so the over bit is forced;
-#   at (5/6,5/6):  first ascent (0) x final descent (6); up is outside
-#                  the closed cone, so the over bit is free.
+#   at (60,60):  first ascent (0) x returning strand (4); up lies in the
+#                open tangent cone, so the over bit is forced;
+#   at (25,25):  first ascent (0) x final descent (6); up is outside the
+#                closed cone, so the over bit is free.
 #
 # The map that places the template (see stabilize) keeps the first one
 # forced and the second free, and a forced bit is the bit of sign -1
 # (see forced_over).  So both take the over bit of sign -1, whatever
 # the map.
-_F = Fraction
+_DETOUR_PATH = ((0, 0), (150, 150), (270, 150), (330, 30), (120, 0), (30, 90), (15, 75),
+                (36, -30), (690, -30), (720, 0))
 
-_DETOUR_PATH: tuple[Point, ...] = (
-    Point(_F(0), _F(0)),
-    Point(_F(5), _F(5)),
-    Point(_F(9), _F(5)),
-    Point(_F(11), _F(1)),
-    Point(_F(4), _F(0)),
-    Point(_F(1), _F(3)),
-    Point(_F(1, 2), _F(5, 2)),
-    Point(_F(6, 5), _F(-1)),
-    Point(_F(23), _F(-1)),
-    Point(_F(24), _F(0)),
-)
+_DETOUR_CROSSINGS = ((60, 60), (25, 25))
 
-_DETOUR_CROSSINGS: tuple[Point, ...] = (Point(_F(2), _F(2)), Point(_F(5, 6), _F(5, 6)))
-
-# the path and then the crossings, as displacements from the centre (12, 0)
-_DETOUR_SPOKES = tuple(vec(Point(_F(12), _F(0)), p) for p in _DETOUR_PATH + _DETOUR_CROSSINGS)
+# the path and then the crossings, as displacements from the centre (360, 0)
+_DETOUR_SPOKES = tuple((x - 360, z) for x, z in _DETOUR_PATH + _DETOUR_CROSSINGS)
 
 
-def _anchors(d: TransverseDiagram, host: int, count: int) -> tuple[list[Point], Fraction]:
-    """Evenly spaced points of the host edge, clear of crossings, and the
-    least squared clearance among them.
+def _anchors(d: TransverseDiagram, host: int, count: int) -> tuple[list[Fraction], Fraction]:
+    """Evenly spaced fractions f of the host edge, whose points a + f*e,
+    for the edge a -> a + e, are clear of crossings, and the least
+    squared clearance among those points.
 
-    The anchors sit at the fractions (2j-1)/(2*count) + shift of the
-    edge, j = 1..count, where the shift is the first of 0, 1/(4*count),
-    1/(8*count), ... that keeps every anchor off the crossings.  Two
-    shifts differ by less than the anchor spacing, so each crossing on
-    the host rules out at most one of them.  On a generic curve only
-    crossings touch the interior of the host edge, so the clearance is
-    positive.
+    The fractions are (2j-1)/(2*count) + shift, j = 1..count, where the
+    shift is the first of 0, 1/(4*count), 1/(8*count), ... that keeps
+    every one of them off the fractions of the crossings on the host,
+    each read along an axis in which e is not 0.  Two shifts differ by
+    less than the spacing, so each crossing on the host rules out at
+    most one of them.  On a generic curve only crossings touch the
+    interior of the host edge, so the clearance is positive.
 
-    The clearance of an anchor is its least squared distance to a
-    feature other than the host edge: a vertex, another edge or a
-    crossing.  A detour confined to a quarter of its square root cannot
-    touch anything it should not.  Every vertex is an end of an edge
-    other than the host and every crossing lies on one, so the edges
-    alone give it: ``least_dist2`` measures each anchor, as the point
-    (host, f) of the curve, against every edge but the host.  It is at
-    most the squared host length: each anchor lies that close to the
-    host's ends.
+    The clearance of a point is its least squared distance to a feature
+    other than the host edge: a vertex, another edge or a crossing.  A
+    detour confined to a quarter of its square root cannot touch
+    anything it should not.  Every vertex is an end of an edge other
+    than the host and every crossing lies on one, so the edges alone
+    give it: ``least_dist2`` measures each point (host, f) of the curve
+    against every edge but the host.  It is at most the squared host
+    length: each point lies that close to the host's ends.
     """
-    a, direction = d.curve.vertex(host), d.curve.direction(host)
-    on_host = {c.point for c in d.crossings if host in (c.lo, c.hi)}
-    for shift in [_F(0)] + [_F(1, 2**m * count) for m in range(2, len(on_host) + 2)]:
-        fs = [_F(2 * j - 1, 2 * count) + shift for j in range(1, count + 1)]
-        anchors = [Point(a.x + f * direction.x, a.z + f * direction.z) for f in fs]
-        if on_host.isdisjoint(anchors):
+    a, e = d.curve.vertex(host), d.curve.direction(host)
+    axis = 0 if e.x else 1
+    on_host = {(c.point[axis] - a[axis]) / e[axis] for c in d.crossings if host in (c.lo, c.hi)}
+    for shift in [Fraction(0)] + [Fraction(1, 2**m * count) for m in range(2, len(on_host) + 2)]:
+        fs = [Fraction(2 * j - 1, 2 * count) + shift for j in range(1, count + 1)]
+        if on_host.isdisjoint(fs):
             break
-    return anchors, least_dist2(d.curve, [(host, f) for f in fs])
-
-
-def _exact(p: Point) -> tuple[int, int, int, int]:
-    """The point as ints, which hash much faster than its Fractions."""
-    return p.x.numerator, p.x.denominator, p.z.numerator, p.z.denominator
+    return fs, least_dist2(d.curve, [(host, f) for f in fs])
 
 
 def _splice(
-    d: TransverseDiagram, host: int, path: Sequence[Point], new: Sequence[Point]
+    d: TransverseDiagram, host: int, den: int, path: Sequence[tuple], new: Sequence[tuple]
 ) -> Optional[TransverseDiagram]:
     """Insert the vertices ``path`` into the host edge.
 
-    Every crossing of ``d`` keeps its point and its over bit, and the
-    only other crossings are at the points ``new``, once each, with the
-    over bit of sign -1.  None is returned unless the new curve crosses
-    exactly there.  Keeping the over bit is exact because a splice keeps
-    the order of the edges: those before the host keep their index, the
+    ``path`` and ``new`` are points near the host, int triples over
+    ``den`` as ``splice_curve`` takes them.  Every crossing of ``d``
+    keeps its point and its over bit, and the only other crossings are
+    at the points ``new``, once each, with the over bit of sign -1.  None
+    is returned unless the new curve is generic and crosses exactly
+    there.  Keeping the over bit is exact because a splice keeps the
+    order of the edges: those before the host keep their index, the
     host's pieces come next and later edges shift by ``len(path)``, so
     "lo" and "hi" still name the same strands.
     """
-    verts = list(d.curve.vertices)
-    verts[host:host] = path
-    curve = PolyCurve(tuple(verts))
-    expected = {_exact(c.point): c.over for c in d.crossings}
-    expected.update((_exact(p), None) for p in new)
+    curve, new = splice_curve(d.curve, host, den, path, new)
+    if curve.genericity_violations:
+        return None
+    expected = {c.point: c.over for c in d.crossings}
+    expected.update((p, None) for p in new)
     crossings = []
     for lo, hi, p in curve.detected_crossings:
-        if _exact(p) not in expected:
+        if p not in expected:
             return None
-        over = expected.pop(_exact(p)) or over_for_sign(curve, lo, hi, -1)
+        over = expected.pop(p) or over_for_sign(curve, lo, hi, -1)
         crossings.append(Crossing(lo, hi, p, over))
     if expected or len(crossings) != len(d.crossings) + len(new):
         return None
@@ -157,10 +147,10 @@ def _bend_vertical(d: TransverseDiagram, host: int) -> TransverseDiagram:
     into a -> m1 -> m' -> m2 -> b, in one attempt; the first slanted
     piece m1 -> m' is edge host + 1.
 
-    m is the anchor of ``_anchors(d, host, 1)`` and r**2 its clearance;
-    s is the sign of the host's z-direction and h = 2**-e for the least
-    e with 4h <= r.  Then m1 = m - (0, s*h), m' = m + (h, 0) and
-    m2 = m + (0, s*h).  On a valid diagram the splice keeps every
+    m is the point of the fraction of ``_anchors(d, host, 1)`` and r**2
+    its clearance; s is the sign of the host's z-direction and h = 2**-e
+    for the least e with 4h <= r.  Then m1 = m - (0, s*h), m' = m + (h, 0)
+    and m2 = m + (0, s*h).  On a valid diagram the splice keeps every
     crossing's point and over bit and the result is valid:
 
     - Every edge but the host lies at least r from m.  That includes
@@ -176,11 +166,10 @@ def _bend_vertical(d: TransverseDiagram, host: int) -> TransverseDiagram:
     The splice and the validity of its result are still checked;
     HostTooShortError is raised if either fails.
     """
-    (m,), r2 = _anchors(d, host, 1)
-    h = Fraction(1, 2 ** halvings(1, r2))
-    sh = h if d.curve.direction(host).z > 0 else -h
-    bend = [Point(m.x, m.z - sh), Point(m.x + h, m.z), Point(m.x, m.z + sh)]
-    bent = _splice(d, host, bend, ())
+    (f,), r2 = _anchors(d, host, 1)
+    q, e = f.denominator, halvings(1, r2)  # over q * 2**e: m is at t, and h is q
+    t, sh = f.numerator << e, (q if d.curve.direction(host).z > 0 else -q)
+    bent = _splice(d, host, q << e, [(t, 0, -sh), (t, q, 0), (t, 0, sh)], ())
     if bent is None or not validate(bent).is_valid:
         raise HostTooShortError(f"could not bend vertical edge {host}")
     return bent
@@ -196,14 +185,16 @@ def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
     two template crossings, both of sign -1.  A vertical host is first
     bent inside its anchor's clearance (``_bend_vertical``), which
     moves no crossing, and the detours go into its first slanted piece,
-    edge host + 1.  The detours are centred at evenly spaced points of
-    the host edge and share one power-of-two scale, fixed by the least
-    clearance of those points, and all go in with one splice, so the
-    coordinates grow by O(log count) bits over the host's.
-    HostTooShortError is raised only if no scale fits (the anchors'
-    clearance would need 256 or more halvings of the detour), or if the
-    checks of a vertical host's bend fail, which ``_bend_vertical``
-    proves cannot happen on a valid diagram.
+    edge host + 1.  The detours are centred at evenly spaced fractions
+    of the host edge (``_anchors``) and share one power-of-two scale,
+    fixed by the least clearance of their centres, and all go in with
+    one splice, so the coordinates grow by O(log count) bits over the
+    host's.  The detour points are handed to the splice as ints, at
+    their fractions along the host plus a vertical offset, and no
+    vertex Fraction is built.  HostTooShortError is raised only if no
+    scale fits (the anchors' clearance would need 256 or more halvings
+    of the detour), or if the checks of a vertical host's bend fail,
+    which ``_bend_vertical`` proves cannot happen on a valid diagram.
     """
     require_valid(d)
     if not 1 <= host <= d.curve.n:
@@ -217,30 +208,37 @@ def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
         host += 1
 
     # The detour template is drawn for direction (1,0) under Plus.  The
-    # linear map (1,0) -> host direction, (0,1) -> (0, +-1) transports
+    # linear map (1,0) -> host direction v, (0,1) -> (0, +-1) transports
     # it to any non-vertical host: verticals stay vertical, so the
-    # no-upward-tangent conditions transport as well.  The crossings lie
-    # on the path, so they do not raise the largest deviation.
-    direction = d.curve.direction(host)
-    sigma = reference(d.coorientation).z
-    deviations = [Vec(direction.x * u.x, direction.z * u.x + sigma * u.z) for u in _DETOUR_SPOKES]
-    maxdev2 = max(dot(u, u) for u in deviations)
-    anchors, r2 = _anchors(d, host, count)
+    # no-upward-tangent conditions transport as well.  A spoke u of the
+    # template, scaled by s, lands at the anchor a + f*v plus
+    # s*(ux*v + (0, sigma*uz))/30: at the fraction f + s*ux/30 of the
+    # host and the vertical offset s*sigma*uz/30.  The crossings lie on
+    # the path, so they do not raise the largest deviation, which is
+    # taken on c*v, an int vector, in units of 1/(30*c).
+    v, sigma = d.curve.direction(host), reference(d.coorientation).z
+    c = v.x.denominator * v.z.denominator
+    vx, vz = v.x.numerator * v.z.denominator, v.z.numerator * v.x.denominator
+    maxdev2 = max((vx * ux) ** 2 + (vz * ux + c * sigma * uz) ** 2 for ux, uz in _DETOUR_SPOKES)
+    fs, r2 = _anchors(d, host, count)
 
-    # One scale s for all detours: each stays within a quarter of the
-    # least clearance r of the anchors.  r counts the ends of the host
-    # edge, which lie at most half an anchor spacing from the first and
-    # last anchors, so this also leaves a piece of the host between
-    # neighbouring detours and at both ends.
-    e = halvings(maxdev2, r2)
+    # One scale s = 2**-e for all detours: each stays within a quarter of
+    # the least clearance r of the anchors.  r counts the ends of the
+    # host edge, which lie at most half an anchor spacing from the first
+    # and last anchors, so this also leaves a piece of the host between
+    # neighbouring detours and at both ends.  Over q*30*2**e, with q the
+    # lcm of the denominators of the anchors' fractions, every placed
+    # point is an int triple.
+    e = halvings(maxdev2, 900 * c * c * r2)
     if e >= 256:
         raise HostTooShortError(f"no safe detour scale for edge {host}")
-    s = Fraction(1, 2**e)
-    offsets = [(s * u.x, s * u.z) for u in deviations]
+    q = math.lcm(*(f.denominator for f in fs))
+    den = q * 30 << e
+    placed = [[(f.numerator * (den // f.denominator) + ux * q, 0, sigma * uz * q)
+               for ux, uz in _DETOUR_SPOKES] for f in fs]
     ends = len(_DETOUR_PATH)
-    placed = [[Point(m.x + dx, m.z + dz) for dx, dz in offsets] for m in anchors]
     path = [p for loop in placed for p in loop[:ends]]
-    out = _splice(d, host, path, [p for loop in placed for p in loop[ends:]])
+    out = _splice(d, host, den, path, [p for loop in placed for p in loop[ends:]])
     if out is None:
         raise TransknotError(f"detours on edge {host} crossed unexpectedly")
     return out
@@ -493,10 +491,10 @@ def random_valid_diagram(
             continue
 
         x = z = 0
-        pts = [Point(_F(0), _F(0))]
+        pts = [Point(Fraction(0), Fraction(0))]
         for v in dirs[:-1]:
             x, z = x + v.x, z + v.z
-            pts.append(Point(_F(x), _F(z)))
+            pts.append(Point(Fraction(x), Fraction(z)))
         curve = PolyCurve(tuple(pts))
         if curve.genericity_violations:
             continue

@@ -395,8 +395,10 @@ def test_random_diagrams_and_their_stabilizations(seed, coor):
 
 
 def assert_clearance_matches(d, host):
+    a, direction = d.curve.vertex(host), d.curve.direction(host)
     for count in (1, 2, 3, 5):
-        anchors, r2 = _anchors(d, host, count)
+        fractions, r2 = _anchors(d, host, count)
+        anchors = [add(a, scale(direction, f)) for f in fractions]
         assert r2 == min(ref_clearance2(d, host, p) for p in anchors)
 
 

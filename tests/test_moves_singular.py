@@ -1,4 +1,6 @@
 import hashlib
+import math
+import random
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -15,6 +17,7 @@ from transknot.diagram import (
     PolyCurve,
     TransverseDiagram,
     build_diagram,
+    parse_diagram,
     serialize_diagram,
 )
 from transknot.errors import (
@@ -31,7 +34,7 @@ from transknot.fixtures import (
     u_minus,
     u_minus_forbidden,
 )
-from transknot.geometry import Point, dist2, halvings
+from transknot.geometry import Point, dist2, halvings, scale, vec
 from transknot.invariants import (
     crossing_sign,
     pushoff_linking_oracle,
@@ -61,7 +64,11 @@ from transknot.moves_singular import (
 )
 from transknot.transversality import forced_over, reference, validate, whitney_index
 
-from fraction_routines import fraction_halvings
+from fraction_routines import add, fraction_halvings
+
+
+LADDER_K8 = (Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "ladder"
+             / "trefoil_right-e1-k8.td")
 
 
 def vertical_edge_unknot() -> TransverseDiagram:
@@ -165,6 +172,16 @@ def test_halvings_on_ints_gives_what_the_fraction_loop_gave(monkeypatch):
     _bend_vertical(spiked_vertical_unknot(Fraction(-1, 20)), 13)
     assert {type(a) for args in calls for a in args} == {int, Fraction}
     assert [halvings(*args) for args in calls] == [fraction_halvings(*args) for args in calls]
+
+
+def splice_points(d: TransverseDiagram, host: int, path, new):
+    """``_splice`` of the Fraction points ``path`` and ``new``: each point
+    p goes in as (0, p - a) over a common den, for edge host starting at a."""
+    a = d.curve.vertex(host)
+    offsets = [vec(a, p) for p in [*path, *new]]
+    den = math.lcm(*(c.denominator for u in offsets for c in u))
+    triples = [(0, int(u.x * den), int(u.z * den)) for u in offsets]
+    return _splice(d, host, den, triples[:len(path)], triples[len(path):])
 
 
 def new_crossings(before: TransverseDiagram, after: TransverseDiagram):
@@ -287,7 +304,8 @@ class TestStabilize:
         # right of it; the bend keeps to its anchor's clearance, so every
         # crossing stays where it was
         d = looped_vertical_unknot()
-        (anchor,), r2 = _anchors(d, 14, 1)
+        (f,), r2 = _anchors(d, 14, 1)
+        anchor = add(d.curve.vertex(14), scale(d.curve.direction(14), f))
         splices = count_calls(monkeypatch, "_splice")
         bent = _bend_vertical(d, 14)
         assert len(splices) == 1
@@ -337,25 +355,51 @@ class TestStabilize:
 
     def test_splice_needs_every_expected_crossing(self):
         d = u_minus()
-        assert _splice(d, 3, [], []) == d
+        assert splice_points(d, 3, [], []) == d
         # a crossing the splice expects but the new curve lacks fails it
-        assert _splice(d, 3, [], [Point(Fraction(9), Fraction(9))]) is None
+        assert splice_points(d, 3, [], [Point(Fraction(9), Fraction(9))]) is None
         # and so does a new point at an old crossing, which stays one crossing
         (c,) = d.crossings
-        assert _splice(d, 3, [], [c.point]) is None
+        assert splice_points(d, 3, [], [c.point]) is None
         # a vertex that moves the crossing of edges 1 and 6 from (0, 0) to
         # (-1/5, 1/5) fails it, even with the new point expected
         bend = [Point(Fraction(0), Fraction(1, 2))]
-        assert _splice(d, 1, bend, [Point(Fraction(-1, 5), Fraction(1, 5))]) is None
+        assert splice_points(d, 1, bend, [Point(Fraction(-1, 5), Fraction(1, 5))]) is None
+        # a vertex on edge 5 leaves every crossing where it was, but the
+        # curve is not generic, which fails it
+        assert splice_points(d, 2, [Point(Fraction(3, 2), Fraction(-1))], []) is None
         # a spike from edge 2 crosses edge 5 twice, which fails it unless
         # both points are expected; those two then take sign -1
         spike = [Point(Fraction(3, 2), Fraction(-2))]
         new = [Point(Fraction(4, 3), Fraction(-1)), Point(Fraction(5, 3), Fraction(-1))]
-        assert _splice(d, 2, spike, []) is None
-        assert _splice(d, 2, spike, new[:1]) is None
-        out = _splice(d, 2, spike, new)
+        assert splice_points(d, 2, spike, []) is None
+        assert splice_points(d, 2, spike, new[:1]) is None
+        out = splice_points(d, 2, spike, new)
         assert set(crossing_data(d)) < set(crossing_data(out))
         assert [crossing_sign(out, c) for c in new_crossings(d, out)] == [-1, -1]
+
+    def test_splices_keep_the_scale_canonical(self):
+        # the serialized text reduces every coordinate, so only the ints
+        # show a scale with a factor all the scaled points share
+        rng = random.Random(19)
+        diagrams = [trefoil_right(), trefoil_left(), u_minus(), minus_unknot()]
+        diagrams += [random_valid_diagram(s, c) for s in range(6) for c in Coorientation]
+        outs = [stabilize(d, rng.randint(1, d.curve.n), rng.choice((1, 2, 3, 5)))
+                for d in diagrams for _ in range(4)]
+        outs += [_bend_vertical(d, host) for d, host in vertical_hosts(range(3))]
+        assert len(outs) > 60
+        for out in outs:
+            assert out.curve.scaled == PolyCurve(out.curve.vertices).scaled
+
+    @pytest.mark.parametrize("text, host", [
+        (LADDER_K8.read_text(encoding="utf-8"), 7),
+        (serialize_diagram(vertical_edge_unknot()), 9),  # bent first
+    ])
+    def test_parsed_host_stabilizes_without_the_vertex_view(self, text, host):
+        d = parse_diagram(text)
+        out = stabilize(d, host, 3)
+        assert parse_diagram(serialize_diagram(out)) == out
+        assert "vertices" not in vars(d.curve) and "vertices" not in vars(out.curve)
 
     def test_outputs_are_pinned(self):
         # SHA-256 of 960 stabilizations as the Fraction clearance placed
