@@ -131,7 +131,7 @@ class PolyCurve(Frozen):
     its ints and builds no view.  The constructor takes the points,
     converts them once and keeps them as that view.  The parser and the
     moves hand their ints to ``_from_scaled``, the moves through
-    ``splice_curve``, and build no vertex Fraction.
+    ``splice``, and build no vertex Fraction.
     """
 
     _fields = ("vertices",)
@@ -269,6 +269,14 @@ def edge_ends(pts) -> list[tuple[tuple, tuple]]:
     return list(zip(pts, pts[1:] + pts[:1]))
 
 
+def _key(p) -> tuple[int, int, int, int]:
+    """(x numerator, x denominator, z numerator, z denominator) of the
+    Fraction point ``p``: the ints it holds, equal exactly when the
+    points are, and read with no Fraction hashed."""
+    x, z = p
+    return x.numerator, x.denominator, z.numerator, z.denominator
+
+
 def _crossing_scan(curve: PolyCurve) -> tuple[tuple, tuple[Violation, ...]]:
     """The curve's one pair pass, behind ``PolyCurve.pair_facts``: its
     crossings, each turned back into a Fraction point, and its
@@ -338,8 +346,7 @@ def _crossing_scan(curve: PolyCurve) -> tuple[tuple, tuple[Violation, ...]]:
                 out.append(Violation(ViolationKind.CollinearOverlap, edges=(i + 1, j + 1)))
     out += [Violation(ViolationKind.VertexOnEdge, point=curve.vertex(k + 1)) for k in on_edge]
 
-    points = Counter((x.numerator, x.denominator, z.numerator, z.denominator)
-                     for _, _, (x, z) in found)
+    points = Counter(_key(p) for _, _, p in found)
     out += [Violation(ViolationKind.TriplePoint,
                       point=Point(Fraction(xn, xd), Fraction(zn, zd)))
             for (xn, xd, zn, zd), count in points.items() if count > 1]
@@ -451,9 +458,10 @@ def reversed_curve(curve: PolyCurve) -> PolyCurve:
     return PolyCurve._from_scaled(scale, pts[:1] + pts[:0:-1])
 
 
-def splice_curve(curve: PolyCurve, host: int, den: int, path, spots) -> tuple:
-    """(the curve with the points ``path`` inserted after vertex ``host``,
-    the points ``spots`` as Fraction points).
+def splice(d: TransverseDiagram, host: int, den: int, path, spots) -> Optional[TransverseDiagram]:
+    """``d`` with the points ``path`` inserted after vertex ``host``, or
+    None unless the new curve is generic and crosses exactly at the
+    crossings of ``d`` and once at each of the points ``spots``.
 
     Each point is an int triple (t, ox, oz) over ``den`` > 0: the point
     a + (t/den)*e + (ox, oz)/den, where edge ``host`` runs a -> a + e.
@@ -464,9 +472,21 @@ def splice_curve(curve: PolyCurve, host: int, den: int, path, spots) -> tuple:
     gcd g of den and the new numerators is what all of them share: the
     new curve's canonical scale is L*den/g, its old points are only
     multiplied by den/g, and no Fraction is built for its vertices.
+
+    Every old crossing keeps its point and over bit, and each spot takes
+    the over bit of sign -1.  Keeping the over bit is exact because a
+    splice keeps the order of the edges: those before the host keep
+    their index, the host's pieces come next and later edges shift by
+    ``len(path)``, so "lo" and "hi" still name the same strands.  As in
+    ``crossing_mismatch``, the expected and the detected crossings are
+    sorted by the ``_key`` of their points and compared once, which
+    hashes no Fraction; the two sorted lists then pair each crossing
+    with its expected over bit.
     """
-    scale, pts = curve.scaled
-    (ax, az), (ex, ez) = pts[host - 1], curve.int_directions[host - 1]
+    from .transversality import over_for_sign  # it imports this module
+
+    scale, pts = d.curve.scaled
+    (ax, az), (ex, ez) = pts[host - 1], d.curve.int_directions[host - 1]
 
     def place(t, ox, oz):
         return ax * den + t * ex + ox * scale, az * den + t * ez + oz * scale
@@ -475,9 +495,18 @@ def splice_curve(curve: PolyCurve, host: int, den: int, path, spots) -> tuple:
     g = math.gcd(den, *(c for p in new for c in p))
     pts = [(x * (den // g), z * (den // g)) for x, z in pts]
     pts[host:host] = [(x // g, z // g) for x, z in new]
-    spots = [Point(Fraction(x, scale * den), Fraction(z, scale * den))
-             for x, z in (place(*p) for p in spots)]
-    return PolyCurve._from_scaled(scale * den // g, tuple(pts)), spots
+    curve = PolyCurve._from_scaled(scale * den // g, tuple(pts))
+    if curve.genericity_violations:
+        return None
+    expected = [(_key(c.point), c.over) for c in d.crossings]
+    expected += [(_key([Fraction(c, scale * den) for c in place(*p)]), None) for p in spots]
+    expected.sort(key=lambda e: e[0])
+    found = sorted((_key(p), lo, hi, p) for lo, hi, p in curve.detected_crossings)
+    if [k for k, _ in expected] != [k for k, *_ in found]:
+        return None
+    return TransverseDiagram(curve, d.coorientation, tuple(
+        Crossing(lo, hi, p, over or over_for_sign(curve, lo, hi, -1))
+        for (_, over), (_, lo, hi, p) in zip(expected, found)))
 
 
 def detect_crossings(curve: PolyCurve) -> list[tuple[int, int, Point]]:

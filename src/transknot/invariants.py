@@ -185,15 +185,11 @@ def pushoff_linking_oracle(d: TransverseDiagram) -> int:
     return result
 
 
-def _passages(d: TransverseDiagram, base: int | None = None) -> list[tuple[tuple[int, int], bool]]:
-    """Crossing passages in curve order from vertex ``base``, by default
-    the lexicographically least vertex (it exists and can never coincide
-    with a crossing), found on the scaled vertices.  Each entry is
-    ((lo, hi), passes_over)."""
+def _passages(d: TransverseDiagram, base: int = 1) -> list[tuple[tuple[int, int], bool]]:
+    """Crossing passages in curve order from vertex ``base``, which is
+    never a crossing on a generic curve.  Each entry is ((lo, hi),
+    passes_over)."""
     n = d.curve.n
-    if base is None:
-        _, pts = d.curve.scaled
-        base = min(range(n), key=pts.__getitem__) + 1
     out = []
     for step in range(n):
         i = (base - 1 + step) % n + 1
@@ -215,14 +211,14 @@ def v2(d: TransverseDiagram, basepoint: int | None = None) -> int:
     always the chord met first and one interleaving test, a1 < b1 < a2
     < b2, finds every interleaved pair.
 
-    The basepoint defaults to the lexicographically least vertex; any
-    vertex index 1..n may be forced instead (the count does not depend
-    on the choice), and another value raises ValueError.
+    The walk starts at vertex 1 by default; any vertex index 1..n may
+    be given instead (the count does not depend on the choice), and
+    another value raises ValueError.
     """
     if basepoint is not None and not 1 <= basepoint <= d.curve.n:
         raise ValueError(f"basepoint {basepoint} out of range 1..{d.curve.n}")
     where: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-    for idx, (cid, over) in enumerate(_passages(d, basepoint)):
+    for idx, (cid, over) in enumerate(_passages(d, basepoint or 1)):
         where.setdefault(cid, []).append((idx, over))
     signs = {(c.lo, c.hi): s for c, s in zip(d.crossings, d.signs)}
 

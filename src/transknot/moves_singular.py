@@ -9,9 +9,10 @@ and share one scale, so ``count`` of them add exactly 2*count negative
 crossings and drop the writhe (and self-linking number) by 2*count
 while leaving the Whitney index and v2 untouched.  The template is
 stored as ints, and each detour point goes to the splice as ints too, a
-fraction of the host edge plus an offset over one common denominator;
-``diagram.splice_curve`` builds the new curve's ints from them, so a
-move builds no vertex Fraction.
+fraction of the host edge plus an offset over one common denominator.
+``diagram.splice`` builds the new curve's ints from them and checks its
+crossings against the expected ones by one sorted comparison of ints,
+so a move builds no vertex Fraction and hashes no Fraction point.
 
 A singular diagram is a diagram in which some crossings have their
 over bit erased ("double points").  Erasure is only permitted where
@@ -29,10 +30,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .diagram import (Coorientation, Crossing, PolyCurve, TransverseDiagram, least_dist2,
-                      splice_curve)
+from .diagram import Coorientation, Crossing, PolyCurve, TransverseDiagram, least_dist2, splice
 from .errors import (
     FamilyArityError,
     HostTooShortError,
@@ -111,37 +111,6 @@ def _anchors(d: TransverseDiagram, host: int, count: int) -> tuple[list[Fraction
     return fs, least_dist2(d.curve, [(host, f) for f in fs])
 
 
-def _splice(
-    d: TransverseDiagram, host: int, den: int, path: Sequence[tuple], new: Sequence[tuple]
-) -> Optional[TransverseDiagram]:
-    """Insert the vertices ``path`` into the host edge.
-
-    ``path`` and ``new`` are points near the host, int triples over
-    ``den`` as ``splice_curve`` takes them.  Every crossing of ``d``
-    keeps its point and its over bit, and the only other crossings are
-    at the points ``new``, once each, with the over bit of sign -1.  None
-    is returned unless the new curve is generic and crosses exactly
-    there.  Keeping the over bit is exact because a splice keeps the
-    order of the edges: those before the host keep their index, the
-    host's pieces come next and later edges shift by ``len(path)``, so
-    "lo" and "hi" still name the same strands.
-    """
-    curve, new = splice_curve(d.curve, host, den, path, new)
-    if curve.genericity_violations:
-        return None
-    expected = {c.point: c.over for c in d.crossings}
-    expected.update((p, None) for p in new)
-    crossings = []
-    for lo, hi, p in curve.detected_crossings:
-        if p not in expected:
-            return None
-        over = expected.pop(p) or over_for_sign(curve, lo, hi, -1)
-        crossings.append(Crossing(lo, hi, p, over))
-    if expected or len(crossings) != len(d.crossings) + len(new):
-        return None
-    return TransverseDiagram(curve, d.coorientation, tuple(crossings))
-
-
 def _bend_vertical(d: TransverseDiagram, host: int) -> TransverseDiagram:
     """Bend a vertical host edge a -> b inside its anchor's clearance,
     into a -> m1 -> m' -> m2 -> b, in one attempt; the first slanted
@@ -150,8 +119,8 @@ def _bend_vertical(d: TransverseDiagram, host: int) -> TransverseDiagram:
     m is the point of the fraction of ``_anchors(d, host, 1)`` and r**2
     its clearance; s is the sign of the host's z-direction and h = 2**-e
     for the least e with 4h <= r.  Then m1 = m - (0, s*h), m' = m + (h, 0)
-    and m2 = m + (0, s*h).  On a valid diagram the splice keeps every
-    crossing's point and over bit and the result is valid:
+    and m2 = m + (0, s*h).  On a valid diagram ``diagram.splice`` keeps
+    every crossing's point and over bit and the result is valid:
 
     - Every edge but the host lies at least r from m.  That includes
       the edges at a and b, so m1 and m2 lie inside the host.
@@ -169,7 +138,7 @@ def _bend_vertical(d: TransverseDiagram, host: int) -> TransverseDiagram:
     (f,), r2 = _anchors(d, host, 1)
     q, e = f.denominator, halvings(1, r2)  # over q * 2**e: m is at t, and h is q
     t, sh = f.numerator << e, (q if d.curve.direction(host).z > 0 else -q)
-    bent = _splice(d, host, q << e, [(t, 0, -sh), (t, q, 0), (t, 0, sh)], ())
+    bent = splice(d, host, q << e, [(t, 0, -sh), (t, q, 0), (t, 0, sh)], ())
     if bent is None or not validate(bent).is_valid:
         raise HostTooShortError(f"could not bend vertical edge {host}")
     return bent
@@ -180,9 +149,9 @@ def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
 
     The result is valid, has 2*count more crossings, and the writhe
     (hence self-linking number) drops by 2*count; Whitney index and v2
-    are unchanged.  The splice checks this at the exact points: every
-    old crossing keeps its point and over bit, and each loop adds the
-    two template crossings, both of sign -1.  A vertical host is first
+    are unchanged.  ``diagram.splice`` checks this at the exact points:
+    every old crossing keeps its point and over bit, and each loop adds
+    the two template crossings, both of sign -1.  A vertical host is first
     bent inside its anchor's clearance (``_bend_vertical``), which
     moves no crossing, and the detours go into its first slanted piece,
     edge host + 1.  The detours are centred at evenly spaced fractions
@@ -238,7 +207,7 @@ def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
                for ux, uz in _DETOUR_SPOKES] for f in fs]
     ends = len(_DETOUR_PATH)
     path = [p for loop in placed for p in loop[:ends]]
-    out = _splice(d, host, den, path, [p for loop in placed for p in loop[ends:]])
+    out = splice(d, host, den, path, [p for loop in placed for p in loop[ends:]])
     if out is None:
         raise TransknotError(f"detours on edge {host} crossed unexpectedly")
     return out
@@ -324,7 +293,7 @@ def resolve(s: SingularDiagram, a: ResolutionAssignment) -> TransverseDiagram:
 
     POS selects the over bit of sign +1 and NEG that of sign -1, by
     ``over_for_sign``.  The assignment must cover exactly the double
-    sites.
+    sites, each with a Resolution; ValueError is raised otherwise.
     """
     doubles = set(s.double_indices())
     if set(a.choices) != doubles:
@@ -334,7 +303,10 @@ def resolve(s: SingularDiagram, a: ResolutionAssignment) -> TransverseDiagram:
         if isinstance(site, Resolved):
             crossings.append(site.crossing)
             continue
-        sign = 1 if a.choices[i] is Resolution.POS else -1
+        choice = a.choices[i]
+        if not isinstance(choice, Resolution):
+            raise ValueError(f"choice {choice!r} for site {i} is not a Resolution")
+        sign = 1 if choice is Resolution.POS else -1
         over = over_for_sign(s.curve, site.lo, site.hi, sign)
         crossings.append(Crossing(site.lo, site.hi, site.point, over))
     return TransverseDiagram(s.curve, s.coorientation, tuple(crossings))

@@ -370,7 +370,7 @@ def assert_directions_match(d):
     for base in range(1, curve.n + 1):
         assert v2(d, base) == ref_v2(d, base)
     least = min(range(1, curve.n + 1), key=curve.vertex)
-    assert _passages(d) == ref_passages(d, least)
+    assert _passages(d) == ref_passages(d, 1)
     assert v2(d) == ref_v2(d, least)
 
     free = [i for i, c in enumerate(d.crossings)

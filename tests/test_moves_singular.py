@@ -19,6 +19,7 @@ from transknot.diagram import (
     build_diagram,
     parse_diagram,
     serialize_diagram,
+    splice,
 )
 from transknot.errors import (
     FamilyArityError,
@@ -51,7 +52,6 @@ from transknot.moves_singular import (
     ResolutionAssignment,
     _anchors,
     _bend_vertical,
-    _splice,
     assignment_sign,
     is_order_at_most,
     make_singular,
@@ -175,13 +175,13 @@ def test_halvings_on_ints_gives_what_the_fraction_loop_gave(monkeypatch):
 
 
 def splice_points(d: TransverseDiagram, host: int, path, new):
-    """``_splice`` of the Fraction points ``path`` and ``new``: each point
+    """``splice`` of the Fraction points ``path`` and ``new``: each point
     p goes in as (0, p - a) over a common den, for edge host starting at a."""
     a = d.curve.vertex(host)
     offsets = [vec(a, p) for p in [*path, *new]]
     den = math.lcm(*(c.denominator for u in offsets for c in u))
     triples = [(0, int(u.x * den), int(u.z * den)) for u in offsets]
-    return _splice(d, host, den, triples[:len(path)], triples[len(path):])
+    return splice(d, host, den, triples[:len(path)], triples[len(path):])
 
 
 def new_crossings(before: TransverseDiagram, after: TransverseDiagram):
@@ -294,7 +294,7 @@ class TestStabilize:
     def test_vertical_host_is_bent_in_one_attempt(self, monkeypatch, tip_z, k):
         d = spiked_vertical_unknot(tip_z)
         assert d.curve.direction(13).x == 0
-        splices = count_calls(monkeypatch, "_splice")
+        splices = count_calls(monkeypatch, "splice")
         _bend_vertical(d, 13)
         assert len(splices) == 1
         check_stabilized(d, stabilize(d, 13, k), k)
@@ -306,7 +306,7 @@ class TestStabilize:
         d = looped_vertical_unknot()
         (f,), r2 = _anchors(d, 14, 1)
         anchor = add(d.curve.vertex(14), scale(d.curve.direction(14), f))
-        splices = count_calls(monkeypatch, "_splice")
+        splices = count_calls(monkeypatch, "splice")
         bent = _bend_vertical(d, 14)
         assert len(splices) == 1
         assert crossing_data(bent) == crossing_data(d)
@@ -324,7 +324,7 @@ class TestStabilize:
         assert {d.coorientation for d, _ in hosts} == set(Coorientation)
         # the split puts some crossings on the vertical piece itself
         assert sum(any(host in (c.lo, c.hi) for c in d.crossings) for d, host in hosts) == 5
-        splices = count_calls(monkeypatch, "_splice")
+        splices = count_calls(monkeypatch, "splice")
         for d, host in hosts:
             del splices[:]
             bent = _bend_vertical(d, host)
@@ -362,9 +362,11 @@ class TestStabilize:
         (c,) = d.crossings
         assert splice_points(d, 3, [], [c.point]) is None
         # a vertex that moves the crossing of edges 1 and 6 from (0, 0) to
-        # (-1/5, 1/5) fails it, even with the new point expected
+        # (-1/5, 1/5) fails it, with the new point expected or not: the
+        # count of crossings is 1 without it, so only the point tells
         bend = [Point(Fraction(0), Fraction(1, 2))]
         assert splice_points(d, 1, bend, [Point(Fraction(-1, 5), Fraction(1, 5))]) is None
+        assert splice_points(d, 1, bend, []) is None
         # a vertex on edge 5 leaves every crossing where it was, but the
         # curve is not generic, which fails it
         assert splice_points(d, 2, [Point(Fraction(3, 2), Fraction(-1))], []) is None
@@ -390,6 +392,34 @@ class TestStabilize:
         assert len(outs) > 60
         for out in outs:
             assert out.curve.scaled == PolyCurve(out.curve.vertices).scaled
+
+    @pytest.mark.parametrize("make, host", [
+        (lambda: parse_diagram(LADDER_K8.read_text(encoding="utf-8")), 7),
+        (vertical_edge_unknot, 9),  # bent first
+    ], ids=["ladder-k8", "vertical"])
+    def test_splice_hashes_no_fraction(self, monkeypatch, make, host):
+        # the splice matches crossings by the ints of their points; a
+        # Fraction hashed inside it raises
+        d = make()
+        want = stabilize(d, host, 3)
+        inside = []
+
+        def hash_outside(x):
+            if inside:
+                raise AssertionError("a Fraction was hashed inside the splice")
+            return fraction_hash(x)
+
+        def watched(*args):
+            inside.append(True)
+            try:
+                return splice(*args)
+            finally:
+                inside.pop()
+
+        fraction_hash = Fraction.__hash__
+        monkeypatch.setattr(Fraction, "__hash__", hash_outside)
+        monkeypatch.setattr(ms, "splice", watched)
+        assert stabilize(d, host, 3) == want
 
     @pytest.mark.parametrize("text, host", [
         (LADDER_K8.read_text(encoding="utf-8"), 7),
@@ -438,11 +468,11 @@ class TestStabilize:
 # patching the step it guards: (diagram, host, patched name, stand-in,
 # error type, message)
 STABILIZE_GUARDS = [
-    (lambda: spiked_vertical_unknot(Fraction(-1, 20)), 13, "_splice", lambda *a: None,
+    (lambda: spiked_vertical_unknot(Fraction(-1, 20)), 13, "splice", lambda *a: None,
      HostTooShortError, "could not bend vertical edge 13"),
     (trefoil_right, 1, "halvings", lambda *a: 256,
      HostTooShortError, "no safe detour scale for edge 1"),
-    (trefoil_right, 1, "_splice", lambda *a: None,
+    (trefoil_right, 1, "splice", lambda *a: None,
      TransknotError, "detours on edge 1 crossed unexpectedly"),
 ]
 
@@ -507,6 +537,14 @@ class TestResolve:
                 for j, i in enumerate(s.double_indices())
             }
             assert validate(resolve(s, ResolutionAssignment(choices))).is_valid
+
+    @pytest.mark.parametrize("choice", ["+", 1, None])
+    def test_choice_must_be_a_resolution(self, choice):
+        # any other value once resolved as NEG while assignment_sign
+        # counted it as POS
+        s = make_singular(trefoil_right(), [0])
+        with pytest.raises(ValueError, match="is not a Resolution"):
+            resolve(s, ResolutionAssignment({0: choice}))
 
     def test_choice_set_must_match(self):
         s = make_singular(trefoil_right(), [0, 1])

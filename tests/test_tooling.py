@@ -60,7 +60,7 @@ INT_ROUTINES = {
     },
     "diagram.py": {
         "_crossing_scan", "least_dist2", "_parse_rational", "_rational_text",
-        "serialize_diagram", "splice_curve",
+        "serialize_diagram", "splice",
     },
     "invariants.py": {"_pushoff_once"},
 }
