@@ -531,8 +531,8 @@ def min_feature_separation2(d: TransverseDiagram) -> Fraction:
 
     Minimum over edge lengths, vertex to non-incident edge distances,
     and pairwise crossing point distances; all squared, all exact.
-    Used to bound perturbation sizes so a push-off cannot jump across
-    a strand or a crossing cannot collide with another feature.
+    ``render`` sizes the gaps of its under strands and its margin by
+    it, so that no gap reaches another feature.
 
     Runs by ``least_dist2`` on the vertices, as the points (k, 0) of the
     curve, and the crossings as its spots.  The edge lengths come in as

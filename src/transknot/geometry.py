@@ -21,9 +21,10 @@ three orientation determinants e×f, (c - a)×f and (c - a)×e, and the
 crossing, both vertex-on-open-edge contacts and a collinear overlap are
 sign and range tests on them.  The curve's pair pass
 (``diagram._crossing_scan``) and the push-off oracle
-(``invariants._pushoff_once``) call it once per pair;
-``segment_crossing`` and ``point_in_open_segment`` are the references
-the tests check those derivations against.
+(``invariants._pushoff_once``) call it once per pair, the oracle for
+both orders of the pair at once; ``segment_crossing`` and
+``point_in_open_segment`` are the references the tests check those
+derivations against.
 
 The loops pair features by the closed boxes (xlo, xhi, zlo, zhi) of
 ``box``, in box sweeps: ``box_overlapping_pairs`` within one set, and
@@ -31,10 +32,12 @@ The loops pair features by the closed boxes (xlo, xhi, zlo, zhi) of
 pairs whose boxes are apart is exact: a point on a segment lies in its
 box, two segments that cross or overlap have meeting boxes, and a
 distance is at least the larger of the x-gap and the z-gap of the two
-boxes.  The pair pass and the push-off oracle sweep edges only: a
-vertex lies in the closed box of the edge it starts, so every vertex
-fact is found at a pair of edges.  Only ``diagram.least_dist2`` sweeps
-points, which need not be vertices, against edges.  The package
+boxes.  The pair pass sweeps edges only: a vertex lies in the closed
+box of the edge it starts, so every vertex fact is found at a pair of
+edges.  The push-off oracle runs no sweep: its copy is offset by an
+infinitesimal, so it reads the pairs the pair pass swept.  Only
+``diagram.least_dist2`` sweeps points, which need not be vertices,
+against edges, with ``box_meeting_pairs``.  The package
 measures distances on ints too: ``diagram.least_dist2`` is its only
 distance routine, and ``halvings`` compares ints, split once from its
 int or Fraction arguments.  The Fraction routines

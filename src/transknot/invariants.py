@@ -14,6 +14,13 @@ with dy > 0.  Expanding the determinant in coordinates (x, y, z):
 
 so the sign is the sign of cross(t_over, t_under) in the plane.  This
 is the usual right-handed crossing sign.
+
+Push-off.  The oracle links the knot with a copy shifted by εu in the
+plane, u parallel to no edge and ε > 0 infinitesimal (simulation of
+simplicity).  Every quantity it decides on is then a0 + ε·a1 with int
+a0 and a1, compared as the pair (a0, a1) in lexicographic order, so it
+measures no distance, picks no offset size and reads only the curve's
+own ints and edge pairs.
 """
 
 from __future__ import annotations
@@ -21,21 +28,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .diagram import (
-    Crossing,
-    TransverseDiagram,
-    min_feature_separation2,
-)
+from .diagram import Crossing, TransverseDiagram
 from .errors import OracleError, TransknotError
-from .geometry import (
-    Vec,
-    box_meeting_pairs,
-    cross,
-    dot,
-    halvings,
-    pair_determinants,
-    sign,
-)
+from .geometry import Vec, cross, pair_determinants, sign
 from .transversality import regular_direction, require_valid, whitney_index
 
 
@@ -71,80 +66,63 @@ def self_linking(d: TransverseDiagram) -> int:
     return writhe(d)
 
 
-def _pushoff_once(d: TransverseDiagram, u: Vec, e: int):
-    """The oracle at offset u / 2**e; None signals a degenerate contact
-    or an intersection pattern other than the one the offset must give.
+def _pushoff_once(d: TransverseDiagram, u: Vec):
+    """The oracle at the offset εu, ε > 0 infinitesimal; None signals an
+    intersection pattern other than the one a generic curve gives.
 
-    Runs on the curve's scaled vertices refined by 2**e, on which the
-    offset is the int vector L·u and the edge directions are the
-    ``int_directions`` refined by 2**e too, and sweeps the original
-    edges against the copy edges, pairing only those whose closed boxes
-    meet.  One ``pair_determinants`` call on each pair (original edge r,
-    copy edge b), r running a -> a + e and b running c -> c + f, with
-    w = c - a, decides all three of its tests: the start of b on the
-    closed edge r (t = 0 and 0 <= w·e <= e·e), the start of r on the
-    open edge b (s = 0 and 0 < -w·f < f·f), and the crossing of the two
-    edges.  No test is lost by pairing edges only:
-
-    - A vertex lies in the closed box of the edge it starts, and a
-      vertex on a segment lies in that segment's box, so the two boxes
-      meet and every vertex-against-edge contact is tested at a pair
-      the sweep yields.  Crossing edges meet in their boxes too.
-    - An edge and its own copy are parallel, den = 0, so they never
-      cross and need no case of their own.
-    - With s and t both non-zero neither start lies on the other edge,
-      and with either 0 the edges do not cross, so a pair is tested for
-      contacts or for a crossing, never both.
-    - The result is None exactly when some contact test or hit check
-      fails, and the signed total is a sum over the same edge-copy
-      hits, so the order of the pairs does not matter.
+    Runs on the curve's ``scaled`` vertices and ``int_directions`` and
+    tests each pair of its cached ``edge_pairs`` in both orders.  For
+    original edge r running a -> a + e and copy edge b running
+    c + εu -> c + εu + f, with w = c - a, one ``pair_determinants`` call
+    gives den = e×f, s = w×f and t = w×e, and the offset adds ε(u×f) to
+    s and ε(u×e) to t.  The other order, original b against the copy of
+    r, reads -den, -t + ε(u×e) and -s + ε(u×f) from the same call.
+    With den made positive, an order is hit exactly when 0 < s < den and
+    0 < t < den, each a comparison of the pairs (a0, a1) of a0 + ε·a1 in
+    lexicographic order; the two orders' tests differ only in the sign
+    of the ε terms, and each hit is signed as that order's den was.  u
+    is parallel to no edge, so u×e and u×f are never 0 and no vertex of
+    either curve lies on the other.
     """
     curve = d.curve
     n = curve.n
-    scale, pts = curve.scaled
-    sx, sz = scale * u.x, scale * u.z
-    orig = [(x << e, z << e) for x, z in pts]
-    copy = [(x + sx, z + sz) for x, z in orig]
-    dirs = [(x << e, z << e) for x, z in curve.int_directions]
-    red = [(xlo << e, xhi << e, zlo << e, zhi << e) for xlo, xhi, zlo, zhi in curve.edge_boxes]
-    blue = [(xlo + sx, xhi + sx, zlo + sz, zhi + sz) for xlo, xhi, zlo, zhi in red]
+    _, pts = curve.scaled
+    dirs = curve.int_directions
 
     signs = {(c.lo, c.hi): s for c, s in zip(d.crossings, d.signs)}
     hits: dict[tuple[int, int], int] = {}
     total = corner_total = 0
-    for r, b in box_meeting_pairs(red, blue):
-        den, s, t, wx, wz = pair_determinants(orig[r], dirs[r], copy[b], dirs[b])
-        if not (s and t):
-            # degenerate contacts (a vertex of one curve on the other)
-            # make the intersection pattern ambiguous
-            (ex, ez), (fx, fz) = dirs[r], dirs[b]
-            if not t and 0 <= wx * ex + wz * ez <= ex * ex + ez * ez:
-                return None
-            if not s and 0 < -(wx * fx + wz * fz) < fx * fx + fz * fz:
-                return None
-            continue
-        sgn = 1 if den > 0 else -1  # that of cross(e_r, e_b)
-        if sgn < 0:
-            den, s, t = -den, -s, -t
-        if not (0 < s < den and 0 < t < den):
-            continue
-        i, j = r + 1, b + 1
-        pair = (min(i, j), max(i, j))
-        if pair in signs:
-            # near an original crossing: the vertical order of the two
-            # strands is inherited, a small shift cannot swap it, and
-            # the refined and shifted edges point along 2**e times the
-            # original directions, so the hit has the crossing's sign
-            total += signs[pair]
-            hits[pair] = hits.get(pair, 0) + 1
-        elif (j - i) % n in (1, n - 1):
-            # near a shared corner: the copy sits at strictly larger
-            # y (the push-off direction), so the copy strand is under
-            total += sgn
-            corner_total += sgn
-        else:
-            return None  # distant edges cannot meet at a small offset
-
+    for i, j in curve.edge_pairs:
+        e, f = dirs[i], dirs[j]
+        den, s, t, _, _ = pair_determinants(pts[i], e, pts[j], f)
+        if not den:
+            continue  # parallel edges never cross
+        sgn = 1 if den > 0 else -1  # that of cross(e_i, e_j)
+        den, s, t = sgn * den, sgn * s, sgn * t
+        if not (0 <= s <= den and 0 <= t <= den):
+            continue  # the closed edges are apart: neither order is hit
+        # order (i, j) has the ε terms (uf, ue) and the sign sgn, order
+        # (j, i) their negatives and -sgn
+        uf, ue = sgn * cross(u, f), sgn * cross(u, e)
+        for hit in (1, -1):
+            if not ((0, 0) < (s, hit * uf) < (den, 0) and (0, 0) < (t, hit * ue) < (den, 0)):
+                continue
+            pair = (i + 1, j + 1)
+            if pair in signs:
+                # at an original crossing: the vertical order of the
+                # two strands is inherited, and the copy's edges point
+                # along the original's, so the hit has the crossing's
+                # sign
+                total += signs[pair]
+                hits[pair] = hits.get(pair, 0) + 1
+            elif j - i in (1, n - 1):
+                # at a shared corner: the copy sits at strictly larger
+                # y (the push-off direction), so the copy strand is
+                # under
+                total += hit * sgn
+                corner_total += hit * sgn
+            else:
+                return None  # distant edges cannot meet at ε
     if set(hits) != set(signs) or any(v != 2 for v in hits.values()):
         return None
     if corner_total != 0 or total % 2 != 0:
@@ -157,31 +135,34 @@ def pushoff_linking_oracle(d: TransverseDiagram) -> int:
 
     Structural check for self_linking: the copy stands in for the
     push-off along the viewing direction, whose projection offset is
-    δ = u / 2**e, with u the ``regular_direction`` of the edges and e
-    the least with |δ| at most a quarter of the minimum feature
-    separation.  Half the signed count of knot-to-copy intersections is
-    returned.  One attempt always succeeds on a valid diagram:
+    εu, with u the ``regular_direction`` of the edges and ε > 0
+    infinitesimal (simulation of simplicity: Edelsbrunner and Mücke,
+    *ACM Trans. Graph.* 9(1), 1990).  Half the signed count of
+    knot-to-copy intersections is returned.  It succeeds on every valid
+    diagram:
 
-    - No vertex of either curve lies on the other: it would lie within
-      |δ| of a non-incident edge, or δ would be parallel to an incident
-      one.  Edges that neither cross nor share a vertex do not meet, as
-      two disjoint segments come closest at an endpoint of one.
-    - Each crossing pair (i, j) is hit exactly twice, edge i by the copy
-      of edge j and j by the copy of i, with the inherited vertical
-      order: a hit off either segment would put the endpoint nearest
-      the moved crossing within |δ| of the other edge.
+    - A pair of edges is hit only if the closed segments meet at ε = 0,
+      so their boxes meet and ``edge_pairs`` holds every pair that can
+      be hit.
+    - Each crossing pair (i, j) is hit exactly once in each order, edge
+      i by the copy of edge j and j by the copy of i, whatever the ε
+      terms: both edge fractions lie strictly inside (0, 1).  The hit
+      has the inherited vertical order.
+    - On a generic curve two edges that neither cross nor share a vertex
+      are apart as closed segments, so they are never hit.
     - Corner hits occur where u or -u lies in a corner's sweep, signed
       against the corner's turn for u and with it for -u, so they sum
-      to the Whitney index at -u less that at u; each is 0 on a valid
-      diagram, whose tangent never points along the coorientation.
+      to the Whitney index at -u less that at u.  The Whitney index is
+      the same at every direction parallel to no edge, so the sum is 0
+      on every generic curve; ``corner_total != 0`` is a consistency
+      check.
 
     So a failed attempt means a broken invariant: it raises OracleError.
     """
     require_valid(d)
-    u = regular_direction(d.curve.int_directions)
-    result = _pushoff_once(d, u, halvings(dot(u, u), min_feature_separation2(d)))
+    result = _pushoff_once(d, regular_direction(d.curve.int_directions))
     if result is None:
-        raise OracleError("no admissible push-off offset found")
+        raise OracleError("the push-off meets the knot in a pattern no valid diagram gives")
     return result
 
 

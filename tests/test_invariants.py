@@ -170,7 +170,7 @@ def test_oracle_makes_one_attempt(monkeypatch):
     # is a broken invariant and is not retried at a smaller offset
     calls = []
     monkeypatch.setattr("transknot.invariants._pushoff_once",
-                        lambda d, u, e: calls.append((u, e)))
+                        lambda d, u: calls.append(u))
     with pytest.raises(OracleError):
         pushoff_linking_oracle(trefoil_right())
     assert len(calls) == 1

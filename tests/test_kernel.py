@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from transknot import invariants
+from transknot import diagram, geometry, invariants
 from transknot.diagram import (
     Coorientation,
     Crossing,
@@ -63,6 +63,7 @@ from transknot.invariants import (
     crossing_sign,
     pushoff_linking_oracle,
     v2,
+    writhe,
 )
 from transknot.moves_singular import (
     Resolution,
@@ -78,6 +79,7 @@ from transknot.transversality import (
     check_condition1,
     check_condition2,
     forced_over,
+    regular_direction,
     validate,
     whitney_index,
 )
@@ -457,24 +459,16 @@ def ref_boxes_meet(s, t):
 
 def test_pushoff_tests_only_the_pairs_whose_boxes_meet(monkeypatch):
     d = ladder(8)
-    attempts, calls = [], []
-    once = invariants._pushoff_once
+    calls = []
     kernel = invariants.pair_determinants
-
-    def recording(d, u, e):
-        attempts.append((u, e))
-        return once(d, u, e)
 
     def counting(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(invariants, "_pushoff_once", recording)
     monkeypatch.setattr(invariants, "pair_determinants", counting)
     assert pushoff_linking_oracle(d) == -15
-    [(u, e)] = attempts
-    delta = Vec(Fraction(u.x, 2**e), Fraction(u.z, 2**e))
-    unit = d.curve.scaled[0] * 2**e
+    unit = d.curve.scaled[0]
 
     def on_grid(p):
         x, z = p.x * unit, p.z * unit
@@ -485,18 +479,35 @@ def test_pushoff_tests_only_the_pairs_whose_boxes_meet(monkeypatch):
         (ax, az), (bx, bz) = on_grid(a), on_grid(b)
         return (ax, az), (bx - ax, bz - az)
 
-    orig = [(a, b) for _, a, b in d.curve.edges()]
-    copy = [(add(a, delta), add(b, delta)) for a, b in orig]
-    # every ordered pair (original edge i, copy edge j), an edge and its
-    # own copy included, whose boxes meet gets one kernel call on the
-    # refined starts and directions, and no other pair is tested
-    meeting = [(i, j) for i, j in itertools.product(range(d.curve.n), repeat=2)
-               if ref_boxes_meet(ref_box(*orig[i]), ref_box(*copy[j]))]
-    assert len(meeting) < d.curve.n ** 2
-    assert any(i == j for i, j in meeting)
-    expected = [(*start_and_direction(*orig[i]), *start_and_direction(*copy[j]))
+    edges = [(a, b) for _, a, b in d.curve.edges()]
+    # every pair of edges i < j whose boxes meet gets one kernel call on
+    # the curve's own ints, for both orders of the pair, and no other
+    # pair is tested: an infinitesimal offset refines no coordinate
+    meeting = [(i, j) for i, j in itertools.combinations(range(d.curve.n), 2)
+               if ref_boxes_meet(ref_box(*edges[i]), ref_box(*edges[j]))]
+    assert len(meeting) < d.curve.n * (d.curve.n - 1) // 2
+    expected = [(*start_and_direction(*edges[i]), *start_and_direction(*edges[j]))
                 for i, j in meeting]
     assert sorted(calls) == sorted(expected)
+
+
+@pytest.mark.parametrize("make", [*(lambda k=k: ladder(k) for k in (0, 2, 4, 8)),
+                                  trefoil_right, trefoil_left, u_minus, minus_unknot],
+                         ids=["k0", "k2", "k4", "k8", "trefoil_right", "trefoil_left",
+                              "u_minus", "minus_unknot"])
+def test_oracle_measures_no_distance(monkeypatch, make):
+    # an infinitesimal offset needs no feature separation and no offset
+    # size: every distance routine the package has refuses to run
+    d = make()
+
+    def refuse(*args):
+        raise AssertionError("the push-off oracle measured a distance")
+
+    for module in (diagram, geometry, invariants):
+        for name in ("least_dist2", "min_feature_separation2", "halvings"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert pushoff_linking_oracle(d) == writhe(d)
 
 
 def test_direction_predicates_on_small_grid_curves():
@@ -540,28 +551,23 @@ def test_cone_predicates_on_ints_match_fraction_division():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_single_pushoff_attempts(seed):
-    # offsets u / 2**e, among them differences of two vertices, which put
-    # a vertex of the copy on a vertex of the original
+    # the offset εu against the finite offset t·u, for several u parallel
+    # to no edge, -u among them, and t small enough by the reference
+    # separation: both count the same hits
     d = random_valid_diagram(seed)
-    v = d.curve.vertices
-    offsets = [(1, 1), (1, 2), (-3, 1), (int(v[2].x - v[0].x), int(v[2].z - v[0].z))]
-    for ux, uz in offsets:
-        for e in range(3):
-            want = ref_pushoff_once(d, Vec(Fraction(ux, 2**e), Fraction(uz, 2**e)))
-            assert _pushoff_once(d, Vec(ux, uz), e) == want
-
-
-@pytest.mark.parametrize("ux, uz, e", [(0, -1, 0), (0, -2, 1), (0, 1, 0), (4, 0, 0)])
-def test_pushoff_attempt_rejects_a_vertex_on_the_other_curve(ux, uz, e):
-    # the shifted triangle touches the original only at a vertex: on an
-    # edge's interior, below and above, or on the vertex (4, 0)
-    tri = TransverseDiagram(
-        PolyCurve((Point(Fraction(0), Fraction(0)), Point(Fraction(4), Fraction(0)),
-                   Point(Fraction(2), Fraction(1)))),
-        Coorientation.PLUS, (),
-    )
-    assert ref_pushoff_once(tri, Vec(Fraction(ux, 2**e), Fraction(uz, 2**e))) is None
-    assert _pushoff_once(tri, Vec(ux, uz), e) is None
+    m2 = ref_separation(d)
+    dirs = [d.curve.direction(i) for i in range(1, d.curve.n + 1)]
+    u = regular_direction(d.curve.int_directions)
+    offsets = [u, neg(u), Vec(-3, 1), Vec(2, 7), Vec(-5, -11)]
+    offsets = [v for v in offsets if not any(is_parallel(v, t) for t in dirs)]
+    assert len(offsets) >= 4
+    for v in offsets:
+        t = Fraction(1)
+        while t * t * dot(v, v) > m2 / 16:
+            t /= 2
+        want = ref_pushoff_once(d, Vec(v.x * t, v.z * t))
+        assert want == writhe(d)
+        assert _pushoff_once(d, v) == want
 
 
 def grid_curves(count):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -161,12 +162,9 @@ def count_calls(monkeypatch, name: str) -> list:
 
 
 def test_halvings_on_ints_gives_what_the_fraction_loop_gave(monkeypatch):
-    # the oracle, stabilize and the bend of a vertical host pass it ints
-    # and Fractions
+    # stabilize and the bend of a vertical host pass it ints and Fractions
     calls = count_calls(monkeypatch, "halvings")
-    monkeypatch.setattr("transknot.invariants.halvings", lambda *a: calls.append(a) or halvings(*a))
     for d in [trefoil_right(), trefoil_left(), u_minus(), minus_unknot()]:
-        pushoff_linking_oracle(d)
         for host in range(1, d.curve.n + 1):
             stabilize(d, host, 3)
     _bend_vertical(spiked_vertical_unknot(Fraction(-1, 20)), 13)
@@ -604,6 +602,76 @@ class TestVassilievDefect:
         s = make_singular(trefoil_right(), [])
         with pytest.raises(ValueError):
             vassiliev_defect(WRITHE_INVARIANT, s)
+
+    def test_v2_defect_at_one_double_point_is_the_smoothing_linking_number(self):
+        # Conway's skein relation: v2(K+) - v2(K-) = lk(K0), for the
+        # two-component link K0 of the oriented smoothing
+        seen = set()
+        for s in skein_members(1, range(100)):
+            [site] = s.double_indices()
+            lk = smoothing_linking_number(s, site)
+            assert vassiliev_defect(V2_INVARIANT, s).defect == lk
+            seen.add(lk)
+        assert {-1, 0, 1} <= seen
+
+    def test_v2_defect_at_two_double_points_is_the_chord_symbol(self):
+        # the symbol of v2: 1 on two interleaved chords, else 0
+        seen = set()
+        for s in skein_members(2, range(60)):
+            ends = chord_ends(resolve_all(s, Resolution.POS))
+            one, other = (s.sites[i] for i in s.double_indices())
+            symbol = int(interleaved(ends[one.lo, one.hi], ends[other.lo, other.hi]))
+            assert vassiliev_defect(V2_INVARIANT, s).defect == symbol
+            seen.add(symbol)
+        assert seen == {0, 1}
+
+
+def skein_members(doubles: int, seeds):
+    """The members of ``singular_family(seed, doubles, 3)`` for each seed,
+    then every admissible set of ``doubles`` crossings of the fixtures."""
+    for seed in seeds:
+        yield from singular_family(seed, doubles, 3)
+    for make in (trefoil_right, trefoil_left, u_minus, minus_unknot):
+        d = make()
+        free = [i for i, c in enumerate(d.crossings)
+                if forced_over(d.curve, d.coorientation, c.lo, c.hi) is None]
+        for sites in itertools.combinations(free, doubles):
+            yield make_singular(d, sites)
+
+
+def resolve_all(s, choice: Resolution) -> TransverseDiagram:
+    return resolve(s, ResolutionAssignment({i: choice for i in s.double_indices()}))
+
+
+def chord_ends(d: TransverseDiagram) -> dict:
+    """(first, second) passage of each crossing in the walk from vertex
+    1, keyed by (lo, hi); read from ``crossings_along`` alone."""
+    ends: dict = {}
+    walk = [(c.lo, c.hi) for along in d.crossings_along for c in along]
+    for pos, pair in enumerate(walk):
+        ends.setdefault(pair, []).append(pos)
+    return {pair: tuple(at) for pair, at in ends.items()}
+
+
+def interleaved(a, b) -> bool:
+    """Whether chord b has exactly one end between the ends of chord a."""
+    (a1, a2), (b1, b2) = a, b
+    return (a1 < b1 < a2) != (a1 < b2 < a2)
+
+
+def smoothing_linking_number(s, site: int) -> int:
+    """lk(K0) of the oriented smoothing at double point ``site``: half
+    the signed count of the chords that interleave its chord, since the
+    smoothing splits the walk between the chord's two ends.  The other
+    crossings keep their signs whatever the double point resolves to."""
+    d = resolve_all(s, Resolution.POS)
+    ends = chord_ends(d)
+    double = s.sites[site]
+    chord = ends[double.lo, double.hi]
+    twice = sum(sg for c, sg in zip(d.crossings, d.signs)
+                if interleaved(chord, ends[c.lo, c.hi]))
+    assert twice % 2 == 0
+    return twice // 2
 
 
 class TestOrderCheck:
