@@ -127,7 +127,8 @@ class PolyCurve(Frozen):
     predicates on these ints, which are exact and never normalise a
     fraction; a value leaves them as a Fraction again.  ``vertices``, the
     Fraction points, is a view built on first read; as the field tuple it
-    is what the hash and the repr read.  ``vertex`` reads one vertex from
+    is what the repr reads; the hash reads ``scaled``, which equality
+    compares, and so builds no view.  ``vertex`` reads one vertex from
     its ints and builds no view.  The constructor takes the points,
     converts them once and keeps them as that view.  The parser and the
     moves hand their ints to ``_from_scaled``, the moves through
@@ -160,7 +161,8 @@ class PolyCurve(Frozen):
             return NotImplemented
         return self.scaled == other.scaled
 
-    __hash__ = Frozen.__hash__
+    def __hash__(self):
+        return hash(self.scaled)
 
     @cached_property
     def vertices(self) -> tuple[Point, ...]:
@@ -191,16 +193,17 @@ class PolyCurve(Frozen):
             yield i, vs[i - 1], vs[i % self.n]
 
     @cached_property
-    def int_directions(self) -> tuple[Vec, ...]:
-        """Edge directions as int vectors, edge i at index i - 1: the
-        differences of the ``scaled`` vertices.  Each is L times the true
+    def int_directions(self) -> tuple[tuple[int, int], ...]:
+        """Edge directions as plain (dx, dz) int pairs, edge i at index
+        i - 1: the differences of the ``scaled`` vertices, read by index
+        by the direction predicates.  Each is L times the true
         direction with L > 0, so every cross or dot sign and every
         parallel test on them is the true one.  The direction predicates
         (conditions 1 and 2, the Whitney index, crossing signs, the
         along-edge order) decide on these.  Computed once.
         """
         _, pts = self.scaled
-        return tuple(vec(a, b) for a, b in edge_ends(pts))
+        return tuple((bx - ax, bz - az) for (ax, az), (bx, bz) in edge_ends(pts))
 
     @cached_property
     def int_edges(self) -> tuple[tuple[int, int, int, int, int], ...]:
@@ -212,10 +215,13 @@ class PolyCurve(Frozen):
                      for (x, z), (ex, ez) in zip(self.scaled[1], self.int_directions))
 
     @cached_property
-    def pair_facts(self) -> tuple[tuple, tuple[Violation, ...]]:
-        """(``detected_crossings``, ``genericity_violations``): what the
-        curve's one pair pass, ``_crossing_scan``, finds.  Computed once,
-        whichever of the two is read first."""
+    def pair_facts(self) -> tuple[tuple, tuple[Violation, ...], tuple]:
+        """(``detected_crossings``, ``genericity_violations``, meets): what
+        the curve's one pair pass, ``_crossing_scan``, finds.  Computed
+        once, whichever is read first.  meets holds (i, j, den, s, t) for
+        every pair of non-parallel edges i + 1 and j + 1 whose closed
+        segments meet, with den > 0 and s, t the kernel's determinants
+        signed as den was; the push-off oracle reads it."""
         return _crossing_scan(self)
 
     @property
@@ -277,10 +283,11 @@ def _key(p) -> tuple[int, int, int, int]:
     return x.numerator, x.denominator, z.numerator, z.denominator
 
 
-def _crossing_scan(curve: PolyCurve) -> tuple[tuple, tuple[Violation, ...]]:
+def _crossing_scan(curve: PolyCurve) -> tuple[tuple, tuple[Violation, ...], tuple]:
     """The curve's one pair pass, behind ``PolyCurve.pair_facts``: its
-    crossings, each turned back into a Fraction point, and its
-    genericity violations, found on the scaled vertices.
+    crossings, each turned back into a Fraction point, its genericity
+    violations, found on the scaled vertices, and the pairs of
+    non-parallel edges that meet.
 
     Zero edges are read off the int directions.  Every other fact is
     decided at the pairs (i, j) of ``edge_pairs``, whose boxes meet, by
@@ -301,6 +308,10 @@ def _crossing_scan(curve: PolyCurve) -> tuple[tuple, tuple[Violation, ...]]:
       both contacts, the overlap and the reversal, and is skipped before
       the kernel call.  VertexOnEdge and CollinearOverlap are tested on
       every pair that is left, adjacent ones included.
+    - With den made positive, two non-parallel edges meet exactly when
+      0 <= s <= den and 0 <= t <= den; such a pair is kept as a meet.
+      Adjacent ones never are: a turn is skipped above and the rest are
+      parallel.  On a generic curve the meets are the crossings.
     - A zero edge overlaps nothing: with e or f zero the overlap test
       never holds.  With s and t both non-zero there is no contact and no
       shared line, and the crossing test is all that is left.
@@ -310,6 +321,7 @@ def _crossing_scan(curve: PolyCurve) -> tuple[tuple, tuple[Violation, ...]]:
     dirs = curve.int_directions
     out: list[Violation] = []
     found = []
+    meets = []
 
     out += [Violation(ViolationKind.ZeroEdge, edges=(i + 1,))
             for i, t in enumerate(dirs) if t == (0, 0)]
@@ -320,13 +332,16 @@ def _crossing_scan(curve: PolyCurve) -> tuple[tuple, tuple[Violation, ...]]:
         if adjacent and e[0] * f[1] != e[1] * f[0]:
             continue  # a turn: the shared vertex is all the two edges have in common
         den, s, t, wx, wz = pair_determinants(a, e, pts[j], f)
-        if s and t:
-            if den < 0:
-                den, s, t = -den, -s, -t
+        if den < 0:
+            den, s, t = -den, -s, -t
+        if 0 <= s <= den and 0 <= t <= den and den:
+            meets.append((i, j, den, s, t))
             if 0 < s < den and 0 < t < den:
                 (ax, az), (ex, ez) = a, e
                 found.append((i + 1, j + 1, Point(Fraction(ax * den + s * ex, den * scale),
                                                   Fraction(az * den + s * ez, den * scale))))
+                continue
+        if s and t:
             continue
         (ex, ez), (fx, fz) = e, f
         if adjacent:
@@ -350,7 +365,7 @@ def _crossing_scan(curve: PolyCurve) -> tuple[tuple, tuple[Violation, ...]]:
     out += [Violation(ViolationKind.TriplePoint,
                       point=Point(Fraction(xn, xd), Fraction(zn, zd)))
             for (xn, xd, zn, zd), count in points.items() if count > 1]
-    return tuple(sorted(found)), tuple(sort_violations(out))
+    return tuple(sorted(found)), tuple(sort_violations(out)), tuple(meets)
 
 
 @total_ordering
@@ -436,11 +451,12 @@ class TransverseDiagram(Frozen):
         for c in self.crossings:
             on.setdefault(c.lo, []).append(c)
             on.setdefault(c.hi, []).append(c)
-        out = []
-        for i, t in enumerate(self.curve.int_directions, start=1):
-            axis = 0 if t.x else 1
-            out.append(tuple(sorted(on.get(i, ()), key=lambda c: c.point[axis],
-                                    reverse=t[axis] < 0)))
+        dirs = self.curve.int_directions
+        out = [()] * len(dirs)
+        for i, cs in on.items():
+            t = dirs[i - 1]
+            axis = 0 if t[0] else 1
+            out[i - 1] = tuple(sorted(cs, key=lambda c: c.point[axis], reverse=t[axis] < 0))
         return tuple(out)
 
     def with_over(self, flips: dict[tuple[int, int], str]) -> "TransverseDiagram":

@@ -20,11 +20,11 @@ Every test on a pair of edges is decided by one kernel,
 three orientation determinants e×f, (c - a)×f and (c - a)×e, and the
 crossing, both vertex-on-open-edge contacts and a collinear overlap are
 sign and range tests on them.  The curve's pair pass
-(``diagram._crossing_scan``) and the push-off oracle
-(``invariants._pushoff_once``) call it once per pair, the oracle for
-both orders of the pair at once; ``segment_crossing`` and
-``point_in_open_segment`` are the references the tests check those
-derivations against.
+(``diagram._crossing_scan``) is its one caller, once per pair; it keeps
+the determinants of the pairs that meet, and the push-off oracle
+(``invariants._pushoff_once``) reads them there for both orders of each
+pair.  ``segment_crossing`` and ``point_in_open_segment`` are the
+references the tests check those derivations against.
 
 The loops pair features by the closed boxes (xlo, xhi, zlo, zhi) of
 ``box``, in box sweeps: ``box_overlapping_pairs`` within one set, and
@@ -35,7 +35,8 @@ distance is at least the larger of the x-gap and the z-gap of the two
 boxes.  The pair pass sweeps edges only: a vertex lies in the closed
 box of the edge it starts, so every vertex fact is found at a pair of
 edges.  The push-off oracle runs no sweep: its copy is offset by an
-infinitesimal, so it reads the pairs the pair pass swept.  Only
+infinitesimal, so only pairs that meet can be hit, and it reads the
+ones the pair pass kept.  Only
 ``diagram.least_dist2`` sweeps points, which need not be vertices,
 against edges, with ``box_meeting_pairs``.  The package
 measures distances on ints too: ``diagram.least_dist2`` is its only
@@ -79,11 +80,11 @@ def neg(d: Vec) -> Vec:
 
 
 def cross(u: Vec, v: Vec) -> Fraction:
-    return u.x * v.z - u.z * v.x
+    return u[0] * v[1] - u[1] * v[0]
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
-    return u.x * v.x + u.z * v.z
+    return u[0] * v[0] + u[1] * v[1]
 
 
 def sign(a) -> int:

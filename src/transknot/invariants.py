@@ -20,7 +20,7 @@ plane, u parallel to no edge and ε > 0 infinitesimal (simulation of
 simplicity).  Every quantity it decides on is then a0 + ε·a1 with int
 a0 and a1, compared as the pair (a0, a1) in lexicographic order, so it
 measures no distance, picks no offset size and reads only the curve's
-own ints and edge pairs.
+int directions and the pairs of edges that its pair pass found to meet.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .diagram import Crossing, TransverseDiagram
 from .errors import OracleError, TransknotError
-from .geometry import Vec, cross, pair_determinants, sign
+from .geometry import Vec, cross, sign
 from .transversality import regular_direction, require_valid, whitney_index
 
 
@@ -70,62 +70,45 @@ def _pushoff_once(d: TransverseDiagram, u: Vec):
     """The oracle at the offset εu, ε > 0 infinitesimal; None signals an
     intersection pattern other than the one a generic curve gives.
 
-    Runs on the curve's ``scaled`` vertices and ``int_directions`` and
-    tests each pair of its cached ``edge_pairs`` in both orders.  For
-    original edge r running a -> a + e and copy edge b running
-    c + εu -> c + εu + f, with w = c - a, one ``pair_determinants`` call
-    gives den = e×f, s = w×f and t = w×e, and the offset adds ε(u×f) to
-    s and ε(u×e) to t.  The other order, original b against the copy of
-    r, reads -den, -t + ε(u×e) and -s + ε(u×f) from the same call.
-    With den made positive, an order is hit exactly when 0 < s < den and
-    0 < t < den, each a comparison of the pairs (a0, a1) of a0 + ε·a1 in
-    lexicographic order; the two orders' tests differ only in the sign
-    of the ε terms, and each hit is signed as that order's den was.  u
-    is parallel to no edge, so u×e and u×f are never 0 and no vertex of
-    either curve lies on the other.
-    """
-    curve = d.curve
-    n = curve.n
-    _, pts = curve.scaled
-    dirs = curve.int_directions
+    Reads the meets of the curve's ``pair_facts``: every pair i < j of
+    non-parallel edges whose closed segments meet, with the determinants
+    of the pair pass.  For original edge i running a -> a + e and copy
+    edge j running c + εu -> c + εu + f, with w = c - a, the pass gave
+    den = e×f, s = w×f and t = w×e, all three times sgn, the sign of
+    e×f, so that den > 0; the offset adds ε(u×f) to s and ε(u×e) to t.
+    The other order, original j against the copy of i, reads -den,
+    -t + ε(u×e) and -s + ε(u×f): once its den is made positive, the
+    same determinants with the ε terms negated.  An order is hit exactly
+    when 0 < s < den and 0 < t < den, each a comparison of the pairs
+    (a0, a1) of a0 + ε·a1 in lexicographic order.  u is parallel to no
+    edge, so u×e and u×f are never 0 and no vertex of either curve lies
+    on the other.
 
+    Pairs that do not meet at ε = 0 are never hit, and neither are
+    parallel ones.  Adjacent pairs are not read: their hits are corner
+    hits, which sum to 0 (see ``pushoff_linking_oracle``).
+    """
+    dirs = d.curve.int_directions
     signs = {(c.lo, c.hi): s for c, s in zip(d.crossings, d.signs)}
     hits: dict[tuple[int, int], int] = {}
-    total = corner_total = 0
-    for i, j in curve.edge_pairs:
+    total = 0
+    for i, j, den, s, t in d.curve.pair_facts[2]:
         e, f = dirs[i], dirs[j]
-        den, s, t, _, _ = pair_determinants(pts[i], e, pts[j], f)
-        if not den:
-            continue  # parallel edges never cross
-        sgn = 1 if den > 0 else -1  # that of cross(e_i, e_j)
-        den, s, t = sgn * den, sgn * s, sgn * t
-        if not (0 <= s <= den and 0 <= t <= den):
-            continue  # the closed edges are apart: neither order is hit
-        # order (i, j) has the ε terms (uf, ue) and the sign sgn, order
-        # (j, i) their negatives and -sgn
+        sgn = 1 if cross(e, f) > 0 else -1
+        # order (i, j) has the ε terms (uf, ue), order (j, i) their negatives
         uf, ue = sgn * cross(u, f), sgn * cross(u, e)
         for hit in (1, -1):
             if not ((0, 0) < (s, hit * uf) < (den, 0) and (0, 0) < (t, hit * ue) < (den, 0)):
                 continue
             pair = (i + 1, j + 1)
-            if pair in signs:
-                # at an original crossing: the vertical order of the
-                # two strands is inherited, and the copy's edges point
-                # along the original's, so the hit has the crossing's
-                # sign
-                total += signs[pair]
-                hits[pair] = hits.get(pair, 0) + 1
-            elif j - i in (1, n - 1):
-                # at a shared corner: the copy sits at strictly larger
-                # y (the push-off direction), so the copy strand is
-                # under
-                total += hit * sgn
-                corner_total += hit * sgn
-            else:
-                return None  # distant edges cannot meet at ε
+            if pair not in signs:
+                return None  # a contact, which no generic curve has
+            # at an original crossing: the vertical order of the two
+            # strands is inherited, and the copy's edges point along the
+            # original's, so the hit has the crossing's sign
+            total += signs[pair]
+            hits[pair] = hits.get(pair, 0) + 1
     if set(hits) != set(signs) or any(v != 2 for v in hits.values()):
-        return None
-    if corner_total != 0 or total % 2 != 0:
         return None
     return total // 2
 
@@ -142,20 +125,22 @@ def pushoff_linking_oracle(d: TransverseDiagram) -> int:
     diagram:
 
     - A pair of edges is hit only if the closed segments meet at ε = 0,
-      so their boxes meet and ``edge_pairs`` holds every pair that can
-      be hit.
+      and parallel edges are never hit, so the meets of the pair pass
+      hold every non-adjacent pair that can be hit.
     - Each crossing pair (i, j) is hit exactly once in each order, edge
       i by the copy of edge j and j by the copy of i, whatever the ε
       terms: both edge fractions lie strictly inside (0, 1).  The hit
       has the inherited vertical order.
     - On a generic curve two edges that neither cross nor share a vertex
       are apart as closed segments, so they are never hit.
-    - Corner hits occur where u or -u lies in a corner's sweep, signed
-      against the corner's turn for u and with it for -u, so they sum
-      to the Whitney index at -u less that at u.  The Whitney index is
-      the same at every direction parallel to no edge, so the sum is 0
-      on every generic curve; ``corner_total != 0`` is a consistency
-      check.
+    - The corner hits, at adjacent pairs, sum to 0 on every closed
+      polygon with no zero edge and no exact reversal, so they are not
+      counted.  At a
+      turning corner e -> f the copy of one edge crosses the other
+      exactly when sign(u×e) != sign(u×f), and the hit counts
+      sign(u×e); a straight corner is never hit.  Going round the
+      polygon, sign(u×e) changes from + to - as often as from - to +,
+      so the hits cancel.
 
     So a failed attempt means a broken invariant: it raises OracleError.
     """
@@ -170,11 +155,11 @@ def _passages(d: TransverseDiagram, base: int = 1) -> list[tuple[tuple[int, int]
     """Crossing passages in curve order from vertex ``base``, which is
     never a crossing on a generic curve.  Each entry is ((lo, hi),
     passes_over)."""
-    n = d.curve.n
+    along = d.crossings_along
+    carrying = [i for i, cs in enumerate(along, 1) if cs]
     out = []
-    for step in range(n):
-        i = (base - 1 + step) % n + 1
-        out += [((c.lo, c.hi), c.over_edge == i) for c in d.crossings_along[i - 1]]
+    for i in [i for i in carrying if i >= base] + [i for i in carrying if i < base]:
+        out += [((c.lo, c.hi), c.over_edge == i) for c in along[i - 1]]
     return out
 
 

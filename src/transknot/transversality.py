@@ -26,14 +26,13 @@ from .diagram import (
     crossing_mismatch,
     sort_violations,
 )
-from .errors import InvalidDiagramError, NongenericCurveError
+from .errors import InvalidDiagramError, NongenericCurveError, ReversalError
 from .geometry import (
     Vec,
     corner_sweep_contains,
     cross,
     in_open_cone,
     same_direction,
-    turn_sign,
 )
 
 UP = Vec(0, 1)
@@ -47,8 +46,8 @@ def reference(coor: Coorientation) -> Vec:
 
 def regular_direction(dirs) -> Vec:
     """The first of (1, 1), (1, 2), ... parallel to no non-zero int
-    vector t in ``dirs``, that is with t.z != m * t.x."""
-    taken = {t.z // t.x for t in dirs if t.x and t.z % t.x == 0}
+    vector t = (tx, tz) in ``dirs``, that is with tz != m * tx."""
+    taken = {tz // tx for tx, tz in dirs if tx and tz % tx == 0}
     m = 1
     while m in taken:
         m += 1
@@ -171,13 +170,27 @@ def whitney_index(curve: PolyCurve) -> int:
     Corners whose sweep passes through a reference direction r count
     +1 (counterclockwise turn) or -1 (clockwise).  r is the edges'
     ``regular_direction``; the count is the same for every direction
-    parallel to no edge.  Decided on the curve's int directions.  Zero
-    edges raise NongenericCurveError.
+    parallel to no edge.  Decided on the curve's int directions: r×t is
+    taken once per edge t and the turn e×f once per corner e -> f.  The
+    sweep of a left turn, e×f > 0, holds r exactly when r×e < 0 < r×f,
+    and that of a right turn exactly when r×f < 0 < r×e.  Zero edges
+    raise NongenericCurveError, and an exact reversal, e×f = 0 with
+    e·f < 0, raises ReversalError.
     """
     dirs = curve.int_directions
     if (0, 0) in dirs:
         raise NongenericCurveError(v for v in curve.genericity_violations
                                    if v.kind is ViolationKind.ZeroEdge)
-    ref = regular_direction(dirs)
-    return sum(turn_sign(dirs[i - 1], d_out) for i, d_out in enumerate(dirs)
-               if corner_sweep_contains(dirs[i - 1], d_out, ref))
+    rx, rz = regular_direction(dirs)
+    side = [rx * tz - rz * tx for tx, tz in dirs]
+    total = 0
+    for i, (fx, fz) in enumerate(dirs):
+        ex, ez = dirs[i - 1]
+        turn = ex * fz - ez * fx
+        if turn > 0:
+            total += side[i - 1] < 0 < side[i]
+        elif turn < 0:
+            total -= side[i] < 0 < side[i - 1]
+        elif ex * fx + ez * fz < 0:
+            raise ReversalError("corner reverses direction exactly")
+    return total

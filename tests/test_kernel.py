@@ -5,7 +5,9 @@
 and the push-off oracle run on vertices scaled to ints and compare only
 features whose closed boxes meet.  Each is checked with ``==`` against a
 plain all-pairs loop over the Fraction predicates of
-``transknot.geometry``.
+``transknot.geometry``.  The push-off oracle, which reads only the pairs
+the pair pass found to meet, is also checked against a walk over every
+pair of edges on the ints, adjacent ones included.
 
 Conditions 1 and 2, the Whitney index, crossing signs, the along-edge
 crossing order, the v2 basepoint and ``resolve`` decide on the curve's
@@ -449,46 +451,101 @@ def test_all_pairs_loops_on_the_ladder(k):
     assert_kernel_matches(ladder(k))
 
 
-def ref_box(a, b):
-    return min(a.x, b.x), max(a.x, b.x), min(a.z, b.z), max(a.z, b.z)
+def test_oracle_reads_the_pair_pass(monkeypatch):
+    # the oracle reads the meets the pair pass kept: once the pass has
+    # run, neither the kernel nor a sweep runs again, and on a valid
+    # diagram the meets are exactly the crossings
+    made = [ladder(8), trefoil_right(), trefoil_left(), u_minus(), minus_unknot()]
+    for d in made:
+        meets = d.curve.pair_facts[2]
+        assert sorted((i + 1, j + 1) for i, j, *_ in meets) == \
+            [(lo, hi) for lo, hi, _ in d.curve.detected_crossings]
+
+    def refuse(*args):
+        raise AssertionError("the push-off oracle walked the edge pairs")
+
+    for module in (diagram, geometry, invariants):
+        for name in ("pair_determinants", "box_overlapping_pairs"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for d in made:
+        assert pushoff_linking_oracle(d) == writhe(d)
 
 
-def ref_boxes_meet(s, t):
-    return t[0] <= s[1] and s[0] <= t[1] and t[2] <= s[3] and s[2] <= t[3]
+def ref_pair_walk(d, u):
+    """The push-off at εu by a walk over every pair of edges, adjacent
+    ones included: (the oracle's result or None, the sum of the corner
+    hits).  Each pair gets one ``pair_determinants`` call on the scaled
+    ints, for both of its orders."""
+    curve = d.curve
+    n = curve.n
+    _, pts = curve.scaled
+    dirs = curve.int_directions
+    signs = {(c.lo, c.hi): s for c, s in zip(d.crossings, d.signs)}
+    hits = {}
+    total = corner_total = 0
+    apart = False
+    for i, j in itertools.combinations(range(n), 2):
+        e, f = dirs[i], dirs[j]
+        den, s, t, _, _ = geometry.pair_determinants(pts[i], e, pts[j], f)
+        if not den:
+            continue
+        sgn = 1 if den > 0 else -1
+        den, s, t = sgn * den, sgn * s, sgn * t
+        uf, ue = sgn * cross(u, f), sgn * cross(u, e)
+        for hit in (1, -1):
+            if not ((0, 0) < (s, hit * uf) < (den, 0) and (0, 0) < (t, hit * ue) < (den, 0)):
+                continue
+            pair = (i + 1, j + 1)
+            if pair in signs:
+                total += signs[pair]
+                hits[pair] = hits.get(pair, 0) + 1
+            elif j - i in (1, n - 1):
+                # at a shared corner the copy strand is under
+                total += hit * sgn
+                corner_total += hit * sgn
+            else:
+                apart = True
+    if apart or set(hits) != set(signs) or any(v != 2 for v in hits.values()):
+        return None, corner_total
+    if corner_total != 0 or total % 2 != 0:
+        return None, corner_total
+    return total // 2, corner_total
 
 
-def test_pushoff_tests_only_the_pairs_whose_boxes_meet(monkeypatch):
-    d = ladder(8)
-    calls = []
-    kernel = invariants.pair_determinants
+def walked_diagrams():
+    """Generated diagrams and stabilizations, and the seeded grid curves
+    with no exact reversal, with crossings as the small-grid test draws
+    them."""
+    for s in range(12):
+        for coor in Coorientation:
+            d = random_valid_diagram(f"walk{s}", coor)
+            yield d
+            yield stabilize(d, 1 + s % d.curve.n, 1 + s % 3)
+    for c in grid_curves(400):
+        if any(v.kind is ViolationKind.ReversalCorner for v in c.genericity_violations):
+            continue
+        coor = Coorientation.PLUS if c.n % 2 else Coorientation.MINUS
+        yield TransverseDiagram(c, coor, tuple(
+            Crossing(lo, hi, p, forced_over(c, coor, lo, hi) or "lo")
+            for lo, hi, p in c.detected_crossings))
 
-    def counting(*args):
-        calls.append(args)
-        return kernel(*args)
 
-    monkeypatch.setattr(invariants, "pair_determinants", counting)
-    assert pushoff_linking_oracle(d) == -15
-    unit = d.curve.scaled[0]
-
-    def on_grid(p):
-        x, z = p.x * unit, p.z * unit
-        assert x.denominator == z.denominator == 1
-        return x.numerator, z.numerator
-
-    def start_and_direction(a, b):
-        (ax, az), (bx, bz) = on_grid(a), on_grid(b)
-        return (ax, az), (bx - ax, bz - az)
-
-    edges = [(a, b) for _, a, b in d.curve.edges()]
-    # every pair of edges i < j whose boxes meet gets one kernel call on
-    # the curve's own ints, for both orders of the pair, and no other
-    # pair is tested: an infinitesimal offset refines no coordinate
-    meeting = [(i, j) for i, j in itertools.combinations(range(d.curve.n), 2)
-               if ref_boxes_meet(ref_box(*edges[i]), ref_box(*edges[j]))]
-    assert len(meeting) < d.curve.n * (d.curve.n - 1) // 2
-    expected = [(*start_and_direction(*edges[i]), *start_and_direction(*edges[j]))
-                for i, j in meeting]
-    assert sorted(calls) == sorted(expected)
+def test_pushoff_equals_the_walk_over_every_pair():
+    # corner hits cancel on a closed polygon whose edges are non-zero
+    # and never reverse, so skipping the adjacent pairs changes nothing.
+    # A zero edge splits the cycle of directions, but then the two edges
+    # around it share a vertex as a non-adjacent pair, and a hit there
+    # fails both routes
+    results = set()
+    for d in walked_diagrams():
+        u = regular_direction(d.curve.int_directions)
+        want, corner_total = ref_pair_walk(d, u)
+        assert _pushoff_once(d, u) == want
+        if (0, 0) not in d.curve.int_directions:
+            assert corner_total == 0
+        results.add(want is None)
+    assert results == {True, False}
 
 
 @pytest.mark.parametrize("make", [*(lambda k=k: ladder(k) for k in (0, 2, 4, 8)),

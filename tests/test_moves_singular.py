@@ -614,6 +614,16 @@ class TestVassilievDefect:
             seen.add(lk)
         assert {-1, 0, 1} <= seen
 
+    def test_writhe_and_sl_pullback_defects_at_one_double_point_are_two(self):
+        # resolving one double point positively and negatively flips one
+        # crossing sign, so the writhe and the framing it pulls back
+        # change by 2
+        sl_pullback = pullback_framed_invariant(FRAMING_PROJECTION)
+        for seed in range(100):
+            for s in singular_family(seed, 1, 3):
+                assert vassiliev_defect(WRITHE_INVARIANT, s).defect == 2
+                assert vassiliev_defect(sl_pullback, s).defect == 2
+
     def test_v2_defect_at_two_double_points_is_the_chord_symbol(self):
         # the symbol of v2: 1 on two interleaved chords, else 0
         seen = set()

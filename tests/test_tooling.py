@@ -63,6 +63,7 @@ INT_ROUTINES = {
         "serialize_diagram", "splice",
     },
     "invariants.py": {"_pushoff_once"},
+    "transversality.py": {"whitney_index", "regular_direction"},
 }
 
 
@@ -154,10 +155,12 @@ def test_only_the_random_diagram_search_retries():
     assert found == ["moves_singular.py:random_valid_diagram"]
 
 
-# Fraction reference routines: the tests check the int kernel against
-# them and perfbench/tracer.py counts their calls, so they stay in the
-# package, but only they call one another
-REFERENCE_ROUTINES = {"segment_intersection", "dist2", "point_segment_dist2", "in_closed_cone"}
+# Reference routines: the tests check the int kernel against them, and
+# perfbench/tracer.py counts the calls of the Fraction ones, so they stay
+# in the package, but only they call one another.  ``turn_sign`` is the
+# corner turn that ``whitney_index`` takes inline.
+REFERENCE_ROUTINES = {"segment_intersection", "dist2", "point_segment_dist2", "in_closed_cone",
+                      "turn_sign"}
 
 
 def test_reference_routines_have_no_package_caller():
