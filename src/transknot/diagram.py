@@ -206,15 +206,6 @@ class PolyCurve(Frozen):
         return tuple((bx - ax, bz - az) for (ax, az), (bx, bz) in edge_ends(pts))
 
     @cached_property
-    def int_edges(self) -> tuple[tuple[int, int, int, int, int], ...]:
-        """(x, z, ex, ez, ex**2 + ez**2) for every edge, edge i at index
-        i - 1: its ``scaled`` start, its int direction and that
-        direction's squared length, from which ``least_dist2`` builds its
-        points and measures them against the edges.  Computed once."""
-        return tuple((x, z, ex, ez, ex * ex + ez * ez)
-                     for (x, z), (ex, ez) in zip(self.scaled[1], self.int_directions))
-
-    @cached_property
     def pair_facts(self) -> tuple[tuple, tuple[Violation, ...], tuple]:
         """(``detected_crossings``, ``genericity_violations``, meets): what
         the curve's one pair pass, ``_crossing_scan``, finds.  Computed
@@ -584,18 +575,20 @@ def least_dist2(curve: PolyCurve, points, spots=()) -> Fraction:
     ``curve.scaled``, the point (X/D, Z/D) boxed by the floor and ceiling
     of each coordinate: (i, p/q) is (x*q + p*ex, z*q + p*ez, q) for the
     scaled start (x, z) and int direction (ex, ez) of edge i, read from
-    ``curve.int_edges``, and vertex i is its scaled point over 1.  With
-    w the mark less D times an edge's start a, the distance to the
-    edge's far end is that of w - D*e, because the end is a + e exactly.
-    Each distance is kept as (num, den) and compared by
-    cross-multiplication, so nothing is divided.
+    ``curve.scaled`` and ``curve.int_directions``, and vertex i is its
+    scaled point over 1.  With w the mark less D times an edge's start
+    a, the distance to the edge's far end is that of w - D*e, because
+    the end is a + e exactly; the squared length ex*ex + ez*ez is taken
+    only where a mark lies beyond the edge's start.  Each distance is
+    kept as (num, den) and compared by cross-multiplication, so nothing
+    is divided.
     """
-    scale, edges = curve.scaled[0], curve.int_edges
-    best, best_den = min(edges[i - 1][4] for i, _ in points), 1
+    (scale, starts), dirs = curve.scaled, curve.int_directions
+    best, best_den = min(ex * ex + ez * ez for ex, ez in (dirs[i - 1] for i, _ in points)), 1
     reach = math.isqrt(best) + 1  # above the square root
     marks, on = [], []
     for i, f in points:
-        (x, z, ex, ez, _), (p, q) = edges[i - 1], f.as_integer_ratio()
+        (x, z), (ex, ez), (p, q) = starts[i - 1], dirs[i - 1], f.as_integer_ratio()
         marks.append((x * q + p * ex, z * q + p * ez, q) if p else (x, z, 1))
         on.append((i - 1,) if p else (i - 1, (i - 2) % curve.n))
 
@@ -605,12 +598,12 @@ def least_dist2(curve: PolyCurve, points, spots=()) -> Fraction:
     for k, i in box_meeting_pairs(boxes(marks), curve.edge_boxes, reach):
         if i in on[k]:
             continue
-        (px, pz, pd), (ax, az, ex, ez, length2) = marks[k], edges[i]
+        (px, pz, pd), (ax, az), (ex, ez) = marks[k], starts[i], dirs[i]
         wx, wz = px - ax * pd, pz - az * pd
         along = wx * ex + wz * ez
         if along <= 0:
             num, den = wx * wx + wz * wz, pd * pd
-        elif along >= length2 * pd:
+        elif along >= (length2 := ex * ex + ez * ez) * pd:
             num, den = (wx - ex * pd) ** 2 + (wz - ez * pd) ** 2, pd * pd
         else:
             num, den = (ex * wz - ez * wx) ** 2, length2 * pd * pd

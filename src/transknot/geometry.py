@@ -6,14 +6,15 @@ points, and the division-free ones (``vec``, ``cross``, ``dot``,
 ``pair_determinants``, ``segment_crossing``, ``point_in_open_segment``,
 ``box``, ``in_open_cone``, ``in_closed_cone``, ``corner_sweep_contains``,
 ``turn_sign``, ``same_direction``, ``is_parallel``) take int points and
-vectors just as well.  The package runs them on ints: the all-pairs
-loops on a curve's own data, ``PolyCurve.scaled``, its vertices times
-the lcm of their denominators, passed as plain (x, z) tuples to pair
-predicates that read them by index and allocate nothing, and every
-direction predicate on ``PolyCurve.int_directions``, the differences of
-those ints, which are positive multiples of the true directions and so
-give every sign exactly.  On ints ``/`` is true division and would put a
-float into a decision, so none of these predicates divides.
+vectors just as well; the last paragraph says which of them the package
+runs.  It runs those on ints: the all-pairs loops on a curve's own data,
+``PolyCurve.scaled``, its vertices times the lcm of their denominators,
+passed as plain (x, z) tuples to pair predicates that read them by index
+and allocate nothing, and its direction tests on
+``PolyCurve.int_directions``, the differences of those ints, which are
+positive multiples of the true directions and so give every sign
+exactly.  On ints ``/`` is true division and would put a float into a
+decision, so none of these predicates divides.
 
 Every test on a pair of edges is decided by one kernel,
 ``pair_determinants``: for edges a -> a + e and c -> c + f it gives the
@@ -41,10 +42,20 @@ ones the pair pass kept.  Only
 against edges, with ``box_meeting_pairs``.  The package
 measures distances on ints too: ``diagram.least_dist2`` is its only
 distance routine, and ``halvings`` compares ints, split once from its
-int or Fraction arguments.  The Fraction routines
-``segment_intersection``, ``dist2``, ``point_segment_dist2`` and
-``in_closed_cone`` have no caller in the package outside this module;
-the tests check the int kernel against them.
+int or Fraction arguments.
+
+So the package runs ``vec``, ``cross``, ``dot``, ``sign``,
+``pair_determinants``, ``box``, the two box sweeps, ``in_open_cone``
+and ``halvings``.  Its one corner rule, whether a corner's sweep passes
+a direction and which way the corner turns, is
+``transversality.corner_turns``, on int directions.  The rest have no
+caller in the package outside this module and stay as the tests'
+references: the int kernel is checked against ``segment_crossing``,
+``point_in_open_segment``, ``segment_intersection``, ``dist2``,
+``point_segment_dist2`` and ``in_closed_cone``; the corner walk and
+condition 1 against ``corner_sweep_contains``, ``turn_sign``,
+``same_direction`` and ``is_parallel``; and ``scale`` and ``neg``
+build the tests' vectors.
 """
 
 from __future__ import annotations

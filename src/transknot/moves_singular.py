@@ -40,17 +40,16 @@ from .errors import (
     TransknotError,
 )
 from .fixtures import trefoil_right
-from .geometry import (
-    Point,
-    Vec,
-    corner_sweep_contains,
-    halvings,
-    is_parallel,
-    neg,
-    scale,
-)
+from .geometry import Point, halvings
 from .invariants import self_linking, v2, writhe
-from .transversality import forced_over, over_for_sign, reference, require_valid, validate
+from .transversality import (
+    corner_turns,
+    forced_over,
+    over_for_sign,
+    reference,
+    require_valid,
+    validate,
+)
 
 # --- the canonical detour ---------------------------------------------------
 
@@ -418,12 +417,9 @@ FRAMING_PROJECTION = FramedInvariantHandle("sl", lambda d, f: f, 1)
 # Primitive non-vertical directions, as ints; a diagram uses a sample
 # of these together with their negatives, so edge vectors always sum to
 # zero.
-_DIRECTION_POOL: tuple[Vec, ...] = tuple(
-    Vec(x, z)
-    for x, z in [
-        (1, 0), (2, 1), (1, 1), (1, 2), (1, 3), (3, 1), (3, 2), (2, 3),
-        (2, -1), (1, -1), (1, -2), (1, -3), (3, -1), (3, -2), (2, -3), (4, 1),
-    ]
+_DIRECTION_POOL: tuple[tuple[int, int], ...] = (
+    (1, 0), (2, 1), (1, 1), (1, 2), (1, 3), (3, 1), (3, 2), (2, 3),
+    (2, -1), (1, -1), (1, -2), (1, -3), (3, -1), (3, -2), (2, -3), (4, 1),
 )
 
 
@@ -434,11 +430,12 @@ def random_valid_diagram(
 
     Edge directions are drawn as (v, -v) pairs with a shared random
     stretch, shuffled, and rejected until no consecutive directions are
-    parallel and no corner sweep passes through the forbidden vertical;
-    the closed curve of partial sums is then rejection-sampled through
-    the genericity check.  Over bits are forced where the coorientation
-    requires it and chosen at random elsewhere, so the result always
-    validates.  The same seed always yields the same diagram.
+    parallel and no corner sweep passes through the forbidden vertical
+    (``corner_turns`` is 0 at every corner); the closed curve of partial
+    sums is then rejection-sampled through the genericity check.  Over
+    bits are forced where the coorientation requires it and chosen at
+    random elsewhere, so the result always validates.  The same seed
+    always yields the same diagram.
 
     The rejection loop runs on ints; only the vertices become Fractions.
     A search that finds no diagram in 2000 draws raises TransknotError.
@@ -447,25 +444,19 @@ def random_valid_diagram(
     ref = reference(coorientation)
     for _ in range(2000):
         base = rng.sample(_DIRECTION_POOL, rng.randint(3, 5))
-        dirs: list[Vec] = []
-        for v in base:
+        dirs = []
+        for vx, vz in base:
             stretch = rng.randint(1, 4)
-            dirs += [scale(v, stretch), scale(neg(v), stretch)]
+            dirs += [(vx * stretch, vz * stretch), (-vx * stretch, -vz * stretch)]
         rng.shuffle(dirs)
-
-        ok = True
-        for i, d_in in enumerate(dirs):
-            d_out = dirs[(i + 1) % len(dirs)]
-            if is_parallel(d_in, d_out) or corner_sweep_contains(d_in, d_out, ref):
-                ok = False
-                break
-        if not ok:
+        parallel = any(ex * fz == ez * fx for (ex, ez), (fx, fz) in zip(dirs, dirs[1:] + dirs[:1]))
+        if parallel or any(corner_turns(dirs, ref)):
             continue
 
         x = z = 0
         pts = [Point(Fraction(0), Fraction(0))]
-        for v in dirs[:-1]:
-            x, z = x + v.x, z + v.z
+        for vx, vz in dirs[:-1]:
+            x, z = x + vx, z + vz
             pts.append(Point(Fraction(x), Fraction(z)))
         curve = PolyCurve(tuple(pts))
         if curve.genericity_violations:

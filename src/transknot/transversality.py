@@ -10,7 +10,10 @@ For the Minus coorientation both checks run on the orientation-reversed
 curve, which is the same as testing straight down on the original.  The
 sign rule is written once in each direction: ``invariants.crossing_sign``
 reads a crossing's sign from its over bit, and ``over_for_sign`` picks
-the over bit of a given sign.
+the over bit of a given sign.  The corner rule is written once too:
+``corner_turns`` tells, on int directions, whether each corner's sweep
+passes a direction and which way it turns, and condition 1, the Whitney
+index and ``moves_singular.random_valid_diagram`` all read it.
 """
 
 from __future__ import annotations
@@ -27,13 +30,7 @@ from .diagram import (
     sort_violations,
 )
 from .errors import InvalidDiagramError, NongenericCurveError, ReversalError
-from .geometry import (
-    Vec,
-    corner_sweep_contains,
-    cross,
-    in_open_cone,
-    same_direction,
-)
+from .geometry import Vec, cross, in_open_cone
 
 UP = Vec(0, 1)
 DOWN = Vec(0, -1)
@@ -62,21 +59,50 @@ class ValidityReport(NamedTuple):
         return not self.violations
 
 
+def corner_turns(dirs, r):
+    """For each corner i, where ``dirs[i - 1]`` turns into ``dirs[i]``,
+    yield +1 if its sweep passes the direction r turning left, -1 if it
+    passes r turning right, and 0 otherwise; lazily, so ``any`` stops at
+    the first corner that passes r.
+
+    At a corner e -> f the tangent rotates through the unique angle of
+    absolute value < pi, and the sweep is the open sector it crosses.
+    On ints, r×t is taken once per edge t and the turn e×f once per
+    corner: the sweep of a left turn, e×f > 0, holds r exactly when
+    r×e < 0 < r×f, and that of a right turn exactly when r×f < 0 < r×e.
+    A straight corner, and any corner at a zero vector, sweeps nothing;
+    an exact reversal, e×f = 0 with e·f < 0, raises ReversalError.
+    """
+    rx, rz = r
+    side = [rx * tz - rz * tx for tx, tz in dirs]
+    for i, (fx, fz) in enumerate(dirs):
+        ex, ez = dirs[i - 1]
+        turn = ex * fz - ez * fx
+        if turn > 0:
+            yield 1 if side[i - 1] < 0 < side[i] else 0
+        elif turn < 0:
+            yield -1 if side[i] < 0 < side[i - 1] else 0
+        elif ex * fx + ez * fz < 0:
+            raise ReversalError("corner reverses direction exactly")
+        else:
+            yield 0
+
+
 def check_condition1(curve: PolyCurve, coor: Coorientation) -> list[Violation]:
     """Violations of the no-upward-tangent condition.
 
-    Edges pointing along the forbidden vertical ``reference(coor)`` and
-    corners whose sweep passes through it are reported.  Decided on the
-    curve's int directions.
+    Edges (tx, tz) pointing along the forbidden vertical r =
+    ``reference(coor)``, tx = 0 with tz*r.z > 0, and corners whose sweep
+    passes through it, where ``corner_turns`` is non-zero, are reported.
+    Decided on the curve's int directions; an exact reversal raises
+    ReversalError.
     """
     ref = reference(coor)
     dirs = curve.int_directions
-    out = []
-    for i, d_out in enumerate(dirs):
-        if same_direction(d_out, ref):
-            out.append(Violation(ViolationKind.UpwardEdge, edges=(i + 1,)))
-        if corner_sweep_contains(dirs[i - 1], d_out, ref):
-            out.append(Violation(ViolationKind.UpwardCorner, edges=(i or curve.n, i + 1)))
+    out = [Violation(ViolationKind.UpwardEdge, edges=(i + 1,))
+           for i, (tx, tz) in enumerate(dirs) if tx == 0 and tz * ref.z > 0]
+    out += [Violation(ViolationKind.UpwardCorner, edges=(i or curve.n, i + 1))
+            for i, turn in enumerate(corner_turns(dirs, ref)) if turn]
     return sort_violations(out)
 
 
@@ -168,29 +194,14 @@ def whitney_index(curve: PolyCurve) -> int:
     """Rotation number of the tangent direction, by sweep counting.
 
     Corners whose sweep passes through a reference direction r count
-    +1 (counterclockwise turn) or -1 (clockwise).  r is the edges'
-    ``regular_direction``; the count is the same for every direction
-    parallel to no edge.  Decided on the curve's int directions: r×t is
-    taken once per edge t and the turn e×f once per corner e -> f.  The
-    sweep of a left turn, e×f > 0, holds r exactly when r×e < 0 < r×f,
-    and that of a right turn exactly when r×f < 0 < r×e.  Zero edges
-    raise NongenericCurveError, and an exact reversal, e×f = 0 with
-    e·f < 0, raises ReversalError.
+    +1 (counterclockwise turn) or -1 (clockwise), as ``corner_turns``
+    reports them.  r is the edges' ``regular_direction``; the count is
+    the same for every direction parallel to no edge.  Decided on the
+    curve's int directions.  Zero edges raise NongenericCurveError, and
+    an exact reversal raises ReversalError.
     """
     dirs = curve.int_directions
     if (0, 0) in dirs:
         raise NongenericCurveError(v for v in curve.genericity_violations
                                    if v.kind is ViolationKind.ZeroEdge)
-    rx, rz = regular_direction(dirs)
-    side = [rx * tz - rz * tx for tx, tz in dirs]
-    total = 0
-    for i, (fx, fz) in enumerate(dirs):
-        ex, ez = dirs[i - 1]
-        turn = ex * fz - ez * fx
-        if turn > 0:
-            total += side[i - 1] < 0 < side[i]
-        elif turn < 0:
-            total -= side[i] < 0 < side[i - 1]
-        elif ex * fx + ez * fz < 0:
-            raise ReversalError("corner reverses direction exactly")
-    return total
+    return sum(corner_turns(dirs, regular_direction(dirs)))

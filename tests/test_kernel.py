@@ -37,7 +37,7 @@ from transknot.diagram import (
     parse_diagram,
     sort_violations,
 )
-from transknot.errors import DegenerateConeError, OracleError, TransknotError
+from transknot.errors import DegenerateConeError, OracleError, ReversalError, TransknotError
 from transknot.fixtures import minus_unknot, trefoil_left, trefoil_right, u_minus
 from transknot.geometry import (
     Point,
@@ -80,6 +80,7 @@ from transknot.moves_singular import (
 from transknot.transversality import (
     check_condition1,
     check_condition2,
+    corner_turns,
     forced_over,
     regular_direction,
     validate,
@@ -604,6 +605,32 @@ def test_cone_predicates_on_ints_match_fraction_division():
             assert in_closed_cone(*args) is closed
         boundary += closed and not opened
     assert boundary > 1000 and degenerate > 1000
+
+
+def ref_corner_turns(dirs, r):
+    return [turn_sign(d_in, d_out) if corner_sweep_contains(d_in, d_out, r) else 0
+            for d_in, d_out in zip(dirs[-1:] + dirs[:-1], dirs)]
+
+
+def test_corner_turns_on_small_vectors():
+    # the corners e -> f and f -> e of the cycle [e, f], for every e, f
+    # and r of the small int vectors: zero vectors and r parallel to an
+    # edge included, and an exact reversal raises on both sides
+    kinds = {0: 0, 1: 0, -1: 0, ReversalError: 0}
+    for e, f, r in itertools.product(SMALL_VECS, repeat=3):
+        expected = outcome(lambda dirs: ref_corner_turns(dirs, r), [e, f])
+        assert outcome(lambda dirs: list(corner_turns(dirs, r)), [e, f]) == expected
+        kinds[expected if expected is ReversalError else expected[1]] += 1
+    assert min(kinds.values()) > 500
+
+
+def test_corner_turns_stop_at_the_first_turn():
+    # the second corner passes up turning left, and the third is an
+    # exact reversal that a full walk raises on
+    dirs = [(1, 1), (-1, 1), (1, -1)]
+    assert any(corner_turns(dirs, (0, 1)))
+    with pytest.raises(ReversalError):
+        list(corner_turns(dirs, (0, 1)))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

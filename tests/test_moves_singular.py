@@ -785,8 +785,9 @@ class TestGenerators:
             singular_family(0, 9, 1)
 
     def test_search_failure_is_a_domain_error(self, monkeypatch):
-        # a corner test that rejects every draw exhausts the search
-        monkeypatch.setattr(ms, "corner_sweep_contains", lambda *a: True)
+        # a corner walk that reports a turn at every corner rejects every
+        # draw and exhausts the search
+        monkeypatch.setattr(ms, "corner_turns", lambda dirs, r: (1 for _ in dirs))
         with pytest.raises(TransknotError) as raised:
             random_valid_diagram("3-member-0")
         assert (raised.type, str(raised.value)) == (
