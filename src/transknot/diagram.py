@@ -10,22 +10,14 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, total_ordering
-from itertools import islice
+from functools import cached_property, cmp_to_key, total_ordering
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .errors import CrossingMismatchError, NongenericCurveError, ParseError, TransknotError
-from .geometry import (
-    Point,
-    Vec,
-    box,
-    box_meeting_pairs,
-    box_overlapping_pairs,
-    pair_determinants,
-    vec,
-)
+from .geometry import Point, Vec, box, box_meeting_pairs, box_overlapping_pairs, vec
 
 
 if TYPE_CHECKING:
@@ -125,7 +117,10 @@ class PolyCurve(Frozen):
     that the scaled vertices are plain (x, z) int tuples.  The pair is
     canonical, so equality compares it.  The all-pairs loops decide their
     predicates on these ints, which are exact and never normalise a
-    fraction; a value leaves them as a Fraction again.  ``vertices``, the
+    fraction; a distance leaves them as a Fraction again, and a crossing
+    point stays the int triple the pair pass found (``pair_facts``)
+    until it is read as a Fraction point (``detected_crossings``,
+    ``Crossing.point``).  ``vertices``, the
     Fraction points, is a view built on first read; as the field tuple it
     is what the repr reads; the hash reads ``scaled``, which equality
     compares, and so builds no view.  ``vertex`` reads one vertex from
@@ -207,19 +202,28 @@ class PolyCurve(Frozen):
 
     @cached_property
     def pair_facts(self) -> tuple[tuple, tuple[Violation, ...], tuple]:
-        """(``detected_crossings``, ``genericity_violations``, meets): what
-        the curve's one pair pass, ``_crossing_scan``, finds.  Computed
-        once, whichever is read first.  meets holds (i, j, den, s, t) for
-        every pair of non-parallel edges i + 1 and j + 1 whose closed
-        segments meet, with den > 0 and s, t the kernel's determinants
-        signed as den was; the push-off oracle reads it."""
+        """(crossings, ``genericity_violations``, meets): what the curve's
+        one pair pass, ``_crossing_scan``, finds.  Computed once,
+        whichever is read first; the parser runs the pass itself, bounded
+        by its pair limit, and keeps the result here.
+
+        crossings holds (lo, hi, (X, Z, D)) for every interior
+        transversal intersection of non-adjacent edges, sorted by (lo,
+        hi): the point (X/D, Z/D) in plane units as its canonical int
+        triple, D > 0 and gcd(X, Z, D) = 1, so two points are equal
+        exactly when their triples are.  meets holds (i, j, den, s, t,
+        sgn) for every pair of non-parallel edges i + 1 and j + 1 whose
+        closed segments meet: den = |e×f| > 0, s and t the determinants
+        w×f and w×e times sgn, the sign of the raw e×f; the push-off
+        oracle reads it."""
         return _crossing_scan(self)
 
-    @property
+    @cached_property
     def detected_crossings(self) -> tuple[tuple[int, int, Point], ...]:
         """(lo, hi, point) for every interior transversal intersection of
-        non-adjacent edges, sorted by (lo, hi); see ``pair_facts``."""
-        return self.pair_facts[0]
+        non-adjacent edges, sorted by (lo, hi): the crossings of
+        ``pair_facts`` with their Fraction points, built on first read."""
+        return tuple((lo, hi, _point(xzd)) for lo, hi, xzd in self.pair_facts[0])
 
     @property
     def genericity_violations(self) -> tuple[Violation, ...]:
@@ -236,29 +240,26 @@ class PolyCurve(Frozen):
     @cached_property
     def edge_boxes(self) -> tuple[tuple[int, int, int, int], ...]:
         """The closed box (xlo, xhi, zlo, zhi) of every ``scaled`` edge,
-        edge i at index i - 1: what every sweep over the edges pairs
-        them by.  Computed once."""
+        edge i at index i - 1: what ``least_dist2`` pairs points and
+        edges by.  Computed once."""
         _, pts = self.scaled
         return tuple(box(a, b) for a, b in edge_ends(pts))
 
-    @cached_property
-    def edge_pairs(self) -> tuple[tuple[int, int], ...]:
-        """(i, j), i < j, for edges i + 1 and j + 1 whose closed boxes
-        meet: the pairs the curve's pair pass, ``_crossing_scan``, walks.
-        Edges that cross, overlap or touch meet in their boxes, so no
-        pair the pass needs is skipped."""
-        return tuple(box_overlapping_pairs(self.edge_boxes))
+    def corner_turns(self, r) -> tuple[int, ...]:
+        """``transversality.corner_turns`` of the int directions at the
+        direction r, as a tuple walked once per direction: under Plus,
+        condition 1 and the Whitney index read one walk at (0, 1)."""
+        turns = self._turns
+        if r not in turns:
+            from .transversality import corner_turns  # it imports this module
 
-    def edge_pairs_at_most(self, limit: int) -> bool:
-        """Whether ``edge_pairs`` has at most ``limit`` pairs, found by its
-        sweep stopped at the pair after the limit; when it has, the sweep
-        is kept as ``edge_pairs``, so the parser bounds its work by this
-        and runs no second sweep."""
-        pairs = tuple(islice(box_overlapping_pairs(self.edge_boxes), limit + 1))
-        if len(pairs) > limit:
-            return False
-        vars(self)["edge_pairs"] = pairs  # the cache of the property above
-        return True
+            turns[r] = tuple(corner_turns(self.int_directions, r))
+        return turns[r]
+
+    @cached_property
+    def _turns(self) -> dict:
+        """The cache of ``corner_turns``, by direction."""
+        return {}
 
 
 def edge_ends(pts) -> list[tuple[tuple, tuple]]:
@@ -266,97 +267,126 @@ def edge_ends(pts) -> list[tuple[tuple, tuple]]:
     return list(zip(pts, pts[1:] + pts[:1]))
 
 
-def _key(p) -> tuple[int, int, int, int]:
-    """(x numerator, x denominator, z numerator, z denominator) of the
-    Fraction point ``p``: the ints it holds, equal exactly when the
-    points are, and read with no Fraction hashed."""
-    x, z = p
-    return x.numerator, x.denominator, z.numerator, z.denominator
+def _point(xzd) -> Point:
+    """The Fraction point of the int triple (X, Z, D): (X/D, Z/D)."""
+    x, z, d = xzd
+    return Point(Fraction(x, d), Fraction(z, d))
 
 
-def _crossing_scan(curve: PolyCurve) -> tuple[tuple, tuple[Violation, ...], tuple]:
+def _crossing_scan(curve: PolyCurve, limit: Optional[int] = None):
     """The curve's one pair pass, behind ``PolyCurve.pair_facts``: its
-    crossings, each turned back into a Fraction point, its genericity
-    violations, found on the scaled vertices, and the pairs of
-    non-parallel edges that meet.
+    crossings, each kept as the canonical int triple of its point, its
+    genericity violations, found on the scaled vertices, and the pairs of
+    non-parallel edges that meet.  With a ``limit``, the pass counts the
+    pairs of edges whose boxes meet, adjacent ones included, and returns
+    None at the pair after the limit.
 
     Zero edges are read off the int directions.  Every other fact is
-    decided at the pairs (i, j) of ``edge_pairs``, whose boxes meet, by
-    one ``pair_determinants`` call, with edge i running a -> a + e and
-    edge j c -> c + f:
+    decided at a pair of edges i < j whose closed boxes meet, edge i
+    running a -> a + e and edge j c -> c + f, by the orientation
+    determinants den = e×f, s = w×f and t = w×e with w = c - a (see
+    ``geometry.pair_determinants``, which the tests hold this pass to):
 
+    - The boxes are swept once: sorted by xlo, each box meets the later
+      ones whose xlo is at most its xhi, found by bisection, and is
+      paired with those whose z-range meets its own.
     - A vertex lies in the closed box of the edge it starts, and a
       vertex inside an edge lies in that edge's box, so every vertex
       fact is found at a pair of edges the sweep yields.
     - Coincident vertices s < t start edges s and t, whose boxes meet
-      at the common point, so ``edge_pairs`` holds (s, t) exactly once:
-      each EndpointContact is reported once, at the lower vertex, for
-      every pair of coincident vertices that are not consecutive.
-    - Adjacent edges always meet in their boxes, so each corner is found
-      once, at its pair, where a ReversalCorner is e×f = 0 with e·f < 0.
-      Their shared vertex puts s or t at 0, and the other is ±e×f; so an
-      adjacent pair that turns, e×f ≠ 0, fails every test, the crossing,
-      both contacts, the overlap and the reversal, and is skipped before
-      the kernel call.  VertexOnEdge and CollinearOverlap are tested on
-      every pair that is left, adjacent ones included.
+      at the common point, so the sweep yields (s, t) exactly once: each
+      EndpointContact is reported once, at the lower vertex, for every
+      pair of coincident vertices that are not consecutive.
+    - The n adjacent pairs, the corners e -> f, are walked once in a
+      linear loop, and the sweep skips them.  Two edges that turn,
+      e×f != 0, share only their common vertex, and two parallel ones
+      that go on, e·f >= 0, only that vertex too.  So a corner has facts
+      only where it reverses exactly, e×f = 0 with e·f < 0: a
+      ReversalCorner, a CollinearOverlap of its two edges, and, where
+      the incoming edge is the shorter, its start inside the outgoing
+      edge.  Where the outgoing edge is the shorter, its end starts the
+      next edge, and that vertex is found at the pair of the next edge
+      and the incoming one.
     - With den made positive, two non-parallel edges meet exactly when
-      0 <= s <= den and 0 <= t <= den; such a pair is kept as a meet.
-      Adjacent ones never are: a turn is skipped above and the rest are
-      parallel.  On a generic curve the meets are the crossings.
+      0 <= s <= den and 0 <= t <= den; such a pair is kept as a meet,
+      with the sign sgn of the raw e×f.  On a generic curve the meets are
+      the crossings, where 0 < s < den and 0 < t < den: the point
+      a + (s/den)e, which is (a*den + s*e) / (den*L) in plane units for
+      the scale L, kept with the three ints divided by their gcd.
     - A zero edge overlaps nothing: with e or f zero the overlap test
       never holds.  With s and t both non-zero there is no contact and no
       shared line, and the crossing test is all that is left.
+    - Three crossings at one point share one triple, which is a
+      TriplePoint.
     """
     n = curve.n
     scale, pts = curve.scaled
     dirs = curve.int_directions
-    out: list[Violation] = []
-    found = []
-    meets = []
-
-    out += [Violation(ViolationKind.ZeroEdge, edges=(i + 1,))
-            for i, t in enumerate(dirs) if t == (0, 0)]
+    out = [Violation(ViolationKind.ZeroEdge, edges=(i + 1,))
+           for i, t in enumerate(dirs) if t == (0, 0)]
     on_edge = set()
-    for i, j in curve.edge_pairs:
-        a, e, f = pts[i], dirs[i], dirs[j]
-        adjacent = j - i in (1, n - 1)
-        if adjacent and e[0] * f[1] != e[1] * f[0]:
-            continue  # a turn: the shared vertex is all the two edges have in common
-        den, s, t, wx, wz = pair_determinants(a, e, pts[j], f)
-        if den < 0:
-            den, s, t = -den, -s, -t
-        if 0 <= s <= den and 0 <= t <= den and den:
-            meets.append((i, j, den, s, t))
-            if 0 < s < den and 0 < t < den:
-                (ax, az), (ex, ez) = a, e
-                found.append((i + 1, j + 1, Point(Fraction(ax * den + s * ex, den * scale),
-                                                  Fraction(az * den + s * ez, den * scale))))
+    for k, (fx, fz) in enumerate(dirs):
+        ex, ez = dirs[k - 1]
+        if ex * fz == ez * fx and ex * fx + ez * fz < 0:
+            i = k - 1 if k else n - 1  # the incoming edge
+            out += [Violation(ViolationKind.ReversalCorner, edges=(i + 1, k + 1)),
+                    Violation(ViolationKind.CollinearOverlap, edges=(min(i, k) + 1, max(i, k) + 1))]
+            if ex * ex + ez * ez < fx * fx + fz * fz:
+                on_edge.add(i)
+
+    items = []  # the edge boxes as (xlo, zlo, zhi, xhi, index), sorted
+    for i, ((ax, az), (ex, ez)) in enumerate(zip(pts, dirs)):
+        xlo, xhi = (ax, ax + ex) if ex >= 0 else (ax + ex, ax)
+        zlo, zhi = (az, az + ez) if ez >= 0 else (az + ez, az)
+        items.append((xlo, zlo, zhi, xhi, i))
+    items.sort()
+    xlos = [item[0] for item in items]
+    stop = -1 if limit is None else limit + 1
+    count = 0
+    found, meets = [], []
+    for pos, (_, zlo, zhi, xhi, r) in enumerate(items):
+        for _, lo, hi, _, q in items[pos + 1:bisect_right(xlos, xhi, pos + 1)]:
+            if lo > zhi or hi < zlo:
                 continue
-        if s and t:
-            continue
-        (ex, ez), (fx, fz) = e, f
-        if adjacent:
-            if ex * fx + ez * fz < 0:  # den = 0 here; never with a zero edge
-                corner = (i + 1, j + 1) if j - i == 1 else (j + 1, i + 1)
-                out.append(Violation(ViolationKind.ReversalCorner, edges=corner))
-        elif not (wx or wz):
-            out.append(Violation(ViolationKind.EndpointContact, point=curve.vertex(i + 1)))
-        along, length2 = wx * ex + wz * ez, ex * ex + ez * ez
-        if not t and 0 < along < length2:  # never at its own ends
-            on_edge.add(j)
-        if not s and 0 < -(wx * fx + wz * fz) < fx * fx + fz * fz:
-            on_edge.add(i)
-        if not den and not t:
-            lo, hi = sorted((along, along + fx * ex + fz * ez))
-            if min(hi, length2) > max(lo, 0):  # more than one common point
-                out.append(Violation(ViolationKind.CollinearOverlap, edges=(i + 1, j + 1)))
+            count += 1
+            if count == stop:
+                return None
+            i, j = (r, q) if r < q else (q, r)
+            if j - i == 1 or j - i == n - 1:
+                continue  # a corner, walked above
+            (ax, az), (ex, ez), (cx, cz), (fx, fz) = pts[i], dirs[i], pts[j], dirs[j]
+            wx, wz = cx - ax, cz - az
+            den, s, t, sgn = ex * fz - ez * fx, wx * fz - wz * fx, wx * ez - wz * ex, 1
+            if den < 0:
+                den, s, t, sgn = -den, -s, -t, -1
+            if den and 0 <= s <= den and 0 <= t <= den:
+                meets.append((i, j, den, s, t, sgn))
+                if 0 < s < den and 0 < t < den:
+                    x, z, d = ax * den + s * ex, az * den + s * ez, den * scale
+                    g = math.gcd(x, z, d)
+                    found.append((i + 1, j + 1, (x // g, z // g, d // g)))
+                    continue
+            if s and t:
+                continue
+            if not (wx or wz):
+                out.append(Violation(ViolationKind.EndpointContact, point=curve.vertex(i + 1)))
+            along, length2 = wx * ex + wz * ez, ex * ex + ez * ez
+            if not t and 0 < along < length2:  # never at its own ends
+                on_edge.add(j)
+            if not s and 0 < -(wx * fx + wz * fz) < fx * fx + fz * fz:
+                on_edge.add(i)
+            if not den and not t:
+                lo, hi = sorted((along, along + fx * ex + fz * ez))
+                if min(hi, length2) > max(lo, 0):  # more than one common point
+                    out.append(Violation(ViolationKind.CollinearOverlap, edges=(i + 1, j + 1)))
     out += [Violation(ViolationKind.VertexOnEdge, point=curve.vertex(k + 1)) for k in on_edge]
 
-    points = Counter(_key(p) for _, _, p in found)
-    out += [Violation(ViolationKind.TriplePoint,
-                      point=Point(Fraction(xn, xd), Fraction(zn, zd)))
-            for (xn, xd, zn, zd), count in points.items() if count > 1]
-    return tuple(sorted(found)), tuple(sort_violations(out)), tuple(meets)
+    triples = [xzd for _, _, xzd in found]
+    if len(set(triples)) < len(triples):
+        out += [Violation(ViolationKind.TriplePoint, point=_point(xzd))
+                for xzd, times in Counter(triples).items() if times > 1]
+    found.sort()
+    return tuple(found), tuple(sort_violations(out)), tuple(meets)
 
 
 @total_ordering
@@ -365,30 +395,67 @@ class Crossing(Frozen):
 
     ``lo < hi`` index the two edges; ``over`` names the strand drawn on
     top (the one with the smaller y-coordinate in space).  Crossings
-    sort by (lo, hi, point, over).
+    sort by (lo, hi, point, over); two crossings of one diagram differ
+    in (lo, hi), so a sort compares no point.
+
+    ``xzd`` is the point as its canonical int triple (X, Z, D), the
+    point (X/D, Z/D) with D > 0 and gcd(X, Z, D) = 1, so two points are
+    equal exactly when their triples are.  A crossing built from the
+    pair pass (``_exact``) holds the triple and builds ``point``, two
+    Fractions, on first read; one built from a point computes its triple
+    on first read of ``xzd``.  Either way the fields, equality, hash and
+    repr are those of (lo, hi, point, over).
     """
 
-    __slots__ = _fields = ("lo", "hi", "point", "over")
+    __slots__ = ("lo", "hi", "over", "_point", "_xzd")
+    _fields = ("lo", "hi", "point", "over")
     lo: int
     hi: int
-    point: Point
     over: str  # "lo" or "hi"
 
     def __init__(self, lo: int, hi: int, point: Point, over: str):
+        self._set(lo, hi, point, None, over)
+
+    @classmethod
+    def _exact(cls, lo: int, hi: int, xzd: tuple[int, int, int], over: str) -> Crossing:
+        """The crossing at the point of the canonical triple ``xzd``."""
+        c = object.__new__(cls)
+        c._set(lo, hi, None, xzd, over)
+        return c
+
+    def _set(self, lo, hi, point, xzd, over) -> None:
         if not lo < hi:
             raise ValueError("crossing edges must satisfy lo < hi")
         if over not in ("lo", "hi"):
             raise ValueError("over must be 'lo' or 'hi'")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "point", point)
         object.__setattr__(self, "over", over)
+        object.__setattr__(self, "_point", point)
+        object.__setattr__(self, "_xzd", xzd)
+
+    @property
+    def point(self) -> Point:
+        if self._point is None:
+            object.__setattr__(self, "_point", _point(self._xzd))
+        return self._point
+
+    @property
+    def xzd(self) -> tuple[int, int, int]:
+        if self._xzd is None:
+            # over the lcm of the two denominators the triple is canonical
+            x, z = self._point
+            d = math.lcm(x.denominator, z.denominator)
+            object.__setattr__(self, "_xzd", (x.numerator * (d // x.denominator),
+                                              z.numerator * (d // z.denominator), d))
+        return self._xzd
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.lo, self.hi, self.point, self.over) < (other.lo, other.hi, other.point,
-                                                            other.over)
+        if self.lo != other.lo or self.hi != other.hi:
+            return (self.lo, self.hi) < (other.lo, other.hi)
+        return (self.point, self.over) < (other.point, other.over)
 
     @property
     def over_edge(self) -> int:
@@ -436,7 +503,8 @@ class TransverseDiagram(Frozen):
         curve by it and ``render`` breaks the under strands by it.
 
         Points on one edge are ordered by a coordinate in which the edge's
-        int direction is non-zero, ascending or descending with its sign.
+        int direction is non-zero, ascending or descending with its sign,
+        read from their triples: X1/D1 < X2/D2 exactly when X1*D2 < X2*D1.
         """
         on: dict[int, list[Crossing]] = {}
         for c in self.crossings:
@@ -445,17 +513,22 @@ class TransverseDiagram(Frozen):
         dirs = self.curve.int_directions
         out = [()] * len(dirs)
         for i, cs in on.items():
-            t = dirs[i - 1]
-            axis = 0 if t[0] else 1
-            out[i - 1] = tuple(sorted(cs, key=lambda c: c.point[axis], reverse=t[axis] < 0))
+            if len(cs) > 1:
+                t = dirs[i - 1]
+                axis = 0 if t[0] else 1
+
+                def ahead(a, b):
+                    return a.xzd[axis] * b.xzd[2] - b.xzd[axis] * a.xzd[2]
+
+                cs.sort(key=cmp_to_key(ahead), reverse=t[axis] < 0)
+            out[i - 1] = tuple(cs)
         return tuple(out)
 
     def with_over(self, flips: dict[tuple[int, int], str]) -> "TransverseDiagram":
-        """Copy with the over bit replaced at the listed (lo, hi) pairs."""
-        new = tuple(
-            Crossing(c.lo, c.hi, c.point, flips.get((c.lo, c.hi), c.over))
-            for c in self.crossings
-        )
+        """Copy with the over bit replaced at the listed (lo, hi) pairs;
+        each crossing keeps the triple of its point."""
+        new = tuple(Crossing._exact(c.lo, c.hi, c.xzd, flips.get((c.lo, c.hi), c.over))
+                    for c in self.crossings)
         return TransverseDiagram(self.curve, self.coorientation, new)
 
 
@@ -486,9 +559,11 @@ def splice(d: TransverseDiagram, host: int, den: int, path, spots) -> Optional[T
     their index, the host's pieces come next and later edges shift by
     ``len(path)``, so "lo" and "hi" still name the same strands.  As in
     ``crossing_mismatch``, the expected and the detected crossings are
-    sorted by the ``_key`` of their points and compared once, which
-    hashes no Fraction; the two sorted lists then pair each crossing
-    with its expected over bit.
+    sorted by the canonical int triples of their points and compared
+    once: an old crossing's ``xzd``, and a spot's ints over L*den
+    divided by their gcd.  The two sorted lists then pair each crossing
+    with its expected over bit, and each new crossing keeps its triple,
+    so a splice builds no Fraction.
     """
     from .transversality import over_for_sign  # it imports this module
 
@@ -505,15 +580,17 @@ def splice(d: TransverseDiagram, host: int, den: int, path, spots) -> Optional[T
     curve = PolyCurve._from_scaled(scale * den // g, tuple(pts))
     if curve.genericity_violations:
         return None
-    expected = [(_key(c.point), c.over) for c in d.crossings]
-    expected += [(_key([Fraction(c, scale * den) for c in place(*p)]), None) for p in spots]
+    expected = [(c.xzd, c.over) for c in d.crossings]
+    for x, z in (place(*p) for p in spots):
+        g = math.gcd(x, z, scale * den)
+        expected.append(((x // g, z // g, scale * den // g), None))
     expected.sort(key=lambda e: e[0])
-    found = sorted((_key(p), lo, hi, p) for lo, hi, p in curve.detected_crossings)
+    found = sorted((xzd, lo, hi) for lo, hi, xzd in curve.pair_facts[0])
     if [k for k, _ in expected] != [k for k, *_ in found]:
         return None
     return TransverseDiagram(curve, d.coorientation, tuple(
-        Crossing(lo, hi, p, over or over_for_sign(curve, lo, hi, -1))
-        for (_, over), (_, lo, hi, p) in zip(expected, found)))
+        Crossing._exact(lo, hi, xzd, over or over_for_sign(curve, lo, hi, -1))
+        for (_, over), (xzd, lo, hi) in zip(expected, found)))
 
 
 def detect_crossings(curve: PolyCurve) -> list[tuple[int, int, Point]]:
@@ -627,18 +704,19 @@ def least_dist2(curve: PolyCurve, points, spots=()) -> Fraction:
 
 def crossing_mismatch(curve: PolyCurve, declared) -> tuple[list, list, tuple[Violation, ...]]:
     """Sorted (missing, extra, violations) for ``declared``, (lo, hi)
-    pairs or (lo, hi, point) triples, counted against the detected
-    crossings cut to the same length: the pairs of the detected entries
-    that ``declared`` lacks, the pairs of its entries beyond the detected
-    ones, and one CrossingMismatch per pair in either list.  A pair named
-    twice, or at a point where the curve does not cross, is in one of
-    them at least.
+    pairs or (lo, hi, xzd) entries, xzd the canonical int triple of a
+    point (``Crossing.xzd``), counted against the detected crossings of
+    ``pair_facts`` cut to the same length: the pairs of the detected
+    entries that ``declared`` lacks, the pairs of its entries beyond the
+    detected ones, and one CrossingMismatch per pair in either list.  A
+    pair named twice, or at a point where the curve does not cross, is
+    in one of them at least.
 
     Both lists are sorted first, so when they agree a single comparison
-    decides it, which hashes no Fraction point."""
+    of ints decides it, which builds no Fraction."""
     named = sorted(declared)
     width = len(named[0]) if named else 2
-    detected = [entry[:width] for entry in curve.detected_crossings]
+    detected = [entry[:width] for entry in curve.pair_facts[0]]
     if named == detected:
         return [], [], ()
     named, detected = Counter(named), Counter(detected)
@@ -649,8 +727,9 @@ def crossing_mismatch(curve: PolyCurve, declared) -> tuple[list, list, tuple[Vio
 
 
 def _attach_over(curve: PolyCurve, coor: Coorientation, over: dict) -> TransverseDiagram:
-    """The diagram on the detected crossings, over bits from ``over``."""
-    crossings = (Crossing(lo, hi, p, over[(lo, hi)]) for lo, hi, p in curve.detected_crossings)
+    """The diagram on the detected crossings, over bits from ``over``;
+    each crossing keeps the triple of its point."""
+    crossings = (Crossing._exact(lo, hi, xzd, over[(lo, hi)]) for lo, hi, xzd in curve.pair_facts[0])
     return TransverseDiagram(curve, coor, tuple(crossings))
 
 
@@ -699,8 +778,8 @@ MAX_EXPONENT = 1000
 # coordinate denominators, the scale of ``PolyCurve.scaled`` and so of
 # the ints every pair test multiplies, computed one distinct denominator
 # at a time and refused as soon as it passes the limit; and the pairs
-# of edges whose boxes meet, which the crossing scan and the genericity
-# pass test one by one and whose sweep stops at the pair after the
+# of edges whose boxes meet, adjacent ones included, which the curve's
+# one pair pass counts in its sweep and stops at the pair after the
 # limit.  The command line's largest stabilization, 1000 loops on any
 # edge of the benchmark's inputs, gives at most 10,095 vertices, an lcm
 # of 101 bits and 45,242 edge pairs.  Chained stabilizations keep
@@ -849,8 +928,10 @@ def parse_diagram(text: str) -> TransverseDiagram:
 
     ints = [p * (scale // q) for p, q in coords]
     curve = PolyCurve._from_scaled(scale, tuple(zip(ints[::2], ints[1::2])))
-    if not curve.edge_pairs_at_most(MAX_EDGE_PAIRS):
+    facts = _crossing_scan(curve, MAX_EDGE_PAIRS)
+    if facts is None:
         raise ParseError(0, f"more than {MAX_EDGE_PAIRS} pairs of edges with meeting boxes")
+    vars(curve)["pair_facts"] = facts  # the cache of PolyCurve.pair_facts
     if curve.genericity_violations:
         raise ParseError(0, "curve is not generic", violations=curve.genericity_violations)
     missing, extra, mismatch = crossing_mismatch(curve, declared)

@@ -16,16 +16,16 @@ positive multiples of the true directions and so give every sign
 exactly.  On ints ``/`` is true division and would put a float into a
 decision, so none of these predicates divides.
 
-Every test on a pair of edges is decided by one kernel,
-``pair_determinants``: for edges a -> a + e and c -> c + f it gives the
-three orientation determinants e×f, (c - a)×f and (c - a)×e, and the
-crossing, both vertex-on-open-edge contacts and a collinear overlap are
-sign and range tests on them.  The curve's pair pass
-(``diagram._crossing_scan``) is its one caller, once per pair; it keeps
-the determinants of the pairs that meet, and the push-off oracle
-(``invariants._pushoff_once``) reads them there for both orders of each
-pair.  ``segment_crossing`` and ``point_in_open_segment`` are the
-references the tests check those derivations against.
+Every test on a pair of edges is decided by the three orientation
+determinants of ``pair_determinants``: for edges a -> a + e and
+c -> c + f they are e×f, (c - a)×f and (c - a)×e, and the crossing,
+both vertex-on-open-edge contacts and a collinear overlap are sign and
+range tests on them.  The curve's pair pass (``diagram._crossing_scan``)
+takes them inline, once per pair, and keeps the determinants of the
+pairs that meet, which the push-off oracle (``invariants._pushoff_once``)
+reads for both orders of each pair.  ``pair_determinants``,
+``segment_crossing`` and ``point_in_open_segment`` are the references
+the tests check those derivations against.
 
 The loops pair features by the closed boxes (xlo, xhi, zlo, zhi) of
 ``box``, in box sweeps: ``box_overlapping_pairs`` within one set, and
@@ -33,24 +33,25 @@ The loops pair features by the closed boxes (xlo, xhi, zlo, zhi) of
 pairs whose boxes are apart is exact: a point on a segment lies in its
 box, two segments that cross or overlap have meeting boxes, and a
 distance is at least the larger of the x-gap and the z-gap of the two
-boxes.  The pair pass sweeps edges only: a vertex lies in the closed
-box of the edge it starts, so every vertex fact is found at a pair of
-edges.  The push-off oracle runs no sweep: its copy is offset by an
+boxes.  The pair pass runs the sweep of ``box_overlapping_pairs``
+inline over the edge boxes only: a vertex lies in the closed box of
+the edge it starts, so every vertex fact is found at a pair of edges.
+The push-off oracle runs no sweep: its copy is offset by an
 infinitesimal, so only pairs that meet can be hit, and it reads the
-ones the pair pass kept.  Only
-``diagram.least_dist2`` sweeps points, which need not be vertices,
-against edges, with ``box_meeting_pairs``.  The package
-measures distances on ints too: ``diagram.least_dist2`` is its only
-distance routine, and ``halvings`` compares ints, split once from its
-int or Fraction arguments.
+ones the pair pass kept.  Only ``diagram.least_dist2`` runs the two
+sweeps here: it sweeps points, which need not be vertices, against
+edges, with ``box_meeting_pairs``, and its spots among themselves.  The
+package measures distances on ints too: ``diagram.least_dist2`` is its
+only distance routine, and ``halvings`` compares ints, split once from
+its int or Fraction arguments.
 
-So the package runs ``vec``, ``cross``, ``dot``, ``sign``,
-``pair_determinants``, ``box``, the two box sweeps, ``in_open_cone``
-and ``halvings``.  Its one corner rule, whether a corner's sweep passes
-a direction and which way the corner turns, is
-``transversality.corner_turns``, on int directions.  The rest have no
-caller in the package outside this module and stay as the tests'
-references: the int kernel is checked against ``segment_crossing``,
+So the package runs ``vec``, ``cross``, ``dot``, ``sign``, ``box``, the
+two box sweeps, ``in_open_cone`` and ``halvings``.  Its one corner rule,
+whether a corner's sweep passes a direction and which way the corner
+turns, is ``transversality.corner_turns``, on int directions.  The rest
+have no caller in the package outside this module and stay as the
+tests' references: the pair pass is checked against
+``pair_determinants``, and the int kernel against ``segment_crossing``,
 ``point_in_open_segment``, ``segment_intersection``, ``dist2``,
 ``point_segment_dist2`` and ``in_closed_cone``; the corner walk and
 condition 1 against ``corner_sweep_contains``, ``turn_sign``,

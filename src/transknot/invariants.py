@@ -18,14 +18,14 @@ is the usual right-handed crossing sign.
 Push-off.  The oracle links the knot with a copy shifted by εu in the
 plane, u parallel to no edge and ε > 0 infinitesimal (simulation of
 simplicity).  Every quantity it decides on is then a0 + ε·a1 with int
-a0 and a1, compared as the pair (a0, a1) in lexicographic order, so it
-measures no distance, picks no offset size and reads only the curve's
-int directions and the pairs of edges that its pair pass found to meet.
+a0 and a1, which is positive exactly when a0 > 0, or a0 = 0 and a1 > 0,
+so it measures no distance, picks no offset size and reads only the
+curve's int directions and the pairs of edges that its pair pass found
+to meet, with their determinants.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import NamedTuple
 
 from .diagram import Crossing, TransverseDiagram
@@ -78,27 +78,30 @@ def _pushoff_once(d: TransverseDiagram, u: Vec):
     e×f, so that den > 0; the offset adds ε(u×f) to s and ε(u×e) to t.
     The other order, original j against the copy of i, reads -den,
     -t + ε(u×e) and -s + ε(u×f): once its den is made positive, the
-    same determinants with the ε terms negated.  An order is hit exactly
-    when 0 < s < den and 0 < t < den, each a comparison of the pairs
-    (a0, a1) of a0 + ε·a1 in lexicographic order.  u is parallel to no
-    edge, so u×e and u×f are never 0 and no vertex of either curve lies
-    on the other.
+    same determinants with the ε terms negated.  u×t is taken once per
+    edge t.
+
+    An order is hit exactly when 0 < s + εa < den and 0 < t + εb < den,
+    a and b its ε terms.  The pass kept 0 <= s, t <= den, so on ints
+    that is: s > 0 or a > 0, s < den or a < 0, and the same for t and b.
+    u is parallel to no edge, so u×e and u×f are never 0 and no vertex
+    of either curve lies on the other.
 
     Pairs that do not meet at ε = 0 are never hit, and neither are
     parallel ones.  Adjacent pairs are not read: their hits are corner
     hits, which sum to 0 (see ``pushoff_linking_oracle``).
     """
-    dirs = d.curve.int_directions
+    ux, uz = u
+    ut = [ux * tz - uz * tx for tx, tz in d.curve.int_directions]
     signs = {(c.lo, c.hi): s for c, s in zip(d.crossings, d.signs)}
     hits: dict[tuple[int, int], int] = {}
     total = 0
-    for i, j, den, s, t in d.curve.pair_facts[2]:
-        e, f = dirs[i], dirs[j]
-        sgn = 1 if cross(e, f) > 0 else -1
-        # order (i, j) has the ε terms (uf, ue), order (j, i) their negatives
-        uf, ue = sgn * cross(u, f), sgn * cross(u, e)
-        for hit in (1, -1):
-            if not ((0, 0) < (s, hit * uf) < (den, 0) and (0, 0) < (t, hit * ue) < (den, 0)):
+    for i, j, den, s, t, sgn in d.curve.pair_facts[2]:
+        # order (i, j) has the ε terms (a, b), order (j, i) their negatives
+        ea, eb = sgn * ut[j], sgn * ut[i]
+        for a, b in ((ea, eb), (-ea, -eb)):
+            if not ((s > 0 or a > 0) and (s < den or a < 0)
+                    and (t > 0 or b > 0) and (t < den or b < 0)):
                 continue
             pair = (i + 1, j + 1)
             if pair not in signs:
@@ -151,16 +154,28 @@ def pushoff_linking_oracle(d: TransverseDiagram) -> int:
     return result
 
 
-def _passages(d: TransverseDiagram, base: int = 1) -> list[tuple[tuple[int, int], bool]]:
-    """Crossing passages in curve order from vertex ``base``, which is
-    never a crossing on a generic curve.  Each entry is ((lo, hi),
-    passes_over)."""
+def _chords(d: TransverseDiagram, base: int = 1) -> list[list]:
+    """The Gauss diagram of ``d`` walked from vertex ``base``, which is
+    never a crossing on a generic curve: one chord [first, second,
+    over_first, sign] per crossing, in the order of its first passage,
+    with the indices of its two passages in walk order, whether the
+    first one passes over, and the crossing sign.  Built from
+    ``crossings_along``."""
     along = d.crossings_along
-    carrying = [i for i, cs in enumerate(along, 1) if cs]
-    out = []
-    for i in [i for i in carrying if i >= base] + [i for i in carrying if i < base]:
-        out += [((c.lo, c.hi), c.over_edge == i) for c in along[i - 1]]
-    return out
+    signs = {(c.lo, c.hi): s for c, s in zip(d.crossings, d.signs)}
+    open_chords: dict[tuple[int, int], list] = {}
+    chords = []
+    step = 0
+    for i in [*range(base - 1, len(along)), *range(base - 1)]:
+        for c in along[i]:
+            pair = (c.lo, c.hi)
+            if pair in open_chords:
+                open_chords.pop(pair)[1] = step
+            else:
+                open_chords[pair] = chord = [step, None, c.over_edge == i + 1, signs[pair]]
+                chords.append(chord)
+            step += 1
+    return chords
 
 
 def v2(d: TransverseDiagram, basepoint: int | None = None) -> int:
@@ -172,10 +187,10 @@ def v2(d: TransverseDiagram, basepoint: int | None = None) -> int:
     product of the crossing signs.  Normalized so the unknot gives 0
     and either trefoil gives 1.
 
-    The chords are read in walk order: ``combinations`` yields the pairs
-    in the order of the dict's keys, the order of first passage, so A is
-    always the chord met first and one interleaving test, a1 < b1 < a2
-    < b2, finds every interleaved pair.
+    The chords of ``_chords`` come in the order of first passage, so A
+    is always the chord met first and one interleaving test, a1 < b1 <
+    a2 < b2, finds every interleaved pair; the chords after A whose b1
+    passes a2 are not read.
 
     The walk starts at vertex 1 by default; any vertex index 1..n may
     be given instead (the count does not depend on the choice), and
@@ -183,17 +198,16 @@ def v2(d: TransverseDiagram, basepoint: int | None = None) -> int:
     """
     if basepoint is not None and not 1 <= basepoint <= d.curve.n:
         raise ValueError(f"basepoint {basepoint} out of range 1..{d.curve.n}")
-    where: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-    for idx, (cid, over) in enumerate(_passages(d, basepoint or 1)):
-        where.setdefault(cid, []).append((idx, over))
-    signs = {(c.lo, c.hi): s for c, s in zip(d.crossings, d.signs)}
-
+    chords = _chords(d, basepoint or 1)
     total = 0
-    for one, other in combinations(where, 2):
-        (a1, a_over), (a2, _) = where[one]
-        (b1, b_over), (b2, _) = where[other]
-        if a1 < b1 < a2 < b2 and a_over and not b_over:
-            total += signs[one] * signs[other]
+    for k, (_, a2, a_over, a_sign) in enumerate(chords):
+        if not a_over:
+            continue
+        for b1, b2, b_over, b_sign in chords[k + 1:]:
+            if b1 > a2:
+                break
+            if a2 < b2 and not b_over:
+                total += a_sign * b_sign
     return total
 
 

@@ -42,8 +42,12 @@ def reference(coor: Coorientation) -> Vec:
 
 
 def regular_direction(dirs) -> Vec:
-    """The first of (1, 1), (1, 2), ... parallel to no non-zero int
-    vector t = (tx, tz) in ``dirs``, that is with tz != m * tx."""
+    """A direction parallel to no non-zero int vector t = (tx, tz) in
+    ``dirs``: the vertical UP when no t has tx = 0 and tz != 0, so that
+    under Plus the Whitney index reads condition 1's corner walk, and
+    otherwise the first of (1, 1), (1, 2), ... with tz != m * tx."""
+    if not any(tz and not tx for tx, tz in dirs):
+        return UP
     taken = {tz // tx for tx, tz in dirs if tx and tz % tx == 0}
     m = 1
     while m in taken:
@@ -93,16 +97,15 @@ def check_condition1(curve: PolyCurve, coor: Coorientation) -> list[Violation]:
 
     Edges (tx, tz) pointing along the forbidden vertical r =
     ``reference(coor)``, tx = 0 with tz*r.z > 0, and corners whose sweep
-    passes through it, where ``corner_turns`` is non-zero, are reported.
-    Decided on the curve's int directions; an exact reversal raises
-    ReversalError.
+    passes through it, where the curve's ``corner_turns`` at r is
+    non-zero, are reported.  Decided on the curve's int directions; an
+    exact reversal raises ReversalError.
     """
     ref = reference(coor)
-    dirs = curve.int_directions
     out = [Violation(ViolationKind.UpwardEdge, edges=(i + 1,))
-           for i, (tx, tz) in enumerate(dirs) if tx == 0 and tz * ref.z > 0]
+           for i, (tx, tz) in enumerate(curve.int_directions) if tx == 0 and tz * ref.z > 0]
     out += [Violation(ViolationKind.UpwardCorner, edges=(i or curve.n, i + 1))
-            for i, turn in enumerate(corner_turns(dirs, ref)) if turn]
+            for i, turn in enumerate(curve.corner_turns(ref)) if turn]
     return sort_violations(out)
 
 
@@ -147,11 +150,22 @@ def forced_over(curve: PolyCurve, coor: Coorientation, lo: int, hi: int) -> Opti
 def check_condition2(d: TransverseDiagram) -> list[Violation]:
     """Violations of the sign rule: crossings whose tangent cone holds
     the forbidden vertical, the ones ``forced_over`` names, and whose
-    sign is not -1."""
+    sign is not -1.
+
+    The cone is decided on the curve's int directions, with no vector
+    built: with a and b the directions of edges lo and hi, k = a×b,
+    which is not 0 at a crossing, and r = (0, rz) the forbidden
+    vertical, Cramer's rule gives r = p*a + q*b with p = r×b / k =
+    -rz*bx / k and q = a×r / k = rz*ax / k, and the cone holds r exactly
+    when both are positive.  Only there is the over bit of sign -1 read.
+    """
+    dirs = d.curve.int_directions
+    rz = reference(d.coorientation).z
     out = []
     for c in d.crossings:
-        forced = forced_over(d.curve, d.coorientation, c.lo, c.hi)
-        if forced is not None and c.over != forced:
+        (ax, az), (bx, bz) = dirs[c.lo - 1], dirs[c.hi - 1]
+        k = ax * bz - az * bx
+        if rz * ax * k > 0 > rz * bx * k and c.over != over_for_sign(d.curve, c.lo, c.hi, -1):
             out.append(Violation(ViolationKind.ForbiddenCrossing, point=c.point))
     return sort_violations(out)
 
@@ -176,7 +190,7 @@ def check_validity(d: TransverseDiagram) -> ValidityReport:
     """
     if d.curve.genericity_violations:
         return ValidityReport(d.curve.genericity_violations)
-    _, _, mismatch = crossing_mismatch(d.curve, ((c.lo, c.hi, c.point) for c in d.crossings))
+    _, _, mismatch = crossing_mismatch(d.curve, ((c.lo, c.hi, c.xzd) for c in d.crossings))
     if mismatch:
         return ValidityReport(mismatch)
     out = check_condition1(d.curve, d.coorientation) + check_condition2(d)
@@ -196,7 +210,9 @@ def whitney_index(curve: PolyCurve) -> int:
     Corners whose sweep passes through a reference direction r count
     +1 (counterclockwise turn) or -1 (clockwise), as ``corner_turns``
     reports them.  r is the edges' ``regular_direction``; the count is
-    the same for every direction parallel to no edge.  Decided on the
+    the same for every direction parallel to no edge.  That is UP
+    whenever no edge is vertical, and then the curve's ``corner_turns``
+    at r is the walk condition 1 reads under Plus.  Decided on the
     curve's int directions.  Zero edges raise NongenericCurveError, and
     an exact reversal raises ReversalError.
     """
@@ -204,4 +220,4 @@ def whitney_index(curve: PolyCurve) -> int:
     if (0, 0) in dirs:
         raise NongenericCurveError(v for v in curve.genericity_violations
                                    if v.kind is ViolationKind.ZeroEdge)
-    return sum(corner_turns(dirs, regular_direction(dirs)))
+    return sum(curve.corner_turns(regular_direction(dirs)))

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -39,7 +40,7 @@ from transknot.fixtures import (
     u_minus_forbidden,
 )
 from transknot.geometry import Point, box_overlapping_pairs
-from transknot.invariants import invariant_values
+from transknot.invariants import invariant_values, pushoff_linking_oracle
 from transknot.moves_singular import stabilize
 from transknot.transversality import validate
 
@@ -158,9 +159,9 @@ def test_each_curve_is_scanned_once(monkeypatch):
     text = serialize_diagram(trefoil_right())
     scanned = []
 
-    def counting(c):
+    def counting(c, *limit):
         scanned.append(c)
-        return _crossing_scan(c)
+        return _crossing_scan(c, *limit)
 
     monkeypatch.setattr("transknot.diagram._crossing_scan", counting)
     d = parse_diagram(text)
@@ -171,19 +172,29 @@ def test_each_curve_is_scanned_once(monkeypatch):
     assert scanned[0] is d.curve
 
 
+def count_bisections(monkeypatch) -> list[int]:
+    """The start of every bisection the pair pass makes from here on: its
+    sweep bisects once from each sorted box, past that box."""
+    starts = []
+
+    def counted(a, x, lo):
+        starts.append(lo)
+        return bisect.bisect_right(a, x, lo)
+
+    monkeypatch.setattr("transknot.diagram.bisect_right", counted)
+    return starts
+
+
 def test_parse_sweeps_the_edges_once(monkeypatch):
-    """The crossing scan and the genericity pass share one edge sweep."""
+    """The crossing scan and the genericity pass share one sweep of the
+    n edge boxes."""
     path = (Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "ladder"
             / "trefoil_right-e1-k8.td")
-    sweeps = []
-
-    def counting(boxes, reach=0):
-        sweeps.append(len(boxes))
-        return box_overlapping_pairs(boxes, reach)
-
-    monkeypatch.setattr("transknot.diagram.box_overlapping_pairs", counting)
+    starts = count_bisections(monkeypatch)
     d = parse_diagram(path.read_text(encoding="utf-8"))
-    assert sweeps == [d.curve.n]
+    assert starts == list(range(1, d.curve.n + 1))
+    assert validate(d).is_valid and invariant_values(d)
+    assert starts == list(range(1, d.curve.n + 1))
 
 
 class TestGenericity:
@@ -438,6 +449,8 @@ def vertex_tokens(text):
 
 class TestIntRepresentation:
     def test_parse_builds_no_vertex_fraction(self, monkeypatch):
+        # a ladder op decides everything on ints and builds no Fraction:
+        # no vertex, and no crossing point until one is read
         text = LADDER_K8.read_text(encoding="utf-8")
         built, original = [], Fraction.__new__
 
@@ -447,11 +460,16 @@ class TestIntRepresentation:
 
         monkeypatch.setattr(Fraction, "__new__", counted)
         d = parse_diagram(text)
-        # two coordinates of each crossing point, and no vertex
-        assert d.curve.n == 95 and len(d.crossings) == 23
-        assert len(built) == 2 * len(d.crossings)
+        assert validate(d).is_valid
+        assert [iv.value for iv in invariant_values(d)] == [-15, -15, 0, 23, 1]
+        assert pushoff_linking_oracle(d) == -15
         assert serialize_diagram(d) == text
-        assert len(built) == 2 * len(d.crossings)  # serializing builds none
+        assert d.curve.n == 95 and len(d.crossings) == 23
+        assert built == []
+        points = [c.point for c in d.crossings]
+        assert len(built) == 2 * len(d.crossings)  # two coordinates of each point
+        assert [c.point for c in d.crossings] == points
+        assert len(built) == 2 * len(d.crossings)  # built once
 
     def test_parse_computes_the_lcm_once(self, monkeypatch):
         text = LADDER_K8.read_text(encoding="utf-8")
@@ -516,38 +534,45 @@ class TestParseWorkLimits:
         assert d.curve.scaled[0].bit_length() == 92
 
     @staticmethod
-    def count_sweep(monkeypatch):
-        yielded = []
-
-        def counted(boxes, reach=0):
-            for pair in box_overlapping_pairs(boxes, reach):
-                yielded.append(pair)
-                yield pair
-
-        monkeypatch.setattr("transknot.diagram.box_overlapping_pairs", counted)
-        return yielded
+    def pairs_before_each_box(curve) -> list[int]:
+        """For each edge box in the sweep's order, by xlo, the number of
+        pairs of meeting boxes the sweep has found once it is done with
+        that box: it pairs each box with the later ones that meet it."""
+        boxes = sorted((b[0], b[2], b[3], b[1], s) for s, b in enumerate(curve.edge_boxes))
+        found, out = 0, []
+        for pos, (_, zlo, zhi, xhi, _) in enumerate(boxes):
+            found += sum(1 for xlo, lo, hi, _, _ in boxes[pos + 1:]
+                         if xlo <= xhi and lo <= zhi and hi >= zlo)
+            out.append(found)
+        return out
 
     def test_edge_pairs_stop_the_sweep(self, monkeypatch):
-        yielded = self.count_sweep(monkeypatch)
+        # the sixth pair is found while sweeping from the box at which
+        # the count first passes 5, and the sweep stops there
+        found = self.pairs_before_each_box(u_minus().curve)
+        stop = next(pos for pos, count in enumerate(found) if count > 5)
+        assert stop < len(found) - 1
+        starts = count_bisections(monkeypatch)
         monkeypatch.setattr("transknot.diagram.MAX_EDGE_PAIRS", 5)
         with pytest.raises(ParseError, match="more than 5 pairs of edges") as exc:
             parse_diagram(U_MINUS_TEXT)
         assert exc.value.violations == []
-        assert len(yielded) == 6
+        assert starts == list(range(1, stop + 2))
 
     def test_edge_pairs_at_the_limit_are_swept_once(self, monkeypatch):
-        pairs = u_minus().curve.edge_pairs
-        yielded = self.count_sweep(monkeypatch)
-        monkeypatch.setattr("transknot.diagram.MAX_EDGE_PAIRS", len(pairs))
+        pairs = len(list(box_overlapping_pairs(u_minus().curve.edge_boxes)))
+        assert self.pairs_before_each_box(u_minus().curve)[-1] == pairs
+        starts = count_bisections(monkeypatch)
+        monkeypatch.setattr("transknot.diagram.MAX_EDGE_PAIRS", pairs)
         d = parse_diagram(U_MINUS_TEXT)
         assert validate(d).is_valid
-        assert tuple(yielded) == d.curve.edge_pairs == pairs
+        assert starts == list(range(1, d.curve.n + 1))
 
     def test_largest_command_line_stabilization_parses(self):
         d = parse_diagram(serialize_diagram(stabilize(trefoil_right(), 1, MAX_COUNT)))
         assert d.curve.n == 10_015 < MAX_VERTICES
         assert d.curve.scaled[0].bit_length() == 25 < MAX_DENOMINATOR_BITS
-        assert len(d.curve.edge_pairs) == 29_034 < MAX_EDGE_PAIRS
+        assert len(list(box_overlapping_pairs(d.curve.edge_boxes))) == 29_034 < MAX_EDGE_PAIRS
 
 
 class TestSerialize:

@@ -7,7 +7,11 @@ features whose closed boxes meet.  Each is checked with ``==`` against a
 plain all-pairs loop over the Fraction predicates of
 ``transknot.geometry``.  The push-off oracle, which reads only the pairs
 the pair pass found to meet, is also checked against a walk over every
-pair of edges on the ints, adjacent ones included.
+pair of edges on the ints, adjacent ones included.  The pair pass, one
+loop that keeps each crossing as the int triple of its point, is checked
+against the walk over the pairs of ``box_overlapping_pairs`` with one
+``pair_determinants`` call each that it replaced, and a crossing built
+from its triple against the crossing built from its Fraction point.
 
 Conditions 1 and 2, the Whitney index, crossing signs, the along-edge
 crossing order, the v2 basepoint and ``resolve`` decide on the curve's
@@ -19,12 +23,13 @@ division.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from transknot import diagram, geometry, invariants
+from transknot import diagram, geometry, invariants, transversality
 from transknot.diagram import (
     Coorientation,
     Crossing,
@@ -38,7 +43,15 @@ from transknot.diagram import (
     sort_violations,
 )
 from transknot.errors import DegenerateConeError, OracleError, ReversalError, TransknotError
-from transknot.fixtures import minus_unknot, trefoil_left, trefoil_right, u_minus
+from transknot.fixtures import (
+    minus_unknot,
+    one_crossing_unknots,
+    trefoil_left,
+    trefoil_right,
+    trefoil_right_alt,
+    u_minus,
+    u_minus_forbidden,
+)
 from transknot.geometry import (
     Point,
     Vec,
@@ -60,7 +73,7 @@ from transknot.geometry import (
     vec,
 )
 from transknot.invariants import (
-    _passages,
+    _chords,
     _pushoff_once,
     crossing_sign,
     pushoff_linking_oracle,
@@ -328,6 +341,17 @@ def ref_passages(d, base):
     return passages
 
 
+def ref_chords(d, base):
+    chords = {}
+    for idx, (cid, over) in enumerate(ref_passages(d, base)):
+        if cid in chords:
+            chords[cid][1] = idx
+        else:
+            c = next(c for c in d.crossings if (c.lo, c.hi) == cid)
+            chords[cid] = [idx, None, over, ref_crossing_sign(d, c)]
+    return list(chords.values())
+
+
 def ref_v2(d, base):
     where = {}
     for idx, (cid, over) in enumerate(ref_passages(d, base)):
@@ -375,7 +399,7 @@ def assert_directions_match(d):
     for base in range(1, curve.n + 1):
         assert v2(d, base) == ref_v2(d, base)
     least = min(range(1, curve.n + 1), key=curve.vertex)
-    assert _passages(d) == ref_passages(d, 1)
+    assert _chords(d) == ref_chords(d, 1)
     assert v2(d) == ref_v2(d, least)
 
     free = [i for i, c in enumerate(d.crossings)
@@ -549,6 +573,138 @@ def test_pushoff_equals_the_walk_over_every_pair():
     assert results == {True, False}
 
 
+def ref_crossing_scan(curve):
+    """The pair pass as it was before it kept crossings as int triples:
+    (crossings with Fraction points, violations, meets (i, j, den, s,
+    t)).  It walks the pairs of ``box_overlapping_pairs`` over the edge
+    boxes, adjacent ones included, with one ``pair_determinants`` call
+    per pair."""
+    n = curve.n
+    scale, pts = curve.scaled
+    dirs = curve.int_directions
+    out, found, meets = [], [], []
+    out += [Violation(ViolationKind.ZeroEdge, edges=(i + 1,))
+            for i, t in enumerate(dirs) if t == (0, 0)]
+    on_edge = set()
+    for i, j in geometry.box_overlapping_pairs(curve.edge_boxes):
+        a, e, f = pts[i], dirs[i], dirs[j]
+        adjacent = j - i in (1, n - 1)
+        if adjacent and e[0] * f[1] != e[1] * f[0]:
+            continue
+        den, s, t, wx, wz = geometry.pair_determinants(a, e, pts[j], f)
+        if den < 0:
+            den, s, t = -den, -s, -t
+        if 0 <= s <= den and 0 <= t <= den and den:
+            meets.append((i, j, den, s, t))
+            if 0 < s < den and 0 < t < den:
+                (ax, az), (ex, ez) = a, e
+                found.append((i + 1, j + 1, Point(Fraction(ax * den + s * ex, den * scale),
+                                                  Fraction(az * den + s * ez, den * scale))))
+                continue
+        if s and t:
+            continue
+        (ex, ez), (fx, fz) = e, f
+        if adjacent:
+            if ex * fx + ez * fz < 0:
+                corner = (i + 1, j + 1) if j - i == 1 else (j + 1, i + 1)
+                out.append(Violation(ViolationKind.ReversalCorner, edges=corner))
+        elif not (wx or wz):
+            out.append(Violation(ViolationKind.EndpointContact, point=curve.vertex(i + 1)))
+        along, length2 = wx * ex + wz * ez, ex * ex + ez * ez
+        if not t and 0 < along < length2:
+            on_edge.add(j)
+        if not s and 0 < -(wx * fx + wz * fz) < fx * fx + fz * fz:
+            on_edge.add(i)
+        if not den and not t:
+            lo, hi = sorted((along, along + fx * ex + fz * ez))
+            if min(hi, length2) > max(lo, 0):
+                out.append(Violation(ViolationKind.CollinearOverlap, edges=(i + 1, j + 1)))
+    out += [Violation(ViolationKind.VertexOnEdge, point=curve.vertex(k + 1)) for k in on_edge]
+    points = Counter(p for _, _, p in found)
+    out += [Violation(ViolationKind.TriplePoint, point=p)
+            for p, count in points.items() if count > 1]
+    return tuple(sorted(found)), tuple(sort_violations(out)), tuple(meets)
+
+
+def scanned_diagrams():
+    """The fixtures, the ladder, generated diagrams and their
+    stabilizations under both coorientations, and every seeded grid curve, with crossings as
+    the small-grid test draws them."""
+    yield from (u_minus(), u_minus_forbidden(), minus_unknot(), trefoil_right(),
+                trefoil_left(), trefoil_right_alt(), *one_crossing_unknots(8),
+                *(ladder(k) for k in (0, 2, 4, 8)))
+    for s in range(8):
+        for coor in Coorientation:
+            d = random_valid_diagram(f"scan{s}", coor)
+            yield d
+            yield stabilize(d, 1 + s % d.curve.n, 1 + s % 3)
+    yield stabilize(trefoil_right(), 5, 4)
+    for c in grid_curves(400):
+        coor = Coorientation.PLUS if c.n % 2 else Coorientation.MINUS
+        yield TransverseDiagram(c, coor, tuple(
+            Crossing(lo, hi, p, forced_over(c, coor, lo, hi) or "lo")
+            for lo, hi, p in c.detected_crossings))
+
+
+def test_pair_pass_equals_the_walk_over_the_sweep():
+    # one loop with its own sweep, corners walked apart and crossings
+    # kept as int triples finds what the walk over the sweep's pairs
+    # found: the same crossings, violations, meets and along-edge order
+    kinds = set()
+    for d in scanned_diagrams():
+        curve = d.curve
+        found, violations, meets = ref_crossing_scan(curve)
+        assert curve.detected_crossings == found
+        assert curve.genericity_violations == violations
+        assert sorted(m[:5] for m in curve.pair_facts[2]) == sorted(meets)
+        dirs = curve.int_directions
+        assert all(sgn == sign(cross(dirs[i], dirs[j])) for i, j, *_, sgn in curve.pair_facts[2])
+        assert [(lo, hi) for lo, hi, _ in curve.pair_facts[0]] == [(lo, hi) for lo, hi, _ in found]
+        assert d.crossings_along == ref_crossings_along(d)
+        kinds.update(v.kind for v in violations)
+    assert ViolationKind.TriplePoint in kinds and len(kinds) == 6
+
+
+def test_lazy_crossings_are_the_crossings_of_their_points():
+    # a crossing built from its int triple equals, hashes, prints and
+    # sorts as the crossing built from its Fraction point
+    compared = 0
+    for d in scanned_diagrams():
+        facts, found = d.curve.pair_facts[0], d.curve.detected_crossings
+        for (lo, hi, xzd), (_, _, p) in zip(facts, found):
+            assert xzd == Crossing(lo, hi, p, "lo").xzd
+            for over in ("lo", "hi"):
+                lazy, eager = Crossing._exact(lo, hi, xzd, over), Crossing(lo, hi, p, over)
+                assert lazy == eager and hash(lazy) == hash(eager)
+                assert repr(Crossing._exact(lo, hi, xzd, over)) == repr(eager)
+                assert lazy.point == p and lazy.xzd == xzd
+                compared += 1
+        lazy = [Crossing._exact(lo, hi, xzd, over) for lo, hi, xzd in facts for over in "lo hi".split()]
+        eager = [Crossing(lo, hi, p, over) for lo, hi, p in found for over in "lo hi".split()]
+        # the same edges at another point, and at the same point
+        if facts:
+            lo, hi, xzd = facts[0]
+            lazy += [Crossing._exact(lo, hi, (xzd[0] + 1, xzd[1], xzd[2]), "lo"),
+                     Crossing._exact(lo, hi, (xzd[0] - 1, xzd[1], xzd[2]), "hi")]
+            eager += [Crossing(lo, hi, Point(found[0][2].x + Fraction(1, xzd[2]), found[0][2].z),
+                               "lo"),
+                      Crossing(lo, hi, Point(found[0][2].x - Fraction(1, xzd[2]), found[0][2].z),
+                               "hi")]
+        for a, b in itertools.product(range(len(lazy)), repeat=2):
+            assert (lazy[a] < lazy[b]) == (eager[a] < eager[b])
+            assert (lazy[a] <= lazy[b]) == (eager[a] <= eager[b])
+    assert compared > 1000
+
+
+def test_a_sort_of_crossings_reads_no_point():
+    # crossings of one diagram differ in (lo, hi), so sorting them
+    # compares no point and builds none
+    d = ladder(8)
+    again = TransverseDiagram(d.curve, d.coorientation, d.crossings[::-1])
+    assert [(c.lo, c.hi) for c in again.crossings] == [(c.lo, c.hi) for c in d.crossings]
+    assert all(c._point is None for c in again.crossings)
+
+
 @pytest.mark.parametrize("make", [*(lambda k=k: ladder(k) for k in (0, 2, 4, 8)),
                                   trefoil_right, trefoil_left, u_minus, minus_unknot],
                          ids=["k0", "k2", "k4", "k8", "trefoil_right", "trefoil_left",
@@ -631,6 +787,27 @@ def test_corner_turns_stop_at_the_first_turn():
     assert any(corner_turns(dirs, (0, 1)))
     with pytest.raises(ReversalError):
         list(corner_turns(dirs, (0, 1)))
+
+
+def test_condition1_and_the_whitney_index_share_one_walk(monkeypatch):
+    # with no vertical edge the regular direction is UP, which condition
+    # 1 walks under Plus, and the curve keeps the walk per direction
+    walks = []
+
+    def counted(dirs, r):
+        walks.append(tuple(r))
+        return corner_turns(dirs, r)
+
+    monkeypatch.setattr(transversality, "corner_turns", counted)
+    d = ladder(8)
+    assert regular_direction(d.curve.int_directions) == (0, 1)
+    assert validate(d).is_valid and whitney_index(d.curve) == 0
+    assert pushoff_linking_oracle(d) == writhe(d)
+    assert walks == [(0, 1)]
+    bent = build_diagram(VERTICAL_EDGE_UNKNOT, Coorientation.PLUS, {(1, 6): "hi"})
+    assert regular_direction(bent.curve.int_directions) == (1, 2)
+    assert whitney_index(bent.curve) == ref_whitney(bent.curve)
+    assert walks == [(0, 1), (1, 2)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -62,9 +62,10 @@ INT_ROUTINES = {
         "_crossing_scan", "least_dist2", "_parse_rational", "_rational_text",
         "serialize_diagram", "splice",
     },
-    "invariants.py": {"_pushoff_once"},
+    "invariants.py": {"_pushoff_once", "_chords", "v2"},
     "transversality.py": {
-        "corner_turns", "check_condition1", "whitney_index", "regular_direction",
+        "corner_turns", "check_condition1", "check_condition2", "whitney_index",
+        "regular_direction",
     },
 }
 
@@ -162,11 +163,12 @@ def test_only_the_random_diagram_search_retries():
 # in the package, but only they call one another.  ``corner_sweep_contains``
 # and ``turn_sign`` are the corner rule that ``transversality.corner_turns``
 # writes once on ints, ``same_direction`` and ``is_parallel`` the edge and
-# corner tests that condition 1 and the random search take inline, and
-# ``scale`` and ``neg`` build the tests' vectors.
+# corner tests that condition 1 and the random search take inline,
+# ``pair_determinants`` the determinants that the pair pass takes inline,
+# and ``scale`` and ``neg`` build the tests' vectors.
 REFERENCE_ROUTINES = {"segment_intersection", "dist2", "point_segment_dist2", "in_closed_cone",
                       "turn_sign", "corner_sweep_contains", "same_direction", "is_parallel",
-                      "scale", "neg"}
+                      "pair_determinants", "scale", "neg"}
 
 
 def _own_locals(fn):
