@@ -201,8 +201,8 @@ class PolyCurve(Frozen):
         return tuple((bx - ax, bz - az) for (ax, az), (bx, bz) in edge_ends(pts))
 
     @cached_property
-    def pair_facts(self) -> tuple[tuple, tuple[Violation, ...], tuple]:
-        """(crossings, ``genericity_violations``, meets): what the curve's
+    def pair_facts(self) -> tuple[tuple, tuple[Violation, ...]]:
+        """(crossings, ``genericity_violations``): what the curve's
         one pair pass, ``_crossing_scan``, finds.  Computed once,
         whichever is read first; the parser runs the pass itself, bounded
         by its pair limit, and keeps the result here.
@@ -211,11 +211,8 @@ class PolyCurve(Frozen):
         transversal intersection of non-adjacent edges, sorted by (lo,
         hi): the point (X/D, Z/D) in plane units as its canonical int
         triple, D > 0 and gcd(X, Z, D) = 1, so two points are equal
-        exactly when their triples are.  meets holds (i, j, den, s, t,
-        sgn) for every pair of non-parallel edges i + 1 and j + 1 whose
-        closed segments meet: den = |e×f| > 0, s and t the determinants
-        w×f and w×e times sgn, the sign of the raw e×f; the push-off
-        oracle reads it."""
+        exactly when their triples are.  The pass keeps nothing else of
+        the pairs it decides on."""
         return _crossing_scan(self)
 
     @cached_property
@@ -275,9 +272,9 @@ def _point(xzd) -> Point:
 
 def _crossing_scan(curve: PolyCurve, limit: Optional[int] = None):
     """The curve's one pair pass, behind ``PolyCurve.pair_facts``: its
-    crossings, each kept as the canonical int triple of its point, its
-    genericity violations, found on the scaled vertices, and the pairs of
-    non-parallel edges that meet.  With a ``limit``, the pass counts the
+    crossings, each kept as the canonical int triple of its point, and
+    its genericity violations, found on the scaled vertices; it keeps no
+    other pair of edges that meet.  With a ``limit``, the pass counts the
     pairs of edges whose boxes meet, adjacent ones included, and returns
     None at the pair after the limit.
 
@@ -307,12 +304,12 @@ def _crossing_scan(curve: PolyCurve, limit: Optional[int] = None):
       edge.  Where the outgoing edge is the shorter, its end starts the
       next edge, and that vertex is found at the pair of the next edge
       and the incoming one.
-    - With den made positive, two non-parallel edges meet exactly when
-      0 <= s <= den and 0 <= t <= den; such a pair is kept as a meet,
-      with the sign sgn of the raw e×f.  On a generic curve the meets are
-      the crossings, where 0 < s < den and 0 < t < den: the point
-      a + (s/den)e, which is (a*den + s*e) / (den*L) in plane units for
-      the scale L, kept with the three ints divided by their gcd.
+    - With den made positive, two edges cross exactly when 0 < s < den
+      and 0 < t < den, at the point a + (s/den)e, which is
+      (a*den + s*e) / (den*L) in plane units for the scale L, kept with
+      the three ints divided by their gcd.  Two non-parallel edges that
+      meet in any other way meet at an end of one of them: a vertex
+      fact, found at a pair with the edge that vertex starts.
     - A zero edge overlaps nothing: with e or f zero the overlap test
       never holds.  With s and t both non-zero there is no contact and no
       shared line, and the crossing test is all that is left.
@@ -343,7 +340,7 @@ def _crossing_scan(curve: PolyCurve, limit: Optional[int] = None):
     xlos = [item[0] for item in items]
     stop = -1 if limit is None else limit + 1
     count = 0
-    found, meets = [], []
+    found = []
     for pos, (_, zlo, zhi, xhi, r) in enumerate(items):
         for _, lo, hi, _, q in items[pos + 1:bisect_right(xlos, xhi, pos + 1)]:
             if lo > zhi or hi < zlo:
@@ -356,16 +353,14 @@ def _crossing_scan(curve: PolyCurve, limit: Optional[int] = None):
                 continue  # a corner, walked above
             (ax, az), (ex, ez), (cx, cz), (fx, fz) = pts[i], dirs[i], pts[j], dirs[j]
             wx, wz = cx - ax, cz - az
-            den, s, t, sgn = ex * fz - ez * fx, wx * fz - wz * fx, wx * ez - wz * ex, 1
+            den, s, t = ex * fz - ez * fx, wx * fz - wz * fx, wx * ez - wz * ex
             if den < 0:
-                den, s, t, sgn = -den, -s, -t, -1
-            if den and 0 <= s <= den and 0 <= t <= den:
-                meets.append((i, j, den, s, t, sgn))
-                if 0 < s < den and 0 < t < den:
-                    x, z, d = ax * den + s * ex, az * den + s * ez, den * scale
-                    g = math.gcd(x, z, d)
-                    found.append((i + 1, j + 1, (x // g, z // g, d // g)))
-                    continue
+                den, s, t = -den, -s, -t
+            if 0 < s < den and 0 < t < den:
+                x, z, d = ax * den + s * ex, az * den + s * ez, den * scale
+                g = math.gcd(x, z, d)
+                found.append((i + 1, j + 1, (x // g, z // g, d // g)))
+                continue
             if s and t:
                 continue
             if not (wx or wz):
@@ -386,7 +381,7 @@ def _crossing_scan(curve: PolyCurve, limit: Optional[int] = None):
         out += [Violation(ViolationKind.TriplePoint, point=_point(xzd))
                 for xzd, times in Counter(triples).items() if times > 1]
     found.sort()
-    return tuple(found), tuple(sort_violations(out)), tuple(meets)
+    return tuple(found), tuple(sort_violations(out))
 
 
 @total_ordering

@@ -64,7 +64,11 @@ class InvalidDiagramError(TransknotError):
 
 
 class OracleError(TransknotError):
-    """The push-off oracle could not classify the intersection pattern."""
+    """The push-off oracle met an intersection pattern that no valid
+    diagram gives.  The oracle is the self-linking number of a valid
+    diagram and refuses every other diagram with ``InvalidDiagramError``,
+    so no valid diagram raises this, nor does any other input; it stays
+    exported with the API."""
 
 
 class HostTooShortError(TransknotError):

@@ -21,9 +21,8 @@ determinants of ``pair_determinants``: for edges a -> a + e and
 c -> c + f they are e×f, (c - a)×f and (c - a)×e, and the crossing,
 both vertex-on-open-edge contacts and a collinear overlap are sign and
 range tests on them.  The curve's pair pass (``diagram._crossing_scan``)
-takes them inline, once per pair, and keeps the determinants of the
-pairs that meet, which the push-off oracle (``invariants._pushoff_once``)
-reads for both orders of each pair.  ``pair_determinants``,
+takes them inline, once per pair, and keeps none of them: only the
+crossings it finds and the violations.  ``pair_determinants``,
 ``segment_crossing`` and ``point_in_open_segment`` are the references
 the tests check those derivations against.
 
@@ -36,11 +35,9 @@ distance is at least the larger of the x-gap and the z-gap of the two
 boxes.  The pair pass runs the sweep of ``box_overlapping_pairs``
 inline over the edge boxes only: a vertex lies in the closed box of
 the edge it starts, so every vertex fact is found at a pair of edges.
-The push-off oracle runs no sweep: its copy is offset by an
-infinitesimal, so only pairs that meet can be hit, and it reads the
-ones the pair pass kept.  Only ``diagram.least_dist2`` runs the two
-sweeps here: it sweeps points, which need not be vertices, against
-edges, with ``box_meeting_pairs``, and its spots among themselves.  The
+Only ``diagram.least_dist2`` runs the two sweeps here: it sweeps
+points, which need not be vertices, against edges, with
+``box_meeting_pairs``, and its spots among themselves.  The
 package measures distances on ints too: ``diagram.least_dist2`` is its
 only distance routine, and ``halvings`` compares ints, split once from
 its int or Fraction arguments.

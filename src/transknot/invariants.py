@@ -15,13 +15,13 @@ with dy > 0.  Expanding the determinant in coordinates (x, y, z):
 so the sign is the sign of cross(t_over, t_under) in the plane.  This
 is the usual right-handed crossing sign.
 
-Push-off.  The oracle links the knot with a copy shifted by εu in the
-plane, u parallel to no edge and ε > 0 infinitesimal (simulation of
-simplicity).  Every quantity it decides on is then a0 + ε·a1 with int
-a0 and a1, which is positive exactly when a0 > 0, or a0 = 0 and a1 > 0,
-so it measures no distance, picks no offset size and reads only the
-curve's int directions and the pairs of edges that its pair pass found
-to meet, with their determinants.
+Push-off.  The oracle is the linking number of the knot with a copy
+shifted by εu in the plane, u parallel to no edge and ε > 0
+infinitesimal (simulation of simplicity).  On a valid diagram each
+crossing gives two knot-to-copy hits of its sign and the corner hits
+cancel, so that linking number is the writhe: the oracle returns
+``self_linking``, and its docstring holds the proof.  The tests check
+it by an independent route, a push-off by a finite Fraction offset.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .diagram import Crossing, TransverseDiagram
-from .errors import OracleError, TransknotError
-from .geometry import Vec, cross, sign
-from .transversality import regular_direction, require_valid, whitney_index
+from .errors import TransknotError
+from .geometry import cross, sign
+from .transversality import require_valid, whitney_index
 
 
 class InvariantValue(NamedTuple):
@@ -66,92 +66,40 @@ def self_linking(d: TransverseDiagram) -> int:
     return writhe(d)
 
 
-def _pushoff_once(d: TransverseDiagram, u: Vec):
-    """The oracle at the offset εu, ε > 0 infinitesimal; None signals an
-    intersection pattern other than the one a generic curve gives.
-
-    Reads the meets of the curve's ``pair_facts``: every pair i < j of
-    non-parallel edges whose closed segments meet, with the determinants
-    of the pair pass.  For original edge i running a -> a + e and copy
-    edge j running c + εu -> c + εu + f, with w = c - a, the pass gave
-    den = e×f, s = w×f and t = w×e, all three times sgn, the sign of
-    e×f, so that den > 0; the offset adds ε(u×f) to s and ε(u×e) to t.
-    The other order, original j against the copy of i, reads -den,
-    -t + ε(u×e) and -s + ε(u×f): once its den is made positive, the
-    same determinants with the ε terms negated.  u×t is taken once per
-    edge t.
-
-    An order is hit exactly when 0 < s + εa < den and 0 < t + εb < den,
-    a and b its ε terms.  The pass kept 0 <= s, t <= den, so on ints
-    that is: s > 0 or a > 0, s < den or a < 0, and the same for t and b.
-    u is parallel to no edge, so u×e and u×f are never 0 and no vertex
-    of either curve lies on the other.
-
-    Pairs that do not meet at ε = 0 are never hit, and neither are
-    parallel ones.  Adjacent pairs are not read: their hits are corner
-    hits, which sum to 0 (see ``pushoff_linking_oracle``).
-    """
-    ux, uz = u
-    ut = [ux * tz - uz * tx for tx, tz in d.curve.int_directions]
-    signs = {(c.lo, c.hi): s for c, s in zip(d.crossings, d.signs)}
-    hits: dict[tuple[int, int], int] = {}
-    total = 0
-    for i, j, den, s, t, sgn in d.curve.pair_facts[2]:
-        # order (i, j) has the ε terms (a, b), order (j, i) their negatives
-        ea, eb = sgn * ut[j], sgn * ut[i]
-        for a, b in ((ea, eb), (-ea, -eb)):
-            if not ((s > 0 or a > 0) and (s < den or a < 0)
-                    and (t > 0 or b > 0) and (t < den or b < 0)):
-                continue
-            pair = (i + 1, j + 1)
-            if pair not in signs:
-                return None  # a contact, which no generic curve has
-            # at an original crossing: the vertical order of the two
-            # strands is inherited, and the copy's edges point along the
-            # original's, so the hit has the crossing's sign
-            total += signs[pair]
-            hits[pair] = hits.get(pair, 0) + 1
-    if set(hits) != set(signs) or any(v != 2 for v in hits.values()):
-        return None
-    return total // 2
-
-
 def pushoff_linking_oracle(d: TransverseDiagram) -> int:
-    """Linking number of d with a translated copy of itself.
+    """Linking number of d with its push-off along the viewing
+    direction: the self-linking number, returned as ``self_linking(d)``.
 
-    Structural check for self_linking: the copy stands in for the
-    push-off along the viewing direction, whose projection offset is
-    εu, with u the ``regular_direction`` of the edges and ε > 0
-    infinitesimal (simulation of simplicity: Edelsbrunner and Mücke,
-    *ACM Trans. Graph.* 9(1), 1990).  Half the signed count of
-    knot-to-copy intersections is returned.  It succeeds on every valid
-    diagram:
+    The push-off projects to a copy of the front shifted by εu, with u
+    parallel to no edge and ε > 0 infinitesimal (simulation of
+    simplicity: Edelsbrunner and Mücke, *ACM Trans. Graph.* 9(1), 1990),
+    and the linking number is half the signed count of knot-to-copy
+    intersections.  On a valid diagram that count is twice the writhe:
 
     - A pair of edges is hit only if the closed segments meet at ε = 0,
-      and parallel edges are never hit, so the meets of the pair pass
-      hold every non-adjacent pair that can be hit.
+      and parallel edges are never hit.  On a generic curve two edges
+      that are not adjacent meet only where they cross, in one interior
+      point of both: every other contact is a genericity violation.
     - Each crossing pair (i, j) is hit exactly once in each order, edge
       i by the copy of edge j and j by the copy of i, whatever the ε
-      terms: both edge fractions lie strictly inside (0, 1).  The hit
-      has the inherited vertical order.
-    - On a generic curve two edges that neither cross nor share a vertex
-      are apart as closed segments, so they are never hit.
+      terms: both edge fractions lie strictly inside (0, 1).  The
+      vertical order of the two strands is inherited and the copy's
+      edges point along the original's, so each hit has the crossing's
+      sign.
     - The corner hits, at adjacent pairs, sum to 0 on every closed
-      polygon with no zero edge and no exact reversal, so they are not
-      counted.  At a
-      turning corner e -> f the copy of one edge crosses the other
-      exactly when sign(u×e) != sign(u×f), and the hit counts
-      sign(u×e); a straight corner is never hit.  Going round the
-      polygon, sign(u×e) changes from + to - as often as from - to +,
-      so the hits cancel.
+      polygon with no zero edge and no exact reversal.  At a turning
+      corner e -> f the copy of one edge crosses the other exactly when
+      sign(u×e) != sign(u×f), and the hit counts sign(u×e); a straight
+      corner is never hit.  Going round the polygon, sign(u×e) changes
+      from + to - as often as from - to +, so the hits cancel.
 
-    So a failed attempt means a broken invariant: it raises OracleError.
+    So the count needs no walk of its own: after ``require_valid`` it is
+    the sum of the crossing signs.  The independent route, a push-off by
+    a finite Fraction offset with its own intersection tests and its own
+    signs, is ``ref_oracle`` in ``tests/fraction_routines.py``; the
+    property tests hold it equal to the writhe on generated diagrams.
     """
-    require_valid(d)
-    result = _pushoff_once(d, regular_direction(d.curve.int_directions))
-    if result is None:
-        raise OracleError("the push-off meets the knot in a pattern no valid diagram gives")
-    return result
+    return self_linking(d)
 
 
 def _chords(d: TransverseDiagram, base: int = 1) -> list[list]:

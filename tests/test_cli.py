@@ -126,6 +126,23 @@ def test_oracle_sl(u_minus_file, trefoil_file):
     assert dispatch(["oracle-sl", trefoil_file]).stdout_lines == ["oracle_sl=1"]
 
 
+def test_oracle_sl_is_the_sl_line_on_every_benchmark_input():
+    # the same exit code from both commands; on a valid file oracle_sl=
+    # is the sl= line, and on an invalid one the oracle prints one line
+    inputs = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "inputs").glob("*/*.td"))
+    codes = []
+    for path in inputs:
+        oracle, values = dispatch(["oracle-sl", str(path)]), dispatch(["invariants", str(path)])
+        assert oracle.exit_code == values.exit_code
+        if values.exit_code == 0:
+            assert ["oracle_" + line for line in values.stdout_lines
+                    if line.startswith("sl=")] == oracle.stdout_lines
+        else:
+            assert len(oracle.stdout_lines) == 1
+        codes.append(values.exit_code)
+    assert len(inputs) == 12 and sorted(set(codes)) == [0, 1]
+
+
 class TestStabilize:
     def test_writes_stabilized_diagram(self, u_minus_file, tmp_path):
         out_path = tmp_path / "stab.txt"

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from transknot.diagram import Coorientation, Crossing, TransverseDiagram, build_diagram
-from transknot.errors import InvalidDiagramError, OracleError, TransknotError
+from transknot.errors import InvalidDiagramError, TransknotError
 from transknot.fixtures import (
     minus_unknot,
     one_crossing_unknots,
@@ -163,14 +163,3 @@ def test_each_crossing_is_signed_once(monkeypatch):
     assert pushoff_linking_oracle(d) == writhe(d) == -5
     assert sorted(signed) == list(d.crossings)
     assert d.signs == tuple(crossing_sign(d, c) for c in d.crossings)
-
-
-def test_oracle_makes_one_attempt(monkeypatch):
-    # one offset always suffices on a valid diagram, so a failed attempt
-    # is a broken invariant and is not retried at a smaller offset
-    calls = []
-    monkeypatch.setattr("transknot.invariants._pushoff_once",
-                        lambda d, u: calls.append(u))
-    with pytest.raises(OracleError):
-        pushoff_linking_oracle(trefoil_right())
-    assert len(calls) == 1

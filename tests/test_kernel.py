@@ -1,13 +1,14 @@
 """The int kernel against the Fraction reference predicates.
 
 ``detected_crossings``, ``genericity_violations``,
-``min_feature_separation2``, the clearance of the stabilization anchors
-and the push-off oracle run on vertices scaled to ints and compare only
-features whose closed boxes meet.  Each is checked with ``==`` against a
-plain all-pairs loop over the Fraction predicates of
-``transknot.geometry``.  The push-off oracle, which reads only the pairs
-the pair pass found to meet, is also checked against a walk over every
-pair of edges on the ints, adjacent ones included.  The pair pass, one
+``min_feature_separation2`` and the clearance of the stabilization
+anchors run on vertices scaled to ints and compare only features whose
+closed boxes meet.  Each is checked with ``==`` against a plain
+all-pairs loop over the Fraction predicates of ``transknot.geometry``,
+and the push-off oracle against a push-off at a finite Fraction offset
+(``fraction_routines.ref_oracle``).  The oracle is the writhe because on
+a generic curve the pairs of edges that meet are exactly the crossing
+pairs; that is checked on the reference pass.  The pair pass, one
 loop that keeps each crossing as the int triple of its point, is checked
 against the walk over the pairs of ``box_overlapping_pairs`` with one
 ``pair_determinants`` call each that it replaced, and a crossing built
@@ -42,7 +43,7 @@ from transknot.diagram import (
     parse_diagram,
     sort_violations,
 )
-from transknot.errors import DegenerateConeError, OracleError, ReversalError, TransknotError
+from transknot.errors import DegenerateConeError, ReversalError, TransknotError
 from transknot.fixtures import (
     minus_unknot,
     one_crossing_unknots,
@@ -74,7 +75,6 @@ from transknot.geometry import (
 )
 from transknot.invariants import (
     _chords,
-    _pushoff_once,
     crossing_sign,
     pushoff_linking_oracle,
     v2,
@@ -100,7 +100,7 @@ from transknot.transversality import (
     whitney_index,
 )
 
-from fraction_routines import add, corners
+from fraction_routines import add, corners, ref_oracle, ref_pushoff_once, ref_separation
 
 # --- the reference: all pairs, Fraction arithmetic -------------------------
 
@@ -156,21 +156,6 @@ def ref_genericity(curve):
     return tuple(sort_violations(out))
 
 
-def ref_separation(d):
-    curve = d.curve
-    n = curve.n
-    values = [dist2(a, b) for _, a, b in curve.edges()]
-    for k in range(1, n + 1):
-        for i in range(1, n + 1):
-            if (k - i) % n not in (0, 1):
-                values.append(point_segment_dist2(curve.vertex(k), *curve.edge(i)))
-    pts = [c.point for c in d.crossings]
-    values += [dist2(p, q) for s, p in enumerate(pts) for q in pts[s + 1:]]
-    if min(values) <= 0:
-        raise TransknotError("two features of the diagram coincide")
-    return min(values)
-
-
 def ref_clearance2(d, host, p):
     """Squared distance from p to every vertex, every edge except the
     host and every crossing point."""
@@ -185,68 +170,6 @@ def ref_clearance2(d, host, p):
     for c in d.crossings:
         best = min(best, dist2(p, c.point))
     return best
-
-
-def ref_pushoff_once(d, delta):
-    curve = d.curve
-    n = curve.n
-    orig = curve.vertices
-    copy = [add(p, delta) for p in orig]
-
-    def edge(pts, i):
-        return pts[(i - 1) % n], pts[i % n]
-
-    for w in copy:
-        for i in range(1, n + 1):
-            a, b = edge(orig, i)
-            if w == a or w == b or point_in_open_segment(w, a, b):
-                return None
-    for w in orig:
-        if any(point_in_open_segment(w, *edge(copy, i)) for i in range(1, n + 1)):
-            return None
-    by_pair = {(c.lo, c.hi): c for c in d.crossings}
-    hits = {}
-    total = corner_total = 0
-    for i in range(1, n + 1):
-        a, b = edge(orig, i)
-        for j in range(1, n + 1):
-            c, e = edge(copy, j)
-            if i == j or segment_intersection(a, b, c, e) is None:
-                continue
-            ti, tj = vec(a, b), vec(c, e)
-            pair = (min(i, j), max(i, j))
-            if pair in by_pair:
-                over_is_i = by_pair[pair].over_edge == i
-                total += sign(cross(ti, tj)) if over_is_i else sign(cross(tj, ti))
-                hits[pair] = hits.get(pair, 0) + 1
-            elif (j - i) % n in (1, n - 1):
-                total += sign(cross(ti, tj))
-                corner_total += sign(cross(ti, tj))
-            else:
-                return None
-    if set(hits) != set(by_pair) or any(v != 2 for v in hits.values()):
-        return None
-    if corner_total != 0 or total % 2 != 0:
-        return None
-    return total // 2
-
-
-def ref_oracle(d):
-    k = 0
-    while any(is_parallel(Vec(Fraction(1), Fraction(1 + k)), d.curve.direction(i))
-              for i in range(1, d.curve.n + 1)):
-        k += 1
-    u = Vec(Fraction(1), Fraction(1 + k))
-    m2 = ref_separation(d)
-    t = Fraction(1)
-    while t * t * dot(u, u) > m2 / 16:
-        t /= 2
-    for _ in range(48):
-        result = ref_pushoff_once(d, scale(u, t))
-        if result is not None:
-            return result
-        t /= 2
-    raise OracleError("no admissible push-off offset found")
 
 
 def outcome(fn, d):
@@ -477,14 +400,9 @@ def test_all_pairs_loops_on_the_ladder(k):
 
 
 def test_oracle_reads_the_pair_pass(monkeypatch):
-    # the oracle reads the meets the pair pass kept: once the pass has
-    # run, neither the kernel nor a sweep runs again, and on a valid
-    # diagram the meets are exactly the crossings
+    # the oracle sums the signs of the crossings the pair pass found:
+    # neither the kernel nor a sweep runs again
     made = [ladder(8), trefoil_right(), trefoil_left(), u_minus(), minus_unknot()]
-    for d in made:
-        meets = d.curve.pair_facts[2]
-        assert sorted((i + 1, j + 1) for i, j, *_ in meets) == \
-            [(lo, hi) for lo, hi, _ in d.curve.detected_crossings]
 
     def refuse(*args):
         raise AssertionError("the push-off oracle walked the edge pairs")
@@ -495,47 +413,6 @@ def test_oracle_reads_the_pair_pass(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
     for d in made:
         assert pushoff_linking_oracle(d) == writhe(d)
-
-
-def ref_pair_walk(d, u):
-    """The push-off at εu by a walk over every pair of edges, adjacent
-    ones included: (the oracle's result or None, the sum of the corner
-    hits).  Each pair gets one ``pair_determinants`` call on the scaled
-    ints, for both of its orders."""
-    curve = d.curve
-    n = curve.n
-    _, pts = curve.scaled
-    dirs = curve.int_directions
-    signs = {(c.lo, c.hi): s for c, s in zip(d.crossings, d.signs)}
-    hits = {}
-    total = corner_total = 0
-    apart = False
-    for i, j in itertools.combinations(range(n), 2):
-        e, f = dirs[i], dirs[j]
-        den, s, t, _, _ = geometry.pair_determinants(pts[i], e, pts[j], f)
-        if not den:
-            continue
-        sgn = 1 if den > 0 else -1
-        den, s, t = sgn * den, sgn * s, sgn * t
-        uf, ue = sgn * cross(u, f), sgn * cross(u, e)
-        for hit in (1, -1):
-            if not ((0, 0) < (s, hit * uf) < (den, 0) and (0, 0) < (t, hit * ue) < (den, 0)):
-                continue
-            pair = (i + 1, j + 1)
-            if pair in signs:
-                total += signs[pair]
-                hits[pair] = hits.get(pair, 0) + 1
-            elif j - i in (1, n - 1):
-                # at a shared corner the copy strand is under
-                total += hit * sgn
-                corner_total += hit * sgn
-            else:
-                apart = True
-    if apart or set(hits) != set(signs) or any(v != 2 for v in hits.values()):
-        return None, corner_total
-    if corner_total != 0 or total % 2 != 0:
-        return None, corner_total
-    return total // 2, corner_total
 
 
 def walked_diagrams():
@@ -556,29 +433,13 @@ def walked_diagrams():
             for lo, hi, p in c.detected_crossings))
 
 
-def test_pushoff_equals_the_walk_over_every_pair():
-    # corner hits cancel on a closed polygon whose edges are non-zero
-    # and never reverse, so skipping the adjacent pairs changes nothing.
-    # A zero edge splits the cycle of directions, but then the two edges
-    # around it share a vertex as a non-adjacent pair, and a hit there
-    # fails both routes
-    results = set()
-    for d in walked_diagrams():
-        u = regular_direction(d.curve.int_directions)
-        want, corner_total = ref_pair_walk(d, u)
-        assert _pushoff_once(d, u) == want
-        if (0, 0) not in d.curve.int_directions:
-            assert corner_total == 0
-        results.add(want is None)
-    assert results == {True, False}
-
-
 def ref_crossing_scan(curve):
     """The pair pass as it was before it kept crossings as int triples:
     (crossings with Fraction points, violations, meets (i, j, den, s,
-    t)).  It walks the pairs of ``box_overlapping_pairs`` over the edge
-    boxes, adjacent ones included, with one ``pair_determinants`` call
-    per pair."""
+    t)), a meet being a pair of non-parallel edges whose closed
+    segments meet.  It walks the pairs of ``box_overlapping_pairs`` over
+    the edge boxes, adjacent ones included, with one
+    ``pair_determinants`` call per pair."""
     n = curve.n
     scale, pts = curve.scaled
     dirs = curve.int_directions
@@ -626,6 +487,27 @@ def ref_crossing_scan(curve):
     return tuple(sorted(found)), tuple(sort_violations(out)), tuple(meets)
 
 
+def test_meets_of_a_generic_curve_are_its_crossings():
+    # the fact the push-off oracle rests on: where the pass finds no
+    # violation, two edges that are not adjacent meet only where they
+    # cross, so the copy can hit no other pair.  Many non-generic curves
+    # have meets that are not crossings
+    generic = other_meets = 0
+    curves = [*(d.curve for d in walked_diagrams()), *grid_curves(400),
+              *(make().curve for make in (trefoil_right, trefoil_left, u_minus, minus_unknot)),
+              *(ladder(k).curve for k in (0, 2, 4, 8))]
+    for curve in curves:
+        found, violations, meets = ref_crossing_scan(curve)
+        met = sorted((i + 1, j + 1) for i, j, *_ in meets)
+        crossed = [(lo, hi) for lo, hi, _ in found]
+        if violations:
+            other_meets += met != crossed
+        else:
+            assert met == crossed
+            generic += 1
+    assert generic > 400 and other_meets > 200
+
+
 def scanned_diagrams():
     """The fixtures, the ladder, generated diagrams and their
     stabilizations under both coorientations, and every seeded grid curve, with crossings as
@@ -649,16 +531,13 @@ def scanned_diagrams():
 def test_pair_pass_equals_the_walk_over_the_sweep():
     # one loop with its own sweep, corners walked apart and crossings
     # kept as int triples finds what the walk over the sweep's pairs
-    # found: the same crossings, violations, meets and along-edge order
+    # found: the same crossings, violations and along-edge order
     kinds = set()
     for d in scanned_diagrams():
         curve = d.curve
-        found, violations, meets = ref_crossing_scan(curve)
+        found, violations, _ = ref_crossing_scan(curve)
         assert curve.detected_crossings == found
         assert curve.genericity_violations == violations
-        assert sorted(m[:5] for m in curve.pair_facts[2]) == sorted(meets)
-        dirs = curve.int_directions
-        assert all(sgn == sign(cross(dirs[i], dirs[j])) for i, j, *_, sgn in curve.pair_facts[2])
         assert [(lo, hi) for lo, hi, _ in curve.pair_facts[0]] == [(lo, hi) for lo, hi, _ in found]
         assert d.crossings_along == ref_crossings_along(d)
         kinds.update(v.kind for v in violations)
@@ -812,9 +691,9 @@ def test_condition1_and_the_whitney_index_share_one_walk(monkeypatch):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_single_pushoff_attempts(seed):
-    # the offset εu against the finite offset t·u, for several u parallel
-    # to no edge, -u among them, and t small enough by the reference
-    # separation: both count the same hits
+    # the finite offset t·u counts the writhe for several u parallel to
+    # no edge, -u among them, with t small enough by the reference
+    # separation
     d = random_valid_diagram(seed)
     m2 = ref_separation(d)
     dirs = [d.curve.direction(i) for i in range(1, d.curve.n + 1)]
@@ -826,9 +705,7 @@ def test_single_pushoff_attempts(seed):
         t = Fraction(1)
         while t * t * dot(v, v) > m2 / 16:
             t /= 2
-        want = ref_pushoff_once(d, Vec(v.x * t, v.z * t))
-        assert want == writhe(d)
-        assert _pushoff_once(d, v) == want
+        assert ref_pushoff_once(d, Vec(v.x * t, v.z * t)) == writhe(d)
 
 
 def grid_curves(count):

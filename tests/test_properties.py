@@ -27,6 +27,8 @@ from transknot.invariants import pushoff_linking_oracle, v2, writhe
 from transknot.moves_singular import random_valid_diagram
 from transknot.transversality import validate, whitney_index
 
+from fraction_routines import ref_oracle
+
 DYADIC = st.builds(lambda n, e: Fraction(n, 2**e), st.integers(-8, 8), st.integers(0, 4))
 POSITIVE_DYADIC = st.builds(lambda n, e: Fraction(n, 2**e), st.integers(1, 8),
                             st.integers(0, 4))
@@ -82,7 +84,9 @@ def test_minus_validity_is_reversed_plus_validity(d, data):
 @PROFILE
 @given(diagrams())
 def test_oracle_is_the_writhe(d):
-    assert pushoff_linking_oracle(d) == writhe(d)
+    # the push-off at a finite Fraction offset, with its own intersection
+    # tests and its own signs, read from the over bits and the tangents
+    assert pushoff_linking_oracle(d) == ref_oracle(d) == writhe(d)
 
 
 @PROFILE

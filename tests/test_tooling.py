@@ -62,7 +62,7 @@ INT_ROUTINES = {
         "_crossing_scan", "least_dist2", "_parse_rational", "_rational_text",
         "serialize_diagram", "splice",
     },
-    "invariants.py": {"_pushoff_once", "_chords", "v2"},
+    "invariants.py": {"_chords", "v2"},
     "transversality.py": {
         "corner_turns", "check_condition1", "check_condition2", "whitney_index",
         "regular_direction",
