@@ -278,15 +278,24 @@ def render_svg(d: TransverseDiagram) -> str:
     passes under a crossing it is broken with a gap of radius one tenth
     of the minimum feature separation, which is what makes the over
     strand read as continuous.  z points up, so SVG y is -z.
+
+    The picture is drawn in floats, so a diagram that floats cannot
+    draw is refused first, exactly, with TransknotError: one with a
+    coordinate of absolute value 2**510 or more, or with two features
+    closer than 2**-511.  Below those bounds every coordinate, squared
+    edge length and squared separation is a normal float, and no
+    conversion overflows and no length is 0.
     """
-    sep = math.sqrt(float(min_feature_separation2(d)))
+    sep2 = min_feature_separation2(d)
+    if sep2 * 2**1022 < 1 or any(abs(c) >= 2**510 for p in d.curve.vertices for c in p):
+        raise TransknotError("coordinates from 2**510 or features within 2**-511 leave float range")
+    sep = math.sqrt(float(sep2))
     gap = sep / 10
 
     xs = [float(p.x) for p in d.curve.vertices]
     zs = [float(p.z) for p in d.curve.vertices]
-    margin = sep
-    min_x, max_x = min(xs) - margin, max(xs) + margin
-    min_y, max_y = -max(zs) - margin, -min(zs) + margin
+    min_x, max_x = min(xs) - sep, max(xs) + sep
+    min_y, max_y = -max(zs) - sep, -min(zs) + sep
 
     pieces = []
     for (i, a, b), along in zip(d.curve.edges(), d.crossings_along):

@@ -395,21 +395,25 @@ class Crossing(Frozen):
 
     ``xzd`` is the point as its canonical int triple (X, Z, D), the
     point (X/D, Z/D) with D > 0 and gcd(X, Z, D) = 1, so two points are
-    equal exactly when their triples are.  A crossing built from the
-    pair pass (``_exact``) holds the triple and builds ``point``, two
-    Fractions, on first read; one built from a point computes its triple
-    on first read of ``xzd``.  Either way the fields, equality, hash and
-    repr are those of (lo, hi, point, over).
+    equal exactly when their triples are; it is the one form the package
+    decides on.  The constructor converts its point once, over the lcm
+    of the two reduced denominators, and keeps the point; a crossing
+    built from the pair pass (``_exact``) holds only the triple and
+    builds ``point``, two Fractions, on first read.  Either way the
+    fields, equality, hash and repr are those of (lo, hi, point, over).
     """
 
-    __slots__ = ("lo", "hi", "over", "_point", "_xzd")
+    __slots__ = ("lo", "hi", "over", "xzd", "_point")
     _fields = ("lo", "hi", "point", "over")
     lo: int
     hi: int
     over: str  # "lo" or "hi"
 
     def __init__(self, lo: int, hi: int, point: Point, over: str):
-        self._set(lo, hi, point, None, over)
+        x, z = point
+        d = math.lcm(x.denominator, z.denominator)
+        self._set(lo, hi, point, (x.numerator * (d // x.denominator),
+                                  z.numerator * (d // z.denominator), d), over)
 
     @classmethod
     def _exact(cls, lo: int, hi: int, xzd: tuple[int, int, int], over: str) -> Crossing:
@@ -427,23 +431,13 @@ class Crossing(Frozen):
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "over", over)
         object.__setattr__(self, "_point", point)
-        object.__setattr__(self, "_xzd", xzd)
+        object.__setattr__(self, "xzd", xzd)
 
     @property
     def point(self) -> Point:
         if self._point is None:
-            object.__setattr__(self, "_point", _point(self._xzd))
+            object.__setattr__(self, "_point", _point(self.xzd))
         return self._point
-
-    @property
-    def xzd(self) -> tuple[int, int, int]:
-        if self._xzd is None:
-            # over the lcm of the two denominators the triple is canonical
-            x, z = self._point
-            d = math.lcm(x.denominator, z.denominator)
-            object.__setattr__(self, "_xzd", (x.numerator * (d // x.denominator),
-                                              z.numerator * (d // z.denominator), d))
-        return self._xzd
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
@@ -614,18 +608,19 @@ def min_feature_separation2(d: TransverseDiagram) -> Fraction:
     it, so that no gap reaches another feature.
 
     Runs by ``least_dist2`` on the vertices, as the points (k, 0) of the
-    curve, and the crossings as its spots.  The edge lengths come in as
-    its bound: every edge starts at a vertex, so the shortest edge that
-    a vertex starts is the shortest edge of all.
+    curve, and the crossings' int triples ``xzd`` as its spots.  The
+    edge lengths come in as its bound: every edge starts at a vertex, so
+    the shortest edge that a vertex starts is the shortest edge of all.
     """
     return least_dist2(d.curve, [(k, 0) for k in range(1, d.curve.n + 1)],
-                       [c.point for c in d.crossings])
+                       [c.xzd for c in d.crossings])
 
 
 def least_dist2(curve: PolyCurve, points, spots=()) -> Fraction:
     """The least squared distance from each of the points on the curve
     ``points``, a sequence, to every closed edge it does not lie on, and
-    between any two of the Fraction points ``spots``; exact, in plane
+    between any two of the ``spots``, points given as int triples (X, Z,
+    D) for (X/D, Z/D), as ``Crossing.xzd`` holds them; exact, in plane
     units.
 
     A point on the curve is a pair (i, f) with 0 <= f < 1: the point
@@ -648,12 +643,13 @@ def least_dist2(curve: PolyCurve, points, spots=()) -> Fraction:
     of each coordinate: (i, p/q) is (x*q + p*ex, z*q + p*ez, q) for the
     scaled start (x, z) and int direction (ex, ez) of edge i, read from
     ``curve.scaled`` and ``curve.int_directions``, and vertex i is its
-    scaled point over 1.  With w the mark less D times an edge's start
-    a, the distance to the edge's far end is that of w - D*e, because
-    the end is a + e exactly; the squared length ex*ex + ez*ez is taken
-    only where a mark lies beyond the edge's start.  Each distance is
-    kept as (num, den) and compared by cross-multiplication, so nothing
-    is divided.
+    scaled point over 1.  A spot (X, Z, D) in plane units is the mark
+    (L*X, L*Z, D) for the curve's scale L.  With w the mark less D times
+    an edge's start a, the distance to the edge's far end is that of
+    w - D*e, because the end is a + e exactly; the squared length
+    ex*ex + ez*ez is taken only where a mark lies beyond the edge's
+    start.  Each distance is kept as (num, den) and compared by
+    cross-multiplication, so nothing is divided.
     """
     (scale, starts), dirs = curve.scaled, curve.int_directions
     best, best_den = min(ex * ex + ez * ez for ex, ez in (dirs[i - 1] for i, _ in points)), 1
@@ -682,11 +678,7 @@ def least_dist2(curve: PolyCurve, points, spots=()) -> Fraction:
         if num * best_den < best * den:
             best, best_den = num, den
 
-    marks = []
-    for x, z in spots:
-        den = math.lcm(x.denominator, z.denominator)
-        marks.append((x.numerator * (den // x.denominator) * scale,
-                      z.numerator * (den // z.denominator) * scale, den))
+    marks = [(x * scale, z * scale, den) for x, z, den in spots]
     for s, t in box_overlapping_pairs(boxes(marks), reach):
         (x1, z1, d1), (x2, z2, d2) = marks[s], marks[t]
         num, den = (x1 * d2 - x2 * d1) ** 2 + (z1 * d2 - z2 * d1) ** 2, (d1 * d2) ** 2

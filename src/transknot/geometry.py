@@ -43,17 +43,18 @@ only distance routine, and ``halvings`` compares ints, split once from
 its int or Fraction arguments.
 
 So the package runs ``vec``, ``cross``, ``dot``, ``sign``, ``box``, the
-two box sweeps, ``in_open_cone`` and ``halvings``.  Its one corner rule,
-whether a corner's sweep passes a direction and which way the corner
-turns, is ``transversality.corner_turns``, on int directions.  The rest
-have no caller in the package outside this module and stay as the
-tests' references: the pair pass is checked against
-``pair_determinants``, and the int kernel against ``segment_crossing``,
-``point_in_open_segment``, ``segment_intersection``, ``dist2``,
-``point_segment_dist2`` and ``in_closed_cone``; the corner walk and
-condition 1 against ``corner_sweep_contains``, ``turn_sign``,
-``same_direction`` and ``is_parallel``; and ``scale`` and ``neg``
-build the tests' vectors.
+two box sweeps and ``halvings``.  Its one corner rule, whether a
+corner's sweep passes a direction and which way the corner turns, is
+``transversality.corner_turns``, and its one cone rule, whether a
+crossing's tangent cone holds the forbidden vertical, is
+``transversality.forced_over``, both on int directions.  The rest have
+no caller in the package outside this module and stay as the tests'
+references: the pair pass is checked against ``pair_determinants``, and
+the int kernel against ``segment_crossing``, ``point_in_open_segment``,
+``segment_intersection``, ``dist2``, ``point_segment_dist2``,
+``in_open_cone`` and ``in_closed_cone``; the corner walk and condition 1
+against ``corner_sweep_contains``, ``turn_sign``, ``same_direction`` and
+``is_parallel``; and ``scale`` and ``neg`` build the tests' vectors.
 """
 
 from __future__ import annotations

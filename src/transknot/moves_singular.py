@@ -437,8 +437,11 @@ def random_valid_diagram(
     random elsewhere, so the result always validates.  The same seed
     always yields the same diagram.
 
-    The rejection loop runs on ints; only the vertices become Fractions.
-    A search that finds no diagram in 2000 draws raises TransknotError.
+    The whole draw runs on ints: the vertices are int points, so the
+    curve is built from them at scale 1, and each crossing keeps the int
+    triple the pair pass found, as in a parse.  It builds no Fraction
+    but the points of the violations that reject a non-generic draw.  A
+    search that finds no diagram in 2000 draws raises TransknotError.
     """
     rng = random.Random(f"transknot/{seed!r}/{coorientation.value}")
     ref = reference(coorientation)
@@ -453,20 +456,17 @@ def random_valid_diagram(
         if parallel or any(corner_turns(dirs, ref)):
             continue
 
-        x = z = 0
-        pts = [Point(Fraction(0), Fraction(0))]
+        pts = [(0, 0)]
         for vx, vz in dirs[:-1]:
-            x, z = x + vx, z + vz
-            pts.append(Point(Fraction(x), Fraction(z)))
-        curve = PolyCurve(tuple(pts))
+            pts.append((pts[-1][0] + vx, pts[-1][1] + vz))
+        curve = PolyCurve._from_scaled(1, tuple(pts))
         if curve.genericity_violations:
             continue
 
-        crossings = []
-        for lo, hi, p in curve.detected_crossings:
-            over = forced_over(curve, coorientation, lo, hi) or rng.choice(("lo", "hi"))
-            crossings.append(Crossing(lo, hi, p, over))
-        d = TransverseDiagram(curve, coorientation, tuple(crossings))
+        d = TransverseDiagram(curve, coorientation, [
+            Crossing._exact(lo, hi, xzd, forced_over(curve, coorientation, lo, hi)
+                            or rng.choice(("lo", "hi")))
+            for lo, hi, xzd in curve.pair_facts[0]])
         require_valid(d)
         return d
     raise TransknotError(f"random diagram search failed for seed {seed!r}")

@@ -10,7 +10,11 @@ For the Minus coorientation both checks run on the orientation-reversed
 curve, which is the same as testing straight down on the original.  The
 sign rule is written once in each direction: ``invariants.crossing_sign``
 reads a crossing's sign from its over bit, and ``over_for_sign`` picks
-the over bit of a given sign.  The corner rule is written once too:
+the over bit of a given sign.  The cone rule is written once:
+``forced_over`` decides on int directions whether a crossing's tangent
+cone holds the forbidden vertical, and condition 2, double-point
+admissibility and the random generator all read it.  The corner rule is
+written once too:
 ``corner_turns`` tells, on int directions, whether each corner's sweep
 passes a direction and which way it turns, and condition 1, the Whitney
 index and ``moves_singular.random_valid_diagram`` all read it.
@@ -30,7 +34,7 @@ from .diagram import (
     sort_violations,
 )
 from .errors import InvalidDiagramError, NongenericCurveError, ReversalError
-from .geometry import Vec, cross, in_open_cone
+from .geometry import Vec, cross
 
 UP = Vec(0, 1)
 DOWN = Vec(0, -1)
@@ -138,36 +142,29 @@ def forced_over(curve: PolyCurve, coor: Coorientation, lo: int, hi: int) -> Opti
 
     Under condition 1 no tangent points along the forbidden vertical,
     so at a free crossing it is outside the closed cone too and either
-    over bit gives a valid diagram.  Decided on the curve's int
-    directions.
-    """
-    t_lo, t_hi = curve.int_directions[lo - 1], curve.int_directions[hi - 1]
-    if not in_open_cone(reference(coor), t_lo, t_hi):
-        return None
-    return over_for_sign(curve, lo, hi, -1)
-
-
-def check_condition2(d: TransverseDiagram) -> list[Violation]:
-    """Violations of the sign rule: crossings whose tangent cone holds
-    the forbidden vertical, the ones ``forced_over`` names, and whose
-    sign is not -1.
+    over bit gives a valid diagram.
 
     The cone is decided on the curve's int directions, with no vector
     built: with a and b the directions of edges lo and hi, k = a×b,
     which is not 0 at a crossing, and r = (0, rz) the forbidden
     vertical, Cramer's rule gives r = p*a + q*b with p = r×b / k =
     -rz*bx / k and q = a×r / k = rz*ax / k, and the cone holds r exactly
-    when both are positive.  Only there is the over bit of sign -1 read.
+    when both are positive: rz*ax*k > 0 > rz*bx*k.
     """
-    dirs = d.curve.int_directions
-    rz = reference(d.coorientation).z
-    out = []
-    for c in d.crossings:
-        (ax, az), (bx, bz) = dirs[c.lo - 1], dirs[c.hi - 1]
-        k = ax * bz - az * bx
-        if rz * ax * k > 0 > rz * bx * k and c.over != over_for_sign(d.curve, c.lo, c.hi, -1):
-            out.append(Violation(ViolationKind.ForbiddenCrossing, point=c.point))
-    return sort_violations(out)
+    (ax, az), (bx, bz) = curve.int_directions[lo - 1], curve.int_directions[hi - 1]
+    k, rz = ax * bz - az * bx, reference(coor).z
+    if not rz * ax * k > 0 > rz * bx * k:
+        return None
+    return over_for_sign(curve, lo, hi, -1)
+
+
+def check_condition2(d: TransverseDiagram) -> list[Violation]:
+    """Violations of the sign rule: crossings whose over bit
+    ``forced_over`` forces, because their tangent cone holds the
+    forbidden vertical, and which carry the other bit, of sign +1."""
+    return sort_violations(
+        Violation(ViolationKind.ForbiddenCrossing, point=c.point) for c in d.crossings
+        if forced_over(d.curve, d.coorientation, c.lo, c.hi) not in (None, c.over))
 
 
 def validate(d: TransverseDiagram) -> ValidityReport:

@@ -1,10 +1,11 @@
 import hashlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from transknot.cli import MAX_COUNT, MAX_ORDER, MAX_RESOLUTIONS, dispatch, render_svg
-from transknot.diagram import parse_diagram, serialize_diagram
+from transknot.diagram import build_diagram, parse_diagram, serialize_diagram
 from transknot.fixtures import trefoil_right, u_minus, u_minus_forbidden
 from transknot.invariants import self_linking, v2, writhe
 from transknot.moves_singular import (
@@ -15,6 +16,8 @@ from transknot.moves_singular import (
     make_singular,
     resolve,
 )
+
+FLOAT_RANGE_ERROR = "error: coordinates from 2**510 or features within 2**-511 leave float range"
 
 
 @pytest.fixture
@@ -486,8 +489,30 @@ class TestUnexpectedErrors:
         out = dispatch(["render", self.triangle(tmp_path, "1e400"), "-o", str(out_path)])
         assert out.exit_code == 1
         assert len(out.stdout_lines) == 1
-        assert out.stdout_lines[0].startswith("error: OverflowError: ")
+        assert out.stdout_lines == [FLOAT_RANGE_ERROR]
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("source", ["huge", "tiny"])
+    def test_render_out_of_float_range_is_a_domain_error(self, tmp_path, source):
+        # a float would overflow on the huge triangle and divide by a
+        # length that underflowed to 0 on the tiny u_minus; both are
+        # refused before any float is taken, and no file is written
+        if source == "huge":
+            path = self.triangle(tmp_path, "4e999")
+        else:
+            d, factor = u_minus(), Fraction(1, 10**400)
+            tiny = build_diagram([(p.x * factor, p.z * factor) for p in d.curve.vertices],
+                                 d.coorientation, {(c.lo, c.hi): c.over for c in d.crossings})
+            path = tmp_path / "tiny.td"
+            path.write_text(serialize_diagram(tiny), encoding="utf-8")
+        out_path = tmp_path / "out.svg"
+        out = dispatch(["render", str(path), "-o", str(out_path)])
+        assert (out.exit_code, out.stdout_lines) == (1, [FLOAT_RANGE_ERROR])
+        assert not out_path.exists()
+        # just inside the bounds the picture is drawn
+        inside = dispatch(["render", self.triangle(tmp_path, str(2**509)), "-o", str(out_path)])
+        assert (inside.exit_code, inside.stdout_lines) == (0, [])
+        assert "inf" not in out_path.read_text(encoding="utf-8")
 
     def test_any_exception_is_one_error_line(self, u_minus_file, monkeypatch):
         def broken(d):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from transknot import diagram
 from transknot.cli import MAX_COUNT
 from transknot.diagram import (
     MAX_DENOMINATOR_BITS,
@@ -39,9 +40,9 @@ from transknot.fixtures import (
     u_minus,
     u_minus_forbidden,
 )
-from transknot.geometry import Point, box_overlapping_pairs
+from transknot.geometry import Point, box_overlapping_pairs, dist2
 from transknot.invariants import invariant_values, pushoff_linking_oracle
-from transknot.moves_singular import stabilize
+from transknot.moves_singular import random_valid_diagram, stabilize
 from transknot.transversality import validate
 
 from fraction_routines import corners, fraction_token
@@ -470,6 +471,49 @@ class TestIntRepresentation:
         assert len(built) == 2 * len(d.crossings)  # two coordinates of each point
         assert [c.point for c in d.crossings] == points
         assert len(built) == 2 * len(d.crossings)  # built once
+
+    @staticmethod
+    def count_fractions(monkeypatch):
+        built, original = [], Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        return built
+
+    def test_random_draw_builds_only_rejection_points(self, monkeypatch):
+        # the draw, its curve and its crossings stay on ints; the only
+        # Fractions are the points of the violations that reject a
+        # non-generic draw, two coordinates each
+        scan, points = diagram._crossing_scan, []
+
+        def scanned(curve, limit=None):
+            facts = scan(curve, limit)
+            points.extend(v.point for v in facts[1] if v.point is not None)
+            return facts
+
+        monkeypatch.setattr(diagram, "_crossing_scan", scanned)
+        built = self.count_fractions(monkeypatch)
+        for seed in range(4):
+            for coor in Coorientation:
+                d = random_valid_diagram(seed, coor)
+                assert validate(d).is_valid and d.crossings
+        assert len(points) == 1  # seed 2 under Minus rejects a draw at a vertex
+        assert len(built) == 2 * len(points)
+
+    def test_separation_builds_only_its_result(self, monkeypatch):
+        # the crossings go in as their int triples, and only the least
+        # distance comes out as a Fraction
+        d = parse_diagram(LADDER_K8.read_text(encoding="utf-8"))
+        built = self.count_fractions(monkeypatch)
+        sep2 = min_feature_separation2(d)
+        assert len(built) == 1 and sep2 > 0
+        monkeypatch.undo()
+        assert sep2 == min(min_feature_separation2(TransverseDiagram(d.curve, d.coorientation, ())),
+                           *(dist2(a.point, b.point) for a, b in
+                             itertools.combinations(d.crossings, 2)))
 
     def test_parse_computes_the_lcm_once(self, monkeypatch):
         text = LADDER_K8.read_text(encoding="utf-8")

@@ -65,7 +65,7 @@ INT_ROUTINES = {
     "invariants.py": {"_chords", "v2"},
     "transversality.py": {
         "corner_turns", "check_condition1", "check_condition2", "whitney_index",
-        "regular_direction",
+        "regular_direction", "forced_over",
     },
 }
 
@@ -162,13 +162,15 @@ def test_only_the_random_diagram_search_retries():
 # perfbench/tracer.py counts the calls of the Fraction ones, so they stay
 # in the package, but only they call one another.  ``corner_sweep_contains``
 # and ``turn_sign`` are the corner rule that ``transversality.corner_turns``
-# writes once on ints, ``same_direction`` and ``is_parallel`` the edge and
-# corner tests that condition 1 and the random search take inline,
-# ``pair_determinants`` the determinants that the pair pass takes inline,
-# and ``scale`` and ``neg`` build the tests' vectors.
+# writes once on ints, ``in_open_cone`` the cone rule that
+# ``transversality.forced_over`` writes once on ints, ``same_direction``
+# and ``is_parallel`` the edge and corner tests that condition 1 and the
+# random search take inline, ``pair_determinants`` the determinants that
+# the pair pass takes inline, and ``scale`` and ``neg`` build the tests'
+# vectors.
 REFERENCE_ROUTINES = {"segment_intersection", "dist2", "point_segment_dist2", "in_closed_cone",
-                      "turn_sign", "corner_sweep_contains", "same_direction", "is_parallel",
-                      "pair_determinants", "scale", "neg"}
+                      "in_open_cone", "turn_sign", "corner_sweep_contains", "same_direction",
+                      "is_parallel", "pair_determinants", "scale", "neg"}
 
 
 def _own_locals(fn):

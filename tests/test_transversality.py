@@ -7,13 +7,14 @@ from transknot.diagram import (
     Crossing,
     PolyCurve,
     TransverseDiagram,
+    Violation,
     ViolationKind,
     build_diagram,
     reversed_curve,
 )
 from transknot.errors import InvalidDiagramError, NongenericCurveError
 from transknot.fixtures import minus_unknot, trefoil_right, u_minus, u_minus_forbidden
-from transknot.geometry import Point, in_closed_cone, neg
+from transknot.geometry import Point, in_closed_cone, in_open_cone, neg
 from transknot.invariants import self_linking
 from transknot.moves_singular import random_valid_diagram, stabilize
 from transknot.transversality import (
@@ -22,6 +23,7 @@ from transknot.transversality import (
     check_condition2,
     check_validity,
     forced_over,
+    over_for_sign,
     require_valid,
     validate,
     whitney_index,
@@ -104,9 +106,13 @@ class TestCondition2:
 def test_forced_over_agrees_with_the_closed_cone(seed, coor):
     """On valid diagrams a crossing is free exactly when up lies outside
     the closed cone of the (Minus: reversed) tangents, and a forced
-    crossing puts the leftward strand on top."""
+    crossing puts the leftward strand on top.  With any one over bit
+    flipped, condition 2 reports exactly what the reference cone test
+    and the bit of sign -1 report."""
     base = random_valid_diagram(seed, coor)
+    cones = []
     for d in (base, stabilize(base, 1, 2)):
+        in_cone = []
         for c in d.crossings:
             t_lo, t_hi = d.curve.direction(c.lo), d.curve.direction(c.hi)
             if coor is Coorientation.MINUS:
@@ -116,6 +122,15 @@ def test_forced_over_agrees_with_the_closed_cone(seed, coor):
             if forced is not None:
                 assert (t_lo if forced == "lo" else t_hi).x < 0
                 assert (t_hi if forced == "lo" else t_lo).x > 0
+            in_cone.append(in_open_cone(UP, t_lo, t_hi))
+        assert check_condition2(d) == []
+        for c, cone in zip(d.crossings, in_cone):
+            other = "hi" if c.over == "lo" else "lo"
+            bad = cone and other != over_for_sign(d.curve, c.lo, c.hi, -1)
+            expected = [Violation(ViolationKind.ForbiddenCrossing, point=c.point)] if bad else []
+            assert check_condition2(d.with_over({(c.lo, c.hi): other})) == expected
+        cones += in_cone
+    assert True in cones and False in cones  # both kinds of crossing are flipped
 
 
 class TestValidate:
