@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, total_ordering
+from functools import cache, cached_property, cmp_to_key, total_ordering
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .errors import CrossingMismatchError, NongenericCurveError, ParseError, TransknotError
@@ -128,6 +129,12 @@ class PolyCurve(Frozen):
     converts them once and keeps them as that view.  The parser and the
     moves hand their ints to ``_from_scaled``, the moves through
     ``splice``, and build no vertex Fraction.
+
+    ``vertex_text`` is the curve's vertex lines as ``serialize_diagram``
+    writes them, formatted from the ints on first write.  A curve read
+    from canonical text keeps the lines it was read from instead, so
+    writing it back formats nothing; ``resolve`` and ``with_over`` keep
+    their host's curve, and with it that text.
     """
 
     _fields = ("vertices",)
@@ -164,6 +171,13 @@ class PolyCurve(Frozen):
         """The vertices as Fraction points, built from ``scaled`` once."""
         scale, pts = self.scaled
         return tuple(Point(Fraction(x, scale), Fraction(z, scale)) for x, z in pts)
+
+    @cached_property
+    def vertex_text(self) -> str:
+        """One line "x z\\n" per vertex, each coordinate as
+        ``str(Fraction)`` writes it; formatted once, on first read."""
+        scale, pts = self.scaled
+        return "".join(f"{_rational_text(x, scale)} {_rational_text(z, scale)}\n" for x, z in pts)
 
     @property
     def n(self) -> int:
@@ -834,15 +848,78 @@ def _rational_text(p: int, q: int) -> str:
     return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
-def parse_diagram(text: str) -> TransverseDiagram:
-    """Parse the text format; raises ParseError on any defect.
+@cache
+def _canonical_pattern() -> re.Pattern:
+    """The whole of a text as ``serialize_diagram`` writes it, its
+    coorientation, vertex lines and crossing lines as the three groups;
+    compiled on the first parse, so a command that reads no diagram pays
+    nothing for it.
 
-    The curve must be generic, and the declared crossing list must
-    match the geometrically detected one exactly (CrossingMismatchError
-    otherwise); in both cases the violations travel on the ParseError.
-    A file past MAX_VERTICES, MAX_DENOMINATOR_BITS or MAX_EDGE_PAIRS is
-    refused before the work they bound is done.
+    A token is 0, or a non-zero integer or fraction with an optional
+    minus sign, written in [0-9] with no leading zero, no ``+``, no
+    underscore and a denominator of at least 2.  Each block of lines is
+    matched inside a lookahead, which a failed match never re-enters,
+    and taken by a backreference: an atomic group in the syntax of
+    Python 3.10.  So no match backtracks into a block, and a text broken
+    on its last line is refused in one pass.
     """
+    token = r"(?:0|-?[1-9][0-9]*(?:/(?:[1-9][0-9]+|[2-9]))?)"
+    index = r"[1-9][0-9]*"
+    return re.compile(
+        f"{re.escape(FORMAT_HEADER)}\ncoorientation: ([+-])\nvertices:\n"
+        f"(?=((?:{token} {token}\n)+))\\2over:\n"
+        f"(?=((?:cross {index} {index} over=(?:lo|hi)\n)*))\\3end\n")
+
+
+def _read_canonical(text: str):
+    """(curve, coorientation, declared over bits) of a text in the form
+    ``serialize_diagram`` writes, read by one match of
+    ``_canonical_pattern``, or None: the line reader reads everything
+    else.  It declines, and raises nothing, unless the text matches and
+    is exactly what the line reader would accept: every limit holds,
+    read at call time, every fraction is in lowest terms, and the
+    crossing pairs are in range and strictly ascending.  The vertex
+    count and the token length are checked before any token is
+    converted, and the lcm of the denominators before any numerator is.
+    The curve keeps the matched vertex lines as its ``vertex_text``:
+    with every fraction in lowest terms, they are the lines it writes.
+    """
+    m = _canonical_pattern().fullmatch(text)
+    if m is None:
+        return None
+    sign, block, lines = m.groups()
+    n = block.count("\n")
+    tokens = block.split()
+    if not 3 <= n <= MAX_VERTICES or max(map(len, tokens)) > MAX_TOKEN_CHARS:
+        return None
+    nums, _, dens = zip(*[token.partition("/") for token in tokens])
+    den_of = {q: int(q) if q else 1 for q in set(dens)}
+    scale = 1
+    for den in den_of.values():
+        scale = math.lcm(scale, den)
+        if scale.bit_length() > MAX_DENOMINATOR_BITS:
+            return None
+    ps, qs = list(map(int, nums)), [den_of[q] for q in dens]
+    if max(map(math.gcd, ps, qs)) > 1:  # a fraction not in lowest terms
+        return None
+    ints = [p * (scale // q) for p, q in zip(ps, qs)]
+
+    words = lines.split()
+    if max(map(len, words[1::4] + words[2::4]), default=0) > len(str(n)):  # an index past n
+        return None
+    pairs = list(zip(map(int, words[1::4]), map(int, words[2::4])))
+    if not all(lo < hi <= n for lo, hi in pairs) or pairs != sorted(set(pairs)):
+        return None
+    curve = PolyCurve._from_scaled(scale, tuple(zip(ints[::2], ints[1::2])))
+    vars(curve)["vertex_text"] = block  # the cache of PolyCurve.vertex_text
+    coor = Coorientation.PLUS if sign == "+" else Coorientation.MINUS
+    return curve, coor, dict(zip(pairs, [word[5:] for word in words[3::4]]))
+
+
+def _read_lines(text: str):
+    """(curve, coorientation, declared over bits) of any text the format
+    admits, read line by line; the source of every ParseError about the
+    text itself."""
     lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -914,7 +991,25 @@ def parse_diagram(text: str) -> TransverseDiagram:
         raise ParseError(lines[pos][0], "content after 'end'")
 
     ints = [p * (scale // q) for p, q in coords]
-    curve = PolyCurve._from_scaled(scale, tuple(zip(ints[::2], ints[1::2])))
+    return PolyCurve._from_scaled(scale, tuple(zip(ints[::2], ints[1::2]))), coor, declared
+
+
+def parse_diagram(text: str) -> TransverseDiagram:
+    """Parse the text format; raises ParseError on any defect.
+
+    The curve must be generic, and the declared crossing list must
+    match the geometrically detected one exactly (CrossingMismatchError
+    otherwise); in both cases the violations travel on the ParseError.
+    A file past MAX_VERTICES, MAX_DENOMINATOR_BITS or MAX_EDGE_PAIRS is
+    refused before the work they bound is done.
+
+    Text in the form ``serialize_diagram`` writes, as every file the
+    command line writes is, is read by one match (``_read_canonical``);
+    any other spelling, and any canonical text that breaks a rule, by
+    the line reader, which gives the same diagram or the same error.
+    Both hand their curve to the one pair pass and the checks below.
+    """
+    curve, coor, declared = _read_canonical(text) or _read_lines(text)
     facts = _crossing_scan(curve, MAX_EDGE_PAIRS)
     if facts is None:
         raise ParseError(0, f"more than {MAX_EDGE_PAIRS} pairs of edges with meeting boxes")
@@ -928,13 +1023,10 @@ def parse_diagram(text: str) -> TransverseDiagram:
 
 
 def serialize_diagram(d: TransverseDiagram) -> str:
-    """Canonical text; round-trips byte-for-byte through parse_diagram."""
-    out = [FORMAT_HEADER, f"coorientation: {d.coorientation.value}", "vertices:"]
-    scale, pts = d.curve.scaled
-    for x, z in pts:
-        out.append(f"{_rational_text(x, scale)} {_rational_text(z, scale)}")
-    out.append("over:")
-    for c in d.crossings:
-        out.append(f"cross {c.lo} {c.hi} over={c.over}")
-    out.append("end")
-    return "\n".join(out) + "\n"
+    """Canonical text; round-trips byte-for-byte through parse_diagram.
+
+    The vertex lines are the curve's ``vertex_text``: formatted once per
+    curve, and not at all for a curve read from canonical text."""
+    crossings = "".join(f"cross {c.lo} {c.hi} over={c.over}\n" for c in d.crossings)
+    return (f"{FORMAT_HEADER}\ncoorientation: {d.coorientation.value}\nvertices:\n"
+            f"{d.curve.vertex_text}over:\n{crossings}end\n")

@@ -42,7 +42,14 @@ from transknot.fixtures import (
 )
 from transknot.geometry import Point, box_overlapping_pairs, dist2
 from transknot.invariants import invariant_values, pushoff_linking_oracle
-from transknot.moves_singular import random_valid_diagram, stabilize
+from transknot.moves_singular import (
+    Resolution,
+    ResolutionAssignment,
+    make_singular,
+    random_valid_diagram,
+    resolve,
+    stabilize,
+)
 from transknot.transversality import validate
 
 from fraction_routines import corners, fraction_token
@@ -527,6 +534,38 @@ class TestIntRepresentation:
         assert validate(d).is_valid and invariant_values(d)
         assert serialize_diagram(d) == text
         assert len(calls) == len(denominators)
+
+    @staticmethod
+    def count_formatting(monkeypatch) -> list:
+        calls, original = [], diagram._rational_text
+        monkeypatch.setattr(diagram, "_rational_text",
+                            lambda p, q: calls.append((p, q)) or original(p, q))
+        return calls
+
+    def test_canonical_text_writes_back_unformatted(self, monkeypatch):
+        text = LADDER_K8.read_text(encoding="utf-8")
+        calls = self.count_formatting(monkeypatch)
+        assert serialize_diagram(parse_diagram(text)) == text
+        assert calls == []
+
+    def test_a_moved_curve_formats_once(self, monkeypatch):
+        d = stabilize(trefoil_right(), 5, 3)
+        calls = self.count_formatting(monkeypatch)
+        text = serialize_diagram(d)
+        assert len(calls) == 2 * d.curve.n
+        assert serialize_diagram(d) == text and len(calls) == 2 * d.curve.n
+        monkeypatch.undo()
+        assert parse_diagram(text) == d
+
+    def test_a_resolution_writes_its_hosts_text(self, monkeypatch):
+        text = LADDER_K8.read_text(encoding="utf-8")
+        d = parse_diagram(text)
+        s = make_singular(d, [1, 2])  # two crossings whose over bit is free
+        flips = {i: Resolution.NEG if d.signs[i] > 0 else Resolution.POS for i in (1, 2)}
+        calls = self.count_formatting(monkeypatch)
+        out = serialize_diagram(resolve(s, ResolutionAssignment(flips)))
+        assert calls == []
+        assert vertex_tokens(out) == vertex_tokens(text) and out != text
 
     @pytest.mark.parametrize("path", INPUTS, ids=lambda p: p.name)
     def test_points_and_text_give_one_curve(self, path):

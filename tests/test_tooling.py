@@ -60,7 +60,7 @@ INT_ROUTINES = {
     },
     "diagram.py": {
         "_crossing_scan", "least_dist2", "_parse_rational", "_rational_text",
-        "serialize_diagram", "splice",
+        "_read_canonical", "serialize_diagram", "splice",
     },
     "invariants.py": {"_chords", "v2"},
     "transversality.py": {
@@ -243,3 +243,18 @@ def test_moves_read_no_int_kernel_units():
         and node.attr in ("scaled", "int_directions", "int_edges")
     ]
     assert found == []
+
+
+def test_the_one_match_reader_raises_nothing():
+    # the canonical route declines whatever it does not read, so every
+    # diagnostic about a text comes from the line reader; and it has
+    # one caller
+    path = Path(transknot.__file__).parent / "diagram.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    found = [f"{name}:{node.lineno}" for name in ("_canonical_pattern", "_read_canonical")
+             for node in ast.walk(functions[name]) if isinstance(node, ast.Raise)]
+    assert found == []
+    callers = {name for name, f in functions.items() for node in ast.walk(f)
+               if isinstance(node, ast.Name) and node.id == "_read_canonical"}
+    assert callers == {"parse_diagram"}
