@@ -793,17 +793,17 @@ MAX_EDGE_PAIRS = 100_000
 
 def _parse_rational(token: str, lineno: int) -> tuple[int, int]:
     """The value of ``Fraction(token)`` as a reduced pair (numerator,
-    denominator > 0), read with ints alone; a token that Fraction refuses,
-    or one past the limits above, raises ParseError.
+    denominator > 0); a token that Fraction refuses, or one past the
+    limits above, raises ParseError.
 
     An integer or an a/b token, all that serialize_diagram writes, is
     read by int() on either side of the slash, with no sign on the
-    denominator and the denominator not 0.  Any other token must be a
-    decimal: a sign, digits before a point, after it or both, and an
-    exponent.  A token holds no whitespace, so int() reads a part of it
-    exactly when the part is a sign and digits with single underscores
-    between them, as Fraction reads each part; a part that starts with a
-    digit has no sign.
+    denominator and the denominator not 0, and builds no Fraction: a
+    token holds no whitespace, so int() reads each side as Fraction
+    does.  Any other token is read by ``Fraction(token)`` itself, once
+    its exponent is known to be small.  The ones it accepts are
+    decimals, with a point, an exponent or both, in Fraction's grammar,
+    which takes PEP 515 underscores from Python 3.11 on.
     """
     if len(token) > MAX_TOKEN_CHARS:
         raise ParseError(lineno, f"rational token longer than {MAX_TOKEN_CHARS} characters")
@@ -815,7 +815,7 @@ def _parse_rational(token: str, lineno: int) -> tuple[int, int]:
     if q > 0 and den[:1] != "+":
         g = math.gcd(p, q)
         return p // g, q // g
-    mantissa, e, exponent = token.lower().partition("e")
+    _, e, exponent = token.lower().partition("e")
     if e:
         try:
             too_large = abs(int(exponent)) > MAX_EXPONENT
@@ -823,23 +823,14 @@ def _parse_rational(token: str, lineno: int) -> tuple[int, int]:
             too_large = False  # no exponent: the token is refused below
         if too_large:
             raise ParseError(lineno, f"exponent of {token!r} exceeds {MAX_EXPONENT}")
-    whole, _, fraction = mantissa[mantissa[:1] in "+-":].partition(".")
     try:
-        if not (whole or fraction) or not all(s[:1].isdecimal() for s in (whole, fraction) if s):
-            raise ValueError(token)
-        q = 10 ** len(fraction.replace("_", ""))
-        p = int(whole or "0") * q + int(fraction or "0")
-        shift = int(exponent) if e else 0
-    except ValueError:
+        value = Fraction(token)
+    except (ValueError, ZeroDivisionError):
         raise ParseError(lineno, f"bad rational {token!r}") from None
-    sign = -1 if mantissa[:1] == "-" else 1
-    p, q = sign * p * 10 ** max(shift, 0), q * 10 ** max(-shift, 0)
-    g = math.gcd(p, q)
-    p, q = p // g, q // g
-    if len(_rational_text(p, q)) > MAX_TOKEN_CHARS:
+    if len(str(value)) > MAX_TOKEN_CHARS:
         raise ParseError(lineno, f"{token!r} written as a fraction is longer than "
                                  f"{MAX_TOKEN_CHARS} characters")
-    return p, q
+    return value.numerator, value.denominator
 
 
 def _rational_text(p: int, q: int) -> str:
@@ -858,17 +849,16 @@ def _canonical_pattern() -> re.Pattern:
     A token is 0, or a non-zero integer or fraction with an optional
     minus sign, written in [0-9] with no leading zero, no ``+``, no
     underscore and a denominator of at least 2.  Each block of lines is
-    matched inside a lookahead, which a failed match never re-enters,
-    and taken by a backreference: an atomic group in the syntax of
-    Python 3.10.  So no match backtracks into a block, and a text broken
-    on its last line is refused in one pass.
+    matched by a possessive quantifier (Python 3.11), which gives back
+    no line it took: no match backtracks into a block, and a text
+    broken on its last line is refused in one pass.
     """
     token = r"(?:0|-?[1-9][0-9]*(?:/(?:[1-9][0-9]+|[2-9]))?)"
     index = r"[1-9][0-9]*"
     return re.compile(
         f"{re.escape(FORMAT_HEADER)}\ncoorientation: ([+-])\nvertices:\n"
-        f"(?=((?:{token} {token}\n)+))\\2over:\n"
-        f"(?=((?:cross {index} {index} over=(?:lo|hi)\n)*))\\3end\n")
+        f"((?:{token} {token}\n)++)over:\n"
+        f"((?:cross {index} {index} over=(?:lo|hi)\n)*+)end\n")
 
 
 def _read_canonical(text: str):

@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -419,6 +420,10 @@ TOKENS = [
 ]
 
 
+# the SHA-256 of the repr of the outcomes of the short tokens, then of TOKENS
+TOKEN_OUTCOMES_SHA256 = "e93544d3d8cc69814ffe5c317ea14e1e646ffd1d8a8f3eeb757bc69449f61e49"
+
+
 def read(reader, token):
     """The pair a token reader returns, or its ParseError's line and text."""
     try:
@@ -442,6 +447,11 @@ class TestTokens:
                 assert read(_parse_rational, token) == outcomes[-1], token
         values = [x for x in outcomes if isinstance(x[1], int)]  # not (line, message)
         assert len(values) > 500 and len(outcomes) - len(values) > 5000
+        # both readers lean on Fraction's grammar, so the outcomes are
+        # pinned too: a Python whose Fraction reads another grammar
+        # (3.10 refuses underscores) fails here
+        outcomes += [read(_parse_rational, token) for token in TOKENS]
+        assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == TOKEN_OUTCOMES_SHA256
 
 
 LADDER_K8 = (Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "ladder"
@@ -566,6 +576,21 @@ class TestIntRepresentation:
         out = serialize_diagram(resolve(s, ResolutionAssignment(flips)))
         assert calls == []
         assert vertex_tokens(out) == vertex_tokens(text) and out != text
+
+    def test_the_line_reader_reads_ints_alone(self, monkeypatch):
+        # a comment sends the rung to the line reader, whose int branch
+        # reads every token the serializer writes without a Fraction
+        text = LADDER_K8.read_text(encoding="utf-8")
+        noted = text.replace("vertices:\n", "vertices:\n# note\n", 1)
+        assert diagram._read_canonical(noted) is None
+        built = self.count_fractions(monkeypatch)
+        d = parse_diagram(noted)
+        assert validate(d).is_valid
+        assert [iv.value for iv in invariant_values(d)] == [-15, -15, 0, 23, 1]
+        assert serialize_diagram(d) == text
+        assert built == []
+        monkeypatch.undo()
+        assert d == parse_diagram(text)
 
     @pytest.mark.parametrize("path", INPUTS, ids=lambda p: p.name)
     def test_points_and_text_give_one_curve(self, path):

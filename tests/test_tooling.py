@@ -1,12 +1,15 @@
 """Guards on the package source itself."""
 
 import ast
+import re
+import tomllib
 from pathlib import Path
 
 import transknot
 from transknot import errors
 
 SOURCES = sorted(Path(transknot.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_sources_found():
@@ -258,3 +261,24 @@ def test_the_one_match_reader_raises_nothing():
     callers = {name for name, f in functions.items() for node in ast.walk(f)
                if isinstance(node, ast.Name) and node.id == "_read_canonical"}
     assert callers == {"parse_diagram"}
+
+
+def test_one_interpreter_floor():
+    # _parse_rational reads decimals by Fraction, whose grammar takes
+    # PEP 515 underscores from 3.11 on, and _canonical_pattern needs the
+    # possessive quantifiers of 3.11's re: the floor is stated once, in
+    # the metadata and the README, and no module branches on a version
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("version", "version_info")
+        and isinstance(node.value, ast.Name) and node.value.id == "sys"
+        or isinstance(node, ast.ImportFrom) and node.module == "sys"
+        and {alias.name for alias in node.names} & {"version", "version_info"}
+    ]
+    assert found == []
+    project = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["requires-python"] == ">=3.11"
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"Python >= ?([0-9.]*[0-9])", readme) == ["3.11"]
