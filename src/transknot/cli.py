@@ -277,7 +277,10 @@ def render_svg(d: TransverseDiagram) -> str:
     The curve is drawn edge by edge as polylines; wherever an edge
     passes under a crossing it is broken with a gap of radius one tenth
     of the minimum feature separation, which is what makes the over
-    strand read as continuous.  z points up, so SVG y is -z.
+    strand read as continuous.  z points up, so SVG y is -z.  The
+    stroke is half the gap wide, but never narrower than a thousandth
+    of the larger side of the picture, so that a deeply stabilized
+    front, whose features lie far closer than its size, still shows.
 
     The picture is drawn in floats, so a diagram that floats cannot
     draw is refused first, exactly, with TransknotError: one with a
@@ -326,8 +329,8 @@ def render_svg(d: TransverseDiagram) -> str:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{min_x:.6f} {min_y:.6f} {width:.6f} {height:.6f}">',
-        f'<g fill="none" stroke="black" stroke-width="{gap / 2:.6f}" '
-        f'stroke-linecap="round">',
+        f'<g fill="none" stroke="black" '
+        f'stroke-width="{max(gap / 2, width / 1000, height / 1000):.6f}" stroke-linecap="round">',
         *pieces,
         "</g>",
         "</svg>",

@@ -564,9 +564,9 @@ def splice(d: TransverseDiagram, host: int, den: int, path, spots) -> Optional[T
     ``crossing_mismatch``, the expected and the detected crossings are
     sorted by the canonical int triples of their points and compared
     once: an old crossing's ``xzd``, and a spot's ints over L*den
-    divided by their gcd.  The two sorted lists then pair each crossing
-    with its expected over bit, and each new crossing keeps its triple,
-    so a splice builds no Fraction.
+    divided by their gcd.  The two sorted lists then pair each detected
+    (lo, hi) with its expected over bit, and ``_attach_over`` puts the
+    crossings on the new curve, so a splice builds no Fraction.
     """
     from .transversality import over_for_sign  # it imports this module
 
@@ -591,9 +591,9 @@ def splice(d: TransverseDiagram, host: int, den: int, path, spots) -> Optional[T
     found = sorted((xzd, lo, hi) for lo, hi, xzd in curve.pair_facts[0])
     if [k for k, _ in expected] != [k for k, *_ in found]:
         return None
-    return TransverseDiagram(curve, d.coorientation, tuple(
-        Crossing._exact(lo, hi, xzd, over or over_for_sign(curve, lo, hi, -1))
-        for (_, over), (xzd, lo, hi) in zip(expected, found)))
+    return _attach_over(curve, d.coorientation, {
+        (lo, hi): over or over_for_sign(curve, lo, hi, -1)
+        for (_, over), (_, lo, hi) in zip(expected, found)})
 
 
 def detect_crossings(curve: PolyCurve) -> list[tuple[int, int, Point]]:
@@ -728,8 +728,16 @@ def crossing_mismatch(curve: PolyCurve, declared) -> tuple[list, list, tuple[Vio
 
 
 def _attach_over(curve: PolyCurve, coor: Coorientation, over: dict) -> TransverseDiagram:
-    """The diagram on the detected crossings, over bits from ``over``;
-    each crossing keeps the triple of its point."""
+    """The diagram on the detected crossings, over bits from ``over``,
+    which maps each pair (lo, hi) of ``pair_facts`` to "lo" or "hi";
+    each crossing keeps the triple the pair pass found for its point.
+
+    This is the one place that turns a curve's pair pass into
+    ``Crossing``s: the readers, ``build_diagram``, ``splice``, the
+    random draw and ``resolve`` hand it their maps, and only
+    ``TransverseDiagram.with_over``, which works on any diagram, builds
+    crossings of its own.  A caller whose map may miss a pair checks it
+    first with ``crossing_mismatch``."""
     crossings = (Crossing._exact(lo, hi, xzd, over[(lo, hi)]) for lo, hi, xzd in curve.pair_facts[0])
     return TransverseDiagram(curve, coor, tuple(crossings))
 

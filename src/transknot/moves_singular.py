@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .diagram import Coorientation, Crossing, PolyCurve, TransverseDiagram, least_dist2, splice
+from .diagram import (Coorientation, Crossing, PolyCurve, TransverseDiagram, _attach_over,
+                      crossing_mismatch, least_dist2, splice)
 from .errors import (
     FamilyArityError,
     HostTooShortError,
@@ -292,23 +293,27 @@ def resolve(s: SingularDiagram, a: ResolutionAssignment) -> TransverseDiagram:
 
     POS selects the over bit of sign +1 and NEG that of sign -1, by
     ``over_for_sign``.  The assignment must cover exactly the double
-    sites, each with a Resolution; ValueError is raised otherwise.
+    sites, each with a Resolution, and the sites must name each crossing
+    of the curve once, as ``make_singular`` writes them; ValueError is
+    raised otherwise.  Each crossing, resolved or kept, takes the triple
+    of its point from the curve's pair pass (``_attach_over``), so a
+    double's ``point`` is not read.
     """
-    doubles = set(s.double_indices())
-    if set(a.choices) != doubles:
+    if set(a.choices) != set(s.double_indices()):
         raise ValueError("assignment must cover every double site exactly once")
-    crossings = []
+    over = {}
     for i, site in enumerate(s.sites):
         if isinstance(site, Resolved):
-            crossings.append(site.crossing)
+            over[site.crossing.lo, site.crossing.hi] = site.crossing.over
             continue
         choice = a.choices[i]
         if not isinstance(choice, Resolution):
             raise ValueError(f"choice {choice!r} for site {i} is not a Resolution")
         sign = 1 if choice is Resolution.POS else -1
-        over = over_for_sign(s.curve, site.lo, site.hi, sign)
-        crossings.append(Crossing(site.lo, site.hi, site.point, over))
-    return TransverseDiagram(s.curve, s.coorientation, tuple(crossings))
+        over[site.lo, site.hi] = over_for_sign(s.curve, site.lo, site.hi, sign)
+    if len(over) < len(s.sites) or crossing_mismatch(s.curve, over)[2]:
+        raise ValueError("sites must name each crossing of the curve once")
+    return _attach_over(s.curve, s.coorientation, over)
 
 
 def assignment_sign(a: ResolutionAssignment) -> int:
@@ -438,10 +443,12 @@ def random_valid_diagram(
     always yields the same diagram.
 
     The whole draw runs on ints: the vertices are int points, so the
-    curve is built from them at scale 1, and each crossing keeps the int
-    triple the pair pass found, as in a parse.  It builds no Fraction
-    but the points of the violations that reject a non-generic draw.  A
-    search that finds no diagram in 2000 draws raises TransknotError.
+    curve is built from them at scale 1, and the over bits, drawn in the
+    pair pass's order, go to ``_attach_over`` as in a parse, so each
+    crossing keeps the int triple the pair pass found.  It builds no
+    Fraction but the points of the violations that reject a non-generic
+    draw.  A search that finds no diagram in 2000 draws raises
+    TransknotError.
     """
     rng = random.Random(f"transknot/{seed!r}/{coorientation.value}")
     ref = reference(coorientation)
@@ -463,10 +470,9 @@ def random_valid_diagram(
         if curve.genericity_violations:
             continue
 
-        d = TransverseDiagram(curve, coorientation, [
-            Crossing._exact(lo, hi, xzd, forced_over(curve, coorientation, lo, hi)
-                            or rng.choice(("lo", "hi")))
-            for lo, hi, xzd in curve.pair_facts[0]])
+        d = _attach_over(curve, coorientation, {
+            (lo, hi): forced_over(curve, coorientation, lo, hi) or rng.choice(("lo", "hi"))
+            for lo, hi, _ in curve.pair_facts[0]})
         require_valid(d)
         return d
     raise TransknotError(f"random diagram search failed for seed {seed!r}")

@@ -17,6 +17,7 @@ from transknot.moves_singular import (
     resolve,
 )
 
+INPUT_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 FLOAT_RANGE_ERROR = "error: coordinates from 2**510 or features within 2**-511 leave float range"
 
 
@@ -395,14 +396,25 @@ class TestRender:
         ("hosts/trefoil_right.td",
          "6279016d0162c224e9cd3b37b357cd92e40b24648f5611324a7a89b65782863e"),
         ("ladder/trefoil_right-e1-k8.td",
-         "6a6324b86e0cbd0f0b7fae427f1b0a359b53019ddfec811d2abf6bc3117f365b"),
+         "d1e22914830f26ab0afc566666782e7ba3cb0450b7b904c72fdd87912a20ac57"),
     ])
     def test_svg_bytes_are_pinned(self, name, digest):
         # SHA-256 of the pictures as drawn when each edge sorted its own
-        # float cuts; the exact along-edge order must draw the same bytes
+        # float cuts; the exact along-edge order must draw the same bytes.
+        # The k = 8 rung is drawn with the floor stroke, a thousandth of
+        # the picture's larger side.
         path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / name
         svg = render_svg(parse_diagram(path.read_text(encoding="utf-8")))
         assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("path", sorted(INPUT_DIR.glob("ladder/*.td")) + sorted(
+        INPUT_DIR.glob("hosts/*.td")), ids=lambda path: f"{path.parent.name}/{path.name}")
+    def test_every_stroke_is_visible(self, path):
+        # half the gap of a deep stabilization is below the printed
+        # precision; the floor keeps every stroke visible
+        svg = render_svg(parse_diagram(path.read_text(encoding="utf-8")))
+        width = svg.split('stroke-width="', 1)[1].split('"', 1)[0]
+        assert Fraction(width) > 0
 
 
 def _must_not_run(*args, **kwargs):

@@ -51,6 +51,7 @@ from transknot.moves_singular import (
     Double,
     Resolution,
     ResolutionAssignment,
+    Resolved,
     _anchors,
     _bend_vertical,
     assignment_sign,
@@ -63,7 +64,7 @@ from transknot.moves_singular import (
     stabilize,
     vassiliev_defect,
 )
-from transknot.transversality import forced_over, reference, validate, whitney_index
+from transknot.transversality import forced_over, over_for_sign, reference, validate, whitney_index
 
 from fraction_routines import add, fraction_halvings
 
@@ -555,6 +556,36 @@ class TestResolve:
                     {0: Resolution.POS, 1: Resolution.POS, 2: Resolution.POS}
                 ),
             )
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_resolve_builds_what_the_point_form_built(self, seed, order):
+        # the public constructor on each double's point is the reference
+        # for the triples resolve takes from the pair pass
+        for s in singular_family(seed, order + 1, 3):
+            doubles = s.double_indices()
+            for signs in itertools.product(Resolution, repeat=len(doubles)):
+                choices = dict(zip(doubles, signs))
+                by_point = TransverseDiagram(s.curve, s.coorientation, [
+                    site.crossing if isinstance(site, Resolved) else Crossing(
+                        site.lo, site.hi, site.point, over_for_sign(
+                            s.curve, site.lo, site.hi, 1 if choices[i] is Resolution.POS else -1))
+                    for i, site in enumerate(s.sites)])
+                got = resolve(s, ResolutionAssignment(choices))
+                assert got == by_point
+                assert [c.xzd for c in got.crossings] == [c.xzd for c in by_point.crossings]
+
+    @pytest.mark.parametrize("keep", [lambda sites: sites[1:], lambda sites: sites[:-1],
+                                      lambda sites: sites + sites[-1:]],
+                             ids=["first dropped", "last dropped", "last twice"])
+    def test_sites_must_be_the_crossings(self, keep):
+        # a site list make_singular did not write does not name the
+        # crossings of its curve, so no diagram matches it
+        s = make_singular(trefoil_right(), [0])
+        broken = s._replace(sites=keep(s.sites))
+        choices = {i: Resolution.POS for i in broken.double_indices()}
+        with pytest.raises(ValueError, match="each crossing of the curve once"):
+            resolve(broken, ResolutionAssignment(choices))
 
 
 def test_assignment_sign():

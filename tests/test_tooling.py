@@ -215,6 +215,30 @@ def test_reference_routines_have_no_package_caller():
     assert found == []
 
 
+def test_one_builder_puts_crossings_on_a_curve():
+    # a crossing is built from the pair pass's triple, never from a
+    # point: only _attach_over, and with_over, which keeps the triples
+    # of any diagram, name Crossing._exact
+    builders = {(None, "_attach_over"), ("TransverseDiagram", "with_over")}
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [(None, top) for top in tree.body] + [
+            (top.name, node) for top in tree.body if isinstance(top, ast.ClassDef)
+            for node in top.body]
+        allowed = {id(node) for owner, fn in defs
+                   if isinstance(fn, ast.FunctionDef) and (owner, fn.name) in builders
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "Crossing"
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == "Crossing"):
+                found.append(f"{path.name}:{node.lineno}:Crossing(...)")
+            if isinstance(node, ast.Attribute) and node.attr == "_exact" and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno}:_exact")
+    assert found == []
+
+
 # a raise names a domain error, a ValueError for a bad argument, an
 # AttributeError of the Frozen and module __getattr__ protocols, or an
 # argparse.ArgumentTypeError, which argparse turns into a usage error
