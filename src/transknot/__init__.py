@@ -40,7 +40,6 @@ _EXPORTS = {
         "InadmissibleDoublePointError",
         "InvalidDiagramError",
         "NongenericCurveError",
-        "OracleError",
         "ParseError",
         "PreconditionFailedError",
         "ReversalError",

@@ -201,8 +201,8 @@ def _cmd_resolve(args) -> CommandOutcome:
     if len(assign) != len(args.sites):
         raise ValueError("--assign length must match the number of sites")
     for k, i in enumerate(args.sites):
-        if not 1 <= i <= len(d.crossings):
-            raise ValueError(f"--sites index {i} is not in 1..{len(d.crossings)}")
+        if not 1 <= i <= len(d.entries):
+            raise ValueError(f"--sites index {i} is not in 1..{len(d.entries)}")
         if i in args.sites[:k]:
             raise ValueError(f"--sites lists site {i} twice")
     zero_based = [i - 1 for i in args.sites]
@@ -275,12 +275,20 @@ def render_svg(d: TransverseDiagram) -> str:
     """Deterministic SVG picture of a diagram.
 
     The curve is drawn edge by edge as polylines; wherever an edge
-    passes under a crossing it is broken with a gap of radius one tenth
-    of the minimum feature separation, which is what makes the over
+    passes under a crossing it is broken, which is what makes the over
     strand read as continuous.  z points up, so SVG y is -z.  The
-    stroke is half the gap wide, but never narrower than a thousandth
-    of the larger side of the picture, so that a deeply stabilized
-    front, whose features lie far closer than its size, still shows.
+    stroke is half of gap = sep/10 wide, sep the minimum feature
+    separation, but never narrower than a thousandth of the larger side
+    of the picture, so that a deeply stabilized front, whose features
+    lie far closer than its size, still shows.
+
+    Each break is sized by its own room: half the distance along the
+    under edge to the neighbouring crossing on either side, or to the
+    edge's end, read from the exact order of ``crossings_along``.  It
+    runs max(gap, 2 * stroke) to each side of the crossing, capped at
+    the room, so it clears the round caps of the stroke wherever there
+    is room for that; where the room is below the stroke the break
+    keeps the radius gap, which every room exceeds.
 
     The picture is drawn in floats, so a diagram that floats cannot
     draw is refused first, exactly, with TransknotError: one with a
@@ -299,20 +307,25 @@ def render_svg(d: TransverseDiagram) -> str:
     zs = [float(p.z) for p in d.curve.vertices]
     min_x, max_x = min(xs) - sep, max(xs) + sep
     min_y, max_y = -max(zs) - sep, -min(zs) + sep
+    width = max_x - min_x
+    height = max_y - min_y
+    stroke = max(gap / 2, width / 1000, height / 1000)
 
+    crossings = d.crossings
     pieces = []
     for (i, a, b), along in zip(d.curve.edges(), d.crossings_along):
         direction = vec(a, b)
-        length = math.sqrt(float(dot(direction, direction)))
-        cuts = [
-            float(dot(vec(a, c.point), direction) / dot(direction, direction))
-            for c in along
-            if c.under_edge == i
-        ]
-        dt = gap / length
+        length2 = dot(direction, direction)
+        length = math.sqrt(float(length2))
+        ts = [0, *(dot(vec(a, crossings[k].point), direction) / length2 for k in along), 1]
         spans = []
         start = 0.0
-        for t in cuts:
+        for j, k in enumerate(along, start=1):
+            if crossings[k].under_edge != i:
+                continue
+            room = float(min(ts[j] - ts[j - 1], ts[j + 1] - ts[j]) / 2) * length
+            dt = (min(max(gap, 2 * stroke), room) if room >= stroke else gap) / length
+            t = float(ts[j])
             spans.append((start, t - dt))
             start = t + dt
         spans.append((start, 1.0))
@@ -323,14 +336,11 @@ def render_svg(d: TransverseDiagram) -> str:
                 f'<polyline points="{p0[0]:.6f},{-p0[1]:.6f} {p1[0]:.6f},{-p1[1]:.6f}"/>'
             )
 
-    width = max_x - min_x
-    height = max_y - min_y
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{min_x:.6f} {min_y:.6f} {width:.6f} {height:.6f}">',
-        f'<g fill="none" stroke="black" '
-        f'stroke-width="{max(gap / 2, width / 1000, height / 1000):.6f}" stroke-linecap="round">',
+        f'<g fill="none" stroke="black" stroke-width="{stroke:.6f}" stroke-linecap="round">',
         *pieces,
         "</g>",
         "</svg>",

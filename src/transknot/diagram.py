@@ -3,7 +3,10 @@
 A diagram is a closed polygonal curve in the (x, z) plane together with
 a coorientation sign and an over/under bit per crossing.  The strand
 drawn on top is the one with the smaller y-coordinate in space, so
-``over`` is a drawing datum; no y-values are ever stored.
+``over`` is a drawing datum; no y-values are ever stored.  A diagram
+keeps each crossing as the int entry (lo, hi, xzd) that the curve's
+pair pass found and its over bit; ``Crossing`` values, with Fraction
+points, are a view built only when read.
 """
 
 from __future__ import annotations
@@ -119,9 +122,10 @@ class PolyCurve(Frozen):
     canonical, so equality compares it.  The all-pairs loops decide their
     predicates on these ints, which are exact and never normalise a
     fraction; a distance leaves them as a Fraction again, and a crossing
-    point stays the int triple the pair pass found (``pair_facts``)
-    until it is read as a Fraction point (``detected_crossings``,
-    ``Crossing.point``).  ``vertices``, the
+    point stays the int triple the pair pass found (``pair_facts``),
+    which a diagram keeps as its ``entries``, until it is read as a
+    Fraction point (``detected_crossings``, the diagram's ``crossings``
+    view).  ``vertices``, the
     Fraction points, is a view built on first read; as the field tuple it
     is what the repr reads; the hash reads ``scaled``, which equality
     compares, and so builds no view.  ``vertex`` reads one vertex from
@@ -400,65 +404,43 @@ def _crossing_scan(curve: PolyCurve, limit: Optional[int] = None):
 
 @total_ordering
 class Crossing(Frozen):
-    """A transversal double point of the projection.
+    """A transversal double point of the projection, as a plain value.
 
     ``lo < hi`` index the two edges; ``over`` names the strand drawn on
     top (the one with the smaller y-coordinate in space).  Crossings
-    sort by (lo, hi, point, over); two crossings of one diagram differ
-    in (lo, hi), so a sort compares no point.
-
-    ``xzd`` is the point as its canonical int triple (X, Z, D), the
-    point (X/D, Z/D) with D > 0 and gcd(X, Z, D) = 1, so two points are
-    equal exactly when their triples are; it is the one form the package
-    decides on.  The constructor converts its point once, over the lcm
-    of the two reduced denominators, and keeps the point; a crossing
-    built from the pair pass (``_exact``) holds only the triple and
-    builds ``point``, two Fractions, on first read.  Either way the
-    fields, equality, hash and repr are those of (lo, hi, point, over).
+    sort by their fields (lo, hi, point, over).  A diagram keeps its
+    crossings as int entries and over bits and builds these only as
+    its ``crossings`` view; ``xzd`` reads the point back as its
+    canonical int triple.
     """
 
-    __slots__ = ("lo", "hi", "over", "xzd", "_point")
-    _fields = ("lo", "hi", "point", "over")
+    __slots__ = _fields = ("lo", "hi", "point", "over")
     lo: int
     hi: int
+    point: Point
     over: str  # "lo" or "hi"
 
     def __init__(self, lo: int, hi: int, point: Point, over: str):
-        x, z = point
-        d = math.lcm(x.denominator, z.denominator)
-        self._set(lo, hi, point, (x.numerator * (d // x.denominator),
-                                  z.numerator * (d // z.denominator), d), over)
-
-    @classmethod
-    def _exact(cls, lo: int, hi: int, xzd: tuple[int, int, int], over: str) -> Crossing:
-        """The crossing at the point of the canonical triple ``xzd``."""
-        c = object.__new__(cls)
-        c._set(lo, hi, None, xzd, over)
-        return c
-
-    def _set(self, lo, hi, point, xzd, over) -> None:
         if not lo < hi:
             raise ValueError("crossing edges must satisfy lo < hi")
         if over not in ("lo", "hi"):
             raise ValueError("over must be 'lo' or 'hi'")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "over", over)
-        object.__setattr__(self, "_point", point)
-        object.__setattr__(self, "xzd", xzd)
+        for name, value in zip(self._fields, (lo, hi, point, over)):
+            object.__setattr__(self, name, value)
 
     @property
-    def point(self) -> Point:
-        if self._point is None:
-            object.__setattr__(self, "_point", _point(self.xzd))
-        return self._point
+    def xzd(self) -> tuple[int, int, int]:
+        """The point as its canonical int triple (X, Z, D), the point
+        (X/D, Z/D) with D > 0 and gcd(X, Z, D) = 1: over the lcm of the
+        two reduced denominators."""
+        x, z = self.point
+        d = math.lcm(x.denominator, z.denominator)
+        return x.numerator * (d // x.denominator), z.numerator * (d // z.denominator), d
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self.lo != other.lo or self.hi != other.hi:
-            return (self.lo, self.hi) < (other.lo, other.hi)
-        return (self.point, self.over) < (other.point, other.over)
+        return self._astuple() < other._astuple()
 
     @property
     def over_edge(self) -> int:
@@ -470,17 +452,50 @@ class Crossing(Frozen):
 
 
 class TransverseDiagram(Frozen):
-    """A curve, its coorientation, and its crossings, kept sorted."""
+    """A curve, its coorientation, and its crossings, kept sorted.
+
+    The crossings are held in one form: ``entries``, a tuple of (lo, hi,
+    xzd) sorted by (lo, hi), xzd the canonical int triple of the point as
+    ``PolyCurve.pair_facts`` holds it, and ``overs``, the over bit "lo"
+    or "hi" of each entry in the same order.  Every package reader reads
+    these.  ``crossings``, the ``Crossing`` values, is a view built on
+    first read; as a field it is what equality, the hash and the repr
+    read.  The constructor sorts the crossings it is given, derives both
+    tuples once and keeps the crossings as that view; ``_attach_over``
+    and ``with_over`` hand their tuples to ``_from_entries`` and build
+    no crossing.  All five are kept in the instance's ``__dict__``.
+    """
 
     _fields = ("curve", "coorientation", "crossings")
     curve: PolyCurve
     coorientation: Coorientation
-    crossings: tuple[Crossing, ...]
+    entries: tuple[tuple[int, int, tuple[int, int, int]], ...]
+    overs: tuple[str, ...]
 
     def __init__(self, curve: PolyCurve, coorientation: Coorientation, crossings):
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "coorientation", coorientation)
-        object.__setattr__(self, "crossings", tuple(sorted(crossings)))
+        crossings = tuple(sorted(crossings))
+        vars(self).update(curve=curve, coorientation=coorientation, crossings=crossings,
+                          entries=tuple((c.lo, c.hi, c.xzd) for c in crossings),
+                          overs=tuple(c.over for c in crossings))
+
+    @classmethod
+    def _from_entries(cls, curve: PolyCurve, coorientation: Coorientation, entries,
+                      overs: tuple[str, ...]) -> TransverseDiagram:
+        """The diagram whose crossings are ``entries`` with the bits
+        ``overs``: entries sorted by (lo, hi), each with lo < hi, and
+        each bit "lo" or "hi" (ValueError otherwise)."""
+        if not {"lo", "hi"}.issuperset(overs):
+            raise ValueError("over must be 'lo' or 'hi'")
+        d = object.__new__(cls)
+        vars(d).update(curve=curve, coorientation=coorientation, entries=entries, overs=overs)
+        return d
+
+    @cached_property
+    def crossings(self) -> tuple[Crossing, ...]:
+        """The ``Crossing`` of each entry, with its Fraction point; built
+        on first read."""
+        return tuple(Crossing(lo, hi, _point(xzd), bit)
+                     for (lo, hi, xzd), bit in zip(self.entries, self.overs))
 
     @cached_property
     def validity(self) -> ValidityReport:
@@ -492,47 +507,49 @@ class TransverseDiagram(Frozen):
 
     @cached_property
     def signs(self) -> tuple[int, ...]:
-        """The ``invariants.crossing_sign`` of each of ``crossings``, in
-        their order, computed once; the writhe, v2 and the push-off
-        oracle read them here."""
-        from .invariants import crossing_sign  # it imports this module
+        """The sign of each entry with its over bit, in their order, by
+        ``invariants.sign_for_over``; computed once.  The writhe, v2 and
+        the push-off oracle read them here."""
+        from .invariants import sign_for_over  # it imports this module
 
-        return tuple(crossing_sign(self, c) for c in self.crossings)
+        return tuple(sign_for_over(self.curve, lo, hi, bit)
+                     for (lo, hi, _), bit in zip(self.entries, self.overs))
 
     @cached_property
-    def crossings_along(self) -> tuple[tuple[Crossing, ...], ...]:
-        """For edges 1..n in turn, the crossings on the edge in the order
-        the edge meets them, exactly; computed once.  ``v2`` walks the
-        curve by it and ``render`` breaks the under strands by it.
+    def crossings_along(self) -> tuple[tuple[int, ...], ...]:
+        """For edges 1..n in turn, the indices of the crossings on the
+        edge, into ``entries``, in the order the edge meets them,
+        exactly; computed once.  ``v2`` walks the curve by it and
+        ``render`` breaks the under strands by it.
 
         Points on one edge are ordered by a coordinate in which the edge's
         int direction is non-zero, ascending or descending with its sign,
         read from their triples: X1/D1 < X2/D2 exactly when X1*D2 < X2*D1.
         """
-        on: dict[int, list[Crossing]] = {}
-        for c in self.crossings:
-            on.setdefault(c.lo, []).append(c)
-            on.setdefault(c.hi, []).append(c)
+        on: dict[int, list[int]] = {}
+        for k, (lo, hi, _) in enumerate(self.entries):
+            on.setdefault(lo, []).append(k)
+            on.setdefault(hi, []).append(k)
         dirs = self.curve.int_directions
         out = [()] * len(dirs)
-        for i, cs in on.items():
-            if len(cs) > 1:
+        for i, ks in on.items():
+            if len(ks) > 1:
                 t = dirs[i - 1]
                 axis = 0 if t[0] else 1
 
-                def ahead(a, b):
-                    return a.xzd[axis] * b.xzd[2] - b.xzd[axis] * a.xzd[2]
+                def ahead(a, b, entries=self.entries):
+                    p, q = entries[a][2], entries[b][2]
+                    return p[axis] * q[2] - q[axis] * p[2]
 
-                cs.sort(key=cmp_to_key(ahead), reverse=t[axis] < 0)
-            out[i - 1] = tuple(cs)
+                ks.sort(key=cmp_to_key(ahead), reverse=t[axis] < 0)
+            out[i - 1] = tuple(ks)
         return tuple(out)
 
     def with_over(self, flips: dict[tuple[int, int], str]) -> "TransverseDiagram":
-        """Copy with the over bit replaced at the listed (lo, hi) pairs;
-        each crossing keeps the triple of its point."""
-        new = tuple(Crossing._exact(c.lo, c.hi, c.xzd, flips.get((c.lo, c.hi), c.over))
-                    for c in self.crossings)
-        return TransverseDiagram(self.curve, self.coorientation, new)
+        """Copy with the over bit replaced at the listed (lo, hi) pairs:
+        the entries are kept, and only the bits are remapped."""
+        return TransverseDiagram._from_entries(self.curve, self.coorientation, self.entries, tuple(
+            flips.get((lo, hi), bit) for (lo, hi, _), bit in zip(self.entries, self.overs)))
 
 
 def reversed_curve(curve: PolyCurve) -> PolyCurve:
@@ -563,7 +580,7 @@ def splice(d: TransverseDiagram, host: int, den: int, path, spots) -> Optional[T
     ``len(path)``, so "lo" and "hi" still name the same strands.  As in
     ``crossing_mismatch``, the expected and the detected crossings are
     sorted by the canonical int triples of their points and compared
-    once: an old crossing's ``xzd``, and a spot's ints over L*den
+    once: an old entry's triple, and a spot's ints over L*den
     divided by their gcd.  The two sorted lists then pair each detected
     (lo, hi) with its expected over bit, and ``_attach_over`` puts the
     crossings on the new curve, so a splice builds no Fraction.
@@ -583,7 +600,7 @@ def splice(d: TransverseDiagram, host: int, den: int, path, spots) -> Optional[T
     curve = PolyCurve._from_scaled(scale * den // g, tuple(pts))
     if curve.genericity_violations:
         return None
-    expected = [(c.xzd, c.over) for c in d.crossings]
+    expected = [(xzd, bit) for (_, _, xzd), bit in zip(d.entries, d.overs)]
     for x, z in (place(*p) for p in spots):
         g = math.gcd(x, z, scale * den)
         expected.append(((x // g, z // g, scale * den // g), None))
@@ -627,14 +644,14 @@ def min_feature_separation2(d: TransverseDiagram) -> Fraction:
     the shortest edge that a vertex starts is the shortest edge of all.
     """
     return least_dist2(d.curve, [(k, 0) for k in range(1, d.curve.n + 1)],
-                       [c.xzd for c in d.crossings])
+                       [xzd for _, _, xzd in d.entries])
 
 
 def least_dist2(curve: PolyCurve, points, spots=()) -> Fraction:
     """The least squared distance from each of the points on the curve
     ``points``, a sequence, to every closed edge it does not lie on, and
     between any two of the ``spots``, points given as int triples (X, Z,
-    D) for (X/D, Z/D), as ``Crossing.xzd`` holds them; exact, in plane
+    D) for (X/D, Z/D), as ``TransverseDiagram.entries`` hold them; exact, in plane
     units.
 
     A point on the curve is a pair (i, f) with 0 <= f < 1: the point
@@ -706,7 +723,7 @@ def least_dist2(curve: PolyCurve, points, spots=()) -> Fraction:
 def crossing_mismatch(curve: PolyCurve, declared) -> tuple[list, list, tuple[Violation, ...]]:
     """Sorted (missing, extra, violations) for ``declared``, (lo, hi)
     pairs or (lo, hi, xzd) entries, xzd the canonical int triple of a
-    point (``Crossing.xzd``), counted against the detected crossings of
+    point (``TransverseDiagram.entries``), counted against the detected crossings of
     ``pair_facts`` cut to the same length: the pairs of the detected
     entries that ``declared`` lacks, the pairs of its entries beyond the
     detected ones, and one CrossingMismatch per pair in either list.  A
@@ -729,17 +746,17 @@ def crossing_mismatch(curve: PolyCurve, declared) -> tuple[list, list, tuple[Vio
 
 def _attach_over(curve: PolyCurve, coor: Coorientation, over: dict) -> TransverseDiagram:
     """The diagram on the detected crossings, over bits from ``over``,
-    which maps each pair (lo, hi) of ``pair_facts`` to "lo" or "hi";
-    each crossing keeps the triple the pair pass found for its point.
+    which maps each pair (lo, hi) of ``pair_facts`` to "lo" or "hi".
 
-    This is the one place that turns a curve's pair pass into
-    ``Crossing``s: the readers, ``build_diagram``, ``splice``, the
-    random draw and ``resolve`` hand it their maps, and only
-    ``TransverseDiagram.with_over``, which works on any diagram, builds
-    crossings of its own.  A caller whose map may miss a pair checks it
-    first with ``crossing_mismatch``."""
-    crossings = (Crossing._exact(lo, hi, xzd, over[(lo, hi)]) for lo, hi, xzd in curve.pair_facts[0])
-    return TransverseDiagram(curve, coor, tuple(crossings))
+    This is the one place that puts a curve's pair pass on a diagram:
+    the diagram keeps the pass's own tuple as its ``entries``, and only
+    the tuple of bits is made, so no ``Crossing`` is built.  The readers,
+    ``build_diagram``, ``splice``, the random draw and ``resolve`` hand
+    it their maps.  A caller whose map may miss a pair checks it first
+    with ``crossing_mismatch``."""
+    entries = curve.pair_facts[0]
+    return TransverseDiagram._from_entries(curve, coor, entries,
+                                           tuple([over[lo, hi] for lo, hi, _ in entries]))
 
 
 def build_diagram(
@@ -841,6 +858,19 @@ def _parse_rational(token: str, lineno: int) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
+def _bounded_lcm(dens) -> Optional[int]:
+    """The lcm of the denominators ``dens``, taken one at a time, or None
+    as soon as it passes MAX_DENOMINATOR_BITS bits: the scale of a read
+    curve, which the canonical reader declines and the line reader
+    refuses past the limit."""
+    scale = 1
+    for den in dens:
+        scale = math.lcm(scale, den)
+        if scale.bit_length() > MAX_DENOMINATOR_BITS:
+            return None
+    return scale
+
+
 def _rational_text(p: int, q: int) -> str:
     """p / q, q > 0, as ``str(Fraction(p, q))`` writes it."""
     g = math.gcd(p, q)
@@ -892,11 +922,8 @@ def _read_canonical(text: str):
         return None
     nums, _, dens = zip(*[token.partition("/") for token in tokens])
     den_of = {q: int(q) if q else 1 for q in set(dens)}
-    scale = 1
-    for den in den_of.values():
-        scale = math.lcm(scale, den)
-        if scale.bit_length() > MAX_DENOMINATOR_BITS:
-            return None
+    if (scale := _bounded_lcm(den_of.values())) is None:
+        return None
     ps, qs = list(map(int, nums)), [den_of[q] for q in dens]
     if max(map(math.gcd, ps, qs)) > 1:  # a fraction not in lowest terms
         return None
@@ -959,11 +986,8 @@ def _read_lines(text: str):
     if n < 3:
         raise ParseError(lines[pos][0] if pos < len(lines) else 0,
                          "need at least 3 vertices")
-    scale = 1
-    for den in {q for _, q in coords}:
-        scale = math.lcm(scale, den)
-        if scale.bit_length() > MAX_DENOMINATOR_BITS:
-            raise ParseError(0, f"lcm of the denominators exceeds {MAX_DENOMINATOR_BITS} bits")
+    if (scale := _bounded_lcm({q for _, q in coords})) is None:
+        raise ParseError(0, f"lcm of the denominators exceeds {MAX_DENOMINATOR_BITS} bits")
 
     take("over:")
     declared: dict[tuple[int, int], str] = {}
@@ -1025,6 +1049,7 @@ def serialize_diagram(d: TransverseDiagram) -> str:
 
     The vertex lines are the curve's ``vertex_text``: formatted once per
     curve, and not at all for a curve read from canonical text."""
-    crossings = "".join(f"cross {c.lo} {c.hi} over={c.over}\n" for c in d.crossings)
+    crossings = "".join(f"cross {lo} {hi} over={bit}\n"
+                        for (lo, hi, _), bit in zip(d.entries, d.overs))
     return (f"{FORMAT_HEADER}\ncoorientation: {d.coorientation.value}\nvertices:\n"
             f"{d.curve.vertex_text}over:\n{crossings}end\n")

@@ -63,14 +63,6 @@ class InvalidDiagramError(TransknotError):
         super().__init__(f"diagram is not valid ({len(self.violations)} violations)")
 
 
-class OracleError(TransknotError):
-    """The push-off oracle met an intersection pattern that no valid
-    diagram gives.  The oracle is the self-linking number of a valid
-    diagram and refuses every other diagram with ``InvalidDiagramError``,
-    so no valid diagram raises this, nor does any other input; it stays
-    exported with the API."""
-
-
 class HostTooShortError(TransknotError):
     """No safe scale was found for splicing a detour into the host edge,
     or a vertical host edge could not be bent before the detours go in."""

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diagram import Crossing, TransverseDiagram
+from .diagram import Crossing, PolyCurve, TransverseDiagram
 from .errors import TransknotError
-from .geometry import cross, sign
+from .geometry import cross
 from .transversality import require_valid, whitney_index
 
 
@@ -39,16 +39,22 @@ class InvariantValue(NamedTuple):
     value: int
 
 
+def sign_for_over(curve: PolyCurve, lo: int, hi: int, over: str) -> int:
+    """+1 or -1: the sign of the crossing of edges lo and hi with the
+    over bit ``over``, cross(t_over, t_under) (see module docs) taken on
+    the curve's int directions.  ``TransverseDiagram.signs`` and
+    ``crossing_sign`` read it; ``transversality.over_for_sign`` is the
+    same rule the other way."""
+    dirs = curve.int_directions
+    k = cross(dirs[lo - 1], dirs[hi - 1])
+    if k == 0:
+        raise TransknotError(f"crossing of edges {lo} and {hi} has parallel tangents")
+    return 1 if (k > 0) == (over == "lo") else -1
+
+
 def crossing_sign(d: TransverseDiagram, c: Crossing) -> int:
-    """+1 or -1; the sign of cross(t_over, t_under), see module docs,
-    taken on the curve's int directions."""
-    dirs = d.curve.int_directions
-    s = sign(cross(dirs[c.over_edge - 1], dirs[c.under_edge - 1]))
-    if s == 0:
-        raise TransknotError(
-            f"crossing of edges {c.lo} and {c.hi} has parallel tangents"
-        )
-    return s
+    """+1 or -1; the ``sign_for_over`` of the crossing on d's curve."""
+    return sign_for_over(d.curve, c.lo, c.hi, c.over)
 
 
 def writhe(d: TransverseDiagram) -> int:
@@ -108,19 +114,19 @@ def _chords(d: TransverseDiagram, base: int = 1) -> list[list]:
     over_first, sign] per crossing, in the order of its first passage,
     with the indices of its two passages in walk order, whether the
     first one passes over, and the crossing sign.  Built from
-    ``crossings_along``."""
+    ``crossings_along``, keyed by crossing index."""
     along = d.crossings_along
-    signs = {(c.lo, c.hi): s for c, s in zip(d.crossings, d.signs)}
-    open_chords: dict[tuple[int, int], list] = {}
+    open_chords: dict[int, list] = {}
     chords = []
     step = 0
     for i in [*range(base - 1, len(along)), *range(base - 1)]:
-        for c in along[i]:
-            pair = (c.lo, c.hi)
-            if pair in open_chords:
-                open_chords.pop(pair)[1] = step
+        for k in along[i]:
+            if k in open_chords:
+                open_chords.pop(k)[1] = step
             else:
-                open_chords[pair] = chord = [step, None, c.over_edge == i + 1, signs[pair]]
+                # edge i + 1 passes over when it is the strand the bit names
+                over_first = (d.entries[k][0] == i + 1) == (d.overs[k] == "lo")
+                open_chords[k] = chord = [step, None, over_first, d.signs[k]]
                 chords.append(chord)
             step += 1
     return chords
@@ -165,6 +171,6 @@ def invariant_values(d: TransverseDiagram) -> tuple[InvariantValue, ...]:
         InvariantValue("writhe", writhe(d)),
         InvariantValue("sl", self_linking(d)),
         InvariantValue("whitney", whitney_index(d.curve)),
-        InvariantValue("crossings", len(d.crossings)),
+        InvariantValue("crossings", len(d.entries)),
         InvariantValue("v2", v2(d)),
     )

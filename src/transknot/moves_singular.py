@@ -103,7 +103,8 @@ def _anchors(d: TransverseDiagram, host: int, count: int) -> tuple[list[Fraction
     """
     a, e = d.curve.vertex(host), d.curve.direction(host)
     axis = 0 if e.x else 1
-    on_host = {(c.point[axis] - a[axis]) / e[axis] for c in d.crossings if host in (c.lo, c.hi)}
+    on_host = {(Fraction(xzd[axis], xzd[2]) - a[axis]) / e[axis]
+               for lo, hi, xzd in d.entries if host in (lo, hi)}
     for shift in [Fraction(0)] + [Fraction(1, 2**m * count) for m in range(2, len(on_host) + 2)]:
         fs = [Fraction(2 * j - 1, 2 * count) + shift for j in range(1, count + 1)]
         if on_host.isdisjoint(fs):
@@ -295,9 +296,10 @@ def resolve(s: SingularDiagram, a: ResolutionAssignment) -> TransverseDiagram:
     ``over_for_sign``.  The assignment must cover exactly the double
     sites, each with a Resolution, and the sites must name each crossing
     of the curve once, as ``make_singular`` writes them; ValueError is
-    raised otherwise.  Each crossing, resolved or kept, takes the triple
-    of its point from the curve's pair pass (``_attach_over``), so a
-    double's ``point`` is not read.
+    raised otherwise.  It hands ``_attach_over`` a bit per pair-pass
+    entry of the curve, a kept site's own bit and a double's bit of the
+    chosen sign, and the diagram keeps the pass's entries: it reads no
+    ``point`` and builds no ``Crossing``.
     """
     if set(a.choices) != set(s.double_indices()):
         raise ValueError("assignment must cover every double site exactly once")
@@ -501,19 +503,13 @@ def singular_family(seed: object, doubles: int, size: int) -> list[SingularDiagr
     members: list[SingularDiagram] = []
     if doubles <= 3:
         t = trefoil_right()
-        braid = [
-            i
-            for i, c in enumerate(t.crossings)
-            if (c.lo, c.hi) in {(1, 9), (2, 10), (3, 11)}
-        ]
+        braid = [i for i, (lo, hi, _) in enumerate(t.entries)
+                 if (lo, hi) in {(1, 9), (2, 10), (3, 11)}]
         members.append(make_singular(t, braid[:doubles]))
 
     def admissible_sites(d: TransverseDiagram) -> list[int]:
-        return [
-            i
-            for i, c in enumerate(d.crossings)
-            if forced_over(d.curve, d.coorientation, c.lo, c.hi) is None
-        ]
+        return [i for i, (lo, hi, _) in enumerate(d.entries)
+                if forced_over(d.curve, d.coorientation, lo, hi) is None]
 
     for serial in range(size - len(members)):
         d = random_valid_diagram(f"{seed!r}-member-{serial}")

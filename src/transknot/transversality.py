@@ -8,7 +8,7 @@ A diagram drawn in the (x, z) plane is a valid transverse front when
 
 For the Minus coorientation both checks run on the orientation-reversed
 curve, which is the same as testing straight down on the original.  The
-sign rule is written once in each direction: ``invariants.crossing_sign``
+sign rule is written once in each direction: ``invariants.sign_for_over``
 reads a crossing's sign from its over bit, and ``over_for_sign`` picks
 the over bit of a given sign.  The cone rule is written once:
 ``forced_over`` decides on int directions whether a crossing's tangent
@@ -30,6 +30,7 @@ from .diagram import (
     TransverseDiagram,
     Violation,
     ViolationKind,
+    _point,
     crossing_mismatch,
     sort_violations,
 )
@@ -116,7 +117,7 @@ def check_condition1(curve: PolyCurve, coor: Coorientation) -> list[Violation]:
 def over_for_sign(curve: PolyCurve, lo: int, hi: int, s: int) -> str:
     """The over bit ("lo" or "hi") that gives the crossing of edges lo
     and hi the sign s, +1 or -1: the sign of cross(t_over, t_under) on
-    the curve's int directions, as ``invariants.crossing_sign`` reads it.
+    the curve's int directions, as ``invariants.sign_for_over`` reads it.
     """
     dirs = curve.int_directions
     return "lo" if cross(dirs[lo - 1], dirs[hi - 1]) * s > 0 else "hi"
@@ -161,10 +162,13 @@ def forced_over(curve: PolyCurve, coor: Coorientation, lo: int, hi: int) -> Opti
 def check_condition2(d: TransverseDiagram) -> list[Violation]:
     """Violations of the sign rule: crossings whose over bit
     ``forced_over`` forces, because their tangent cone holds the
-    forbidden vertical, and which carry the other bit, of sign +1."""
+    forbidden vertical, and which carry the other bit, of sign +1.  Read
+    from the diagram's entries and bits; a point is built only for a
+    violation."""
     return sort_violations(
-        Violation(ViolationKind.ForbiddenCrossing, point=c.point) for c in d.crossings
-        if forced_over(d.curve, d.coorientation, c.lo, c.hi) not in (None, c.over))
+        Violation(ViolationKind.ForbiddenCrossing, point=_point(xzd))
+        for (lo, hi, xzd), bit in zip(d.entries, d.overs)
+        if forced_over(d.curve, d.coorientation, lo, hi) not in (None, bit))
 
 
 def validate(d: TransverseDiagram) -> ValidityReport:
@@ -187,7 +191,7 @@ def check_validity(d: TransverseDiagram) -> ValidityReport:
     """
     if d.curve.genericity_violations:
         return ValidityReport(d.curve.genericity_violations)
-    _, _, mismatch = crossing_mismatch(d.curve, ((c.lo, c.hi, c.xzd) for c in d.crossings))
+    _, _, mismatch = crossing_mismatch(d.curve, d.entries)
     if mismatch:
         return ValidityReport(mismatch)
     out = check_condition1(d.curve, d.coorientation) + check_condition2(d)

@@ -4,7 +4,7 @@ routines of the package."""
 from fractions import Fraction
 
 from transknot.diagram import MAX_EXPONENT, MAX_TOKEN_CHARS
-from transknot.errors import OracleError, ParseError, TransknotError
+from transknot.errors import ParseError, TransknotError
 from transknot.geometry import (
     Point,
     Vec,
@@ -150,4 +150,4 @@ def ref_oracle(d):
         if result is not None:
             return result
         t /= 2
-    raise OracleError("no admissible push-off offset found")
+    raise TransknotError("no admissible push-off offset found")

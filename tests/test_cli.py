@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from transknot.cli import MAX_COUNT, MAX_ORDER, MAX_RESOLUTIONS, dispatch, render_svg
 from transknot.diagram import build_diagram, parse_diagram, serialize_diagram
 from transknot.fixtures import trefoil_right, u_minus, u_minus_forbidden
+from transknot.geometry import dot, vec
 from transknot.invariants import self_linking, v2, writhe
 from transknot.moves_singular import (
     DefectReport,
@@ -395,14 +397,19 @@ class TestRender:
     @pytest.mark.parametrize("name, digest", [
         ("hosts/trefoil_right.td",
          "6279016d0162c224e9cd3b37b357cd92e40b24648f5611324a7a89b65782863e"),
+        ("ladder/trefoil_right-e1-k2.td",
+         "0326bf54778abfca87fd726e57e6a846fa4b7a1ee9a0a7924b18aa7994d0a6eb"),
+        ("ladder/trefoil_right-e1-k4.td",
+         "db0a92fa5c27fbbfbe9b22bc1e13bb0b7673f362bb2a79c7e202067ce480ffce"),
         ("ladder/trefoil_right-e1-k8.td",
-         "d1e22914830f26ab0afc566666782e7ba3cb0450b7b904c72fdd87912a20ac57"),
+         "a61625d9f8cdbc0c65e977a391f36442af5040787bb917bdc69ce42b72624d06"),
     ])
     def test_svg_bytes_are_pinned(self, name, digest):
         # SHA-256 of the pictures as drawn when each edge sorted its own
         # float cuts; the exact along-edge order must draw the same bytes.
-        # The k = 8 rung is drawn with the floor stroke, a thousandth of
-        # the picture's larger side.
+        # The stabilized rungs are drawn with the floor stroke, a
+        # thousandth of the picture's larger side, and each of their
+        # breaks is sized by its own room.
         path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / name
         svg = render_svg(parse_diagram(path.read_text(encoding="utf-8")))
         assert hashlib.sha256(svg.encode()).hexdigest() == digest
@@ -415,6 +422,37 @@ class TestRender:
         svg = render_svg(parse_diagram(path.read_text(encoding="utf-8")))
         width = svg.split('stroke-width="', 1)[1].split('"', 1)[0]
         assert Fraction(width) > 0
+
+    @pytest.mark.parametrize("path", sorted(INPUT_DIR.glob("ladder/*.td")) + sorted(
+        INPUT_DIR.glob("hosts/*.td")), ids=lambda path: f"{path.parent.name}/{path.name}")
+    def test_every_break_with_room_clears_its_stroke(self, path):
+        # the room of a crossing is half the distance along its under
+        # edge to the neighbouring crossing or the edge's end; where it
+        # exceeds twice the stroke, the printed ends of the two pieces
+        # of the under edge lie more than one stroke apart
+        d = parse_diagram(path.read_text(encoding="utf-8"))
+        svg = render_svg(d)
+        stroke = float(svg.split('stroke-width="', 1)[1].split('"', 1)[0])
+        pieces = iter([[tuple(map(float, end.split(","))) for end in line.split('"')[1].split()]
+                       for line in svg.splitlines() if line.startswith("<polyline")])
+        checked = 0
+        for i, a, b in d.curve.edges():
+            e = vec(a, b)
+            on = sorted(((dot(vec(a, c.point), e) / dot(e, e), c) for c in d.crossings
+                         if i in (c.lo, c.hi)), key=lambda tc: tc[0])
+            ts = [0, *(t for t, _ in on), 1]
+            piece = next(pieces)
+            for j, (t, c) in enumerate(on, start=1):
+                if c.under_edge != i:
+                    continue
+                after = next(pieces)
+                room = min(t - ts[j - 1], ts[j + 1] - t) / 2 * math.sqrt(float(dot(e, e)))
+                if room > 2 * stroke:
+                    assert math.dist(piece[-1], after[0]) > stroke, (i, c)
+                    checked += 1
+                piece = after
+        assert next(pieces, None) is None
+        assert checked >= min(len(d.entries), 7)  # the trefoil's seven at least
 
 
 def _must_not_run(*args, **kwargs):

@@ -49,6 +49,7 @@ from transknot.moves_singular import (
     make_singular,
     random_valid_diagram,
     resolve,
+    singular_family,
     stabilize,
 )
 from transknot.transversality import validate
@@ -468,7 +469,7 @@ def vertex_tokens(text):
 class TestIntRepresentation:
     def test_parse_builds_no_vertex_fraction(self, monkeypatch):
         # a ladder op decides everything on ints and builds no Fraction:
-        # no vertex, and no crossing point until one is read
+        # no vertex, and no crossing point until the crossings are read
         text = LADDER_K8.read_text(encoding="utf-8")
         built, original = [], Fraction.__new__
 
@@ -482,7 +483,7 @@ class TestIntRepresentation:
         assert [iv.value for iv in invariant_values(d)] == [-15, -15, 0, 23, 1]
         assert pushoff_linking_oracle(d) == -15
         assert serialize_diagram(d) == text
-        assert d.curve.n == 95 and len(d.crossings) == 23
+        assert d.curve.n == 95 and len(d.entries) == 23
         assert built == []
         points = [c.point for c in d.crossings]
         assert len(built) == 2 * len(d.crossings)  # two coordinates of each point
@@ -500,6 +501,26 @@ class TestIntRepresentation:
         monkeypatch.setattr(Fraction, "__new__", counted)
         return built
 
+    def test_an_op_and_a_resolution_build_no_crossing(self, monkeypatch):
+        # a ladder op and the resolutions of an order check read the
+        # diagram's int entries and over bits: no Crossing value and no
+        # Fraction is built until the crossings view is read
+        text = LADDER_K8.read_text(encoding="utf-8")
+        family = singular_family(1, 3, 3)
+        built, crossings, original = self.count_fractions(monkeypatch), [], Crossing.__init__
+        monkeypatch.setattr(Crossing, "__init__",
+                            lambda c, *args: crossings.append(args) or original(c, *args))
+        d = parse_diagram(text)
+        assert validate(d).is_valid
+        assert [iv.value for iv in invariant_values(d)] == [-15, -15, 0, 23, 1]
+        assert pushoff_linking_oracle(d) == -15
+        assert serialize_diagram(d) == text
+        resolved = [resolve(s, ResolutionAssignment(dict(zip(s.double_indices(), signs))))
+                    for s in family for signs in itertools.product(Resolution, repeat=3)]
+        assert len(resolved) == 24 and built == [] and crossings == []
+        assert len(d.crossings) == len(crossings) == 23 and len(built) == 2 * 23
+        assert [c.lo for c in resolved[0].crossings] == [e[0] for e in resolved[0].entries]
+
     def test_random_draw_builds_only_rejection_points(self, monkeypatch):
         # the draw, its curve and its crossings stay on ints; the only
         # Fractions are the points of the violations that reject a
@@ -516,7 +537,7 @@ class TestIntRepresentation:
         for seed in range(4):
             for coor in Coorientation:
                 d = random_valid_diagram(seed, coor)
-                assert validate(d).is_valid and d.crossings
+                assert validate(d).is_valid and d.entries
         assert len(points) == 1  # seed 2 under Minus rejects a draw at a vertex
         assert len(built) == 2 * len(points)
 

@@ -21,6 +21,7 @@ from transknot.invariants import (
     invariant_values,
     pushoff_linking_oracle,
     self_linking,
+    sign_for_over,
     v2,
     writhe,
 )
@@ -154,12 +155,13 @@ def test_each_crossing_is_signed_once(monkeypatch):
     d = stabilize(trefoil_right(), 1, 3)
     signed = []
 
-    def counting(d, c):
-        signed.append(c)
-        return crossing_sign(d, c)
+    def counting(curve, lo, hi, over):
+        signed.append((lo, hi, over))
+        return sign_for_over(curve, lo, hi, over)
 
-    monkeypatch.setattr("transknot.invariants.crossing_sign", counting)
+    monkeypatch.setattr("transknot.invariants.sign_for_over", counting)
     invariant_values(d)
     assert pushoff_linking_oracle(d) == writhe(d) == -5
-    assert sorted(signed) == list(d.crossings)
+    assert sorted(signed) == [(c.lo, c.hi, c.over) for c in d.crossings]
+    monkeypatch.undo()
     assert d.signs == tuple(crossing_sign(d, c) for c in d.crossings)

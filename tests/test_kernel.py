@@ -11,8 +11,9 @@ a generic curve the pairs of edges that meet are exactly the crossing
 pairs; that is checked on the reference pass.  The pair pass, one
 loop that keeps each crossing as the int triple of its point, is checked
 against the walk over the pairs of ``box_overlapping_pairs`` with one
-``pair_determinants`` call each that it replaced, and a crossing built
-from its triple against the crossing built from its Fraction point.
+``pair_determinants`` call each that it replaced, and the crossings
+view a diagram builds from its entries against the crossings built from
+their Fraction points.
 
 Conditions 1 and 2, the Whitney index, crossing signs, the along-edge
 crossing order, the v2 basepoint and ``resolve`` decide on the curve's
@@ -254,6 +255,11 @@ def ref_crossings_along(d):
     return tuple(out)
 
 
+def along_crossings(d):
+    """``crossings_along`` with each index read as its crossing."""
+    return tuple(tuple(d.crossings[k] for k in along) for along in d.crossings_along)
+
+
 def ref_passages(d, base):
     n = d.curve.n
     along = ref_crossings_along(d)
@@ -318,7 +324,7 @@ def assert_directions_match(d):
     assert whitney_index(curve) == ref_whitney(curve)
     assert [crossing_sign(d, c) for c in d.crossings] == \
         [ref_crossing_sign(d, c) for c in d.crossings]
-    assert d.crossings_along == ref_crossings_along(d)
+    assert along_crossings(d) == ref_crossings_along(d)
     for base in range(1, curve.n + 1):
         assert v2(d, base) == ref_v2(d, base)
     least = min(range(1, curve.n + 1), key=curve.vertex)
@@ -539,49 +545,58 @@ def test_pair_pass_equals_the_walk_over_the_sweep():
         assert curve.detected_crossings == found
         assert curve.genericity_violations == violations
         assert [(lo, hi) for lo, hi, _ in curve.pair_facts[0]] == [(lo, hi) for lo, hi, _ in found]
-        assert d.crossings_along == ref_crossings_along(d)
+        assert along_crossings(d) == ref_crossings_along(d)
         kinds.update(v.kind for v in violations)
     assert ViolationKind.TriplePoint in kinds and len(kinds) == 6
 
 
 def test_lazy_crossings_are_the_crossings_of_their_points():
-    # a crossing built from its int triple equals, hashes, prints and
-    # sorts as the crossing built from its Fraction point
+    # the crossings view, built from a diagram's entries and bits on
+    # first read, equals, hashes, prints and sorts as the crossings built
+    # from the detected Fraction points, and each reads back its triple
     compared = 0
     for d in scanned_diagrams():
         facts, found = d.curve.pair_facts[0], d.curve.detected_crossings
-        for (lo, hi, xzd), (_, _, p) in zip(facts, found):
-            assert xzd == Crossing(lo, hi, p, "lo").xzd
-            for over in ("lo", "hi"):
-                lazy, eager = Crossing._exact(lo, hi, xzd, over), Crossing(lo, hi, p, over)
-                assert lazy == eager and hash(lazy) == hash(eager)
-                assert repr(Crossing._exact(lo, hi, xzd, over)) == repr(eager)
-                assert lazy.point == p and lazy.xzd == xzd
-                compared += 1
-        lazy = [Crossing._exact(lo, hi, xzd, over) for lo, hi, xzd in facts for over in "lo hi".split()]
-        eager = [Crossing(lo, hi, p, over) for lo, hi, p in found for over in "lo hi".split()]
-        # the same edges at another point, and at the same point
+        view, eager = [], []
+        for over in ("lo", "hi"):
+            view += d.with_over({(lo, hi): over for lo, hi, _ in facts}).crossings
+            eager += [Crossing(lo, hi, p, over) for lo, hi, p in found]
+        assert view == eager and [hash(c) for c in view] == [hash(c) for c in eager]
+        assert [repr(c) for c in view] == [repr(c) for c in eager]
+        assert [(c.lo, c.hi, c.xzd) for c in view] == list(facts) * 2
+        compared += len(view)
+        # the same edges at another point: the order is that of (lo, hi,
+        # the point's coordinates, over), read from the triples
         if facts:
-            lo, hi, xzd = facts[0]
-            lazy += [Crossing._exact(lo, hi, (xzd[0] + 1, xzd[1], xzd[2]), "lo"),
-                     Crossing._exact(lo, hi, (xzd[0] - 1, xzd[1], xzd[2]), "hi")]
-            eager += [Crossing(lo, hi, Point(found[0][2].x + Fraction(1, xzd[2]), found[0][2].z),
-                               "lo"),
-                      Crossing(lo, hi, Point(found[0][2].x - Fraction(1, xzd[2]), found[0][2].z),
-                               "hi")]
-        for a, b in itertools.product(range(len(lazy)), repeat=2):
-            assert (lazy[a] < lazy[b]) == (eager[a] < eager[b])
-            assert (lazy[a] <= lazy[b]) == (eager[a] <= eager[b])
+            lo, hi, (x, z, den) = facts[0]
+            view += [Crossing(lo, hi, Point(Fraction(x + 1, den), Fraction(z, den)), "lo"),
+                     Crossing(lo, hi, Point(Fraction(x - 1, den), Fraction(z, den)), "hi")]
+
+        def key(c):
+            x, z, den = c.xzd
+            return c.lo, c.hi, Fraction(x, den), Fraction(z, den), c.over
+
+        for a, b in itertools.product(view, repeat=2):
+            assert (a < b) == (key(a) < key(b)) and (a <= b) == (key(a) <= key(b))
     assert compared > 1000
 
 
-def test_a_sort_of_crossings_reads_no_point():
+def test_a_sort_of_crossings_reads_no_point(monkeypatch):
     # crossings of one diagram differ in (lo, hi), so sorting them
-    # compares no point and builds none
+    # compares no point; the constructor derives the pass's entries and
+    # bits and keeps the crossings it was given as its view
     d = ladder(8)
-    again = TransverseDiagram(d.curve, d.coorientation, d.crossings[::-1])
-    assert [(c.lo, c.hi) for c in again.crossings] == [(c.lo, c.hi) for c in d.crossings]
-    assert all(c._point is None for c in again.crossings)
+    given = d.crossings[::-1]
+
+    def compared(*args):
+        pytest.fail("a point was compared")
+
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, compared)
+    again = TransverseDiagram(d.curve, d.coorientation, given)
+    monkeypatch.undo()
+    assert again.entries == d.entries == d.curve.pair_facts[0] and again.overs == d.overs
+    assert all(a is b for a, b in zip(again.crossings, given[::-1]))
 
 
 @pytest.mark.parametrize("make", [*(lambda k=k: ladder(k) for k in (0, 2, 4, 8)),

@@ -688,7 +688,7 @@ def chord_ends(d: TransverseDiagram) -> dict:
     """(first, second) passage of each crossing in the walk from vertex
     1, keyed by (lo, hi); read from ``crossings_along`` alone."""
     ends: dict = {}
-    walk = [(c.lo, c.hi) for along in d.crossings_along for c in along]
+    walk = [d.entries[k][:2] for along in d.crossings_along for k in along]
     for pos, pair in enumerate(walk):
         ends.setdefault(pair, []).append(pos)
     return {pair: tuple(at) for pair, at in ends.items()}

@@ -216,26 +216,39 @@ def test_reference_routines_have_no_package_caller():
 
 
 def test_one_builder_puts_crossings_on_a_curve():
-    # a crossing is built from the pair pass's triple, never from a
-    # point: only _attach_over, and with_over, which keeps the triples
-    # of any diagram, name Crossing._exact
-    builders = {(None, "_attach_over"), ("TransverseDiagram", "with_over")}
+    # a diagram keeps its crossings as the pair pass's entries and a
+    # tuple of over bits: only its crossings view calls Crossing(...),
+    # no module reaches into the Crossing class or hands it to a call,
+    # and only _attach_over, and with_over, which keeps the entries of
+    # any diagram, name TransverseDiagram._from_entries
+    def bodies(tree, names):
+        return {id(node) for top in tree.body if isinstance(top, ast.ClassDef)
+                for fn in top.body
+                if isinstance(fn, ast.FunctionDef) and (top.name, fn.name) in names
+                for node in ast.walk(fn)} | {
+            id(node) for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and (None, fn.name) in names
+            for node in ast.walk(fn)}
+
+    def is_crossing(node):
+        return (isinstance(node, ast.Name) and node.id == "Crossing"
+                or isinstance(node, ast.Attribute) and node.attr == "Crossing")
+
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        defs = [(None, top) for top in tree.body] + [
-            (top.name, node) for top in tree.body if isinstance(top, ast.ClassDef)
-            for node in top.body]
-        allowed = {id(node) for owner, fn in defs
-                   if isinstance(fn, ast.FunctionDef) and (owner, fn.name) in builders
-                   for node in ast.walk(fn)}
+        view = bodies(tree, {("TransverseDiagram", "crossings")})
+        builders = bodies(tree, {(None, "_attach_over"), ("TransverseDiagram", "with_over")})
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and (
-                    isinstance(node.func, ast.Name) and node.func.id == "Crossing"
-                    or isinstance(node.func, ast.Attribute) and node.func.attr == "Crossing"):
+            if isinstance(node, ast.Call) and is_crossing(node.func) and id(node) not in view:
                 found.append(f"{path.name}:{node.lineno}:Crossing(...)")
-            if isinstance(node, ast.Attribute) and node.attr == "_exact" and id(node) not in allowed:
-                found.append(f"{path.name}:{node.lineno}:_exact")
+            if isinstance(node, ast.Call) and any(map(is_crossing, node.args)):
+                found.append(f"{path.name}:{node.lineno}:call on Crossing")
+            if isinstance(node, ast.Attribute) and is_crossing(node.value):
+                found.append(f"{path.name}:{node.lineno}:Crossing.{node.attr}")
+            if (isinstance(node, ast.Attribute) and node.attr == "_from_entries"
+                    and id(node) not in builders):
+                found.append(f"{path.name}:{node.lineno}:_from_entries")
     assert found == []
 
 

@@ -16,6 +16,7 @@ from transknot.diagram import (
     PolyCurve,
     TransverseDiagram,
     Violation,
+    build_diagram,
 )
 from transknot.fixtures import (
     minus_unknot,
@@ -112,6 +113,10 @@ def test_constructors_refuse_bad_input():
         (lambda: PolyCurve(DIAGRAMS[0].curve.vertices[:2]), "at least 3 vertices"),
         (lambda: Crossing(2, 2, p, "lo"), "lo < hi"),
         (lambda: Crossing(1, 2, p, "top"), "over must be"),
+        (lambda: DIAGRAMS[0].with_over({DIAGRAMS[0].entries[0][:2]: "top"}), "over must be"),
+        (lambda: build_diagram(DIAGRAMS[0].curve.vertices, Coorientation.PLUS,
+                               {(lo, hi): "top" for lo, hi, _ in DIAGRAMS[0].entries}),
+         "over must be"),
         (lambda: FramingTorsor(-1), "nonnegative"),
     ]:
         with pytest.raises(ValueError, match=message):
