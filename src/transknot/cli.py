@@ -23,10 +23,10 @@ from .diagram import (
     parse_diagram,
     serialize_diagram,
 )
-from .errors import ParseError, TransknotError
+from .errors import InadmissibleDoublePointError, ParseError, TransknotError
 from .geometry import dot, vec
 from .invariants import invariant_values, pushoff_linking_oracle
-from .transversality import validate
+from .transversality import forced_over, require_valid, validate
 
 # The handlers that need `framing` or `moves_singular` import it
 # themselves, so that a command loads only the modules it runs.
@@ -205,6 +205,10 @@ def _cmd_resolve(args) -> CommandOutcome:
             raise ValueError(f"--sites index {i} is not in 1..{len(d.entries)}")
         if i in args.sites[:k]:
             raise ValueError(f"--sites lists site {i} twice")
+    require_valid(d)
+    for i in sorted(args.sites):  # the lowest forced site, as make_singular finds it
+        if forced_over(d.curve, d.coorientation, *d.entries[i - 1][:2]) is not None:
+            raise InadmissibleDoublePointError(f"--sites index {i} has a forced over bit")
     zero_based = [i - 1 for i in args.sites]
     s = make_singular(d, zero_based)
     choices = {

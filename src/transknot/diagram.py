@@ -55,8 +55,12 @@ class Frozen:
     """Equality, hash and repr over the fields named in ``_fields``, and
     no assignment: what a frozen dataclass gives, without the import
     cost of ``dataclasses``.  Instances are equal when their classes and
-    field tuples are, and hash as the field tuple.  Each ``__init__``
-    sets its fields with ``object.__setattr__``.
+    field tuples are, and hash as the field tuple.  This is the one
+    place the package writes value equality and hashing: each value
+    type names as its fields the data it stores, and no subclass
+    overrides them.  Each ``__init__`` sets its fields with
+    ``object.__setattr__`` or, where views are cached beside them, in
+    the instance's ``__dict__``.
     """
 
     __slots__ = ()
@@ -119,20 +123,19 @@ class PolyCurve(Frozen):
     The curve is its ints: ``scaled`` is (L, the vertices times L), with
     L the lcm of the reduced denominators of the vertex coordinates, so
     that the scaled vertices are plain (x, z) int tuples.  The pair is
-    canonical, so equality compares it.  The all-pairs loops decide their
+    canonical, so it is the one field: equality, the hash and the repr
+    read it and build no Fraction.  The all-pairs loops decide their
     predicates on these ints, which are exact and never normalise a
     fraction; a distance leaves them as a Fraction again, and a crossing
     point stays the int triple the pair pass found (``pair_facts``),
     which a diagram keeps as its ``entries``, until it is read as a
-    Fraction point (``detected_crossings``, the diagram's ``crossings``
-    view).  ``vertices``, the
-    Fraction points, is a view built on first read; as the field tuple it
-    is what the repr reads; the hash reads ``scaled``, which equality
-    compares, and so builds no view.  ``vertex`` reads one vertex from
-    its ints and builds no view.  The constructor takes the points,
-    converts them once and keeps them as that view.  The parser and the
-    moves hand their ints to ``_from_scaled``, the moves through
-    ``splice``, and build no vertex Fraction.
+    Fraction point (``detect_crossings``, the diagram's ``crossings``
+    view).  ``vertices``, the Fraction points, is a view built on first
+    read, and ``vertex`` reads one vertex from its ints and builds no
+    view.  The constructor takes the points, converts them once and
+    keeps them as that view.  The parser and the moves hand their ints
+    to ``_from_scaled``, the moves through ``splice``, and build no
+    vertex Fraction.
 
     ``vertex_text`` is the curve's vertex lines as ``serialize_diagram``
     writes them, formatted from the ints on first write.  A curve read
@@ -141,7 +144,7 @@ class PolyCurve(Frozen):
     their host's curve, and with it that text.
     """
 
-    _fields = ("vertices",)
+    _fields = ("scaled",)
     scaled: tuple[int, tuple[tuple[int, int], ...]]
 
     def __init__(self, vertices: tuple[Point, ...]):
@@ -161,14 +164,6 @@ class PolyCurve(Frozen):
         curve = object.__new__(cls)
         object.__setattr__(curve, "scaled", (scale, pts))
         return curve
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.scaled == other.scaled
-
-    def __hash__(self):
-        return hash(self.scaled)
 
     @cached_property
     def vertices(self) -> tuple[Point, ...]:
@@ -232,13 +227,6 @@ class PolyCurve(Frozen):
         exactly when their triples are.  The pass keeps nothing else of
         the pairs it decides on."""
         return _crossing_scan(self)
-
-    @cached_property
-    def detected_crossings(self) -> tuple[tuple[int, int, Point], ...]:
-        """(lo, hi, point) for every interior transversal intersection of
-        non-adjacent edges, sorted by (lo, hi): the crossings of
-        ``pair_facts`` with their Fraction points, built on first read."""
-        return tuple((lo, hi, _point(xzd)) for lo, hi, xzd in self.pair_facts[0])
 
     @property
     def genericity_violations(self) -> tuple[Violation, ...]:
@@ -457,24 +445,26 @@ class TransverseDiagram(Frozen):
     The crossings are held in one form: ``entries``, a tuple of (lo, hi,
     xzd) sorted by (lo, hi), xzd the canonical int triple of the point as
     ``PolyCurve.pair_facts`` holds it, and ``overs``, the over bit "lo"
-    or "hi" of each entry in the same order.  Every package reader reads
-    these.  ``crossings``, the ``Crossing`` values, is a view built on
-    first read; as a field it is what equality, the hash and the repr
-    read.  The constructor sorts the crossings it is given, derives both
-    tuples once and keeps the crossings as that view; ``_attach_over``
+    or "hi" of each entry in the same order.  These two and the curve
+    and coorientation are the fields that equality, the hash and the
+    repr read, so none of them builds a Fraction.  ``crossings``, the
+    ``Crossing`` values, is a view built from the entries on first read;
+    only ``make_singular`` and ``render_svg`` read it in the package.
+    The constructor sorts the crossings it is given and derives both
+    tuples once, so its view equals those crossings; ``_attach_over``
     and ``with_over`` hand their tuples to ``_from_entries`` and build
-    no crossing.  All five are kept in the instance's ``__dict__``.
+    no crossing.  All of them are kept in the instance's ``__dict__``.
     """
 
-    _fields = ("curve", "coorientation", "crossings")
+    _fields = ("curve", "coorientation", "entries", "overs")
     curve: PolyCurve
     coorientation: Coorientation
     entries: tuple[tuple[int, int, tuple[int, int, int]], ...]
     overs: tuple[str, ...]
 
     def __init__(self, curve: PolyCurve, coorientation: Coorientation, crossings):
-        crossings = tuple(sorted(crossings))
-        vars(self).update(curve=curve, coorientation=coorientation, crossings=crossings,
+        crossings = sorted(crossings)
+        vars(self).update(curve=curve, coorientation=coorientation,
                           entries=tuple((c.lo, c.hi, c.xzd) for c in crossings),
                           overs=tuple(c.over for c in crossings))
 
@@ -552,12 +542,6 @@ class TransverseDiagram(Frozen):
             flips.get((lo, hi), bit) for (lo, hi, _), bit in zip(self.entries, self.overs)))
 
 
-def reversed_curve(curve: PolyCurve) -> PolyCurve:
-    """Orientation reversal keeping the first vertex first."""
-    scale, pts = curve.scaled
-    return PolyCurve._from_scaled(scale, pts[:1] + pts[:0:-1])
-
-
 def splice(d: TransverseDiagram, host: int, den: int, path, spots) -> Optional[TransverseDiagram]:
     """``d`` with the points ``path`` inserted after vertex ``host``, or
     None unless the new curve is generic and crosses exactly at the
@@ -616,10 +600,11 @@ def splice(d: TransverseDiagram, host: int, den: int, path, spots) -> Optional[T
 def detect_crossings(curve: PolyCurve) -> list[tuple[int, int, Point]]:
     """All interior transversal intersections of non-adjacent edge pairs.
 
-    A fresh list of the curve's cached ``detected_crossings``, sorted
-    by (lo, hi).
+    (lo, hi, point) for each crossing of the curve's cached
+    ``pair_facts``, sorted by (lo, hi), with its Fraction point built
+    from the int triple on every call.
     """
-    return list(curve.detected_crossings)
+    return [(lo, hi, _point(xzd)) for lo, hi, xzd in curve.pair_facts[0]]
 
 
 def check_genericity(curve: PolyCurve) -> list[Violation]:

@@ -264,7 +264,9 @@ class ResolutionAssignment(NamedTuple):
 def make_singular(d: TransverseDiagram, sites: Iterable[int]) -> SingularDiagram:
     """Erase the over bit at the crossings with the given indices.
 
-    Indices are positions into ``d.crossings``.  Each selected crossing
+    Indices are positions into ``d.entries``, the order of the
+    ``d.crossings`` view, which this reads to build the public
+    ``Resolved`` and ``Double`` sites.  Each selected crossing
     must be admissible: erasure is refused (InadmissibleDoublePointError)
     when the coorientation direction lies in the closed tangent cone,
     because there the over bit is forced and only one resolution is a
@@ -273,7 +275,7 @@ def make_singular(d: TransverseDiagram, sites: Iterable[int]) -> SingularDiagram
     require_valid(d)
     chosen = set(sites)
     for i in chosen:
-        if not 0 <= i < len(d.crossings):
+        if not 0 <= i < len(d.entries):
             raise ValueError(f"crossing index {i} out of range")
     out: list[Site] = []
     for i, c in enumerate(d.crossings):

@@ -1,9 +1,10 @@
 """Fraction routines that only the tests use, as references for the
-routines of the package."""
+routines of the package, and ``reversed_curve``, a curve move that only
+the tests make."""
 
 from fractions import Fraction
 
-from transknot.diagram import MAX_EXPONENT, MAX_TOKEN_CHARS
+from transknot.diagram import MAX_EXPONENT, MAX_TOKEN_CHARS, PolyCurve
 from transknot.errors import ParseError, TransknotError
 from transknot.geometry import (
     Point,
@@ -19,6 +20,12 @@ from transknot.geometry import (
     sign,
     vec,
 )
+
+
+def reversed_curve(curve: PolyCurve) -> PolyCurve:
+    """Orientation reversal keeping the first vertex first."""
+    scale, pts = curve.scaled
+    return PolyCurve._from_scaled(scale, pts[:1] + pts[:0:-1])
 
 
 def add(p: Point, d: Vec) -> Point:

@@ -259,6 +259,23 @@ class TestResolve:
         assert out.exit_code == 1
         assert "forced over bit" in out.stdout_lines[0]
 
+    @pytest.mark.parametrize("name, sites, assign, message", [
+        ("hosts/trefoil_right.td", "5", "-", "error: --sites index 5 has a forced over bit"),
+        ("hosts/trefoil_right.td", "7,1,5", "+-+", "error: --sites index 5 has a forced over bit"),
+        ("cli/u_minus.td", "1", "+", "error: --sites index 1 has a forced over bit"),
+        ("hosts/trefoil_right.td", "5,8", "++", "error: --sites index 8 is not in 1..7"),
+        ("hosts/trefoil_right.td", "5,5", "++", "error: --sites lists site 5 twice"),
+        ("cli/forbidden.td", "1", "+", "error: diagram is not valid (1 violations)"),
+    ])
+    def test_forced_site_is_named_as_given(self, tmp_path, name, sites, assign, message):
+        # range and repeat are checked first, then validity, then the
+        # forced sites, of which the lowest is named by its 1-based index
+        out_path = tmp_path / "resolved.txt"
+        out = dispatch(["resolve", str(INPUT_DIR / name), "--sites", sites,
+                        f"--assign={assign}", "-o", str(out_path)])
+        assert (out.exit_code, out.stdout_lines) == (1, [message])
+        assert not out_path.exists()
+
 
 class TestOrderCheck:
     def test_writhe_passes_order_one(self):

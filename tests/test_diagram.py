@@ -28,7 +28,6 @@ from transknot.diagram import (
     detect_crossings,
     min_feature_separation2,
     parse_diagram,
-    reversed_curve,
     serialize_diagram,
 )
 from transknot.errors import CrossingMismatchError, NongenericCurveError, ParseError
@@ -54,7 +53,7 @@ from transknot.moves_singular import (
 )
 from transknot.transversality import validate
 
-from fraction_routines import corners, fraction_token
+from fraction_routines import corners, fraction_token, reversed_curve
 
 
 def P(x, z) -> Point:
@@ -520,6 +519,20 @@ class TestIntRepresentation:
         assert len(resolved) == 24 and built == [] and crossings == []
         assert len(d.crossings) == len(crossings) == 23 and len(built) == 2 * 23
         assert [c.lo for c in resolved[0].crossings] == [e[0] for e in resolved[0].entries]
+
+    def test_equality_hash_and_repr_build_no_crossing(self, monkeypatch):
+        # a curve and a diagram compare, hash and print the ints they
+        # store: no Crossing and no Fraction is built for either
+        text = LADDER_K8.read_text(encoding="utf-8")
+        a, b = parse_diagram(text), parse_diagram(text)
+        built, crossings, original = self.count_fractions(monkeypatch), [], Crossing.__init__
+        monkeypatch.setattr(Crossing, "__init__",
+                            lambda c, *args: crossings.append(args) or original(c, *args))
+        assert a == b and a.curve == b.curve and a is not b and a.curve is not b.curve
+        assert hash(a) == hash(b) and hash(a.curve) == hash(b.curve)
+        assert repr(a) == repr(b) and repr(a.curve) in repr(a) and str(a.entries) in repr(a)
+        assert a != a.with_over({a.entries[0][:2]: "hi" if a.overs[0] == "lo" else "lo"})
+        assert built == [] and crossings == []
 
     def test_random_draw_builds_only_rejection_points(self, monkeypatch):
         # the draw, its curve and its crossings stay on ints; the only

@@ -18,6 +18,7 @@ from transknot.diagram import (
     PolyCurve,
     TransverseDiagram,
     build_diagram,
+    detect_crossings,
     parse_diagram,
     serialize_diagram,
     splice,
@@ -134,7 +135,7 @@ def vertical_hosts(seeds):
                     verts.insert(host, Point(a.x, (a.z + b.z) / 2))
                     curve = PolyCurve(tuple(verts))
                     crossings = [Crossing(lo, hi, p, forced_over(curve, coor, lo, hi) or "lo")
-                                 for lo, hi, p in curve.detected_crossings]
+                                 for lo, hi, p in detect_crossings(curve)]
                     split = TransverseDiagram(curve, coor, tuple(crossings))
                     if validate(split).is_valid:
                         yield split, host

@@ -17,8 +17,8 @@ from transknot.diagram import (
     Crossing,
     PolyCurve,
     TransverseDiagram,
+    detect_crossings,
     parse_diagram,
-    reversed_curve,
     serialize_diagram,
 )
 from transknot.errors import ParseError
@@ -27,7 +27,7 @@ from transknot.invariants import pushoff_linking_oracle, v2, writhe
 from transknot.moves_singular import random_valid_diagram
 from transknot.transversality import validate, whitney_index
 
-from fraction_routines import ref_oracle
+from fraction_routines import ref_oracle, reversed_curve
 
 DYADIC = st.builds(lambda n, e: Fraction(n, 2**e), st.integers(-8, 8), st.integers(0, 4))
 POSITIVE_DYADIC = st.builds(lambda n, e: Fraction(n, 2**e), st.integers(1, 8),
@@ -40,9 +40,9 @@ def image(d: TransverseDiagram, a, b, c, dz, e) -> TransverseDiagram:
     curve = PolyCurve(tuple(Point(a * p.x + c, b * p.x + dz * p.z + e)
                             for p in d.curve.vertices))
     over = {(c.lo, c.hi): c.over for c in d.crossings}
-    assert [(lo, hi) for lo, hi, _ in curve.detected_crossings] == list(over)
+    assert [(lo, hi) for lo, hi, _ in detect_crossings(curve)] == list(over)
     return TransverseDiagram(curve, d.coorientation, tuple(
-        Crossing(lo, hi, p, over[(lo, hi)]) for lo, hi, p in curve.detected_crossings))
+        Crossing(lo, hi, p, over[(lo, hi)]) for lo, hi, p in detect_crossings(curve)))
 
 
 @st.composite

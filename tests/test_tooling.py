@@ -2,6 +2,9 @@
 
 import ast
 import re
+import runpy
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -215,21 +218,25 @@ def test_reference_routines_have_no_package_caller():
     assert found == []
 
 
+def bodies(tree, names) -> set[int]:
+    """The ids of every node inside the named functions of the module
+    ``tree``: (class name, method name) for a method, (None, name) for
+    a module-level function."""
+    return {id(node) for top in tree.body if isinstance(top, ast.ClassDef)
+            for fn in top.body
+            if isinstance(fn, ast.FunctionDef) and (top.name, fn.name) in names
+            for node in ast.walk(fn)} | {
+        id(node) for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and (None, fn.name) in names
+        for node in ast.walk(fn)}
+
+
 def test_one_builder_puts_crossings_on_a_curve():
     # a diagram keeps its crossings as the pair pass's entries and a
     # tuple of over bits: only its crossings view calls Crossing(...),
     # no module reaches into the Crossing class or hands it to a call,
     # and only _attach_over, and with_over, which keeps the entries of
     # any diagram, name TransverseDiagram._from_entries
-    def bodies(tree, names):
-        return {id(node) for top in tree.body if isinstance(top, ast.ClassDef)
-                for fn in top.body
-                if isinstance(fn, ast.FunctionDef) and (top.name, fn.name) in names
-                for node in ast.walk(fn)} | {
-            id(node) for fn in tree.body
-            if isinstance(fn, ast.FunctionDef) and (None, fn.name) in names
-            for node in ast.walk(fn)}
-
     def is_crossing(node):
         return (isinstance(node, ast.Name) and node.id == "Crossing"
                 or isinstance(node, ast.Attribute) and node.attr == "Crossing")
@@ -250,6 +257,84 @@ def test_one_builder_puts_crossings_on_a_curve():
                     and id(node) not in builders):
                 found.append(f"{path.name}:{node.lineno}:_from_entries")
     assert found == []
+
+
+def test_only_frozen_writes_value_equality():
+    # each value type names the data it stores as its _fields, and
+    # Frozen alone turns them into equality and a hash
+    found = []
+    for path in SOURCES:
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef) or cls.name == "Frozen":
+                continue
+            for node in cls.body:
+                names = [node.name] if isinstance(node, ast.FunctionDef) else [
+                    t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+                found += [f"{path.name}:{node.lineno}:{cls.name}.{name}"
+                          for name in names if name in ("__eq__", "__hash__")]
+    assert found == []
+
+
+def test_the_crossings_view_is_read_where_crossings_are_made_public():
+    # the package reads a diagram's entries and over bits; the Crossing
+    # values are read only by make_singular, which builds the public
+    # Resolved and Double sites from them, by render_svg and by the view
+    # itself.  A field named in a class's _fields is read by Frozen's
+    # equality, hash and repr, so no _fields names the view either
+    readers = {(None, "make_singular"), (None, "render_svg"), ("TransverseDiagram", "crossings")}
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = bodies(tree, readers)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "crossings"
+                    and id(node) not in allowed):
+                found.append(f"{path.name}:{node.lineno}:.crossings")
+            if (isinstance(node, ast.Assign)
+                    and "_fields" in [t.id for t in node.targets if isinstance(t, ast.Name)]
+                    and "crossings" in ast.literal_eval(node.value)):
+                found.append(f"{path.name}:{node.lineno}:_fields")
+    assert found == []
+
+
+CODE_LINES = REPO / "tests" / "code_lines.py"
+SAMPLE = "\n".join([
+    '"""Module',
+    'docstring."""',
+    "",
+    "# a comment",
+    "import os  # counted",
+    "",
+    "class A:",
+    '    """Class docstring."""',
+    "",
+    "    def f(self):",
+    "        '''Function",
+    "        docstring.'''",
+    "        x = '''a string",
+    "",
+    "        of three lines'''",
+    "        # another comment",
+    "        return (x,",
+    "                os)",
+    '    "not a docstring"',
+    "",
+])
+
+
+def test_code_line_counter_counts_a_sample_and_every_module():
+    # code lines are not blank, not comments and not module, class or
+    # function docstrings; every module of the package is listed
+    count = runpy.run_path(str(CODE_LINES))["code_lines"]
+    # import, class, def, the string's two non-blank lines, both lines
+    # of the return, and the string that is not a docstring
+    assert count(SAMPLE) == 8
+    out = subprocess.run([sys.executable, str(CODE_LINES)], capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    counts = {name: int(n) for name, n in map(str.split, out)}
+    assert list(counts) == [path.name for path in SOURCES] + ["total"]
+    assert counts == {**{path.name: count(path.read_text(encoding="utf-8")) for path in SOURCES},
+                      "total": sum(list(counts.values())[:-1])}
 
 
 # a raise names a domain error, a ValueError for a bad argument, an

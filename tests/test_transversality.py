@@ -10,7 +10,6 @@ from transknot.diagram import (
     Violation,
     ViolationKind,
     build_diagram,
-    reversed_curve,
 )
 from transknot.errors import InvalidDiagramError, NongenericCurveError
 from transknot.fixtures import minus_unknot, trefoil_right, u_minus, u_minus_forbidden
@@ -28,6 +27,8 @@ from transknot.transversality import (
     validate,
     whitney_index,
 )
+
+from fraction_routines import reversed_curve
 
 
 def P(x, z) -> Point:

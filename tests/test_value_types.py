@@ -1,9 +1,10 @@
 """The value types keep the contract of the frozen dataclasses they were.
 
 Equal values are equal and hash as their field tuple, so set and dict
-orders do not move, except ``PolyCurve``, which hashes as its ``scaled``
-ints, the data its equality compares, and so builds no Fraction view; crossings sort by (lo, hi, point, over), do not
-order against other types, and a diagram sorts the crossings it is
+orders do not move; each type's fields are the data it stores, so a
+curve is its ``scaled`` ints and a diagram its curve, coorientation,
+int entries and over bits; crossings sort by (lo, hi, point, over), do
+not order against other types, and a diagram sorts the crossings it is
 given; constructors refuse bad input with ValueError; fields cannot be
 assigned or deleted.
 """
@@ -36,8 +37,8 @@ DIAGRAMS += [random_valid_diagram(seed) for seed in range(4)]
 FIELDS = {
     Violation: ("kind", "edges", "point"),
     Crossing: ("lo", "hi", "point", "over"),
-    PolyCurve: ("vertices",),
-    TransverseDiagram: ("curve", "coorientation", "crossings"),
+    PolyCurve: ("scaled",),
+    TransverseDiagram: ("curve", "coorientation", "entries", "overs"),
     ValidityReport: ("violations",),
     InvariantValue: ("name", "value"),
 }
@@ -58,20 +59,27 @@ def field_tuple(x) -> tuple:
     return tuple(getattr(x, f) for f in FIELDS[type(x)])
 
 
+def public_copy(x):
+    """x rebuilt by its public constructor."""
+    if isinstance(x, PolyCurve):
+        return PolyCurve(x.vertices)
+    if isinstance(x, TransverseDiagram):
+        return TransverseDiagram(x.curve, x.coorientation, x.crossings)
+    return type(x)(*field_tuple(x))
+
+
 def test_every_type_is_covered():
     assert {type(x) for x in values()} == set(FIELDS)
 
 
 @pytest.mark.parametrize("x", values(), ids=lambda x: type(x).__name__)
 def test_hash_and_equality_are_those_of_the_field_tuple(x):
-    copy = type(x)(*field_tuple(x))
+    copy = public_copy(x)
+    assert hash(x) == hash(field_tuple(x)) == hash(copy)
+    assert x == copy and not x != copy
     if isinstance(x, PolyCurve):
         ints = PolyCurve._from_scaled(*x.scaled)
-        assert hash(x) == hash(x.scaled) == hash(copy) == hash(ints)
-        assert x == ints and not x != ints
-    else:
-        assert hash(x) == hash(field_tuple(x)) == hash(copy)
-    assert x == copy and not x != copy
+        assert hash(x) == hash(ints) and x == ints and not x != ints
     with pytest.raises(AttributeError):
         setattr(x, FIELDS[type(x)][0], None)
     with pytest.raises(AttributeError):
@@ -89,6 +97,10 @@ def test_hand_written_types_differ_from_their_field_tuples():
 def test_repr_names_the_fields():
     c = DIAGRAMS[0].crossings[0]
     assert repr(c) == f"Crossing(lo={c.lo!r}, hi={c.hi!r}, point={c.point!r}, over={c.over!r})"
+    d = DIAGRAMS[2]
+    assert repr(d.curve) == f"PolyCurve(scaled={d.curve.scaled!r})"
+    assert repr(d) == (f"TransverseDiagram(curve={d.curve!r}, coorientation={d.coorientation!r}, "
+                       f"entries={d.entries!r}, overs={d.overs!r})")
     assert repr(FramingTorsor(0)) == "FramingTorsor(modulus=0)"
 
 
