@@ -73,12 +73,10 @@ _EXPORTS = {
         "writhe",
     ),
     "moves_singular": (
-        "Double",
         "FramedInvariantHandle",
         "InvariantHandle",
         "Resolution",
         "ResolutionAssignment",
-        "Resolved",
         "SingularDiagram",
         "assignment_sign",
         "is_order_at_most",

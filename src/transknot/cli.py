@@ -26,7 +26,7 @@ from .diagram import (
 from .errors import InadmissibleDoublePointError, ParseError, TransknotError
 from .geometry import dot, vec
 from .invariants import invariant_values, pushoff_linking_oracle
-from .transversality import forced_over, require_valid, validate
+from .transversality import validate
 
 # The handlers that need `framing` or `moves_singular` import it
 # themselves, so that a command loads only the modules it runs.
@@ -205,12 +205,11 @@ def _cmd_resolve(args) -> CommandOutcome:
             raise ValueError(f"--sites index {i} is not in 1..{len(d.entries)}")
         if i in args.sites[:k]:
             raise ValueError(f"--sites lists site {i} twice")
-    require_valid(d)
-    for i in sorted(args.sites):  # the lowest forced site, as make_singular finds it
-        if forced_over(d.curve, d.coorientation, *d.entries[i - 1][:2]) is not None:
-            raise InadmissibleDoublePointError(f"--sites index {i} has a forced over bit")
     zero_based = [i - 1 for i in args.sites]
-    s = make_singular(d, zero_based)
+    try:
+        s = make_singular(d, zero_based)
+    except InadmissibleDoublePointError as e:
+        raise ValueError(f"--sites index {e.site + 1} has a forced over bit") from None
     choices = {
         idx: Resolution.POS if ch == "+" else Resolution.NEG
         for idx, ch in zip(zero_based, assign)

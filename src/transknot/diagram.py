@@ -449,7 +449,7 @@ class TransverseDiagram(Frozen):
     and coorientation are the fields that equality, the hash and the
     repr read, so none of them builds a Fraction.  ``crossings``, the
     ``Crossing`` values, is a view built from the entries on first read;
-    only ``make_singular`` and ``render_svg`` read it in the package.
+    only ``render_svg`` reads it in the package.
     The constructor sorts the crossings it is given and derives both
     tuples once, so its view equals those crossings; ``_attach_over``
     and ``with_over`` hand their tuples to ``_from_entries`` and build
@@ -736,8 +736,8 @@ def _attach_over(curve: PolyCurve, coor: Coorientation, over: dict) -> Transvers
     This is the one place that puts a curve's pair pass on a diagram:
     the diagram keeps the pass's own tuple as its ``entries``, and only
     the tuple of bits is made, so no ``Crossing`` is built.  The readers,
-    ``build_diagram``, ``splice``, the random draw and ``resolve`` hand
-    it their maps.  A caller whose map may miss a pair checks it first
+    ``build_diagram``, ``splice`` and the random draw hand it their
+    maps.  A caller whose map may miss a pair checks it first
     with ``crossing_mismatch``."""
     entries = curve.pair_facts[0]
     return TransverseDiagram._from_entries(curve, coor, entries,

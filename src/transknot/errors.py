@@ -71,7 +71,12 @@ class HostTooShortError(TransknotError):
 class InadmissibleDoublePointError(TransknotError):
     """A crossing cannot be declared a double point: the coorientation
     direction lies in the closed tangent cone, so one resolution would
-    be forbidden in place."""
+    be forbidden in place.  ``site`` is the crossing's index into the
+    diagram's entries."""
+
+    def __init__(self, message: str, site: int):
+        self.site = site
+        super().__init__(message)
 
 
 class FamilyArityError(TransknotError):

@@ -14,13 +14,16 @@ fraction of the host edge plus an offset over one common denominator.
 crossings against the expected ones by one sorted comparison of ints,
 so a move builds no vertex Fraction and hashes no Fraction point.
 
-A singular diagram is a diagram in which some crossings have their
-over bit erased ("double points").  Erasure is only permitted where
-both over bits yield a valid diagram, i.e. where the coorientation
-direction lies outside the closed tangent cone.  Resolving every
-double point and summing the resulting invariant values with the
-parity sign of the resolution yields the defect whose vanishing on
-(n+1)-point diagrams is the evidence that an invariant has order <= n.
+A singular diagram is a valid diagram together with the indices of
+the crossings whose over bit is erased ("double points").  Erasure is
+only permitted where both over bits yield a valid diagram, i.e. where
+the coorientation direction lies outside the closed tangent cone.
+Resolving a double point sets its bit in a copy of the host diagram,
+so a resolution keeps the host's curve, entries and validity.
+Resolving every double point and summing the resulting invariant
+values with the parity sign of the resolution yields the defect whose
+vanishing on (n+1)-point diagrams is the evidence that an invariant
+has order <= n.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .diagram import (Coorientation, Crossing, PolyCurve, TransverseDiagram, _attach_over,
-                      crossing_mismatch, least_dist2, splice)
+from .diagram import (Coorientation, PolyCurve, TransverseDiagram, _attach_over, _point,
+                      least_dist2, splice)
 from .errors import (
     FamilyArityError,
     HostTooShortError,
@@ -41,7 +44,7 @@ from .errors import (
     TransknotError,
 )
 from .fixtures import trefoil_right
-from .geometry import Point, halvings
+from .geometry import halvings
 from .invariants import self_linking, v2, writhe
 from .transversality import (
     corner_turns,
@@ -217,37 +220,21 @@ def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
 # --- singular diagrams ------------------------------------------------------
 
 
-class Resolved(NamedTuple):
-    """A site that keeps its crossing data."""
-
-    crossing: Crossing
-
-
-class Double(NamedTuple):
-    """A crossing whose over bit has been erased."""
-
-    lo: int
-    hi: int
-    point: Point
-
-
-Site = Union[Resolved, Double]
-
-
 class SingularDiagram(NamedTuple):
-    """A diagram whose crossings may be unresolved double points.
+    """A valid diagram with the over bits at some crossings erased, as
+    ``make_singular`` builds it.
 
-    Geometry is that of a TransverseDiagram; sites appear in the order
-    of the underlying crossing list, and that order is the canonical
-    one for resolution enumeration.
+    ``diagram`` is the host, which keeps every crossing and its bit, and
+    ``doubles`` the ascending indices into its ``entries`` of the
+    crossings whose bits are erased, the double points, none of them
+    forced.  That order is the canonical one for resolution enumeration.
     """
 
-    curve: PolyCurve
-    coorientation: Coorientation
-    sites: tuple[Site, ...]
+    diagram: TransverseDiagram
+    doubles: tuple[int, ...]
 
     def double_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.sites) if isinstance(s, Double))
+        return self.doubles
 
 
 class Resolution(enum.Enum):
@@ -264,31 +251,28 @@ class ResolutionAssignment(NamedTuple):
 def make_singular(d: TransverseDiagram, sites: Iterable[int]) -> SingularDiagram:
     """Erase the over bit at the crossings with the given indices.
 
-    Indices are positions into ``d.entries``, the order of the
-    ``d.crossings`` view, which this reads to build the public
-    ``Resolved`` and ``Double`` sites.  Each selected crossing
-    must be admissible: erasure is refused (InadmissibleDoublePointError)
-    when the coorientation direction lies in the closed tangent cone,
-    because there the over bit is forced and only one resolution is a
-    valid diagram.
+    Indices are positions into ``d.entries``.  The diagram must be valid
+    (InvalidDiagramError), and each index in range (ValueError).  Each
+    selected crossing must be admissible: erasure is refused
+    (InadmissibleDoublePointError, naming the lowest such index as its
+    ``site``) when the coorientation direction lies in the closed tangent
+    cone, because there the over bit is forced and only one resolution
+    is a valid diagram.  Only that refusal builds a point, for its
+    message.
     """
     require_valid(d)
-    chosen = set(sites)
+    chosen = sorted(set(sites))
     for i in chosen:
         if not 0 <= i < len(d.entries):
             raise ValueError(f"crossing index {i} out of range")
-    out: list[Site] = []
-    for i, c in enumerate(d.crossings):
-        if i not in chosen:
-            out.append(Resolved(c))
-            continue
-        if forced_over(d.curve, d.coorientation, c.lo, c.hi) is not None:
+    for i in chosen:
+        lo, hi, xzd = d.entries[i]
+        if forced_over(d.curve, d.coorientation, lo, hi) is not None:
+            p = _point(xzd)
             raise InadmissibleDoublePointError(
-                f"crossing {i} between edges {c.lo} and {c.hi} at "
-                f"({c.point.x},{c.point.z}) has a forced over bit"
-            )
-        out.append(Double(c.lo, c.hi, c.point))
-    return SingularDiagram(d.curve, d.coorientation, tuple(out))
+                f"crossing {i} between edges {lo} and {hi} at ({p.x},{p.z}) has a forced over bit",
+                i)
+    return SingularDiagram(d, tuple(chosen))
 
 
 def resolve(s: SingularDiagram, a: ResolutionAssignment) -> TransverseDiagram:
@@ -296,28 +280,29 @@ def resolve(s: SingularDiagram, a: ResolutionAssignment) -> TransverseDiagram:
 
     POS selects the over bit of sign +1 and NEG that of sign -1, by
     ``over_for_sign``.  The assignment must cover exactly the double
-    sites, each with a Resolution, and the sites must name each crossing
-    of the curve once, as ``make_singular`` writes them; ValueError is
-    raised otherwise.  It hands ``_attach_over`` a bit per pair-pass
-    entry of the curve, a kept site's own bit and a double's bit of the
-    chosen sign, and the diagram keeps the pass's entries: it reads no
-    ``point`` and builds no ``Crossing``.
+    points, each with a Resolution; ValueError is raised otherwise.  The
+    result is the host with those bits replaced (``with_over``): it
+    keeps the host's curve and entries, and builds no ``Crossing``.
+
+    The result takes the host's validity report into its cache, as the
+    check would compute the same one.  Genericity and condition 1 read
+    only the curve, and the mismatch check only the entries, which the
+    host shares.  Condition 2 reads the bits only at crossings with a
+    forced bit, and ``make_singular`` erased none of those, so every bit
+    it reads is the host's.
     """
-    if set(a.choices) != set(s.double_indices()):
+    if set(a.choices) != set(s.doubles):
         raise ValueError("assignment must cover every double site exactly once")
-    over = {}
-    for i, site in enumerate(s.sites):
-        if isinstance(site, Resolved):
-            over[site.crossing.lo, site.crossing.hi] = site.crossing.over
-            continue
+    d, over = s.diagram, {}
+    for i in s.doubles:
         choice = a.choices[i]
         if not isinstance(choice, Resolution):
             raise ValueError(f"choice {choice!r} for site {i} is not a Resolution")
-        sign = 1 if choice is Resolution.POS else -1
-        over[site.lo, site.hi] = over_for_sign(s.curve, site.lo, site.hi, sign)
-    if len(over) < len(s.sites) or crossing_mismatch(s.curve, over)[2]:
-        raise ValueError("sites must name each crossing of the curve once")
-    return _attach_over(s.curve, s.coorientation, over)
+        lo, hi, _ = d.entries[i]
+        over[lo, hi] = over_for_sign(d.curve, lo, hi, 1 if choice is Resolution.POS else -1)
+    out = d.with_over(over)
+    vars(out)["validity"] = d.validity
+    return out
 
 
 def assignment_sign(a: ResolutionAssignment) -> int:

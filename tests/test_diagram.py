@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import transknot.moves_singular as ms
 from transknot import diagram
 from transknot.cli import MAX_COUNT
 from transknot.diagram import (
@@ -533,6 +534,26 @@ class TestIntRepresentation:
         assert repr(a) == repr(b) and repr(a.curve) in repr(a) and str(a.entries) in repr(a)
         assert a != a.with_over({a.entries[0][:2]: "hi" if a.overs[0] == "lo" else "lo"})
         assert built == [] and crossings == []
+
+    def test_make_singular_and_resolve_build_no_crossing(self, monkeypatch):
+        # a singular diagram is its host and the indices of its double
+        # points: make_singular reads the host's entries, and resolve
+        # replaces the bits of the doubles, so on fresh copies of the
+        # hosts of an order-3 family neither builds a Crossing or a
+        # Fraction
+        calls, make = [], ms.make_singular
+        monkeypatch.setattr(ms, "make_singular",
+                            lambda d, sites: calls.append((d, sites)) or make(d, sites))
+        singular_family(1, 3, 3)
+        hosts = [(parse_diagram(serialize_diagram(d)), sites) for d, sites in calls]
+        assert len(hosts) == 3 and all(validate(d).is_valid for d, _ in hosts)
+        built, crossings, original = self.count_fractions(monkeypatch), [], Crossing.__init__
+        monkeypatch.setattr(Crossing, "__init__",
+                            lambda c, *args: crossings.append(args) or original(c, *args))
+        family = [make(d, sites) for d, sites in hosts]
+        resolved = [resolve(s, ResolutionAssignment(dict(zip(s.double_indices(), signs))))
+                    for s in family for signs in itertools.product(Resolution, repeat=3)]
+        assert len(resolved) == 24 and built == [] and crossings == []
 
     def test_random_draw_builds_only_rejection_points(self, monkeypatch):
         # the draw, its curve and its crossings stay on ints; the only

@@ -297,15 +297,15 @@ def ref_v2(d, base):
 
 
 def ref_resolve(s, a):
-    crossings = []
-    for i, site in enumerate(s.sites):
+    d, crossings = s.diagram, []
+    for i, c in enumerate(d.crossings):
         if i not in a.choices:
-            crossings.append(site.crossing)
+            crossings.append(c)
             continue
-        positive = cross(s.curve.direction(site.lo), s.curve.direction(site.hi)) > 0
+        positive = cross(d.curve.direction(c.lo), d.curve.direction(c.hi)) > 0
         over = "lo" if positive == (a.choices[i] is Resolution.POS) else "hi"
-        crossings.append(Crossing(site.lo, site.hi, site.point, over))
-    return TransverseDiagram(s.curve, s.coorientation, tuple(crossings))
+        crossings.append(Crossing(c.lo, c.hi, c.point, over))
+    return TransverseDiagram(d.curve, d.coorientation, tuple(crossings))
 
 
 def assert_directions_match(d):

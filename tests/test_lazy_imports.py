@@ -23,7 +23,9 @@ SRC = str(Path(transknot.__file__).resolve().parents[1])
 
 # Every name `transknot` exported when its `__init__` imported all of
 # its modules, by the module that defines it, less `OracleError`, which
-# nothing raised and which is gone.
+# nothing raised and which is gone, and less `Double` and `Resolved`,
+# the sites a singular diagram no longer keeps: it is its host diagram
+# and the indices of its double points.
 EXPORTED = {
     "diagram": (
         "Coorientation", "Crossing", "PolyCurve", "TransverseDiagram", "Violation",
@@ -48,11 +50,10 @@ EXPORTED = {
         "self_linking", "v2", "writhe",
     ),
     "moves_singular": (
-        "Double", "FramedInvariantHandle", "InvariantHandle", "Resolution",
-        "ResolutionAssignment", "Resolved", "SingularDiagram", "assignment_sign",
-        "is_order_at_most", "make_singular", "pullback_framed_invariant",
-        "random_valid_diagram", "resolve", "singular_family", "stabilize",
-        "vassiliev_defect",
+        "FramedInvariantHandle", "InvariantHandle", "Resolution", "ResolutionAssignment",
+        "SingularDiagram", "assignment_sign", "is_order_at_most", "make_singular",
+        "pullback_framed_invariant", "random_valid_diagram", "resolve", "singular_family",
+        "stabilize", "vassiliev_defect",
     ),
     "transversality": ("ValidityReport", "validate", "whitney_index"),
 }

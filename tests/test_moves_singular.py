@@ -49,10 +49,8 @@ from transknot.moves_singular import (
     FRAMING_PROJECTION,
     V2_INVARIANT,
     WRITHE_INVARIANT,
-    Double,
     Resolution,
     ResolutionAssignment,
-    Resolved,
     _anchors,
     _bend_vertical,
     assignment_sign,
@@ -65,7 +63,8 @@ from transknot.moves_singular import (
     stabilize,
     vassiliev_defect,
 )
-from transknot.transversality import forced_over, over_for_sign, reference, validate, whitney_index
+from transknot.transversality import (check_validity, forced_over, over_for_sign, reference,
+                                      validate, whitney_index)
 
 from fraction_routines import add, fraction_halvings
 
@@ -499,12 +498,18 @@ class TestMakeSingular:
     def test_braid_crossings_become_doubles(self):
         s = make_singular(trefoil_right(), [0, 1])
         assert s.double_indices() == (0, 1)
-        doubles = [site for site in s.sites if isinstance(site, Double)]
+        doubles = [s.diagram.crossings[i] for i in s.doubles]
         assert [(x.lo, x.hi) for x in doubles] == [(1, 9), (2, 10)]
 
     def test_forced_crossing_is_inadmissible(self):
-        with pytest.raises(InadmissibleDoublePointError, match="forced over bit"):
+        with pytest.raises(InadmissibleDoublePointError, match="forced over bit") as raised:
             make_singular(u_minus(), [0])
+        assert raised.value.site == 0
+        # the lowest forced index is refused, and its message names its point
+        with pytest.raises(InadmissibleDoublePointError) as raised:
+            make_singular(trefoil_right(), [6, 0, 4])
+        assert (raised.value.site, str(raised.value)) == (
+            4, "crossing 4 between edges 6 and 8 at (-10/13,-5/2) has a forced over bit")
 
     def test_rejects_invalid_diagram(self):
         with pytest.raises(InvalidDiagramError):
@@ -567,26 +572,26 @@ class TestResolve:
             doubles = s.double_indices()
             for signs in itertools.product(Resolution, repeat=len(doubles)):
                 choices = dict(zip(doubles, signs))
-                by_point = TransverseDiagram(s.curve, s.coorientation, [
-                    site.crossing if isinstance(site, Resolved) else Crossing(
-                        site.lo, site.hi, site.point, over_for_sign(
-                            s.curve, site.lo, site.hi, 1 if choices[i] is Resolution.POS else -1))
-                    for i, site in enumerate(s.sites)])
+                d = s.diagram
+                by_point = TransverseDiagram(d.curve, d.coorientation, [
+                    Crossing(c.lo, c.hi, c.point, over_for_sign(
+                        d.curve, c.lo, c.hi, 1 if choices[i] is Resolution.POS else -1))
+                    if i in choices else c for i, c in enumerate(d.crossings)])
                 got = resolve(s, ResolutionAssignment(choices))
                 assert got == by_point
                 assert [c.xzd for c in got.crossings] == [c.xzd for c in by_point.crossings]
 
-    @pytest.mark.parametrize("keep", [lambda sites: sites[1:], lambda sites: sites[:-1],
-                                      lambda sites: sites + sites[-1:]],
-                             ids=["first dropped", "last dropped", "last twice"])
-    def test_sites_must_be_the_crossings(self, keep):
-        # a site list make_singular did not write does not name the
-        # crossings of its curve, so no diagram matches it
-        s = make_singular(trefoil_right(), [0])
-        broken = s._replace(sites=keep(s.sites))
-        choices = {i: Resolution.POS for i in broken.double_indices()}
-        with pytest.raises(ValueError, match="each crossing of the curve once"):
-            resolve(broken, ResolutionAssignment(choices))
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_resolve_hands_on_the_host_validity(self, seed, order):
+        # a resolution changes bits only where make_singular found none
+        # forced, so the host's report, which resolve caches on it, is
+        # the one the check computes
+        for s in singular_family(seed, order + 1, 3):
+            for signs in itertools.product(Resolution, repeat=len(s.doubles)):
+                r = resolve(s, ResolutionAssignment(dict(zip(s.doubles, signs))))
+                assert r.validity is s.diagram.validity
+                assert r.validity == check_validity(r)
 
 
 def test_assignment_sign():
@@ -661,7 +666,7 @@ class TestVassilievDefect:
         seen = set()
         for s in skein_members(2, range(60)):
             ends = chord_ends(resolve_all(s, Resolution.POS))
-            one, other = (s.sites[i] for i in s.double_indices())
+            one, other = (s.diagram.crossings[i] for i in s.double_indices())
             symbol = int(interleaved(ends[one.lo, one.hi], ends[other.lo, other.hi]))
             assert vassiliev_defect(V2_INVARIANT, s).defect == symbol
             seen.add(symbol)
@@ -708,7 +713,7 @@ def smoothing_linking_number(s, site: int) -> int:
     crossings keep their signs whatever the double point resolves to."""
     d = resolve_all(s, Resolution.POS)
     ends = chord_ends(d)
-    double = s.sites[site]
+    double = s.diagram.crossings[site]
     chord = ends[double.lo, double.hi]
     twice = sum(sg for c, sg in zip(d.crossings, d.signs)
                 if interleaved(chord, ends[c.lo, c.hi]))
@@ -797,8 +802,8 @@ class TestGenerators:
             assert len(s.double_indices()) == 2
         # deterministic, and led by the trefoil braid witness
         again = singular_family(2, 2, 3)
-        assert [m.curve for m in again] == [m.curve for m in family]
-        assert family[0].curve == trefoil_right().curve
+        assert [m.diagram.curve for m in again] == [m.diagram.curve for m in family]
+        assert family[0].diagram.curve == trefoil_right().curve
 
     @pytest.mark.parametrize("doubles", range(1, 10))
     def test_family_draws_once_per_member(self, monkeypatch, doubles):
