@@ -261,7 +261,14 @@ def make_singular(d: TransverseDiagram, sites: Iterable[int]) -> SingularDiagram
     message.
     """
     require_valid(d)
-    chosen = sorted(set(sites))
+    return SingularDiagram(d, _admissible(d, sites))
+
+
+def _admissible(d: TransverseDiagram, sites: Iterable[int]) -> tuple[int, ...]:
+    """The distinct sites in ascending order.  Each must be an index into
+    ``d.entries`` (ValueError), and none may have a forced over bit: the
+    lowest that has one is refused (InadmissibleDoublePointError)."""
+    chosen = tuple(sorted(set(sites)))
     for i in chosen:
         if not 0 <= i < len(d.entries):
             raise ValueError(f"crossing index {i} out of range")
@@ -272,7 +279,7 @@ def make_singular(d: TransverseDiagram, sites: Iterable[int]) -> SingularDiagram
             raise InadmissibleDoublePointError(
                 f"crossing {i} between edges {lo} and {hi} at ({p.x},{p.z}) has a forced over bit",
                 i)
-    return SingularDiagram(d, tuple(chosen))
+    return chosen
 
 
 def resolve(s: SingularDiagram, a: ResolutionAssignment) -> TransverseDiagram:
@@ -284,17 +291,20 @@ def resolve(s: SingularDiagram, a: ResolutionAssignment) -> TransverseDiagram:
     result is the host with those bits replaced (``with_over``): it
     keeps the host's curve and entries, and builds no ``Crossing``.
 
-    The result takes the host's validity report into its cache, as the
-    check would compute the same one.  Genericity and condition 1 read
-    only the curve, and the mismatch check only the entries, which the
-    host shares.  Condition 2 reads the bits only at crossings with a
-    forced bit, and ``make_singular`` erased none of those, so every bit
-    it reads is the host's.
+    The double points are checked again as ``make_singular`` checks
+    them, each an index into the host's entries (ValueError) at a
+    crossing whose bit is not forced (InadmissibleDoublePointError), as
+    a SingularDiagram may be built by hand.  Then the result takes the
+    host's validity report into its cache, as the check would compute
+    the same one.  Genericity and condition 1 read only the curve, and
+    the mismatch check only the entries, which the host shares.
+    Condition 2 reads the bits only at crossings with a forced bit, and
+    none of those is a double point, so every bit it reads is the host's.
     """
-    if set(a.choices) != set(s.doubles):
+    if set(a.choices) != set(s.double_indices()):
         raise ValueError("assignment must cover every double site exactly once")
     d, over = s.diagram, {}
-    for i in s.doubles:
+    for i in _admissible(d, a.choices):
         choice = a.choices[i]
         if not isinstance(choice, Resolution):
             raise ValueError(f"choice {choice!r} for site {i} is not a Resolution")
@@ -358,11 +368,8 @@ def vassiliev_defect(inv: InvariantHandle, s: SingularDiagram) -> DefectReport:
     k = len(doubles)
     total = 0
     for m in range(2**k):
-        choices = {
-            idx: Resolution.NEG if (m >> b) & 1 else Resolution.POS
-            for b, idx in enumerate(doubles)
-        }
-        a = ResolutionAssignment(choices)
+        a = ResolutionAssignment({idx: Resolution.NEG if (m >> b) & 1 else Resolution.POS
+                                  for b, idx in enumerate(doubles)})
         total += assignment_sign(a) * inv.fn(resolve(s, a))
     return DefectReport(inv.name, k - 1, total, 2**k)
 

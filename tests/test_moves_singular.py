@@ -51,6 +51,7 @@ from transknot.moves_singular import (
     WRITHE_INVARIANT,
     Resolution,
     ResolutionAssignment,
+    SingularDiagram,
     _anchors,
     _bend_vertical,
     assignment_sign,
@@ -498,7 +499,7 @@ class TestMakeSingular:
     def test_braid_crossings_become_doubles(self):
         s = make_singular(trefoil_right(), [0, 1])
         assert s.double_indices() == (0, 1)
-        doubles = [s.diagram.crossings[i] for i in s.doubles]
+        doubles = [s.diagram.crossings[i] for i in s.double_indices()]
         assert [(x.lo, x.hi) for x in doubles] == [(1, 9), (2, 10)]
 
     def test_forced_crossing_is_inadmissible(self):
@@ -563,6 +564,22 @@ class TestResolve:
                 ),
             )
 
+    @pytest.mark.parametrize("site", [-1, 7], ids=["negative", "past the end"])
+    def test_hand_built_double_must_be_in_range(self, site):
+        # the trefoil has 7 crossings: -1 once resolved the last, and 7
+        # raised IndexError
+        s = SingularDiagram(trefoil_right(), (site,))
+        with pytest.raises(ValueError, match=f"crossing index {site} out of range"):
+            resolve(s, ResolutionAssignment({site: Resolution.POS}))
+
+    def test_hand_built_double_must_not_be_forced(self):
+        # make_singular refuses crossing 4, and resolve once returned an
+        # invalid diagram carrying the host's valid report
+        s = SingularDiagram(trefoil_right(), (4,))
+        with pytest.raises(InadmissibleDoublePointError, match="crossing 4 ") as err:
+            resolve(s, ResolutionAssignment({4: Resolution.POS}))
+        assert err.value.site == 4
+
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("seed", range(1, 7))
     def test_resolve_builds_what_the_point_form_built(self, seed, order):
@@ -588,8 +605,8 @@ class TestResolve:
         # forced, so the host's report, which resolve caches on it, is
         # the one the check computes
         for s in singular_family(seed, order + 1, 3):
-            for signs in itertools.product(Resolution, repeat=len(s.doubles)):
-                r = resolve(s, ResolutionAssignment(dict(zip(s.doubles, signs))))
+            for signs in itertools.product(Resolution, repeat=len(s.double_indices())):
+                r = resolve(s, ResolutionAssignment(dict(zip(s.double_indices(), signs))))
                 assert r.validity is s.diagram.validity
                 assert r.validity == check_validity(r)
 
