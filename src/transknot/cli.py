@@ -287,7 +287,9 @@ def render_svg(d: TransverseDiagram) -> str:
 
     Each break is sized by its own room: half the distance along the
     under edge to the neighbouring crossing on either side, or to the
-    edge's end, read from the exact order of ``crossings_along``.  It
+    edge's end, read from the exact fractions of ``fractions_along``,
+    in the order of ``crossings_along``; the over bits of the entries
+    tell which edge passes under, and no crossing point is built.  It
     runs max(gap, 2 * stroke) to each side of the crossing, capped at
     the room, so it clears the round caps of the stroke wherever there
     is room for that; where the room is below the stroke the break
@@ -314,18 +316,16 @@ def render_svg(d: TransverseDiagram) -> str:
     height = max_y - min_y
     stroke = max(gap / 2, width / 1000, height / 1000)
 
-    crossings = d.crossings
     pieces = []
     for (i, a, b), along in zip(d.curve.edges(), d.crossings_along):
         direction = vec(a, b)
-        length2 = dot(direction, direction)
-        length = math.sqrt(float(length2))
-        ts = [0, *(dot(vec(a, crossings[k].point), direction) / length2 for k in along), 1]
+        length = math.sqrt(float(dot(direction, direction)))
+        ts = [0, *d.fractions_along(i), 1]
         spans = []
         start = 0.0
         for j, k in enumerate(along, start=1):
-            if crossings[k].under_edge != i:
-                continue
+            if (d.entries[k][0] == i) == (d.overs[k] == "lo"):
+                continue  # edge i passes over
             room = float(min(ts[j] - ts[j - 1], ts[j + 1] - ts[j]) / 2) * length
             dt = (min(max(gap, 2 * stroke), room) if room >= stroke else gap) / length
             t = float(ts[j])

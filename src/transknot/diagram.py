@@ -21,7 +21,7 @@ from functools import cache, cached_property, cmp_to_key, total_ordering
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .errors import CrossingMismatchError, NongenericCurveError, ParseError, TransknotError
-from .geometry import Point, Vec, box, box_meeting_pairs, box_overlapping_pairs, vec
+from .geometry import Point, Vec, box, box_meeting_pairs, box_overlapping_pairs
 
 
 if TYPE_CHECKING:
@@ -131,11 +131,11 @@ class PolyCurve(Frozen):
     which a diagram keeps as its ``entries``, until it is read as a
     Fraction point (``detect_crossings``, the diagram's ``crossings``
     view).  ``vertices``, the Fraction points, is a view built on first
-    read, and ``vertex`` reads one vertex from its ints and builds no
-    view.  The constructor takes the points, converts them once and
-    keeps them as that view.  The parser and the moves hand their ints
-    to ``_from_scaled``, the moves through ``splice``, and build no
-    vertex Fraction.
+    read; ``vertex`` and ``direction`` read one vertex or one edge's
+    direction from its ints and build no view.  The constructor takes
+    the points, converts them once and keeps them as that view.  The
+    parser and the moves hand their ints to ``_from_scaled``, the moves
+    through ``splice``, and build no vertex Fraction.
 
     ``vertex_text`` is the curve's vertex lines as ``serialize_diagram``
     writes them, formatted from the ints on first write.  A curve read
@@ -191,8 +191,10 @@ class PolyCurve(Frozen):
         return self.vertex(i), self.vertex(i + 1)
 
     def direction(self, i: int) -> Vec:
-        a, b = self.edge(i)
-        return vec(a, b)
+        """Edge i's direction as a Fraction vector, read from its int
+        direction and the scale."""
+        x, z = self.int_directions[(i - 1) % self.n]
+        return Vec(Fraction(x, self.scaled[0]), Fraction(z, self.scaled[0]))
 
     def edges(self) -> Iterator[tuple[int, Point, Point]]:
         """(i, start, end) for every edge, from the ``vertices`` view."""
@@ -448,8 +450,10 @@ class TransverseDiagram(Frozen):
     or "hi" of each entry in the same order.  These two and the curve
     and coorientation are the fields that equality, the hash and the
     repr read, so none of them builds a Fraction.  ``crossings``, the
-    ``Crossing`` values, is a view built from the entries on first read;
-    only ``render_svg`` reads it in the package.
+    ``Crossing`` values, is a view built from the entries on first read
+    for callers outside the package; no package code reads it.  Where a
+    crossing lies along an edge is read from the ints by
+    ``fractions_along``.
     The constructor sorts the crossings it is given and derives both
     tuples once, so its view equals those crossings; ``_attach_over``
     and ``with_over`` hand their tuples to ``_from_entries`` and build
@@ -535,6 +539,20 @@ class TransverseDiagram(Frozen):
             out[i - 1] = tuple(ks)
         return tuple(out)
 
+    def fractions_along(self, i: int) -> list[Fraction]:
+        """The exact fraction f of each crossing on edge i, in the order
+        of ``crossings_along``, the crossing lying at a + f*e for the
+        edge a -> a + e.  Read from the ints on an axis in which the int
+        direction is non-zero: with the scaled start a, the direction e
+        and the scale L, the point (X/D, Z/D) gives f = (X*L - a*D) /
+        (D*e), one Fraction per crossing, and no point is built.
+        ``_anchors`` keeps its detours off these, and ``render`` breaks
+        the under strands at them."""
+        (scale, pts), e = self.curve.scaled, self.curve.int_directions[i - 1]
+        axis = 0 if e[0] else 1
+        return [Fraction(p[axis] * scale - pts[i - 1][axis] * p[2], p[2] * e[axis])
+                for p in (self.entries[k][2] for k in self.crossings_along[i - 1])]
+
     def with_over(self, flips: dict[tuple[int, int], str]) -> "TransverseDiagram":
         """Copy with the over bit replaced at the listed (lo, hi) pairs:
         the entries are kept, and only the bits are remapped."""
@@ -595,6 +613,18 @@ def splice(d: TransverseDiagram, host: int, den: int, path, spots) -> Optional[T
     return _attach_over(curve, d.coorientation, {
         (lo, hi): over or over_for_sign(curve, lo, hi, -1)
         for (_, over), (_, lo, hi) in zip(expected, found)})
+
+
+def frame_length2(curve: PolyCurve, i: int, offsets) -> Fraction:
+    """The largest squared length of t*e + (ox, oz) over the int triples
+    (t, ox, oz) of ``offsets``, edge i running a -> a + e: in the frame
+    ``splice`` places a point (t, ox, oz) over den in, that point lies
+    at most the square root of this over den from a.  In scaled units
+    the vector is (t*ex + L*ox, t*ez + L*oz) over the scale L, so the
+    largest is taken on ints and only the result is a Fraction."""
+    scale, (ex, ez) = curve.scaled[0], curve.int_directions[i - 1]
+    return Fraction(max((t * ex + ox * scale) ** 2 + (t * ez + oz * scale) ** 2
+                        for t, ox, oz in offsets), scale * scale)
 
 
 def detect_crossings(curve: PolyCurve) -> list[tuple[int, int, Point]]:

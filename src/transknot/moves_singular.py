@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .diagram import (Coorientation, PolyCurve, TransverseDiagram, _attach_over, _point,
-                      least_dist2, splice)
+                      frame_length2, least_dist2, splice)
 from .errors import (
     FamilyArityError,
     HostTooShortError,
@@ -90,7 +90,7 @@ def _anchors(d: TransverseDiagram, host: int, count: int) -> tuple[list[Fraction
     The fractions are (2j-1)/(2*count) + shift, j = 1..count, where the
     shift is the first of 0, 1/(4*count), 1/(8*count), ... that keeps
     every one of them off the fractions of the crossings on the host,
-    each read along an axis in which e is not 0.  Two shifts differ by
+    which ``fractions_along`` reads from the ints.  Two shifts differ by
     less than the spacing, so each crossing on the host rules out at
     most one of them.  On a generic curve only crossings touch the
     interior of the host edge, so the clearance is positive.
@@ -104,10 +104,7 @@ def _anchors(d: TransverseDiagram, host: int, count: int) -> tuple[list[Fraction
     against every edge but the host.  It is at most the squared host
     length: each point lies that close to the host's ends.
     """
-    a, e = d.curve.vertex(host), d.curve.direction(host)
-    axis = 0 if e.x else 1
-    on_host = {(Fraction(xzd[axis], xzd[2]) - a[axis]) / e[axis]
-               for lo, hi, xzd in d.entries if host in (lo, hi)}
+    on_host = set(d.fractions_along(host))
     for shift in [Fraction(0)] + [Fraction(1, 2**m * count) for m in range(2, len(on_host) + 2)]:
         fs = [Fraction(2 * j - 1, 2 * count) + shift for j in range(1, count + 1)]
         if on_host.isdisjoint(fs):
@@ -163,11 +160,14 @@ def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
     fixed by the least clearance of their centres, and all go in with
     one splice, so the coordinates grow by O(log count) bits over the
     host's.  The detour points are handed to the splice as ints, at
-    their fractions along the host plus a vertical offset, and no
-    vertex Fraction is built.  HostTooShortError is raised only if no
-    scale fits (the anchors' clearance would need 256 or more halvings
-    of the detour), or if the checks of a vertical host's bend fail,
-    which ``_bend_vertical`` proves cannot happen on a valid diagram.
+    their fractions along the host plus a vertical offset.  The host
+    edge is read through ``diagram.py`` alone: where its crossings lie
+    (``fractions_along``) and how far the detours reach
+    (``frame_length2``), so no vertex or crossing point is built.
+    HostTooShortError is raised only if no scale fits (the anchors'
+    clearance would need 256 or more halvings of the detour), or if the
+    checks of a vertical host's bend fail, which ``_bend_vertical``
+    proves cannot happen on a valid diagram.
     """
     require_valid(d)
     if not 1 <= host <= d.curve.n:
@@ -186,13 +186,12 @@ def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
     # no-upward-tangent conditions transport as well.  A spoke u of the
     # template, scaled by s, lands at the anchor a + f*v plus
     # s*(ux*v + (0, sigma*uz))/30: at the fraction f + s*ux/30 of the
-    # host and the vertical offset s*sigma*uz/30.  The crossings lie on
-    # the path, so they do not raise the largest deviation, which is
-    # taken on c*v, an int vector, in units of 1/(30*c).
-    v, sigma = d.curve.direction(host), reference(d.coorientation).z
-    c = v.x.denominator * v.z.denominator
-    vx, vz = v.x.numerator * v.z.denominator, v.z.numerator * v.x.denominator
-    maxdev2 = max((vx * ux) ** 2 + (vz * ux + c * sigma * uz) ** 2 for ux, uz in _DETOUR_SPOKES)
+    # host and the vertical offset s*sigma*uz/30, which is the splice's
+    # frame point (ux, 0, sigma*uz) over 30/s.  The crossings lie on the
+    # path, so they do not raise the largest deviation, which
+    # ``frame_length2`` measures on these spokes, in units of s/30.
+    sigma = reference(d.coorientation).z
+    spokes = [(ux, 0, sigma * uz) for ux, uz in _DETOUR_SPOKES]
     fs, r2 = _anchors(d, host, count)
 
     # One scale s = 2**-e for all detours: each stays within a quarter of
@@ -202,13 +201,13 @@ def stabilize(d: TransverseDiagram, host: int, count: int) -> TransverseDiagram:
     # neighbouring detours and at both ends.  Over q*30*2**e, with q the
     # lcm of the denominators of the anchors' fractions, every placed
     # point is an int triple.
-    e = halvings(maxdev2, 900 * c * c * r2)
+    e = halvings(frame_length2(d.curve, host, spokes), 900 * r2)
     if e >= 256:
         raise HostTooShortError(f"no safe detour scale for edge {host}")
     q = math.lcm(*(f.denominator for f in fs))
     den = q * 30 << e
-    placed = [[(f.numerator * (den // f.denominator) + ux * q, 0, sigma * uz * q)
-               for ux, uz in _DETOUR_SPOKES] for f in fs]
+    placed = [[(f.numerator * (den // f.denominator) + t * q, 0, oz * q)
+               for t, _, oz in spokes] for f in fs]
     ends = len(_DETOUR_PATH)
     path = [p for loop in placed for p in loop[:ends]]
     out = splice(d, host, den, path, [p for loop in placed for p in loop[ends:]])
@@ -232,9 +231,6 @@ class SingularDiagram(NamedTuple):
 
     diagram: TransverseDiagram
     doubles: tuple[int, ...]
-
-    def double_indices(self) -> tuple[int, ...]:
-        return self.doubles
 
 
 class Resolution(enum.Enum):
@@ -301,7 +297,7 @@ def resolve(s: SingularDiagram, a: ResolutionAssignment) -> TransverseDiagram:
     Condition 2 reads the bits only at crossings with a forced bit, and
     none of those is a double point, so every bit it reads is the host's.
     """
-    if set(a.choices) != set(s.double_indices()):
+    if set(a.choices) != set(s.doubles):
         raise ValueError("assignment must cover every double site exactly once")
     d, over = s.diagram, {}
     for i in _admissible(d, a.choices):
@@ -362,14 +358,13 @@ def vassiliev_defect(inv: InvariantHandle, s: SingularDiagram) -> DefectReport:
     sum.  A diagram with k double points probes order k-1: the defect
     vanishes for every invariant of order < k.
     """
-    doubles = s.double_indices()
-    if not doubles:
+    if not s.doubles:
         raise ValueError("need at least one double point")
-    k = len(doubles)
+    k = len(s.doubles)
     total = 0
     for m in range(2**k):
         a = ResolutionAssignment({idx: Resolution.NEG if (m >> b) & 1 else Resolution.POS
-                                  for b, idx in enumerate(doubles)})
+                                  for b, idx in enumerate(s.doubles)})
         total += assignment_sign(a) * inv.fn(resolve(s, a))
     return DefectReport(inv.name, k - 1, total, 2**k)
 
@@ -385,7 +380,7 @@ def is_order_at_most(
     """
     reports = []
     for s in family:
-        k = len(s.double_indices())
+        k = len(s.doubles)
         if k != n + 1:
             raise FamilyArityError(
                 f"order {n} needs {n + 1} double points per member, got {k}"

@@ -6,10 +6,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 import transknot.moves_singular as ms
 from transknot import diagram
-from transknot.cli import MAX_COUNT
+from transknot.cli import MAX_COUNT, render_svg
 from transknot.diagram import (
     MAX_DENOMINATOR_BITS,
     MAX_EDGE_PAIRS,
@@ -41,7 +42,7 @@ from transknot.fixtures import (
     u_minus,
     u_minus_forbidden,
 )
-from transknot.geometry import Point, box_overlapping_pairs, dist2
+from transknot.geometry import Point, box_overlapping_pairs, dist2, dot, vec
 from transknot.invariants import invariant_values, pushoff_linking_oracle
 from transknot.moves_singular import (
     Resolution,
@@ -55,6 +56,7 @@ from transknot.moves_singular import (
 from transknot.transversality import validate
 
 from fraction_routines import corners, fraction_token, reversed_curve
+from test_properties import PROFILE, diagrams
 
 
 def P(x, z) -> Point:
@@ -501,21 +503,26 @@ class TestIntRepresentation:
         monkeypatch.setattr(Fraction, "__new__", counted)
         return built
 
+    @staticmethod
+    def count_crossings(monkeypatch):
+        built, original = [], Crossing.__init__
+        monkeypatch.setattr(Crossing, "__init__",
+                            lambda c, *args: built.append(args) or original(c, *args))
+        return built
+
     def test_an_op_and_a_resolution_build_no_crossing(self, monkeypatch):
         # a ladder op and the resolutions of an order check read the
         # diagram's int entries and over bits: no Crossing value and no
         # Fraction is built until the crossings view is read
         text = LADDER_K8.read_text(encoding="utf-8")
         family = singular_family(1, 3, 3)
-        built, crossings, original = self.count_fractions(monkeypatch), [], Crossing.__init__
-        monkeypatch.setattr(Crossing, "__init__",
-                            lambda c, *args: crossings.append(args) or original(c, *args))
+        built, crossings = self.count_fractions(monkeypatch), self.count_crossings(monkeypatch)
         d = parse_diagram(text)
         assert validate(d).is_valid
         assert [iv.value for iv in invariant_values(d)] == [-15, -15, 0, 23, 1]
         assert pushoff_linking_oracle(d) == -15
         assert serialize_diagram(d) == text
-        resolved = [resolve(s, ResolutionAssignment(dict(zip(s.double_indices(), signs))))
+        resolved = [resolve(s, ResolutionAssignment(dict(zip(s.doubles, signs))))
                     for s in family for signs in itertools.product(Resolution, repeat=3)]
         assert len(resolved) == 24 and built == [] and crossings == []
         assert len(d.crossings) == len(crossings) == 23 and len(built) == 2 * 23
@@ -526,9 +533,7 @@ class TestIntRepresentation:
         # store: no Crossing and no Fraction is built for either
         text = LADDER_K8.read_text(encoding="utf-8")
         a, b = parse_diagram(text), parse_diagram(text)
-        built, crossings, original = self.count_fractions(monkeypatch), [], Crossing.__init__
-        monkeypatch.setattr(Crossing, "__init__",
-                            lambda c, *args: crossings.append(args) or original(c, *args))
+        built, crossings = self.count_fractions(monkeypatch), self.count_crossings(monkeypatch)
         assert a == b and a.curve == b.curve and a is not b and a.curve is not b.curve
         assert hash(a) == hash(b) and hash(a.curve) == hash(b.curve)
         assert repr(a) == repr(b) and repr(a.curve) in repr(a) and str(a.entries) in repr(a)
@@ -547,13 +552,52 @@ class TestIntRepresentation:
         singular_family(1, 3, 3)
         hosts = [(parse_diagram(serialize_diagram(d)), sites) for d, sites in calls]
         assert len(hosts) == 3 and all(validate(d).is_valid for d, _ in hosts)
-        built, crossings, original = self.count_fractions(monkeypatch), [], Crossing.__init__
-        monkeypatch.setattr(Crossing, "__init__",
-                            lambda c, *args: crossings.append(args) or original(c, *args))
+        built, crossings = self.count_fractions(monkeypatch), self.count_crossings(monkeypatch)
         family = [make(d, sites) for d, sites in hosts]
-        resolved = [resolve(s, ResolutionAssignment(dict(zip(s.double_indices(), signs))))
+        resolved = [resolve(s, ResolutionAssignment(dict(zip(s.doubles, signs))))
                     for s in family for signs in itertools.product(Resolution, repeat=3)]
         assert len(resolved) == 24 and built == [] and crossings == []
+
+    def test_a_stabilization_reads_its_host_edge_from_the_ints(self, monkeypatch):
+        # where the crossings lie along the host and how far the detours
+        # reach are read from the ints: the Fractions are the fractions
+        # of the crossings on the host, the anchors, their clearance, the
+        # detours' reach and the host's direction, and no vertex or
+        # crossing point is built
+        d = parse_diagram(LADDER_K8.read_text(encoding="utf-8"))
+        built, crossings = self.count_fractions(monkeypatch), self.count_crossings(monkeypatch)
+        text = serialize_diagram(stabilize(d, 40, 1))
+        assert len(built) <= 8 and crossings == []
+        monkeypatch.undo()
+        assert len(parse_diagram(text).entries) == len(d.entries) + 2
+
+    def test_render_builds_no_crossing(self, monkeypatch):
+        # render breaks each under strand at the fractions along its
+        # edge and tells the over strand by the entries' bits
+        d = trefoil_right()
+        crossings = self.count_crossings(monkeypatch)
+        svg = render_svg(d)
+        assert crossings == []
+        assert svg.count("<polyline") == d.curve.n + len(d.entries)  # one break per crossing
+
+    @pytest.mark.parametrize("source", [*INPUTS, "hypothesis"],
+                             ids=lambda source: getattr(source, "name", source))
+    def test_along_edge_reads_match_the_fraction_routes(self, source):
+        # fractions_along against each crossing point projected on its
+        # edge, and direction against the edge's vertices subtracted, on
+        # every edge of the input files and of the generated diagrams
+        def check(d):
+            for i, along in enumerate(d.crossings_along, start=1):
+                a, b = d.curve.edge(i)
+                t = vec(a, b)
+                assert d.fractions_along(i) == [dot(vec(a, d.crossings[k].point), t) / dot(t, t)
+                                                for k in along]
+                assert d.curve.direction(i) == t
+
+        if source == "hypothesis":
+            PROFILE(given(diagrams())(check))()
+        else:
+            check(parse_diagram(source.read_text(encoding="utf-8")))
 
     def test_random_draw_builds_only_rejection_points(self, monkeypatch):
         # the draw, its curve and its crossings stay on ints; the only

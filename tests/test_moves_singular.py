@@ -498,8 +498,8 @@ def test_stabilize_guards_raise_typed_errors(monkeypatch, tmp_path, make, host, 
 class TestMakeSingular:
     def test_braid_crossings_become_doubles(self):
         s = make_singular(trefoil_right(), [0, 1])
-        assert s.double_indices() == (0, 1)
-        doubles = [s.diagram.crossings[i] for i in s.double_indices()]
+        assert s.doubles == (0, 1)
+        doubles = [s.diagram.crossings[i] for i in s.doubles]
         assert [(x.lo, x.hi) for x in doubles] == [(1, 9), (2, 10)]
 
     def test_forced_crossing_is_inadmissible(self):
@@ -540,7 +540,7 @@ class TestResolve:
         for bits in range(8):
             choices = {
                 i: Resolution.POS if bits >> j & 1 else Resolution.NEG
-                for j, i in enumerate(s.double_indices())
+                for j, i in enumerate(s.doubles)
             }
             assert validate(resolve(s, ResolutionAssignment(choices))).is_valid
 
@@ -586,7 +586,7 @@ class TestResolve:
         # the public constructor on each double's point is the reference
         # for the triples resolve takes from the pair pass
         for s in singular_family(seed, order + 1, 3):
-            doubles = s.double_indices()
+            doubles = s.doubles
             for signs in itertools.product(Resolution, repeat=len(doubles)):
                 choices = dict(zip(doubles, signs))
                 d = s.diagram
@@ -605,8 +605,8 @@ class TestResolve:
         # forced, so the host's report, which resolve caches on it, is
         # the one the check computes
         for s in singular_family(seed, order + 1, 3):
-            for signs in itertools.product(Resolution, repeat=len(s.double_indices())):
-                r = resolve(s, ResolutionAssignment(dict(zip(s.double_indices(), signs))))
+            for signs in itertools.product(Resolution, repeat=len(s.doubles)):
+                r = resolve(s, ResolutionAssignment(dict(zip(s.doubles, signs))))
                 assert r.validity is s.diagram.validity
                 assert r.validity == check_validity(r)
 
@@ -662,7 +662,7 @@ class TestVassilievDefect:
         # two-component link K0 of the oriented smoothing
         seen = set()
         for s in skein_members(1, range(100)):
-            [site] = s.double_indices()
+            [site] = s.doubles
             lk = smoothing_linking_number(s, site)
             assert vassiliev_defect(V2_INVARIANT, s).defect == lk
             seen.add(lk)
@@ -683,7 +683,7 @@ class TestVassilievDefect:
         seen = set()
         for s in skein_members(2, range(60)):
             ends = chord_ends(resolve_all(s, Resolution.POS))
-            one, other = (s.diagram.crossings[i] for i in s.double_indices())
+            one, other = (s.diagram.crossings[i] for i in s.doubles)
             symbol = int(interleaved(ends[one.lo, one.hi], ends[other.lo, other.hi]))
             assert vassiliev_defect(V2_INVARIANT, s).defect == symbol
             seen.add(symbol)
@@ -704,7 +704,7 @@ def skein_members(doubles: int, seeds):
 
 
 def resolve_all(s, choice: Resolution) -> TransverseDiagram:
-    return resolve(s, ResolutionAssignment({i: choice for i in s.double_indices()}))
+    return resolve(s, ResolutionAssignment({i: choice for i in s.doubles}))
 
 
 def chord_ends(d: TransverseDiagram) -> dict:
@@ -816,7 +816,7 @@ class TestGenerators:
         family = singular_family(2, 2, 3)
         assert len(family) == 3
         for s in family:
-            assert len(s.double_indices()) == 2
+            assert len(s.doubles) == 2
         # deterministic, and led by the trefoil braid witness
         again = singular_family(2, 2, 3)
         assert [m.diagram.curve for m in again] == [m.diagram.curve for m in family]
@@ -828,7 +828,7 @@ class TestGenerators:
         for seed in range(10):
             del draws[:]
             family = singular_family(seed, doubles, 3)
-            assert [len(s.double_indices()) for s in family] == [doubles] * 3
+            assert [len(s.doubles) for s in family] == [doubles] * 3
             assert len(draws) == 3 - (1 if doubles <= 3 else 0)
 
     def test_family_short_top_up_raises(self, monkeypatch):

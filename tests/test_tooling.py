@@ -276,11 +276,12 @@ def test_only_frozen_writes_value_equality():
 
 
 def test_the_crossings_view_is_read_where_crossings_are_made_public():
-    # the package reads a diagram's entries and over bits; the Crossing
-    # values are read only by render_svg and by the view itself.  A
-    # field named in a class's _fields is read by Frozen's equality,
-    # hash and repr, so no _fields names the view either
-    readers = {(None, "render_svg"), ("TransverseDiagram", "crossings")}
+    # the package reads a diagram's entries and over bits, and render_svg
+    # the fractions along each edge; the Crossing values are read only
+    # by the view itself, for callers outside the package.  A field
+    # named in a class's _fields is read by Frozen's equality, hash and
+    # repr, so no _fields names the view either
+    readers = {("TransverseDiagram", "crossings")}
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
