@@ -24,7 +24,6 @@ from .diagram import (
     serialize_diagram,
 )
 from .errors import InadmissibleDoublePointError, ParseError, TransknotError
-from .geometry import dot, vec
 from .invariants import invariant_values, pushoff_linking_oracle
 from .transversality import validate
 
@@ -295,21 +294,27 @@ def render_svg(d: TransverseDiagram) -> str:
     is room for that; where the room is below the stroke the break
     keeps the radius gap, which every room exceeds.
 
-    The picture is drawn in floats, so a diagram that floats cannot
-    draw is refused first, exactly, with TransknotError: one with a
-    coordinate of absolute value 2**510 or more, or with two features
-    closer than 2**-511.  Below those bounds every coordinate, squared
-    edge length and squared separation is a normal float, and no
-    conversion overflows and no length is 0.
+    The picture is drawn in floats from the curve's ints: with the
+    scale L of ``PolyCurve.scaled``, a vertex is x / L and z / L and
+    edge i's int direction (ex, ez) gives ex / L, ez / L and the
+    squared length (ex**2 + ez**2) / L**2.  Int true division rounds
+    correctly, as ``float(Fraction)`` does, so no vertex or direction
+    is built as a Fraction.  A diagram that floats cannot draw is
+    refused first, exactly, with TransknotError: one with a coordinate
+    of absolute value 2**510 or more, |X| >= L * 2**510 on the ints,
+    or with two features closer than 2**-511.  Below those bounds every
+    coordinate, squared edge length and squared separation is a normal
+    float, and no conversion overflows and no length is 0.
     """
     sep2 = min_feature_separation2(d)
-    if sep2 * 2**1022 < 1 or any(abs(c) >= 2**510 for p in d.curve.vertices for c in p):
+    scale, pts = d.curve.scaled
+    if sep2 * 2**1022 < 1 or any(abs(c) >= scale << 510 for p in pts for c in p):
         raise TransknotError("coordinates from 2**510 or features within 2**-511 leave float range")
     sep = math.sqrt(float(sep2))
     gap = sep / 10
 
-    xs = [float(p.x) for p in d.curve.vertices]
-    zs = [float(p.z) for p in d.curve.vertices]
+    xs = [x / scale for x, _ in pts]
+    zs = [z / scale for _, z in pts]
     min_x, max_x = min(xs) - sep, max(xs) + sep
     min_y, max_y = -max(zs) - sep, -min(zs) + sep
     width = max_x - min_x
@@ -317,9 +322,9 @@ def render_svg(d: TransverseDiagram) -> str:
     stroke = max(gap / 2, width / 1000, height / 1000)
 
     pieces = []
-    for (i, a, b), along in zip(d.curve.edges(), d.crossings_along):
-        direction = vec(a, b)
-        length = math.sqrt(float(dot(direction, direction)))
+    for i, (x, z, (ex, ez), along) in enumerate(
+            zip(xs, zs, d.curve.int_directions, d.crossings_along), start=1):
+        length = math.sqrt((ex * ex + ez * ez) / (scale * scale))
         ts = [0, *d.fractions_along(i), 1]
         spans = []
         start = 0.0
@@ -332,12 +337,10 @@ def render_svg(d: TransverseDiagram) -> str:
             spans.append((start, t - dt))
             start = t + dt
         spans.append((start, 1.0))
+        dx, dz = ex / scale, ez / scale
         for t0, t1 in spans:
-            p0 = (float(a.x) + t0 * float(direction.x), float(a.z) + t0 * float(direction.z))
-            p1 = (float(a.x) + t1 * float(direction.x), float(a.z) + t1 * float(direction.z))
-            pieces.append(
-                f'<polyline points="{p0[0]:.6f},{-p0[1]:.6f} {p1[0]:.6f},{-p1[1]:.6f}"/>'
-            )
+            pieces.append(f'<polyline points="{x + t0 * dx:.6f},{-(z + t0 * dz):.6f} '
+                          f'{x + t1 * dx:.6f},{-(z + t1 * dz):.6f}"/>')
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -131,11 +131,14 @@ class PolyCurve(Frozen):
     which a diagram keeps as its ``entries``, until it is read as a
     Fraction point (``detect_crossings``, the diagram's ``crossings``
     view).  ``vertices``, the Fraction points, is a view built on first
-    read; ``vertex`` and ``direction`` read one vertex or one edge's
-    direction from its ints and build no view.  The constructor takes
-    the points, converts them once and keeps them as that view.  The
-    parser and the moves hand their ints to ``_from_scaled``, the moves
-    through ``splice``, and build no vertex Fraction.
+    read, and ``edges`` and ``edge`` give the edges as Fraction points;
+    no package code outside this class reads them, as every stage, the
+    picture of ``render_svg`` included, reads the ints.  ``vertex`` and
+    ``direction`` read one vertex or one edge's direction from its ints
+    and build no view.  The constructor takes the points, converts them
+    once and keeps them as that view.  The parser and the moves hand
+    their ints to ``_from_scaled``, the moves through ``splice``, and
+    build no vertex Fraction.
 
     ``vertex_text`` is the curve's vertex lines as ``serialize_diagram``
     writes them, formatted from the ints on first write.  A curve read

@@ -17,6 +17,7 @@ from transknot.moves_singular import (
     ResolutionAssignment,
     make_singular,
     resolve,
+    stabilize,
 )
 
 INPUT_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
@@ -429,6 +430,33 @@ class TestRender:
         # breaks is sized by its own room.
         path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / name
         svg = render_svg(parse_diagram(path.read_text(encoding="utf-8")))
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name, loops, digest", [
+        ("cli/forbidden.td", 0,
+         "0280290a4aad0651f8fe6e7746bcf89237ad15a3e0ec6a4be6d71d3e1e309e4f"),
+        ("cli/minus_unknot.td", 0,
+         "3b16839db9d05bf7cfba279bde30060fd108873d748511f063030718abb7d4ea"),
+        ("cli/u_minus.td", 0,
+         "bd0877fc813d9f46697bbd82723bfbdd8389a79c708e2fbb24fb61b470e0810e"),
+        ("hosts/random-minus-2.td", 0,
+         "49291fffb419fe4151fe4e525fe9c541db1c1131d127eaf333db9d2d33205d18"),
+        ("hosts/random-plus-1.td", 0,
+         "29d92d14c037055c15717f5a70e19902e7a731cdd0740a77c927a4278cb24ae3"),
+        ("hosts/trefoil_left.td", 0,
+         "3dd3cdf33dd22ba94a02f1d22f18e75aad8c6e855a184fda9a93d89b68262b81"),
+        ("ladder/trefoil_right-e1-k0.td", 0,
+         "6279016d0162c224e9cd3b37b357cd92e40b24648f5611324a7a89b65782863e"),
+        ("hosts/random-minus-2.td", 2,
+         "20fd2b2a111d3cdef60ae5fda2ac1c8e602dbe5788af0b7cf5836c128d883c2e"),
+    ])
+    def test_svg_bytes_of_the_other_inputs_are_pinned(self, name, loops, digest):
+        # SHA-256 of the pictures, as drawn from the Fraction vertices, of
+        # every parseable input the test above leaves out, and of a
+        # random host with two loops on edge 5 (scale 10240, two crossings
+        # on an edge): drawn from the curve's ints, they are the same bytes
+        d = parse_diagram((INPUT_DIR / name).read_text(encoding="utf-8"))
+        svg = render_svg(stabilize(d, 5, loops) if loops else d)
         assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("path", sorted(INPUT_DIR.glob("ladder/*.td")) + sorted(

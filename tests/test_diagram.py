@@ -580,6 +580,16 @@ class TestIntRepresentation:
         assert crossings == []
         assert svg.count("<polyline") == d.curve.n + len(d.entries)  # one break per crossing
 
+    def test_render_draws_from_the_ints(self, monkeypatch):
+        # render reads scaled and int_directions: on the k = 8 rung its
+        # Fractions are the separation and its range test, the fraction of
+        # each of the 23 crossings on both its edges, and the room of each
+        # under pass, three apiece; no vertex view is built
+        d = parse_diagram(LADDER_K8.read_text(encoding="utf-8"))
+        built = self.count_fractions(monkeypatch)
+        render_svg(d)
+        assert len(built) <= 2 + 2 * 23 + 3 * 23 and "vertices" not in vars(d.curve)
+
     @pytest.mark.parametrize("source", [*INPUTS, "hypothesis"],
                              ids=lambda source: getattr(source, "name", source))
     def test_along_edge_reads_match_the_fraction_routes(self, source):

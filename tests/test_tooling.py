@@ -172,11 +172,13 @@ def test_only_the_random_diagram_search_retries():
 # ``transversality.forced_over`` writes once on ints, ``same_direction``
 # and ``is_parallel`` the edge and corner tests that condition 1 and the
 # random search take inline, ``pair_determinants`` the determinants that
-# the pair pass takes inline, and ``scale`` and ``neg`` build the tests'
-# vectors.
+# the pair pass takes inline, ``vec`` and ``dot`` the edge vector and
+# squared length that render_svg reads from the int directions, ``sign``
+# the sign the cone and corner references compare, and ``scale`` and
+# ``neg`` build the tests' vectors.
 REFERENCE_ROUTINES = {"segment_intersection", "dist2", "point_segment_dist2", "in_closed_cone",
                       "in_open_cone", "turn_sign", "corner_sweep_contains", "same_direction",
-                      "is_parallel", "pair_determinants", "scale", "neg"}
+                      "is_parallel", "pair_determinants", "vec", "dot", "sign", "scale", "neg"}
 
 
 def _own_locals(fn):
@@ -294,6 +296,27 @@ def test_the_crossings_view_is_read_where_crossings_are_made_public():
                     and "_fields" in [t.id for t in node.targets if isinstance(t, ast.Name)]
                     and "crossings" in ast.literal_eval(node.value)):
                 found.append(f"{path.name}:{node.lineno}:_fields")
+    assert found == []
+
+
+def test_the_vertex_view_is_read_only_by_the_curve():
+    # the package reads a curve's ints: scaled, int_directions and the
+    # one-vertex and one-direction reads; the Fraction vertex view and
+    # the edges built from it are for callers outside the package
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        curve = {id(node) for top in tree.body
+                 if isinstance(top, ast.ClassDef) and top.name == "PolyCurve"
+                 for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if id(node) in curve:
+                continue
+            if isinstance(node, ast.Attribute) and node.attr == "vertices":
+                found.append(f"{path.name}:{node.lineno}:.vertices")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("edges", "edge")):
+                found.append(f"{path.name}:{node.lineno}:.{node.func.attr}()")
     assert found == []
 
 
