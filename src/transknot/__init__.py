@@ -75,10 +75,7 @@ _EXPORTS = {
     "moves_singular": (
         "FramedInvariantHandle",
         "InvariantHandle",
-        "Resolution",
-        "ResolutionAssignment",
         "SingularDiagram",
-        "assignment_sign",
         "is_order_at_most",
         "make_singular",
         "pullback_framed_invariant",

@@ -189,7 +189,7 @@ def _cmd_stabilize(args) -> CommandOutcome:
 
 
 def _cmd_resolve(args) -> CommandOutcome:
-    from .moves_singular import Resolution, ResolutionAssignment, make_singular, resolve
+    from .moves_singular import make_singular, resolve
 
     d = _load(args.file)
     # argparse drops the value of `--assign=--` as its end-of-options
@@ -209,11 +209,7 @@ def _cmd_resolve(args) -> CommandOutcome:
         s = make_singular(d, zero_based)
     except InadmissibleDoublePointError as e:
         raise ValueError(f"--sites index {e.site + 1} has a forced over bit") from None
-    choices = {
-        idx: Resolution.POS if ch == "+" else Resolution.NEG
-        for idx, ch in zip(zero_based, assign)
-    }
-    out = resolve(s, ResolutionAssignment(choices))
+    out = resolve(s, {i: 1 if ch == "+" else -1 for i, ch in zip(zero_based, assign)})
     Path(args.output).write_text(serialize_diagram(out), encoding="utf-8")
     return CommandOutcome(0, [])
 

@@ -18,17 +18,17 @@ A singular diagram is a valid diagram together with the indices of
 the crossings whose over bit is erased ("double points").  Erasure is
 only permitted where both over bits yield a valid diagram, i.e. where
 the coorientation direction lies outside the closed tangent cone.
-Resolving a double point sets its bit in a copy of the host diagram,
-so a resolution keeps the host's curve, entries and validity.
-Resolving every double point and summing the resulting invariant
-values with the parity sign of the resolution yields the defect whose
-vanishing on (n+1)-point diagrams is the evidence that an invariant
-has order <= n.
+A resolution is a sign, 1 or -1, for each double point: resolving sets
+the bit of that sign in a copy of the host diagram, so a resolution
+keeps the host's curve, entries and validity.  Summing the invariant
+over all resolutions, each weighted by the product of its signs,
+yields the defect whose vanishing on (n+1)-point diagrams is the
+evidence that an invariant has order <= n.
 """
 
 from __future__ import annotations
 
-import enum
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -226,22 +226,13 @@ class SingularDiagram(NamedTuple):
     ``diagram`` is the host, which keeps every crossing and its bit, and
     ``doubles`` the ascending indices into its ``entries`` of the
     crossings whose bits are erased, the double points, none of them
-    forced.  That order is the canonical one for resolution enumeration.
+    forced.  A resolution maps each of them to a sign, 1 or -1
+    (``resolve``), and ``vassiliev_defect`` pairs each sign tuple with
+    the double points in this order.
     """
 
     diagram: TransverseDiagram
     doubles: tuple[int, ...]
-
-
-class Resolution(enum.Enum):
-    POS = "+"
-    NEG = "-"
-
-
-class ResolutionAssignment(NamedTuple):
-    """A choice of sign for every double point, keyed by site index."""
-
-    choices: Mapping[int, Resolution]
 
 
 def make_singular(d: TransverseDiagram, sites: Iterable[int]) -> SingularDiagram:
@@ -278,12 +269,13 @@ def _admissible(d: TransverseDiagram, sites: Iterable[int]) -> tuple[int, ...]:
     return chosen
 
 
-def resolve(s: SingularDiagram, a: ResolutionAssignment) -> TransverseDiagram:
-    """Turn every double point back into a crossing of the chosen sign.
+def resolve(s: SingularDiagram, signs: Mapping[int, int]) -> TransverseDiagram:
+    """Turn every double point back into a crossing of the given sign.
 
-    POS selects the over bit of sign +1 and NEG that of sign -1, by
-    ``over_for_sign``.  The assignment must cover exactly the double
-    points, each with a Resolution; ValueError is raised otherwise.  The
+    ``signs`` maps each double point to the int 1 or -1, and the bit of
+    that sign is set by ``over_for_sign``.  ValueError is raised if the
+    keys are not exactly the double points, or if a value is not the int
+    1 or -1 (so True, 1.0, 0 and "+" are refused), naming its site.  The
     result is the host with those bits replaced (``with_over``): it
     keeps the host's curve and entries, and builds no ``Crossing``.
 
@@ -297,24 +289,18 @@ def resolve(s: SingularDiagram, a: ResolutionAssignment) -> TransverseDiagram:
     Condition 2 reads the bits only at crossings with a forced bit, and
     none of those is a double point, so every bit it reads is the host's.
     """
-    if set(a.choices) != set(s.doubles):
+    if set(signs) != set(s.doubles):
         raise ValueError("assignment must cover every double site exactly once")
     d, over = s.diagram, {}
-    for i in _admissible(d, a.choices):
-        choice = a.choices[i]
-        if not isinstance(choice, Resolution):
-            raise ValueError(f"choice {choice!r} for site {i} is not a Resolution")
+    for i in _admissible(d, signs):
+        sign = signs[i]
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"sign {sign!r} for site {i} is not 1 or -1")
         lo, hi, _ = d.entries[i]
-        over[lo, hi] = over_for_sign(d.curve, lo, hi, 1 if choice is Resolution.POS else -1)
+        over[lo, hi] = over_for_sign(d.curve, lo, hi, sign)
     out = d.with_over(over)
     vars(out)["validity"] = d.validity
     return out
-
-
-def assignment_sign(a: ResolutionAssignment) -> int:
-    """+1 when the number of negative resolutions is even, else -1."""
-    negs = sum(1 for r in a.choices.values() if r is Resolution.NEG)
-    return -1 if negs % 2 else 1
 
 
 # --- the order checker ------------------------------------------------------
@@ -351,21 +337,20 @@ class OrderCheckResult(NamedTuple):
 
 
 def vassiliev_defect(inv: InvariantHandle, s: SingularDiagram) -> DefectReport:
-    """Signed sum of the invariant over all 2^k resolutions.
+    """The sum of e1*...*ek * inv(K_e) over the 2^k sign tuples e, the
+    Vassiliev skein relation.
 
-    Sites are enumerated by binary counting in canonical (crossing
-    list) order; the value is order-independent since it is a plain
-    sum.  A diagram with k double points probes order k-1: the defect
-    vanishes for every invariant of order < k.
+    K_e resolves the i-th double point, in ``doubles`` order, into a
+    crossing of sign e_i.  The tuples come from ``itertools.product``;
+    the value does not depend on their order, as it is a plain sum.  A
+    diagram with k double points probes order k-1: the defect vanishes
+    for every invariant of order < k.
     """
     if not s.doubles:
         raise ValueError("need at least one double point")
     k = len(s.doubles)
-    total = 0
-    for m in range(2**k):
-        a = ResolutionAssignment({idx: Resolution.NEG if (m >> b) & 1 else Resolution.POS
-                                  for b, idx in enumerate(s.doubles)})
-        total += assignment_sign(a) * inv.fn(resolve(s, a))
+    total = sum(math.prod(signs) * inv.fn(resolve(s, dict(zip(s.doubles, signs))))
+                for signs in itertools.product((1, -1), repeat=k))
     return DefectReport(inv.name, k - 1, total, 2**k)
 
 

@@ -187,15 +187,17 @@ def check_validity(d: TransverseDiagram) -> ValidityReport:
     defects short-circuit the report, since crossing data is meaningless
     on a non-generic curve.  A crossing list that disagrees with the
     detected intersections, pair by pair and point by point, is reported
-    as CrossingMismatch.
+    as CrossingMismatch.  Conditions 1 and 2 each return a sorted list,
+    and condition 1's kinds, UpwardEdge and UpwardCorner, come before
+    condition 2's ForbiddenCrossing in ``ViolationKind``, so the two
+    lists joined are the sorted report.
     """
     if d.curve.genericity_violations:
         return ValidityReport(d.curve.genericity_violations)
     _, _, mismatch = crossing_mismatch(d.curve, d.entries)
     if mismatch:
         return ValidityReport(mismatch)
-    out = check_condition1(d.curve, d.coorientation) + check_condition2(d)
-    return ValidityReport(tuple(sort_violations(out)))
+    return ValidityReport(tuple(check_condition1(d.curve, d.coorientation) + check_condition2(d)))
 
 
 def require_valid(d: TransverseDiagram) -> None:

@@ -13,8 +13,6 @@ from transknot.invariants import self_linking, v2, writhe
 from transknot.moves_singular import (
     DefectReport,
     OrderCheckResult,
-    Resolution,
-    ResolutionAssignment,
     make_singular,
     resolve,
     stabilize,
@@ -201,8 +199,8 @@ class TestResolve:
         assert out.exit_code == 0
         zero_based = [i - 1 for i in sites]
         s = make_singular(trefoil_right(), zero_based)
-        signs = [Resolution.POS if ch == "+" else Resolution.NEG for ch in assign]
-        want = resolve(s, ResolutionAssignment(dict(zip(zero_based, signs))))
+        signs = [1 if ch == "+" else -1 for ch in assign]
+        want = resolve(s, dict(zip(zero_based, signs)))
         assert out_path.read_text(encoding="utf-8") == serialize_diagram(want)
 
     @pytest.mark.parametrize("sites, assign", [([1, 2], "--"), ([1, 2], "-+"), ([1], "-")])

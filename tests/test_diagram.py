@@ -45,8 +45,6 @@ from transknot.fixtures import (
 from transknot.geometry import Point, box_overlapping_pairs, dist2, dot, vec
 from transknot.invariants import invariant_values, pushoff_linking_oracle
 from transknot.moves_singular import (
-    Resolution,
-    ResolutionAssignment,
     make_singular,
     random_valid_diagram,
     resolve,
@@ -522,8 +520,8 @@ class TestIntRepresentation:
         assert [iv.value for iv in invariant_values(d)] == [-15, -15, 0, 23, 1]
         assert pushoff_linking_oracle(d) == -15
         assert serialize_diagram(d) == text
-        resolved = [resolve(s, ResolutionAssignment(dict(zip(s.doubles, signs))))
-                    for s in family for signs in itertools.product(Resolution, repeat=3)]
+        resolved = [resolve(s, dict(zip(s.doubles, signs)))
+                    for s in family for signs in itertools.product((1, -1), repeat=3)]
         assert len(resolved) == 24 and built == [] and crossings == []
         assert len(d.crossings) == len(crossings) == 23 and len(built) == 2 * 23
         assert [c.lo for c in resolved[0].crossings] == [e[0] for e in resolved[0].entries]
@@ -554,8 +552,8 @@ class TestIntRepresentation:
         assert len(hosts) == 3 and all(validate(d).is_valid for d, _ in hosts)
         built, crossings = self.count_fractions(monkeypatch), self.count_crossings(monkeypatch)
         family = [make(d, sites) for d, sites in hosts]
-        resolved = [resolve(s, ResolutionAssignment(dict(zip(s.doubles, signs))))
-                    for s in family for signs in itertools.product(Resolution, repeat=3)]
+        resolved = [resolve(s, dict(zip(s.doubles, signs)))
+                    for s in family for signs in itertools.product((1, -1), repeat=3)]
         assert len(resolved) == 24 and built == [] and crossings == []
 
     def test_a_stabilization_reads_its_host_edge_from_the_ints(self, monkeypatch):
@@ -680,9 +678,9 @@ class TestIntRepresentation:
         text = LADDER_K8.read_text(encoding="utf-8")
         d = parse_diagram(text)
         s = make_singular(d, [1, 2])  # two crossings whose over bit is free
-        flips = {i: Resolution.NEG if d.signs[i] > 0 else Resolution.POS for i in (1, 2)}
+        flips = {i: -d.signs[i] for i in (1, 2)}
         calls = self.count_formatting(monkeypatch)
-        out = serialize_diagram(resolve(s, ResolutionAssignment(flips)))
+        out = serialize_diagram(resolve(s, flips))
         assert calls == []
         assert vertex_tokens(out) == vertex_tokens(text) and out != text
 

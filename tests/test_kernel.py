@@ -83,8 +83,6 @@ from transknot.invariants import (
     writhe,
 )
 from transknot.moves_singular import (
-    Resolution,
-    ResolutionAssignment,
     _anchors,
     _bend_vertical,
     make_singular,
@@ -296,14 +294,14 @@ def ref_v2(d, base):
     return total
 
 
-def ref_resolve(s, a):
+def ref_resolve(s, signs):
     d, crossings = s.diagram, []
     for i, c in enumerate(d.crossings):
-        if i not in a.choices:
+        if i not in signs:
             crossings.append(c)
             continue
         positive = cross(d.curve.direction(c.lo), d.curve.direction(c.hi)) > 0
-        over = "lo" if positive == (a.choices[i] is Resolution.POS) else "hi"
+        over = "lo" if positive == (signs[i] == 1) else "hi"
         crossings.append(Crossing(c.lo, c.hi, c.point, over))
     return TransverseDiagram(d.curve, d.coorientation, tuple(crossings))
 
@@ -335,9 +333,9 @@ def assert_directions_match(d):
     free = [i for i, c in enumerate(d.crossings)
             if ref_forced_over(curve, d.coorientation, c.lo, c.hi) is None]
     s = make_singular(d, free[:3])
-    for bits in itertools.product(Resolution, repeat=len(free[:3])):
-        a = ResolutionAssignment(dict(zip(free[:3], bits)))
-        assert resolve(s, a) == ref_resolve(s, a)
+    for bits in itertools.product((1, -1), repeat=len(free[:3])):
+        signs = dict(zip(free[:3], bits))
+        assert resolve(s, signs) == ref_resolve(s, signs)
 
 
 # --- inputs ----------------------------------------------------------------

@@ -50,10 +50,9 @@ EXPORTED = {
         "self_linking", "v2", "writhe",
     ),
     "moves_singular": (
-        "FramedInvariantHandle", "InvariantHandle", "Resolution", "ResolutionAssignment",
-        "SingularDiagram", "assignment_sign", "is_order_at_most", "make_singular",
-        "pullback_framed_invariant", "random_valid_diagram", "resolve", "singular_family",
-        "stabilize", "vassiliev_defect",
+        "FramedInvariantHandle", "InvariantHandle", "SingularDiagram", "is_order_at_most",
+        "make_singular", "pullback_framed_invariant", "random_valid_diagram", "resolve",
+        "singular_family", "stabilize", "vassiliev_defect",
     ),
     "transversality": ("ValidityReport", "validate", "whitney_index"),
 }

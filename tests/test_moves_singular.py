@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -49,12 +50,9 @@ from transknot.moves_singular import (
     FRAMING_PROJECTION,
     V2_INVARIANT,
     WRITHE_INVARIANT,
-    Resolution,
-    ResolutionAssignment,
     SingularDiagram,
     _anchors,
     _bend_vertical,
-    assignment_sign,
     is_order_at_most,
     make_singular,
     pullback_framed_invariant,
@@ -495,6 +493,18 @@ def test_stabilize_guards_raise_typed_errors(monkeypatch, tmp_path, make, host, 
     assert not out.exists()
 
 
+@pytest.mark.xfail(raises=HostTooShortError, strict=True,
+                   reason="repeated stabilization deepens the clearance without bound: "
+                          "call 17 finds no safe detour scale for edge 78")
+def test_sixty_chained_stabilizations_succeed():
+    # coordinate growth must stay bounded under repeated moves; bounded
+    # coordinates (snap rounding) turn this into a pass
+    d, rng = trefoil_right(), random.Random(16)
+    for _ in range(60):
+        d = stabilize(d, rng.randint(1, d.curve.n), 1)
+    assert validate(d).is_valid
+
+
 class TestMakeSingular:
     def test_braid_crossings_become_doubles(self):
         s = make_singular(trefoil_right(), [0, 1])
@@ -526,43 +536,36 @@ class TestMakeSingular:
 class TestResolve:
     def test_positive_resolution_restores_trefoil(self):
         s = make_singular(trefoil_right(), [0])
-        back = resolve(s, ResolutionAssignment({0: Resolution.POS}))
+        back = resolve(s, {0: 1})
         assert back == trefoil_right()
 
     def test_single_site_sign_difference(self):
         s = make_singular(trefoil_right(), [0])
-        pos = resolve(s, ResolutionAssignment({0: Resolution.POS}))
-        neg = resolve(s, ResolutionAssignment({0: Resolution.NEG}))
+        pos = resolve(s, {0: 1})
+        neg = resolve(s, {0: -1})
         assert writhe(pos) - writhe(neg) == 2
 
     def test_all_resolutions_validate(self):
         s = make_singular(trefoil_right(), [0, 1, 2])
         for bits in range(8):
-            choices = {
-                i: Resolution.POS if bits >> j & 1 else Resolution.NEG
-                for j, i in enumerate(s.doubles)
-            }
-            assert validate(resolve(s, ResolutionAssignment(choices))).is_valid
+            signs = {i: 1 if bits >> j & 1 else -1 for j, i in enumerate(s.doubles)}
+            assert validate(resolve(s, signs)).is_valid
 
-    @pytest.mark.parametrize("choice", ["+", 1, None])
+    @pytest.mark.parametrize("choice", ["+", 0, 2, None, True, 1.0])
     def test_choice_must_be_a_resolution(self, choice):
-        # any other value once resolved as NEG while assignment_sign
-        # counted it as POS
-        s = make_singular(trefoil_right(), [0])
-        with pytest.raises(ValueError, match="is not a Resolution"):
-            resolve(s, ResolutionAssignment({0: choice}))
+        # a resolution is the int 1 or -1: True and 1.0 equal 1 but are
+        # refused, as is any other value
+        s = make_singular(trefoil_right(), [0, 1])
+        message = f"sign {choice!r} for site 1 is not 1 or -1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            resolve(s, {0: 1, 1: choice})
 
     def test_choice_set_must_match(self):
         s = make_singular(trefoil_right(), [0, 1])
         with pytest.raises(ValueError):
-            resolve(s, ResolutionAssignment({0: Resolution.POS}))
+            resolve(s, {0: 1})
         with pytest.raises(ValueError):
-            resolve(
-                s,
-                ResolutionAssignment(
-                    {0: Resolution.POS, 1: Resolution.POS, 2: Resolution.POS}
-                ),
-            )
+            resolve(s, {0: 1, 1: 1, 2: 1})
 
     @pytest.mark.parametrize("site", [-1, 7], ids=["negative", "past the end"])
     def test_hand_built_double_must_be_in_range(self, site):
@@ -570,14 +573,14 @@ class TestResolve:
         # raised IndexError
         s = SingularDiagram(trefoil_right(), (site,))
         with pytest.raises(ValueError, match=f"crossing index {site} out of range"):
-            resolve(s, ResolutionAssignment({site: Resolution.POS}))
+            resolve(s, {site: 1})
 
     def test_hand_built_double_must_not_be_forced(self):
         # make_singular refuses crossing 4, and resolve once returned an
         # invalid diagram carrying the host's valid report
         s = SingularDiagram(trefoil_right(), (4,))
         with pytest.raises(InadmissibleDoublePointError, match="crossing 4 ") as err:
-            resolve(s, ResolutionAssignment({4: Resolution.POS}))
+            resolve(s, {4: 1})
         assert err.value.site == 4
 
     @pytest.mark.parametrize("order", [1, 2])
@@ -587,14 +590,13 @@ class TestResolve:
         # for the triples resolve takes from the pair pass
         for s in singular_family(seed, order + 1, 3):
             doubles = s.doubles
-            for signs in itertools.product(Resolution, repeat=len(doubles)):
-                choices = dict(zip(doubles, signs))
+            for signs in itertools.product((1, -1), repeat=len(doubles)):
+                chosen = dict(zip(doubles, signs))
                 d = s.diagram
                 by_point = TransverseDiagram(d.curve, d.coorientation, [
-                    Crossing(c.lo, c.hi, c.point, over_for_sign(
-                        d.curve, c.lo, c.hi, 1 if choices[i] is Resolution.POS else -1))
-                    if i in choices else c for i, c in enumerate(d.crossings)])
-                got = resolve(s, ResolutionAssignment(choices))
+                    Crossing(c.lo, c.hi, c.point, over_for_sign(d.curve, c.lo, c.hi, chosen[i]))
+                    if i in chosen else c for i, c in enumerate(d.crossings)])
+                got = resolve(s, chosen)
                 assert got == by_point
                 assert [c.xzd for c in got.crossings] == [c.xzd for c in by_point.crossings]
 
@@ -605,26 +607,25 @@ class TestResolve:
         # forced, so the host's report, which resolve caches on it, is
         # the one the check computes
         for s in singular_family(seed, order + 1, 3):
-            for signs in itertools.product(Resolution, repeat=len(s.doubles)):
-                r = resolve(s, ResolutionAssignment(dict(zip(s.doubles, signs))))
+            for signs in itertools.product((1, -1), repeat=len(s.doubles)):
+                r = resolve(s, dict(zip(s.doubles, signs)))
                 assert r.validity is s.diagram.validity
                 assert r.validity == check_validity(r)
 
 
-def test_assignment_sign():
-    P, N = Resolution.POS, Resolution.NEG
-    assert assignment_sign(ResolutionAssignment({})) == 1
-    assert assignment_sign(ResolutionAssignment({0: P, 1: P})) == 1
-    assert assignment_sign(ResolutionAssignment({0: N, 1: P})) == -1
-    assert assignment_sign(ResolutionAssignment({0: N, 1: N})) == 1
-    # flipping any one choice flips the sign
-    base = {0: P, 1: N, 2: P}
-    for i in base:
-        flipped = dict(base)
-        flipped[i] = N if base[i] is P else P
-        assert assignment_sign(ResolutionAssignment(flipped)) == -assignment_sign(
-            ResolutionAssignment(base)
-        )
+@pytest.mark.parametrize("inv", [WRITHE_INVARIANT, V2_INVARIANT], ids=["writhe", "v2"])
+@pytest.mark.parametrize("seed", range(6))
+def test_defect_weights_each_resolution_by_its_signs(inv, seed):
+    # one double point: v(K+) - v(K-); two: each sign flip flips the term
+    for s in singular_family(seed, 1, 3):
+        [i] = s.doubles
+        want = inv.fn(resolve(s, {i: 1})) - inv.fn(resolve(s, {i: -1}))
+        assert vassiliev_defect(inv, s).defect == want
+    for s in singular_family(seed, 2, 3):
+        i, j = s.doubles
+        v = {(a, b): inv.fn(resolve(s, {i: a, j: b})) for a in (1, -1) for b in (1, -1)}
+        want = v[1, 1] - v[1, -1] - v[-1, 1] + v[-1, -1]
+        assert vassiliev_defect(inv, s).defect == want
 
 
 class TestVassilievDefect:
@@ -682,7 +683,7 @@ class TestVassilievDefect:
         # the symbol of v2: 1 on two interleaved chords, else 0
         seen = set()
         for s in skein_members(2, range(60)):
-            ends = chord_ends(resolve_all(s, Resolution.POS))
+            ends = chord_ends(resolve_all(s, 1))
             one, other = (s.diagram.crossings[i] for i in s.doubles)
             symbol = int(interleaved(ends[one.lo, one.hi], ends[other.lo, other.hi]))
             assert vassiliev_defect(V2_INVARIANT, s).defect == symbol
@@ -703,8 +704,8 @@ def skein_members(doubles: int, seeds):
             yield make_singular(d, sites)
 
 
-def resolve_all(s, choice: Resolution) -> TransverseDiagram:
-    return resolve(s, ResolutionAssignment({i: choice for i in s.doubles}))
+def resolve_all(s, sign: int) -> TransverseDiagram:
+    return resolve(s, dict.fromkeys(s.doubles, sign))
 
 
 def chord_ends(d: TransverseDiagram) -> dict:
@@ -728,7 +729,7 @@ def smoothing_linking_number(s, site: int) -> int:
     the signed count of the chords that interleave its chord, since the
     smoothing splits the walk between the chord's two ends.  The other
     crossings keep their signs whatever the double point resolves to."""
-    d = resolve_all(s, Resolution.POS)
+    d = resolve_all(s, 1)
     ends = chord_ends(d)
     double = s.diagram.crossings[site]
     chord = ends[double.lo, double.hi]

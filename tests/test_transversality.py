@@ -160,6 +160,15 @@ class TestValidate:
         assert len(report.violations) == 1
         assert report.violations[0].kind is ViolationKind.ForbiddenCrossing
 
+    def test_conditions_1_and_2_report_in_kind_order(self):
+        # the two checks each sort their own list, and condition 1's kinds
+        # come first, so their concatenation is the sorted report
+        verts = [(p.x, p.z) for p in u_minus().curve.vertices]
+        verts[2:2] = [(Fraction(6, 5), Fraction(3, 2)), (Fraction(11, 10), Fraction(9, 5))]
+        d = build_diagram(verts, Coorientation.PLUS, {(1, 8): "lo"})
+        assert [str(v) for v in check_validity(d).violations] == [
+            "UpwardCorner e2,e3", "UpwardCorner e3,e4", "ForbiddenCrossing (0,0)"]
+
     def test_square_invalid(self):
         d = TransverseDiagram(SQUARE, Coorientation.PLUS, ())
         report = validate(d)
