@@ -3,10 +3,11 @@
 A diagram is a closed polygonal curve in the (x, z) plane together with
 a coorientation sign and an over/under bit per crossing.  The strand
 drawn on top is the one with the smaller y-coordinate in space, so
-``over`` is a drawing datum; no y-values are ever stored.  A diagram
-keeps each crossing as the int entry (lo, hi, xzd) that the curve's
-pair pass found and its over bit; ``Crossing`` values, with Fraction
-points, are a view built only when read.
+``over`` is a drawing datum; no y-values are ever stored.  The curve
+alone fixes the crossings: the diagram reads each as the int entry (lo,
+hi, xzd) that the curve's pair pass found, and stores only its over
+bit; ``Crossing`` values, with Fraction points, are a view built only
+when read.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import re
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import cache, cached_property, cmp_to_key, total_ordering
+from functools import cache, cached_property, cmp_to_key
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .errors import CrossingMismatchError, NongenericCurveError, ParseError, TransknotError
@@ -128,7 +129,7 @@ class PolyCurve(Frozen):
     predicates on these ints, which are exact and never normalise a
     fraction; a distance leaves them as a Fraction again, and a crossing
     point stays the int triple the pair pass found (``pair_facts``),
-    which a diagram keeps as its ``entries``, until it is read as a
+    which a diagram reads as its ``entries``, until it is read as a
     Fraction point (``detect_crossings``, the diagram's ``crossings``
     view).  ``vertices``, the Fraction points, is a view built on first
     read, and ``edges`` and ``edge`` give the edges as Fraction points;
@@ -395,16 +396,14 @@ def _crossing_scan(curve: PolyCurve, limit: Optional[int] = None):
     return tuple(found), tuple(sort_violations(out))
 
 
-@total_ordering
 class Crossing(Frozen):
     """A transversal double point of the projection, as a plain value.
 
     ``lo < hi`` index the two edges; ``over`` names the strand drawn on
-    top (the one with the smaller y-coordinate in space).  Crossings
-    sort by their fields (lo, hi, point, over).  A diagram keeps its
-    crossings as int entries and over bits and builds these only as
-    its ``crossings`` view; ``xzd`` reads the point back as its
-    canonical int triple.
+    top (the one with the smaller y-coordinate in space).  A diagram
+    keeps its crossings as its curve's int entries and one over bit
+    each, and builds these only as its ``crossings`` view;
+    ``invariants.crossing_sign`` reads one too.
     """
 
     __slots__ = _fields = ("lo", "hi", "point", "over")
@@ -422,20 +421,6 @@ class Crossing(Frozen):
             object.__setattr__(self, name, value)
 
     @property
-    def xzd(self) -> tuple[int, int, int]:
-        """The point as its canonical int triple (X, Z, D), the point
-        (X/D, Z/D) with D > 0 and gcd(X, Z, D) = 1: over the lcm of the
-        two reduced denominators."""
-        x, z = self.point
-        d = math.lcm(x.denominator, z.denominator)
-        return x.numerator * (d // x.denominator), z.numerator * (d // z.denominator), d
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() < other._astuple()
-
-    @property
     def over_edge(self) -> int:
         return self.lo if self.over == "lo" else self.hi
 
@@ -445,47 +430,39 @@ class Crossing(Frozen):
 
 
 class TransverseDiagram(Frozen):
-    """A curve, its coorientation, and its crossings, kept sorted.
+    """A curve, its coorientation, and one over bit per crossing.
 
-    The crossings are held in one form: ``entries``, a tuple of (lo, hi,
-    xzd) sorted by (lo, hi), xzd the canonical int triple of the point as
-    ``PolyCurve.pair_facts`` holds it, and ``overs``, the over bit "lo"
-    or "hi" of each entry in the same order.  These two and the curve
-    and coorientation are the fields that equality, the hash and the
-    repr read, so none of them builds a Fraction.  ``crossings``, the
-    ``Crossing`` values, is a view built from the entries on first read
-    for callers outside the package; no package code reads it.  Where a
-    crossing lies along an edge is read from the ints by
-    ``fractions_along``.
-    The constructor sorts the crossings it is given and derives both
-    tuples once, so its view equals those crossings; ``_attach_over``
-    and ``with_over`` hand their tuples to ``_from_entries`` and build
-    no crossing.  All of them are kept in the instance's ``__dict__``.
+    The curve alone fixes where the crossings are: ``entries`` is its
+    ``pair_facts[0]``, the (lo, hi, xzd) of each crossing sorted by (lo,
+    hi), xzd the canonical int triple of the point.  ``overs`` holds the
+    over bit "lo" or "hi" of each entry in the same order.  The curve,
+    the coorientation and the bits are the fields that equality, the
+    hash and the repr read, so none of them builds a Fraction; the
+    entries are kept in the instance's ``__dict__`` beside them, as a
+    cache of the curve's tuple.  ``crossings``, the ``Crossing`` values,
+    is a view built from the entries on first read for callers outside
+    the package; no package code reads it.  Where a crossing lies along
+    an edge is read from the ints by ``fractions_along``.
+
+    The constructor takes one bit per crossing of the curve, in
+    ``entries`` order, and raises ValueError if the count differs or a
+    bit is not "lo" or "hi".  In the package only ``_attach_over``,
+    ``with_over`` and ``moves_singular.resolve`` call it.
     """
 
-    _fields = ("curve", "coorientation", "entries", "overs")
+    _fields = ("curve", "coorientation", "overs")
     curve: PolyCurve
     coorientation: Coorientation
     entries: tuple[tuple[int, int, tuple[int, int, int]], ...]
     overs: tuple[str, ...]
 
-    def __init__(self, curve: PolyCurve, coorientation: Coorientation, crossings):
-        crossings = sorted(crossings)
-        vars(self).update(curve=curve, coorientation=coorientation,
-                          entries=tuple((c.lo, c.hi, c.xzd) for c in crossings),
-                          overs=tuple(c.over for c in crossings))
-
-    @classmethod
-    def _from_entries(cls, curve: PolyCurve, coorientation: Coorientation, entries,
-                      overs: tuple[str, ...]) -> TransverseDiagram:
-        """The diagram whose crossings are ``entries`` with the bits
-        ``overs``: entries sorted by (lo, hi), each with lo < hi, and
-        each bit "lo" or "hi" (ValueError otherwise)."""
-        if not {"lo", "hi"}.issuperset(overs):
+    def __init__(self, curve: PolyCurve, coorientation: Coorientation, overs):
+        entries, overs = curve.pair_facts[0], tuple(overs)
+        if len(overs) != len(entries):
+            raise ValueError(f"{len(overs)} over bits for {len(entries)} crossings")
+        if overs.count("lo") + overs.count("hi") != len(overs):
             raise ValueError("over must be 'lo' or 'hi'")
-        d = object.__new__(cls)
-        vars(d).update(curve=curve, coorientation=coorientation, entries=entries, overs=overs)
-        return d
+        vars(self).update(curve=curve, coorientation=coorientation, entries=entries, overs=overs)
 
     @cached_property
     def crossings(self) -> tuple[Crossing, ...]:
@@ -557,10 +534,14 @@ class TransverseDiagram(Frozen):
                 for p in (self.entries[k][2] for k in self.crossings_along[i - 1])]
 
     def with_over(self, flips: dict[tuple[int, int], str]) -> "TransverseDiagram":
-        """Copy with the over bit replaced at the listed (lo, hi) pairs:
-        the entries are kept, and only the bits are remapped."""
-        return TransverseDiagram._from_entries(self.curve, self.coorientation, self.entries, tuple(
-            flips.get((lo, hi), bit) for (lo, hi, _), bit in zip(self.entries, self.overs)))
+        """Copy with the over bit replaced at the listed (lo, hi) pairs.
+        A key that is not the (lo, hi) of one of the crossings raises
+        ValueError, naming the first such key."""
+        pairs = [(lo, hi) for lo, hi, _ in self.entries]
+        if unknown := [key for key in flips if key not in pairs]:
+            raise ValueError(f"{unknown[0]!r} is not the (lo, hi) of a crossing")
+        return TransverseDiagram(self.curve, self.coorientation,
+                                 [flips.get(pair, bit) for pair, bit in zip(pairs, self.overs)])
 
 
 def splice(d: TransverseDiagram, host: int, den: int, path, spots) -> Optional[TransverseDiagram]:
@@ -582,13 +563,13 @@ def splice(d: TransverseDiagram, host: int, den: int, path, spots) -> Optional[T
     the over bit of sign -1.  Keeping the over bit is exact because a
     splice keeps the order of the edges: those before the host keep
     their index, the host's pieces come next and later edges shift by
-    ``len(path)``, so "lo" and "hi" still name the same strands.  As in
-    ``crossing_mismatch``, the expected and the detected crossings are
-    sorted by the canonical int triples of their points and compared
-    once: an old entry's triple, and a spot's ints over L*den
-    divided by their gcd.  The two sorted lists then pair each detected
-    (lo, hi) with its expected over bit, and ``_attach_over`` puts the
-    crossings on the new curve, so a splice builds no Fraction.
+    ``len(path)``, so "lo" and "hi" still name the same strands.  The
+    expected and the detected crossings are sorted by the canonical int
+    triples of their points and compared once: an old entry's triple,
+    and a spot's ints over L*den divided by their gcd.  The two sorted
+    lists then pair each detected (lo, hi) with its expected over bit,
+    and ``_attach_over`` puts the bits on the new curve, so a splice
+    builds no Fraction.
     """
     from .transversality import over_for_sign  # it imports this module
 
@@ -739,42 +720,28 @@ def least_dist2(curve: PolyCurve, points, spots=()) -> Fraction:
 
 
 def crossing_mismatch(curve: PolyCurve, declared) -> tuple[list, list, tuple[Violation, ...]]:
-    """Sorted (missing, extra, violations) for ``declared``, (lo, hi)
-    pairs or (lo, hi, xzd) entries, xzd the canonical int triple of a
-    point (``TransverseDiagram.entries``), counted against the detected crossings of
-    ``pair_facts`` cut to the same length: the pairs of the detected
-    entries that ``declared`` lacks, the pairs of its entries beyond the
-    detected ones, and one CrossingMismatch per pair in either list.  A
-    pair named twice, or at a point where the curve does not cross, is
-    in one of them at least.
-
-    Both lists are sorted first, so when they agree a single comparison
-    of ints decides it, which builds no Fraction."""
-    named = sorted(declared)
-    width = len(named[0]) if named else 2
-    detected = [entry[:width] for entry in curve.pair_facts[0]]
-    if named == detected:
-        return [], [], ()
-    named, detected = Counter(named), Counter(detected)
-    missing = sorted(entry[:2] for entry in detected - named)
-    extra = sorted(entry[:2] for entry in named - detected)
+    """Sorted (missing, extra, violations) for ``declared``, the distinct
+    (lo, hi) pairs a reader or ``build_diagram`` is given, against the
+    pairs of the detected crossings of ``pair_facts``: the detected
+    pairs that ``declared`` lacks, the pairs it names where the curve
+    does not cross, and one CrossingMismatch per pair in either list.
+    It compares pairs of ints and builds no Fraction."""
+    named, detected = set(declared), {(lo, hi) for lo, hi, _ in curve.pair_facts[0]}
+    missing, extra = sorted(detected - named), sorted(named - detected)
     return missing, extra, tuple(Violation(ViolationKind.CrossingMismatch, edges=pair)
-                                 for pair in sorted(set(missing + extra)))
+                                 for pair in sorted(missing + extra))
 
 
 def _attach_over(curve: PolyCurve, coor: Coorientation, over: dict) -> TransverseDiagram:
     """The diagram on the detected crossings, over bits from ``over``,
     which maps each pair (lo, hi) of ``pair_facts`` to "lo" or "hi".
 
-    This is the one place that puts a curve's pair pass on a diagram:
-    the diagram keeps the pass's own tuple as its ``entries``, and only
-    the tuple of bits is made, so no ``Crossing`` is built.  The readers,
-    ``build_diagram``, ``splice`` and the random draw hand it their
-    maps.  A caller whose map may miss a pair checks it first
-    with ``crossing_mismatch``."""
-    entries = curve.pair_facts[0]
-    return TransverseDiagram._from_entries(curve, coor, entries,
-                                           tuple([over[lo, hi] for lo, hi, _ in entries]))
+    This is the one place that turns a reader's map into a diagram's
+    bits, in the order of the curve's entries, so no ``Crossing`` is
+    built.  The readers, ``build_diagram``, ``splice`` and the random
+    draw hand it their maps.  A caller whose map may miss a pair checks
+    it first with ``crossing_mismatch``."""
+    return TransverseDiagram(curve, coor, [over[lo, hi] for lo, hi, _ in curve.pair_facts[0]])
 
 
 def build_diagram(

@@ -19,10 +19,10 @@ the crossings whose over bit is erased ("double points").  Erasure is
 only permitted where both over bits yield a valid diagram, i.e. where
 the coorientation direction lies outside the closed tangent cone.
 A resolution is a sign, 1 or -1, for each double point: resolving sets
-the bit of that sign in a copy of the host diagram, so a resolution
-keeps the host's curve, entries and validity.  Summing the invariant
-over all resolutions, each weighted by the product of its signs,
-yields the defect whose vanishing on (n+1)-point diagrams is the
+the bit of that sign in a copy of the host's bits, so a resolution keeps
+the host's curve, and with it the crossings, and its validity.  Summing
+the invariant over all resolutions, each weighted by the product of its
+signs, yields the defect whose vanishing on (n+1)-point diagrams is the
 evidence that an invariant has order <= n.
 """
 
@@ -252,9 +252,14 @@ def make_singular(d: TransverseDiagram, sites: Iterable[int]) -> SingularDiagram
 
 
 def _admissible(d: TransverseDiagram, sites: Iterable[int]) -> tuple[int, ...]:
-    """The distinct sites in ascending order.  Each must be an index into
-    ``d.entries`` (ValueError), and none may have a forced over bit: the
-    lowest that has one is refused (InadmissibleDoublePointError)."""
+    """The distinct sites in ascending order.  Each must be an int
+    (ValueError naming the first that is not, so True and 1.0 are
+    refused) and an index into ``d.entries`` (ValueError), and none may
+    have a forced over bit: the lowest that has one is refused
+    (InadmissibleDoublePointError)."""
+    sites = tuple(sites)
+    if bad := [i for i in sites if type(i) is not int]:
+        raise ValueError(f"crossing index {bad[0]!r} is not an int")
     chosen = tuple(sorted(set(sites)))
     for i in chosen:
         if not 0 <= i < len(d.entries):
@@ -276,29 +281,29 @@ def resolve(s: SingularDiagram, signs: Mapping[int, int]) -> TransverseDiagram:
     that sign is set by ``over_for_sign``.  ValueError is raised if the
     keys are not exactly the double points, or if a value is not the int
     1 or -1 (so True, 1.0, 0 and "+" are refused), naming its site.  The
-    result is the host with those bits replaced (``with_over``): it
-    keeps the host's curve and entries, and builds no ``Crossing``.
+    result is the host's curve with the host's bits, the bit at each
+    double point replaced by index: it builds no ``Crossing``.
 
     The double points are checked again as ``make_singular`` checks
-    them, each an index into the host's entries (ValueError) at a
+    them, each an int index into the host's entries (ValueError) at a
     crossing whose bit is not forced (InadmissibleDoublePointError), as
     a SingularDiagram may be built by hand.  Then the result takes the
     host's validity report into its cache, as the check would compute
-    the same one.  Genericity and condition 1 read only the curve, and
-    the mismatch check only the entries, which the host shares.
-    Condition 2 reads the bits only at crossings with a forced bit, and
-    none of those is a double point, so every bit it reads is the host's.
+    the same one.  Genericity and condition 1 read only the curve, which
+    the host shares.  Condition 2 reads the bits only at crossings with
+    a forced bit, and none of those is a double point, so every bit it
+    reads is the host's.
     """
     if set(signs) != set(s.doubles):
         raise ValueError("assignment must cover every double site exactly once")
-    d, over = s.diagram, {}
+    d, overs = s.diagram, list(s.diagram.overs)
     for i in _admissible(d, signs):
         sign = signs[i]
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"sign {sign!r} for site {i} is not 1 or -1")
         lo, hi, _ = d.entries[i]
-        over[lo, hi] = over_for_sign(d.curve, lo, hi, sign)
-    out = d.with_over(over)
+        overs[i] = over_for_sign(d.curve, lo, hi, sign)
+    out = TransverseDiagram(d.curve, d.coorientation, overs)
     vars(out)["validity"] = d.validity
     return out
 

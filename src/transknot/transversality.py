@@ -31,7 +31,6 @@ from .diagram import (
     Violation,
     ViolationKind,
     _point,
-    crossing_mismatch,
     sort_violations,
 )
 from .errors import InvalidDiagramError, NongenericCurveError, ReversalError
@@ -185,18 +184,14 @@ def check_validity(d: TransverseDiagram) -> ValidityReport:
 
     Reads the curve's cached genericity and crossings.  Positional
     defects short-circuit the report, since crossing data is meaningless
-    on a non-generic curve.  A crossing list that disagrees with the
-    detected intersections, pair by pair and point by point, is reported
-    as CrossingMismatch.  Conditions 1 and 2 each return a sorted list,
-    and condition 1's kinds, UpwardEdge and UpwardCorner, come before
-    condition 2's ForbiddenCrossing in ``ViolationKind``, so the two
-    lists joined are the sorted report.
+    on a non-generic curve.  A diagram's crossings are its curve's, so
+    there is no crossing list to check against the curve.  Conditions 1
+    and 2 each return a sorted list, and condition 1's kinds, UpwardEdge
+    and UpwardCorner, come before condition 2's ForbiddenCrossing in
+    ``ViolationKind``, so the two lists joined are the sorted report.
     """
     if d.curve.genericity_violations:
         return ValidityReport(d.curve.genericity_violations)
-    _, _, mismatch = crossing_mismatch(d.curve, d.entries)
-    if mismatch:
-        return ValidityReport(mismatch)
     return ValidityReport(tuple(check_condition1(d.curve, d.coorientation) + check_condition2(d)))
 
 

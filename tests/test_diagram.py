@@ -2,6 +2,7 @@ import bisect
 import hashlib
 import itertools
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from transknot.diagram import (
     Coorientation,
     Crossing,
     PolyCurve,
-    TransverseDiagram,
     Violation,
     ViolationKind,
     _crossing_scan,
@@ -131,6 +131,17 @@ def test_with_over_flips_only_named_pairs():
     assert flipped.crossings[0].over == "lo"
     assert flipped.curve is d.curve
     assert u_minus().crossings[0].over == "hi"
+
+
+@pytest.mark.parametrize("make, flips, key", [
+    (u_minus, {(2, 5): "lo"}, (2, 5)),
+    (trefoil_right, {(9, 1): "hi"}, (9, 1)),
+    (trefoil_right, {(1, 9): "hi", (2, 11): "lo", (1, 10): "lo"}, (2, 11)),
+], ids=["no-crossing", "unordered", "first-unknown"])
+def test_with_over_refuses_a_pair_that_is_not_a_crossing(make, flips, key):
+    # naming the first key in the map's order that names no crossing
+    with pytest.raises(ValueError, match=re.escape(f"{key!r} is not the (lo, hi) of a crossing")):
+        make().with_over(flips)
 
 
 def test_reversed_curve_keeps_first_vertex():
@@ -534,7 +545,7 @@ class TestIntRepresentation:
         built, crossings = self.count_fractions(monkeypatch), self.count_crossings(monkeypatch)
         assert a == b and a.curve == b.curve and a is not b and a.curve is not b.curve
         assert hash(a) == hash(b) and hash(a.curve) == hash(b.curve)
-        assert repr(a) == repr(b) and repr(a.curve) in repr(a) and str(a.entries) in repr(a)
+        assert repr(a) == repr(b) and repr(a.curve) in repr(a) and str(a.overs) in repr(a)
         assert a != a.with_over({a.entries[0][:2]: "hi" if a.overs[0] == "lo" else "lo"})
         assert built == [] and crossings == []
 
@@ -635,7 +646,8 @@ class TestIntRepresentation:
         sep2 = min_feature_separation2(d)
         assert len(built) == 1 and sep2 > 0
         monkeypatch.undo()
-        assert sep2 == min(min_feature_separation2(TransverseDiagram(d.curve, d.coorientation, ())),
+        vertices = [(k, 0) for k in range(1, d.curve.n + 1)]  # the separation with no crossing
+        assert sep2 == min(diagram.least_dist2(d.curve, vertices),
                            *(dist2(a.point, b.point) for a, b in
                              itertools.combinations(d.crossings, 2)))
 

@@ -69,8 +69,11 @@ class TestWrithe:
         # edges 1 and 3 of a square are parallel; no sign exists
         square = build_diagram([(0, 0), (4, 0), (4, 4), (0, 4)], Coorientation.PLUS, {})
         bogus = Crossing(1, 3, Point(Fraction(2), Fraction(2)), "lo")
-        with pytest.raises(TransknotError):
-            writhe(TransverseDiagram(square.curve, Coorientation.PLUS, (bogus,)))
+        with pytest.raises(TransknotError, match="parallel tangents"):
+            crossing_sign(square, bogus)
+        # and no diagram carries it: the square's curve has no crossing
+        with pytest.raises(ValueError, match="1 over bits for 0 crossings"):
+            TransverseDiagram(square.curve, Coorientation.PLUS, (bogus.over,))
 
 
 class TestSelfLinking:

@@ -24,6 +24,7 @@ division.
 """
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -295,15 +296,11 @@ def ref_v2(d, base):
 
 
 def ref_resolve(s, signs):
-    d, crossings = s.diagram, []
+    d, overs = s.diagram, []
     for i, c in enumerate(d.crossings):
-        if i not in signs:
-            crossings.append(c)
-            continue
         positive = cross(d.curve.direction(c.lo), d.curve.direction(c.hi)) > 0
-        over = "lo" if positive == (signs[i] == 1) else "hi"
-        crossings.append(Crossing(c.lo, c.hi, c.point, over))
-    return TransverseDiagram(d.curve, d.coorientation, tuple(crossings))
+        overs.append(c.over if i not in signs else "lo" if positive == (signs[i] == 1) else "hi")
+    return TransverseDiagram(d.curve, d.coorientation, overs)
 
 
 def assert_directions_match(d):
@@ -315,7 +312,7 @@ def assert_directions_match(d):
     # over bit flipped, violate condition 2 at the forced crossings
     flipped = d.with_over({(c.lo, c.hi): "hi" if c.over == "lo" else "lo"
                            for c in d.crossings})
-    for e in (d, flipped, TransverseDiagram(curve, other, d.crossings)):
+    for e in (d, flipped, TransverseDiagram(curve, other, d.overs)):
         assert check_condition2(e) == ref_condition2(e)
         for c in e.crossings:
             assert forced_over(curve, e.coorientation, c.lo, c.hi) == \
@@ -420,6 +417,13 @@ def test_oracle_reads_the_pair_pass(monkeypatch):
         assert pushoff_linking_oracle(d) == writhe(d)
 
 
+def forced_or_lo(c, coor):
+    """The diagram on the curve c with the forced over bit at each
+    crossing and "lo" at every free one."""
+    return TransverseDiagram(c, coor, [forced_over(c, coor, lo, hi) or "lo"
+                                       for lo, hi, _ in c.pair_facts[0]])
+
+
 def walked_diagrams():
     """Generated diagrams and stabilizations, and the seeded grid curves
     with no exact reversal, with crossings as the small-grid test draws
@@ -433,9 +437,7 @@ def walked_diagrams():
         if any(v.kind is ViolationKind.ReversalCorner for v in c.genericity_violations):
             continue
         coor = Coorientation.PLUS if c.n % 2 else Coorientation.MINUS
-        yield TransverseDiagram(c, coor, tuple(
-            Crossing(lo, hi, p, forced_over(c, coor, lo, hi) or "lo")
-            for lo, hi, p in detect_crossings(c)))
+        yield forced_or_lo(c, coor)
 
 
 def ref_crossing_scan(curve):
@@ -528,9 +530,7 @@ def scanned_diagrams():
     yield stabilize(trefoil_right(), 5, 4)
     for c in grid_curves(400):
         coor = Coorientation.PLUS if c.n % 2 else Coorientation.MINUS
-        yield TransverseDiagram(c, coor, tuple(
-            Crossing(lo, hi, p, forced_over(c, coor, lo, hi) or "lo")
-            for lo, hi, p in detect_crossings(c)))
+        yield forced_or_lo(c, coor)
 
 
 def test_pair_pass_equals_the_walk_over_the_sweep():
@@ -549,10 +549,21 @@ def test_pair_pass_equals_the_walk_over_the_sweep():
     assert ViolationKind.TriplePoint in kinds and len(kinds) == 6
 
 
+def test_a_diagram_reads_its_entries_from_its_curve():
+    # a diagram stores only its bits: its entries are the curve's own
+    # tuple, one bit each, and not a field
+    count = 0
+    for d in scanned_diagrams():
+        assert d.entries is d.curve.pair_facts[0]
+        assert len(d.overs) == len(d.entries) and "entries" not in d._fields
+        count += 1
+    assert count > 400
+
+
 def test_lazy_crossings_are_the_crossings_of_their_points():
     # the crossings view, built from a diagram's entries and bits on
-    # first read, equals, hashes, prints and sorts as the crossings built
-    # from the detected Fraction points, and each reads back its triple
+    # first read, equals, hashes and prints as the crossings built from
+    # the detected Fraction points, and each point is its entry's triple
     compared = 0
     for d in scanned_diagrams():
         facts, found = d.curve.pair_facts[0], detect_crossings(d.curve)
@@ -562,28 +573,23 @@ def test_lazy_crossings_are_the_crossings_of_their_points():
             eager += [Crossing(lo, hi, p, over) for lo, hi, p in found]
         assert view == eager and [hash(c) for c in view] == [hash(c) for c in eager]
         assert [repr(c) for c in view] == [repr(c) for c in eager]
-        assert [(c.lo, c.hi, c.xzd) for c in view] == list(facts) * 2
+        assert [(c.lo, c.hi, triple(c.point)) for c in view] == list(facts) * 2
         compared += len(view)
-        # the same edges at another point: the order is that of (lo, hi,
-        # the point's coordinates, over), read from the triples
-        if facts:
-            lo, hi, (x, z, den) = facts[0]
-            view += [Crossing(lo, hi, Point(Fraction(x + 1, den), Fraction(z, den)), "lo"),
-                     Crossing(lo, hi, Point(Fraction(x - 1, den), Fraction(z, den)), "hi")]
-
-        def key(c):
-            x, z, den = c.xzd
-            return c.lo, c.hi, Fraction(x, den), Fraction(z, den), c.over
-
-        for a, b in itertools.product(view, repeat=2):
-            assert (a < b) == (key(a) < key(b)) and (a <= b) == (key(a) <= key(b))
     assert compared > 1000
 
 
+def triple(p):
+    """The canonical int triple (X, Z, D) of the point p, (X/D, Z/D) with
+    D > 0 and gcd(X, Z, D) = 1: over the lcm of the two reduced
+    denominators."""
+    d = math.lcm(p.x.denominator, p.z.denominator)
+    return p.x.numerator * (d // p.x.denominator), p.z.numerator * (d // p.z.denominator), d
+
+
 def test_a_sort_of_crossings_reads_no_point(monkeypatch):
-    # crossings of one diagram differ in (lo, hi), so sorting them
-    # compares no point; the constructor derives the pass's entries and
-    # bits, and its view equals the crossings it was given
+    # crossings of one diagram differ in (lo, hi), so sorting them by
+    # their fields compares no point; the constructor takes the bits in
+    # the order of the curve's entries and compares no point either
     d = ladder(8)
     given = d.crossings[::-1]
 
@@ -592,10 +598,11 @@ def test_a_sort_of_crossings_reads_no_point(monkeypatch):
 
     for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
         monkeypatch.setattr(Fraction, name, compared)
-    again = TransverseDiagram(d.curve, d.coorientation, given)
+    ordered = sorted(given, key=lambda c: (c.lo, c.hi, c.point, c.over))
+    again = TransverseDiagram(d.curve, d.coorientation, [c.over for c in ordered])
     monkeypatch.undo()
     assert again.entries == d.entries == d.curve.pair_facts[0] and again.overs == d.overs
-    assert again.crossings == given[::-1]
+    assert again.crossings == given[::-1] == tuple(ordered)
 
 
 @pytest.mark.parametrize("make", [*(lambda k=k: ladder(k) for k in (0, 2, 4, 8)),
@@ -739,11 +746,7 @@ def test_small_grid_curves_hit_every_genericity_kind():
     kinds = set()
     for c in grid_curves(400):
         coor = Coorientation.PLUS if c.n % 2 else Coorientation.MINUS
-        crossings = tuple(
-            Crossing(lo, hi, p, forced_over(c, coor, lo, hi) or "lo")
-            for lo, hi, p in detect_crossings(c)
-        )
-        assert_kernel_matches(TransverseDiagram(c, coor, crossings))
+        assert_kernel_matches(forced_or_lo(c, coor))
         kinds.update(v.kind for v in c.genericity_violations)
     assert kinds == {
         ViolationKind.ZeroEdge, ViolationKind.ReversalCorner, ViolationKind.EndpointContact,
@@ -768,9 +771,8 @@ def test_pairwise_coprime_prime_denominators():
                   for p in host.curve.vertices)
     curve = PolyCurve(verts)
     over = {(c.lo, c.hi): c.over for c in host.crossings}
-    d = TransverseDiagram(curve, host.coorientation, tuple(
-        Crossing(lo, hi, p, over[lo, hi]) for lo, hi, p in detect_crossings(curve)
-    ))
+    d = TransverseDiagram(curve, host.coorientation, [over[lo, hi] for lo, hi, _ in
+                                                       detect_crossings(curve)])
     assert validate(d).is_valid and d.crossings
     common, _ = curve.scaled
     assert common & (common - 1) != 0  # not a power of two

@@ -15,7 +15,6 @@ import transknot.moves_singular as ms
 from transknot.cli import dispatch
 from transknot.diagram import (
     Coorientation,
-    Crossing,
     PolyCurve,
     TransverseDiagram,
     build_diagram,
@@ -38,7 +37,7 @@ from transknot.fixtures import (
     u_minus,
     u_minus_forbidden,
 )
-from transknot.geometry import Point, dist2, halvings, scale, vec
+from transknot.geometry import Point, cross, dist2, halvings, scale, vec
 from transknot.invariants import (
     crossing_sign,
     pushoff_linking_oracle,
@@ -62,7 +61,7 @@ from transknot.moves_singular import (
     stabilize,
     vassiliev_defect,
 )
-from transknot.transversality import (check_validity, forced_over, over_for_sign, reference,
+from transknot.transversality import (check_validity, forced_over, reference,
                                       validate, whitney_index)
 
 from fraction_routines import add, fraction_halvings
@@ -132,9 +131,9 @@ def vertical_hosts(seeds):
                     verts = list(d.curve.vertices)
                     verts.insert(host, Point(a.x, (a.z + b.z) / 2))
                     curve = PolyCurve(tuple(verts))
-                    crossings = [Crossing(lo, hi, p, forced_over(curve, coor, lo, hi) or "lo")
-                                 for lo, hi, p in detect_crossings(curve)]
-                    split = TransverseDiagram(curve, coor, tuple(crossings))
+                    split = TransverseDiagram(curve, coor, [
+                        forced_over(curve, coor, lo, hi) or "lo"
+                        for lo, hi, _ in detect_crossings(curve)])
                     if validate(split).is_valid:
                         yield split, host
 
@@ -346,8 +345,8 @@ class TestStabilize:
             return Point(a * p.x + c, b * p.x + d * p.z + e)
 
         curve = PolyCurve(tuple(image(p) for p in before.curve.vertices))
-        crossings = [Crossing(x.lo, x.hi, image(x.point), x.over) for x in before.crossings]
-        sheared = TransverseDiagram(curve, before.coorientation, tuple(crossings))
+        assert detect_crossings(curve) == [(x.lo, x.hi, image(x.point)) for x in before.crossings]
+        sheared = TransverseDiagram(curve, before.coorientation, before.overs)
         for k in (1, 2, 3):
             check_stabilized(sheared, stabilize(sheared, host, k), k)
 
@@ -532,6 +531,17 @@ class TestMakeSingular:
         with pytest.raises(ValueError):
             make_singular(trefoil_right(), [-1])
 
+    @pytest.mark.parametrize("site", [1.0, "0", True, None])
+    def test_rejects_a_site_that_is_not_an_int(self, site):
+        # True and 1.0 equal ints, and "0" and None do not sort with them,
+        # so the check comes before the sites are sorted or deduplicated
+        message = f"crossing index {site!r} is not an int"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_singular(trefoil_right(), [site])
+        # beside an int it equals or cannot be sorted with, it is named too
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_singular(trefoil_right(), [0, 1, site])
+
 
 class TestResolve:
     def test_positive_resolution_restores_trefoil(self):
@@ -575,6 +585,12 @@ class TestResolve:
         with pytest.raises(ValueError, match=f"crossing index {site} out of range"):
             resolve(s, {site: 1})
 
+    @pytest.mark.parametrize("site", [1.0, "0", True, None])
+    def test_hand_built_double_must_be_an_int(self, site):
+        s = SingularDiagram(trefoil_right(), (site,))
+        with pytest.raises(ValueError, match=re.escape(f"crossing index {site!r} is not an int")):
+            resolve(s, {site: 1})
+
     def test_hand_built_double_must_not_be_forced(self):
         # make_singular refuses crossing 4, and resolve once returned an
         # invalid diagram carrying the host's valid report
@@ -586,19 +602,22 @@ class TestResolve:
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("seed", range(1, 7))
     def test_resolve_builds_what_the_point_form_built(self, seed, order):
-        # the public constructor on each double's point is the reference
-        # for the triples resolve takes from the pair pass
+        # the public constructor, with each double's bit taken from the
+        # Fraction directions of its edges, is the reference for the bits
+        # resolve sets by index
         for s in singular_family(seed, order + 1, 3):
             doubles = s.doubles
             for signs in itertools.product((1, -1), repeat=len(doubles)):
                 chosen = dict(zip(doubles, signs))
                 d = s.diagram
+                direction = d.curve.direction
                 by_point = TransverseDiagram(d.curve, d.coorientation, [
-                    Crossing(c.lo, c.hi, c.point, over_for_sign(d.curve, c.lo, c.hi, chosen[i]))
-                    if i in chosen else c for i, c in enumerate(d.crossings)])
+                    c.over if i not in chosen
+                    else "lo" if (cross(direction(c.lo), direction(c.hi)) > 0) == (chosen[i] == 1)
+                    else "hi" for i, c in enumerate(d.crossings)])
                 got = resolve(s, chosen)
                 assert got == by_point
-                assert [c.xzd for c in got.crossings] == [c.xzd for c in by_point.crossings]
+                assert got.crossings == by_point.crossings
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("seed", range(1, 7))

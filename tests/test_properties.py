@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from transknot.diagram import (
     Coorientation,
-    Crossing,
     PolyCurve,
     TransverseDiagram,
     detect_crossings,
@@ -38,13 +37,14 @@ PROFILE = settings(derandomize=True, max_examples=100, deadline=None)
 
 
 def image(d: TransverseDiagram, a, b, c, dz, e) -> TransverseDiagram:
-    """d under (x, z) -> (a*x + c, b*x + dz*z + e), crossings re-detected."""
-    curve = PolyCurve(tuple(Point(a * p.x + c, b * p.x + dz * p.z + e)
-                            for p in d.curve.vertices))
-    over = {(c.lo, c.hi): c.over for c in d.crossings}
-    assert [(lo, hi) for lo, hi, _ in detect_crossings(curve)] == list(over)
-    return TransverseDiagram(curve, d.coorientation, tuple(
-        Crossing(lo, hi, p, over[(lo, hi)]) for lo, hi, p in detect_crossings(curve)))
+    """d under (x, z) -> (a*x + c, b*x + dz*z + e), whose crossings,
+    re-detected, are the images of d's, with the same over bits."""
+    def move(p):
+        return Point(a * p.x + c, b * p.x + dz * p.z + e)
+
+    curve = PolyCurve(tuple(move(p) for p in d.curve.vertices))
+    assert detect_crossings(curve) == [(x.lo, x.hi, move(x.point)) for x in d.crossings]
+    return TransverseDiagram(curve, d.coorientation, d.overs)
 
 
 @st.composite
@@ -87,15 +87,17 @@ def test_parse_inverts_serialize(d):
 @given(diagrams(), st.data())
 def test_minus_validity_is_reversed_plus_validity(d, data):
     # edge i of the curve is edge n + 1 - i of the reversed one, run
-    # backwards, so the crossing of lo and hi keeps its over strand
+    # backwards, so the crossing of lo and hi is that of n + 1 - hi and
+    # n + 1 - lo, at the same point, and keeps its over strand
     flips = data.draw(st.sets(st.sampled_from(d.crossings))) if d.crossings else set()
-    crossings = [Crossing(c.lo, c.hi, c.point, c.over if c not in flips else
-                          "hi" if c.over == "lo" else "lo") for c in d.crossings]
-    n = d.curve.n
-    minus = TransverseDiagram(d.curve, Coorientation.MINUS, crossings)
-    plus = TransverseDiagram(reversed_curve(d.curve), Coorientation.PLUS, [
-        Crossing(n + 1 - c.hi, n + 1 - c.lo, c.point, "hi" if c.over == "lo" else "lo")
-        for c in crossings])
+    overs = [c.over if c not in flips else "hi" if c.over == "lo" else "lo" for c in d.crossings]
+    n, rc = d.curve.n, reversed_curve(d.curve)
+    minus = TransverseDiagram(d.curve, Coorientation.MINUS, overs)
+    mirrored = {(n + 1 - c.hi, n + 1 - c.lo): (c.point, "hi" if over == "lo" else "lo")
+                for c, over in zip(d.crossings, overs)}
+    assert detect_crossings(rc) == sorted((lo, hi, p) for (lo, hi), (p, _) in mirrored.items())
+    plus = TransverseDiagram(rc, Coorientation.PLUS,
+                             [mirrored[lo, hi][1] for lo, hi, _ in detect_crossings(rc)])
     kinds = [sorted(v.kind.value for v in validate(e).violations) for e in (minus, plus)]
     assert kinds[0] == kinds[1]
 

@@ -234,29 +234,37 @@ def bodies(tree, names) -> set[int]:
 
 
 def test_one_builder_puts_crossings_on_a_curve():
-    # a diagram keeps its crossings as the pair pass's entries and a
-    # tuple of over bits: only its crossings view calls Crossing(...),
-    # no module reaches into the Crossing class or hands it to a call,
-    # and only _attach_over, and with_over, which keeps the entries of
-    # any diagram, name TransverseDiagram._from_entries
-    def is_crossing(node):
-        return (isinstance(node, ast.Name) and node.id == "Crossing"
-                or isinstance(node, ast.Attribute) and node.attr == "Crossing")
+    # a diagram is its curve, its coorientation and one over bit per
+    # crossing of the curve: only _attach_over, which turns a reader's
+    # map into bits, with_over and resolve call TransverseDiagram(...),
+    # and no module hands the class to a call (object.__new__ included);
+    # only the crossings view calls Crossing(...), and no module reaches
+    # into the Crossing class or hands it to a call; nothing names
+    # _from_entries, as there is one constructor
+    def is_named(node, name):
+        return (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name)
 
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         view = bodies(tree, {("TransverseDiagram", "crossings")})
-        builders = bodies(tree, {(None, "_attach_over"), ("TransverseDiagram", "with_over")})
+        builders = bodies(tree, {(None, "_attach_over"), ("TransverseDiagram", "with_over"),
+                                 (None, "resolve")})
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and is_crossing(node.func) and id(node) not in view:
+            if isinstance(node, ast.Call) and is_named(node.func, "Crossing") \
+                    and id(node) not in view:
                 found.append(f"{path.name}:{node.lineno}:Crossing(...)")
-            if isinstance(node, ast.Call) and any(map(is_crossing, node.args)):
-                found.append(f"{path.name}:{node.lineno}:call on Crossing")
-            if isinstance(node, ast.Attribute) and is_crossing(node.value):
+            if isinstance(node, ast.Call) and is_named(node.func, "TransverseDiagram") \
+                    and id(node) not in builders:
+                found.append(f"{path.name}:{node.lineno}:TransverseDiagram(...)")
+            for name in ("Crossing", "TransverseDiagram"):
+                if isinstance(node, ast.Call) and any(is_named(arg, name) for arg in node.args):
+                    found.append(f"{path.name}:{node.lineno}:call on {name}")
+            if isinstance(node, ast.Attribute) and is_named(node.value, "Crossing"):
                 found.append(f"{path.name}:{node.lineno}:Crossing.{node.attr}")
-            if (isinstance(node, ast.Attribute) and node.attr == "_from_entries"
-                    and id(node) not in builders):
+            if is_named(node, "_from_entries") or isinstance(node, ast.FunctionDef) \
+                    and node.name == "_from_entries":
                 found.append(f"{path.name}:{node.lineno}:_from_entries")
     assert found == []
 

@@ -4,7 +4,6 @@ import pytest
 
 from transknot.diagram import (
     Coorientation,
-    Crossing,
     PolyCurve,
     TransverseDiagram,
     Violation,
@@ -14,7 +13,6 @@ from transknot.diagram import (
 from transknot.errors import InvalidDiagramError, NongenericCurveError
 from transknot.fixtures import minus_unknot, trefoil_right, u_minus, u_minus_forbidden
 from transknot.geometry import Point, in_closed_cone, in_open_cone, neg
-from transknot.invariants import self_linking
 from transknot.moves_singular import random_valid_diagram, stabilize
 from transknot.transversality import (
     UP,
@@ -184,42 +182,31 @@ class TestValidate:
         assert ViolationKind.UpwardCorner not in kinds
         assert ViolationKind.ForbiddenCrossing not in kinds
 
-    def test_crossing_mismatch(self):
+    # A diagram's crossings are its curve's, one over bit each, so no
+    # diagram lists a crossing its curve lacks or lacks one it has, and
+    # validate has no mismatch left to report: the constructor refuses
+    # any other count of bits, and build_diagram any other set of pairs.
+
+    def test_one_bit_short_is_refused(self):
         um = u_minus()
-        missing = TransverseDiagram(um.curve, Coorientation.PLUS, ())
-        report = validate(missing)
-        assert [(v.kind, v.edges) for v in report.violations] == [
-            (ViolationKind.CrossingMismatch, (1, 6))
-        ]
-        extra = TransverseDiagram(
-            um.curve,
-            Coorientation.PLUS,
-            um.crossings + (Crossing(2, 5, P(100, 100), "lo"),),
-        )
-        pairs = {v.edges for v in validate(extra).violations}
-        assert pairs == {(2, 5)}
+        with pytest.raises(ValueError, match="0 over bits for 1 crossings"):
+            TransverseDiagram(um.curve, Coorientation.PLUS, ())
+        verts = [(p.x, p.z) for p in um.curve.vertices]
+        with pytest.raises(ValueError, match=r"missing \[\(1, 6\)\], extra \[\]"):
+            build_diagram(verts, Coorientation.PLUS, {})
 
-    def test_crossing_listed_twice_is_a_mismatch(self):
+    def test_one_bit_extra_is_refused(self):
         t = trefoil_right()
-        twice = TransverseDiagram(t.curve, t.coorientation, t.crossings + t.crossings[:1])
-        assert [(v.kind, v.edges) for v in validate(twice).violations] == [
-            (ViolationKind.CrossingMismatch, (1, 9))
-        ]
-        with pytest.raises(InvalidDiagramError):
-            self_linking(twice)  # counted the crossing twice: 2, not 1
+        with pytest.raises(ValueError, match="8 over bits for 7 crossings"):
+            TransverseDiagram(t.curve, t.coorientation, t.overs + t.overs[:1])
+        verts = [(p.x, p.z) for p in u_minus().curve.vertices]
+        with pytest.raises(ValueError, match=r"missing \[\], extra \[\(2, 5\)\]"):
+            build_diagram(verts, Coorientation.PLUS, {(1, 6): "hi", (2, 5): "lo"})
 
-    def test_crossing_at_another_point_is_a_mismatch(self):
+    def test_crossings_as_bits_are_refused(self):
         t = trefoil_right()
-        moved = TransverseDiagram(t.curve, t.coorientation, [
-            Crossing(c.lo, c.hi, P(100, 100), c.over) if (c.lo, c.hi) == (1, 9) else c
-            for c in t.crossings
-        ])
-        assert [(v.kind, v.edges) for v in validate(moved).violations] == [
-            (ViolationKind.CrossingMismatch, (1, 9))
-        ]
-        for host in (1, 9):  # an anchor would land on the real crossing at (1, 1)
-            with pytest.raises(InvalidDiagramError):
-                stabilize(moved, host, 1)
+        with pytest.raises(ValueError, match="over must be 'lo' or 'hi'"):
+            TransverseDiagram(t.curve, t.coorientation, t.crossings)
 
     def test_minus_validity_equals_reversed_plus_validity(self):
         # coorientation flip is orientation reversal in disguise

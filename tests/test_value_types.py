@@ -2,11 +2,10 @@
 
 Equal values are equal and hash as their field tuple, so set and dict
 orders do not move; each type's fields are the data it stores, so a
-curve is its ``scaled`` ints and a diagram its curve, coorientation,
-int entries and over bits; crossings sort by (lo, hi, point, over), do
-not order against other types, and a diagram sorts the crossings it is
-given; constructors refuse bad input with ValueError; fields cannot be
-assigned or deleted.
+curve is its ``scaled`` ints and a diagram its curve, coorientation
+and over bits; a diagram's crossings view lists them by (lo, hi, point,
+over), and crossings do not order; constructors refuse bad input with
+ValueError; fields cannot be assigned or deleted.
 """
 
 import pytest
@@ -38,7 +37,7 @@ FIELDS = {
     Violation: ("kind", "edges", "point"),
     Crossing: ("lo", "hi", "point", "over"),
     PolyCurve: ("scaled",),
-    TransverseDiagram: ("curve", "coorientation", "entries", "overs"),
+    TransverseDiagram: ("curve", "coorientation", "overs"),
     ValidityReport: ("violations",),
     InvariantValue: ("name", "value"),
 }
@@ -64,7 +63,7 @@ def public_copy(x):
     if isinstance(x, PolyCurve):
         return PolyCurve(x.vertices)
     if isinstance(x, TransverseDiagram):
-        return TransverseDiagram(x.curve, x.coorientation, x.crossings)
+        return TransverseDiagram(x.curve, x.coorientation, x.overs)
     return type(x)(*field_tuple(x))
 
 
@@ -100,21 +99,23 @@ def test_repr_names_the_fields():
     d = DIAGRAMS[2]
     assert repr(d.curve) == f"PolyCurve(scaled={d.curve.scaled!r})"
     assert repr(d) == (f"TransverseDiagram(curve={d.curve!r}, coorientation={d.coorientation!r}, "
-                       f"entries={d.entries!r}, overs={d.overs!r})")
+                       f"overs={d.overs!r})")
     assert repr(FramingTorsor(0)) == "FramingTorsor(modulus=0)"
 
 
 @pytest.mark.parametrize("d", DIAGRAMS)
 def test_crossings_sort_by_lo_hi_point_over(d):
-    shuffled = tuple(reversed(d.crossings))
-    by_fields = sorted(shuffled, key=lambda c: (c.lo, c.hi, c.point, c.over))
-    assert sorted(shuffled) == by_fields == list(d.crossings)
-    assert TransverseDiagram(d.curve, d.coorientation, shuffled).crossings == d.crossings
-    assert TransverseDiagram(d.curve, d.coorientation, shuffled) == d
-    if len(d.crossings) > 1:
-        a, b = d.crossings[:2]
-        assert a < b and a <= b and b > a and b >= a and not b < a
+    # the view lists the crossings in the order of the curve's entries,
+    # which is (lo, hi, point, over); the constructor takes the bits in
+    # that order back to the same diagram, and crossings do not order
+    by_fields = sorted(d.crossings, key=lambda c: (c.lo, c.hi, c.point, c.over))
+    assert by_fields == list(d.crossings)
+    assert [(c.lo, c.hi) for c in d.crossings] == [entry[:2] for entry in d.entries]
+    again = TransverseDiagram(d.curve, d.coorientation, d.overs)
+    assert again == d and again.crossings == d.crossings
     for c in d.crossings:
+        with pytest.raises(TypeError):
+            c < c
         with pytest.raises(TypeError):
             c < (c.lo, c.hi, c.point, c.over)
 
@@ -126,6 +127,12 @@ def test_constructors_refuse_bad_input():
         (lambda: Crossing(2, 2, p, "lo"), "lo < hi"),
         (lambda: Crossing(1, 2, p, "top"), "over must be"),
         (lambda: DIAGRAMS[0].with_over({DIAGRAMS[0].entries[0][:2]: "top"}), "over must be"),
+        (lambda: TransverseDiagram(DIAGRAMS[0].curve, Coorientation.PLUS, ["top"]),
+         "over must be"),
+        (lambda: TransverseDiagram(DIAGRAMS[0].curve, Coorientation.PLUS, [["lo"]]),
+         "over must be"),
+        (lambda: TransverseDiagram(DIAGRAMS[0].curve, Coorientation.PLUS, []),
+         "0 over bits for 1 crossings"),
         (lambda: build_diagram(DIAGRAMS[0].curve.vertices, Coorientation.PLUS,
                                {(lo, hi): "top" for lo, hi, _ in DIAGRAMS[0].entries}),
          "over must be"),
