@@ -8,6 +8,12 @@ alone fixes the crossings: the diagram reads each as the int entry (lo,
 hi, xzd) that the curve's pair pass found, and stores only its over
 bit; ``Crossing`` values, with Fraction points, are a view built only
 when read.
+
+This is the data model every other stage imports, and it imports none
+of them: only ``errors`` and ``geometry``.  So the rule between an over
+bit and a crossing sign, ``sign_for_over`` and ``over_for_sign``, is
+written here beside ``overs``, and a curve walks its corners with
+``geometry.corner_turns``.
 """
 
 from __future__ import annotations
@@ -19,14 +25,11 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cache, cached_property, cmp_to_key
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import CrossingMismatchError, NongenericCurveError, ParseError, TransknotError
-from .geometry import Point, Vec, box, box_meeting_pairs, box_overlapping_pairs
-
-
-if TYPE_CHECKING:
-    from .transversality import ValidityReport
+from .geometry import (Point, Vec, box, box_meeting_pairs, box_overlapping_pairs, corner_turns,
+                       cross)
 
 
 class Coorientation(enum.Enum):
@@ -255,13 +258,11 @@ class PolyCurve(Frozen):
         return tuple(box(a, b) for a, b in edge_ends(pts))
 
     def corner_turns(self, r) -> tuple[int, ...]:
-        """``transversality.corner_turns`` of the int directions at the
+        """``geometry.corner_turns`` of the int directions at the
         direction r, as a tuple walked once per direction: under Plus,
         condition 1 and the Whitney index read one walk at (0, 1)."""
         turns = self._turns
         if r not in turns:
-            from .transversality import corner_turns  # it imports this module
-
             turns[r] = tuple(corner_turns(self.int_directions, r))
         return turns[r]
 
@@ -429,6 +430,28 @@ class Crossing(Frozen):
         return self.hi if self.over == "lo" else self.lo
 
 
+def sign_for_over(curve: PolyCurve, lo: int, hi: int, over: str) -> int:
+    """+1 or -1: the sign of the crossing of edges lo and hi with the
+    over bit ``over``, the sign of cross(t_over, t_under) taken on the
+    curve's int directions (``invariants`` derives the convention).
+    ``TransverseDiagram.signs`` and ``invariants.crossing_sign`` read it;
+    ``over_for_sign`` is the same rule the other way."""
+    dirs = curve.int_directions
+    k = cross(dirs[lo - 1], dirs[hi - 1])
+    if k == 0:
+        raise TransknotError(f"crossing of edges {lo} and {hi} has parallel tangents")
+    return 1 if (k > 0) == (over == "lo") else -1
+
+
+def over_for_sign(curve: PolyCurve, lo: int, hi: int, s: int) -> str:
+    """The over bit ("lo" or "hi") that gives the crossing of edges lo
+    and hi the sign s, +1 or -1: the bit whose ``sign_for_over`` is s.
+    ``splice``, ``transversality.forced_over`` and
+    ``moves_singular.resolve`` read it."""
+    dirs = curve.int_directions
+    return "lo" if cross(dirs[lo - 1], dirs[hi - 1]) * s > 0 else "hi"
+
+
 class TransverseDiagram(Frozen):
     """A curve, its coorientation, and one over bit per crossing.
 
@@ -448,6 +471,11 @@ class TransverseDiagram(Frozen):
     ``entries`` order, and raises ValueError if the count differs or a
     bit is not "lo" or "hi".  In the package only ``_attach_over``,
     ``with_over`` and ``moves_singular.resolve`` call it.
+
+    ``signs`` reads each crossing's sign by ``sign_for_over`` once.  The
+    validity report is not a member: ``transversality.validate`` keeps
+    it in the ``__dict__`` under ``validity``, as the parser keeps a
+    curve's ``pair_facts``.
     """
 
     _fields = ("curve", "coorientation", "overs")
@@ -472,20 +500,10 @@ class TransverseDiagram(Frozen):
                      for (lo, hi, xzd), bit in zip(self.entries, self.overs))
 
     @cached_property
-    def validity(self) -> ValidityReport:
-        """This diagram's ``transversality.ValidityReport``, computed once
-        (see ``transversality.check_validity``)."""
-        from .transversality import check_validity  # it imports this module
-
-        return check_validity(self)
-
-    @cached_property
     def signs(self) -> tuple[int, ...]:
         """The sign of each entry with its over bit, in their order, by
-        ``invariants.sign_for_over``; computed once.  The writhe, v2 and
-        the push-off oracle read them here."""
-        from .invariants import sign_for_over  # it imports this module
-
+        ``sign_for_over``; computed once.  The writhe, v2 and the
+        push-off oracle read them here."""
         return tuple(sign_for_over(self.curve, lo, hi, bit)
                      for (lo, hi, _), bit in zip(self.entries, self.overs))
 
@@ -571,8 +589,6 @@ def splice(d: TransverseDiagram, host: int, den: int, path, spots) -> Optional[T
     and ``_attach_over`` puts the bits on the new curve, so a splice
     builds no Fraction.
     """
-    from .transversality import over_for_sign  # it imports this module
-
     scale, pts = d.curve.scaled
     (ax, az), (ex, ez) = pts[host - 1], d.curve.int_directions[host - 1]
 

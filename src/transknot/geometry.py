@@ -5,12 +5,12 @@ means strictly interior.  The predicates take ``fractions.Fraction``
 points, and the division-free ones (``vec``, ``cross``, ``dot``,
 ``pair_determinants``, ``segment_crossing``, ``point_in_open_segment``,
 ``box``, ``in_open_cone``, ``in_closed_cone``, ``corner_sweep_contains``,
-``turn_sign``, ``same_direction``, ``is_parallel``) take int points and
-vectors just as well; the last paragraph says which of them the package
-runs.  It runs those on ints: the all-pairs loops on a curve's own data,
-``PolyCurve.scaled``, its vertices times the lcm of their denominators,
-passed as plain (x, z) tuples to pair predicates that read them by index
-and allocate nothing, and its direction tests on
+``turn_sign``, ``corner_turns``, ``same_direction``, ``is_parallel``)
+take int points and vectors just as well; the last paragraph says which
+of them the package runs.  It runs those on ints: the all-pairs loops
+on a curve's own data, ``PolyCurve.scaled``, its vertices times the lcm
+of their denominators, passed as plain (x, z) tuples to pair predicates
+that read them by index and allocate nothing, and its direction tests on
 ``PolyCurve.int_directions``, the differences of those ints, which are
 positive multiples of the true directions and so give every sign
 exactly.  On ints ``/`` is true division and would put a float into a
@@ -42,13 +42,15 @@ package measures distances on ints too: ``diagram.least_dist2`` is its
 only distance routine, and ``halvings`` compares ints, split once from
 its int or Fraction arguments.
 
-So the package runs ``cross``, ``box``, the two box sweeps and
-``halvings``.  Its one corner rule, whether a corner's sweep passes a
-direction and which way the corner turns, is
-``transversality.corner_turns``, and its one cone rule, whether a
-crossing's tangent cone holds the forbidden vertical, is
-``transversality.forced_over``, both on int directions; ``render_svg``
-reads its edge vectors and lengths from the int directions too.  The
+So the package runs ``cross``, ``box``, the two box sweeps,
+``halvings`` and ``corner_turns``.  That last is its one corner rule,
+whether a corner's sweep passes a direction and which way the corner
+turns, on int directions: ``PolyCurve.corner_turns`` walks it once per
+direction for condition 1 and the Whitney index, and the random
+generator walks it on its drawn directions.  The one cone rule, whether
+a crossing's tangent cone holds the forbidden vertical, is
+``transversality.forced_over``, also on int directions, and
+``render_svg`` reads its edge vectors and lengths from them too.  The
 rest have no caller in the package outside this module and stay as the
 tests' references: the pair pass is checked against
 ``pair_determinants``, and the int kernel against ``segment_crossing``,
@@ -276,6 +278,34 @@ def turn_sign(d_in: Vec, d_out: Vec) -> int:
     if c == 0 and dot(d_in, d_out) < 0:
         raise ReversalError("corner reverses direction exactly")
     return sign(c)
+
+
+def corner_turns(dirs, r):
+    """For each corner i, where ``dirs[i - 1]`` turns into ``dirs[i]``,
+    yield +1 if its sweep passes the direction r turning left, -1 if it
+    passes r turning right, and 0 otherwise; lazily, so ``any`` stops at
+    the first corner that passes r.
+
+    The corner rule of ``corner_sweep_contains`` and ``turn_sign``, on
+    ints: r×t is taken once per edge t and the turn e×f once per corner
+    e -> f.  The sweep of a left turn, e×f > 0, holds r exactly when
+    r×e < 0 < r×f, and that of a right turn exactly when r×f < 0 < r×e.
+    A straight corner, and any corner at a zero vector, sweeps nothing;
+    an exact reversal, e×f = 0 with e·f < 0, raises ReversalError.
+    """
+    rx, rz = r
+    side = [rx * tz - rz * tx for tx, tz in dirs]
+    for i, (fx, fz) in enumerate(dirs):
+        ex, ez = dirs[i - 1]
+        turn = ex * fz - ez * fx
+        if turn > 0:
+            yield 1 if side[i - 1] < 0 < side[i] else 0
+        elif turn < 0:
+            yield -1 if side[i] < 0 < side[i - 1] else 0
+        elif ex * fx + ez * fz < 0:
+            raise ReversalError("corner reverses direction exactly")
+        else:
+            yield 0
 
 
 def point_in_open_segment(p: Point, a: Point, b: Point) -> bool:

@@ -13,7 +13,10 @@ with dy > 0.  Expanding the determinant in coordinates (x, y, z):
        [ 0         -dy  0        ]           - t_over.z * t_under.x)
 
 so the sign is the sign of cross(t_over, t_under) in the plane.  This
-is the usual right-handed crossing sign.
+is the usual right-handed crossing sign.  ``diagram.sign_for_over``
+takes it on a curve's int directions, beside the over bits it reads,
+and ``diagram.over_for_sign`` is the same rule the other way; the signs
+here are read through it.
 
 Push-off.  The oracle is the linking number of the knot with a copy
 shifted by εu in the plane, u parallel to no edge and ε > 0
@@ -28,9 +31,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diagram import Crossing, PolyCurve, TransverseDiagram
-from .errors import TransknotError
-from .geometry import cross
+from .diagram import Crossing, TransverseDiagram, sign_for_over
 from .transversality import require_valid, whitney_index
 
 
@@ -39,21 +40,9 @@ class InvariantValue(NamedTuple):
     value: int
 
 
-def sign_for_over(curve: PolyCurve, lo: int, hi: int, over: str) -> int:
-    """+1 or -1: the sign of the crossing of edges lo and hi with the
-    over bit ``over``, cross(t_over, t_under) (see module docs) taken on
-    the curve's int directions.  ``TransverseDiagram.signs`` and
-    ``crossing_sign`` read it; ``transversality.over_for_sign`` is the
-    same rule the other way."""
-    dirs = curve.int_directions
-    k = cross(dirs[lo - 1], dirs[hi - 1])
-    if k == 0:
-        raise TransknotError(f"crossing of edges {lo} and {hi} has parallel tangents")
-    return 1 if (k > 0) == (over == "lo") else -1
-
-
 def crossing_sign(d: TransverseDiagram, c: Crossing) -> int:
-    """+1 or -1; the ``sign_for_over`` of the crossing on d's curve."""
+    """+1 or -1; the ``diagram.sign_for_over`` of the crossing on d's
+    curve."""
     return sign_for_over(d.curve, c.lo, c.hi, c.over)
 
 

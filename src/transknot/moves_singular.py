@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .diagram import (Coorientation, PolyCurve, TransverseDiagram, _attach_over, _point,
-                      frame_length2, least_dist2, splice)
+                      frame_length2, least_dist2, over_for_sign, splice)
 from .errors import (
     FamilyArityError,
     HostTooShortError,
@@ -44,16 +44,9 @@ from .errors import (
     TransknotError,
 )
 from .fixtures import trefoil_right
-from .geometry import halvings
+from .geometry import corner_turns, halvings
 from .invariants import self_linking, v2, writhe
-from .transversality import (
-    corner_turns,
-    forced_over,
-    over_for_sign,
-    reference,
-    require_valid,
-    validate,
-)
+from .transversality import forced_over, reference, require_valid, validate
 
 # --- the canonical detour ---------------------------------------------------
 
@@ -278,33 +271,37 @@ def resolve(s: SingularDiagram, signs: Mapping[int, int]) -> TransverseDiagram:
     """Turn every double point back into a crossing of the given sign.
 
     ``signs`` maps each double point to the int 1 or -1, and the bit of
-    that sign is set by ``over_for_sign``.  ValueError is raised if the
-    keys are not exactly the double points, or if a value is not the int
-    1 or -1 (so True, 1.0, 0 and "+" are refused), naming its site.  The
-    result is the host's curve with the host's bits, the bit at each
-    double point replaced by index: it builds no ``Crossing``.
+    that sign is set by ``diagram.over_for_sign``.  The result is the
+    host's curve with the host's bits, the bit at each double point
+    replaced by index: it builds no ``Crossing``.
 
     The double points are checked again as ``make_singular`` checks
     them, each an int index into the host's entries (ValueError) at a
     crossing whose bit is not forced (InadmissibleDoublePointError), as
-    a SingularDiagram may be built by hand.  Then the result takes the
-    host's validity report into its cache, as the check would compute
+    a SingularDiagram may be built by hand.  ValueError is raised too if
+    the keys of ``signs`` are not exactly those ints (so 0.0 and True
+    are refused as keys), or if a value is not the int 1 or -1 (so True,
+    1.0, 0 and "+" are refused), naming its site.
+
+    The result then takes the host's report, ``validate(host)``, under
+    the key that ``validate`` keeps it by, as the check would compute
     the same one.  Genericity and condition 1 read only the curve, which
     the host shares.  Condition 2 reads the bits only at crossings with
     a forced bit, and none of those is a double point, so every bit it
     reads is the host's.
     """
-    if set(signs) != set(s.doubles):
-        raise ValueError("assignment must cover every double site exactly once")
     d, overs = s.diagram, list(s.diagram.overs)
-    for i in _admissible(d, signs):
+    doubles = _admissible(d, s.doubles)
+    if set(signs) != set(doubles) or any(type(i) is not int for i in signs):
+        raise ValueError("assignment must cover every double site exactly once")
+    for i in doubles:
         sign = signs[i]
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"sign {sign!r} for site {i} is not 1 or -1")
         lo, hi, _ = d.entries[i]
         overs[i] = over_for_sign(d.curve, lo, hi, sign)
     out = TransverseDiagram(d.curve, d.coorientation, overs)
-    vars(out)["validity"] = d.validity
+    vars(out)["validity"] = validate(d)
     return out
 
 
@@ -417,11 +414,11 @@ def random_valid_diagram(
     Edge directions are drawn as (v, -v) pairs with a shared random
     stretch, shuffled, and rejected until no consecutive directions are
     parallel and no corner sweep passes through the forbidden vertical
-    (``corner_turns`` is 0 at every corner); the closed curve of partial
-    sums is then rejection-sampled through the genericity check.  Over
-    bits are forced where the coorientation requires it and chosen at
-    random elsewhere, so the result always validates.  The same seed
-    always yields the same diagram.
+    (``geometry.corner_turns`` is 0 at every corner); the closed curve
+    of partial sums is then rejection-sampled through the genericity
+    check.  Over bits are forced where the coorientation requires it and
+    chosen at random elsewhere, so the result always validates.  The
+    same seed always yields the same diagram.
 
     The whole draw runs on ints: the vertices are int points, so the
     curve is built from them at scale 1, and the over bits, drawn in the

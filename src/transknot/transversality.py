@@ -8,16 +8,16 @@ A diagram drawn in the (x, z) plane is a valid transverse front when
 
 For the Minus coorientation both checks run on the orientation-reversed
 curve, which is the same as testing straight down on the original.  The
-sign rule is written once in each direction: ``invariants.sign_for_over``
-reads a crossing's sign from its over bit, and ``over_for_sign`` picks
-the over bit of a given sign.  The cone rule is written once:
-``forced_over`` decides on int directions whether a crossing's tangent
-cone holds the forbidden vertical, and condition 2, double-point
-admissibility and the random generator all read it.  The corner rule is
-written once too:
-``corner_turns`` tells, on int directions, whether each corner's sweep
-passes a direction and which way it turns, and condition 1, the Whitney
-index and ``moves_singular.random_valid_diagram`` all read it.
+rules these checks read are written once each, below this module: the
+sign rule in ``diagram``, where ``sign_for_over`` reads a crossing's
+sign from its over bit and ``over_for_sign`` picks the over bit of a
+given sign, and the corner rule in ``geometry``, where ``corner_turns``
+tells, on int directions, whether each corner's sweep passes a direction
+and which way it turns; condition 1 and the Whitney index read it
+through the curve's cached ``PolyCurve.corner_turns``.  The cone rule is
+written here, once: ``forced_over`` decides on int directions whether a
+crossing's tangent cone holds the forbidden vertical, and condition 2,
+double-point admissibility and the random generator all read it.
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ from .diagram import (
     Violation,
     ViolationKind,
     _point,
+    over_for_sign,
     sort_violations,
 )
-from .errors import InvalidDiagramError, NongenericCurveError, ReversalError
-from .geometry import Vec, cross
+from .errors import InvalidDiagramError, NongenericCurveError
+from .geometry import Vec
 
 UP = Vec(0, 1)
 DOWN = Vec(0, -1)
@@ -67,35 +68,6 @@ class ValidityReport(NamedTuple):
         return not self.violations
 
 
-def corner_turns(dirs, r):
-    """For each corner i, where ``dirs[i - 1]`` turns into ``dirs[i]``,
-    yield +1 if its sweep passes the direction r turning left, -1 if it
-    passes r turning right, and 0 otherwise; lazily, so ``any`` stops at
-    the first corner that passes r.
-
-    At a corner e -> f the tangent rotates through the unique angle of
-    absolute value < pi, and the sweep is the open sector it crosses.
-    On ints, r×t is taken once per edge t and the turn e×f once per
-    corner: the sweep of a left turn, e×f > 0, holds r exactly when
-    r×e < 0 < r×f, and that of a right turn exactly when r×f < 0 < r×e.
-    A straight corner, and any corner at a zero vector, sweeps nothing;
-    an exact reversal, e×f = 0 with e·f < 0, raises ReversalError.
-    """
-    rx, rz = r
-    side = [rx * tz - rz * tx for tx, tz in dirs]
-    for i, (fx, fz) in enumerate(dirs):
-        ex, ez = dirs[i - 1]
-        turn = ex * fz - ez * fx
-        if turn > 0:
-            yield 1 if side[i - 1] < 0 < side[i] else 0
-        elif turn < 0:
-            yield -1 if side[i] < 0 < side[i - 1] else 0
-        elif ex * fx + ez * fz < 0:
-            raise ReversalError("corner reverses direction exactly")
-        else:
-            yield 0
-
-
 def check_condition1(curve: PolyCurve, coor: Coorientation) -> list[Violation]:
     """Violations of the no-upward-tangent condition.
 
@@ -111,15 +83,6 @@ def check_condition1(curve: PolyCurve, coor: Coorientation) -> list[Violation]:
     out += [Violation(ViolationKind.UpwardCorner, edges=(i or curve.n, i + 1))
             for i, turn in enumerate(curve.corner_turns(ref)) if turn]
     return sort_violations(out)
-
-
-def over_for_sign(curve: PolyCurve, lo: int, hi: int, s: int) -> str:
-    """The over bit ("lo" or "hi") that gives the crossing of edges lo
-    and hi the sign s, +1 or -1: the sign of cross(t_over, t_under) on
-    the curve's int directions, as ``invariants.sign_for_over`` reads it.
-    """
-    dirs = curve.int_directions
-    return "lo" if cross(dirs[lo - 1], dirs[hi - 1]) * s > 0 else "hi"
 
 
 def forced_over(curve: PolyCurve, coor: Coorientation, lo: int, hi: int) -> Optional[str]:
@@ -173,14 +136,20 @@ def check_condition2(d: TransverseDiagram) -> list[Violation]:
 def validate(d: TransverseDiagram) -> ValidityReport:
     """Full validity check: genericity, then conditions 1 and 2.
 
-    Reads the diagram's cached ``validity``, so the check runs once per
-    diagram however often it is asked for.
+    The first call stores ``check_validity(d)`` in the diagram's
+    ``__dict__`` under ``validity``, as the parser stores a curve's
+    ``pair_facts``, and every later call returns that report: the check
+    runs once per diagram however often it is asked for.
+    ``moves_singular.resolve`` stores its host's report there too.
     """
-    return d.validity
+    cache = vars(d)
+    if "validity" not in cache:
+        cache["validity"] = check_validity(d)
+    return cache["validity"]
 
 
 def check_validity(d: TransverseDiagram) -> ValidityReport:
-    """The check behind ``TransverseDiagram.validity``.
+    """The check behind ``validate``, computed afresh on every call.
 
     Reads the curve's cached genericity and crossings.  Positional
     defects short-circuit the report, since crossing data is meaningless
@@ -206,11 +175,12 @@ def whitney_index(curve: PolyCurve) -> int:
     """Rotation number of the tangent direction, by sweep counting.
 
     Corners whose sweep passes through a reference direction r count
-    +1 (counterclockwise turn) or -1 (clockwise), as ``corner_turns``
-    reports them.  r is the edges' ``regular_direction``; the count is
-    the same for every direction parallel to no edge.  That is UP
-    whenever no edge is vertical, and then the curve's ``corner_turns``
-    at r is the walk condition 1 reads under Plus.  Decided on the
+    +1 (counterclockwise turn) or -1 (clockwise), as
+    ``geometry.corner_turns`` reports them.  r is the edges'
+    ``regular_direction``; the count is the same for every direction
+    parallel to no edge.  That is UP whenever no edge is vertical, and
+    then the curve's ``corner_turns`` at r is the walk condition 1 reads
+    under Plus.  Decided on the
     curve's int directions.  Zero edges raise NongenericCurveError, and
     an exact reversal raises ReversalError.
     """

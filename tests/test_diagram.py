@@ -32,7 +32,7 @@ from transknot.diagram import (
     parse_diagram,
     serialize_diagram,
 )
-from transknot.errors import CrossingMismatchError, NongenericCurveError, ParseError
+from transknot.errors import CrossingMismatchError, NongenericCurveError, ParseError, TransknotError
 from transknot.fixtures import (
     minus_unknot,
     one_crossing_unknots,
@@ -247,6 +247,13 @@ def test_violation_locations():
     assert v.location_str() == "(0,0)"
     v = Violation(ViolationKind.ForbiddenCrossing, point=P(Fraction(1, 2), -3))
     assert v.location_str() == "(1/2,-3)"
+
+
+def test_a_violation_with_no_location_is_refused():
+    # a violation names its edges or its point; one with neither cannot
+    # be printed
+    with pytest.raises(TransknotError, match="^TriplePoint violation has no location$"):
+        str(Violation(ViolationKind.TriplePoint))
 
 
 class TestBuildDiagram:

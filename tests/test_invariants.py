@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from transknot.diagram import Coorientation, Crossing, TransverseDiagram, build_diagram
+from transknot.diagram import (Coorientation, Crossing, TransverseDiagram, build_diagram,
+                               sign_for_over)
 from transknot.errors import InvalidDiagramError, TransknotError
 from transknot.fixtures import (
     minus_unknot,
@@ -21,7 +22,6 @@ from transknot.invariants import (
     invariant_values,
     pushoff_linking_oracle,
     self_linking,
-    sign_for_over,
     v2,
     writhe,
 )
@@ -162,7 +162,7 @@ def test_each_crossing_is_signed_once(monkeypatch):
         signed.append((lo, hi, over))
         return sign_for_over(curve, lo, hi, over)
 
-    monkeypatch.setattr("transknot.invariants.sign_for_over", counting)
+    monkeypatch.setattr("transknot.diagram.sign_for_over", counting)
     invariant_values(d)
     assert pushoff_linking_oracle(d) == writhe(d) == -5
     assert sorted(signed) == [(c.lo, c.hi, c.over) for c in d.crossings]

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from transknot import diagram, geometry, invariants, transversality
+from transknot import diagram, geometry, invariants
 from transknot.diagram import (
     Coorientation,
     Crossing,
@@ -60,6 +60,7 @@ from transknot.geometry import (
     Point,
     Vec,
     corner_sweep_contains,
+    corner_turns,
     cross,
     dist2,
     dot,
@@ -94,7 +95,6 @@ from transknot.moves_singular import (
 from transknot.transversality import (
     check_condition1,
     check_condition2,
-    corner_turns,
     forced_over,
     regular_direction,
     validate,
@@ -698,7 +698,7 @@ def test_condition1_and_the_whitney_index_share_one_walk(monkeypatch):
         walks.append(tuple(r))
         return corner_turns(dirs, r)
 
-    monkeypatch.setattr(transversality, "corner_turns", counted)
+    monkeypatch.setattr(diagram, "corner_turns", counted)
     d = ladder(8)
     assert regular_direction(d.curve.int_directions) == (0, 1)
     assert validate(d).is_valid and whitney_index(d.curve) == 0

@@ -571,11 +571,12 @@ class TestResolve:
             resolve(s, {0: 1, 1: choice})
 
     def test_choice_set_must_match(self):
+        # the keys are the int doubles: 0.0 and True equal 0 and 1 but
+        # are refused
         s = make_singular(trefoil_right(), [0, 1])
-        with pytest.raises(ValueError):
-            resolve(s, {0: 1})
-        with pytest.raises(ValueError):
-            resolve(s, {0: 1, 1: 1, 2: 1})
+        for signs in ({0: 1}, {0: 1, 1: 1, 2: 1}, {0.0: 1, 1: 1}, {0: 1, True: 1}):
+            with pytest.raises(ValueError):
+                resolve(s, signs)
 
     @pytest.mark.parametrize("site", [-1, 7], ids=["negative", "past the end"])
     def test_hand_built_double_must_be_in_range(self, site):
@@ -585,11 +586,16 @@ class TestResolve:
         with pytest.raises(ValueError, match=f"crossing index {site} out of range"):
             resolve(s, {site: 1})
 
-    @pytest.mark.parametrize("site", [1.0, "0", True, None])
+    @pytest.mark.parametrize("site", [0.0, 1.0, "0", True, None])
     def test_hand_built_double_must_be_an_int(self, site):
+        # the double itself is checked, whatever the key: 0.0 and 1.0
+        # equal the ints 0 and 1 and hash alike, so the keys 0 and 1 once
+        # resolved them
         s = SingularDiagram(trefoil_right(), (site,))
-        with pytest.raises(ValueError, match=re.escape(f"crossing index {site!r} is not an int")):
-            resolve(s, {site: 1})
+        for key in (site, 0, 1):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"crossing index {site!r} is not an int")):
+                resolve(s, {key: 1})
 
     def test_hand_built_double_must_not_be_forced(self):
         # make_singular refuses crossing 4, and resolve once returned an
@@ -628,8 +634,8 @@ class TestResolve:
         for s in singular_family(seed, order + 1, 3):
             for signs in itertools.product((1, -1), repeat=len(s.doubles)):
                 r = resolve(s, dict(zip(s.doubles, signs)))
-                assert r.validity is s.diagram.validity
-                assert r.validity == check_validity(r)
+                assert validate(r) is validate(s.diagram)
+                assert validate(r) == check_validity(r)
 
 
 @pytest.mark.parametrize("inv", [WRITHE_INVARIANT, V2_INVARIANT], ids=["writhe", "v2"])

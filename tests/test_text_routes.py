@@ -211,10 +211,10 @@ def hostile_text(lines: int) -> str:
 
 
 def best_times(**fns) -> dict:
-    """The least time of each function over five rounds that run them
+    """The least time of each function over nine rounds that run them
     in turn, so that a busy moment of the host falls on all alike."""
     times = {name: [] for name in fns}
-    for _ in range(5):
+    for _ in range(9):
         for name, fn in fns.items():
             times[name].append(timeit.timeit(fn, number=1))
     return {name: min(t) for name, t in times.items()}

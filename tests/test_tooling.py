@@ -1,6 +1,7 @@
 """Guards on the package source itself."""
 
 import ast
+import graphlib
 import re
 import runpy
 import subprocess
@@ -62,16 +63,16 @@ INT_ROUTINES = {
         "vec", "cross", "dot", "pair_determinants", "segment_crossing",
         "point_in_open_segment", "box", "in_open_cone", "in_closed_cone",
         "corner_sweep_contains", "turn_sign", "same_direction", "is_parallel",
-        "box_overlapping_pairs", "box_meeting_pairs", "halvings",
+        "box_overlapping_pairs", "box_meeting_pairs", "halvings", "corner_turns",
     },
     "diagram.py": {
         "_crossing_scan", "least_dist2", "_parse_rational", "_rational_text",
-        "_read_canonical", "serialize_diagram", "splice",
+        "_read_canonical", "serialize_diagram", "splice", "sign_for_over", "over_for_sign",
     },
     "invariants.py": {"_chords", "v2"},
     "transversality.py": {
-        "corner_turns", "check_condition1", "check_condition2", "whitney_index",
-        "regular_direction", "forced_over",
+        "check_condition1", "check_condition2", "whitney_index", "regular_direction",
+        "forced_over",
     },
 }
 
@@ -128,6 +129,58 @@ def test_no_unused_imports():
     assert found == []
 
 
+def package_imports(node) -> list[str]:
+    """The package modules an import statement names: x for ``from .x
+    import ...``, ``from transknot.x import ...`` and ``import
+    transknot.x``, and each x of ``from . import x``; [] for any other
+    node."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("transknot.")]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    module = "transknot." + (node.module or "") if node.level else node.module
+    if module.rstrip(".") == "transknot":
+        return [alias.name for alias in node.names]
+    return [module.split(".")[1]] if module.startswith("transknot.") else []
+
+
+# The cli's per-command imports: each command loads only the modules it
+# runs, which keeps start-up small (see test_lazy_imports).
+DEFERRED_IMPORTS = {
+    ("_descriptor", "framing"), ("_cmd_stabilize", "moves_singular"),
+    ("_cmd_resolve", "moves_singular"), ("_cmd_order_check", "moves_singular"),
+    ("_cmd_mtor", "framing"), ("_cmd_exists", "framing"), ("_cmd_distinguish", "framing"),
+}
+
+
+def test_the_modules_import_one_another_in_layers():
+    # errors -> geometry -> diagram -> transversality -> invariants ->
+    # framing and moves_singular -> cli: each module's imports at module
+    # level form no cycle, so no import is put off into a function, or
+    # behind TYPE_CHECKING, to break one.  The cli's per-command imports
+    # are the one kind of import inside a function
+    graph, deferred, found = {}, set(), []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inner = set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner |= {id(node) for node in ast.walk(fn)}
+                deferred |= {(path.name, fn.name, module)
+                             for node in ast.walk(fn) for module in package_imports(node)}
+        graph[path.stem] = {module for node in ast.walk(tree) if id(node) not in inner
+                            for module in package_imports(node)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if "TYPE_CHECKING" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                         getattr(node, "name", None))]
+    assert found == []
+    assert set().union(*graph.values()) <= set(graph)
+    assert graph["geometry"] == {"errors"} and graph["diagram"] == {"errors", "geometry"}
+    list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
+    assert deferred == {("cli.py", fn, module) for fn, module in DEFERRED_IMPORTS}
+
+
 def test_dataclasses_only_in_moves_singular():
     # `import dataclasses` costs every command that loads it several
     # milliseconds (it pulls in `inspect`), so value types are
@@ -167,7 +220,7 @@ def test_only_the_random_diagram_search_retries():
 # Reference routines: the tests check the int kernel against them, and
 # perfbench/tracer.py counts the calls of the Fraction ones, so they stay
 # in the package, but only they call one another.  ``corner_sweep_contains``
-# and ``turn_sign`` are the corner rule that ``transversality.corner_turns``
+# and ``turn_sign`` are the corner rule that ``geometry.corner_turns``
 # writes once on ints, ``in_open_cone`` the cone rule that
 # ``transversality.forced_over`` writes once on ints, ``same_direction``
 # and ``is_parallel`` the edge and corner tests that condition 1 and the

@@ -9,6 +9,7 @@ from transknot.diagram import (
     Violation,
     ViolationKind,
     build_diagram,
+    over_for_sign,
 )
 from transknot.errors import InvalidDiagramError, NongenericCurveError
 from transknot.fixtures import minus_unknot, trefoil_right, u_minus, u_minus_forbidden
@@ -20,7 +21,6 @@ from transknot.transversality import (
     check_condition2,
     check_validity,
     forced_over,
-    over_for_sign,
     require_valid,
     validate,
     whitney_index,
